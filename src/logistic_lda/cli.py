@@ -273,24 +273,29 @@ def _cmd_infer(args):
     return 0
 
 
-def _cmd_eval(args):
-    corpus, cp = _load_pair(args)
-    flat = flatten_groups(corpus.groups)
-    pred_groups, _, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
-    pred_items = P.argmax(axis=1)
+def _print_report(flat, truth_path, pred_groups, pred_items, K):
+    """Score predictions against the corpus labels and, when given, the
+    truth sidecar (item topics, and group labels where the corpus has
+    none); print the report as one JSON line."""
     true_groups = flat.labels if np.all(flat.labels >= 0) else None
     true_items = None
-    if args.truth:
-        ids, _, z, truth_labels = load_truth(args.truth)
+    if truth_path:
+        ids, _, z, truth_labels = load_truth(truth_path)
         if ids != flat.ids or z.shape[0] != flat.num_items:
             raise ContractError("truth sidecar does not match the corpus")
         true_items = z
         if true_groups is None:
             true_groups = truth_labels
     report = evaluation_report(pred_groups=pred_groups, true_groups=true_groups,
-                               pred_items=pred_items, true_items=true_items,
-                               K=corpus.num_topics)
+                               pred_items=pred_items, true_items=true_items, K=K)
     print(json.dumps(report.to_dict(), sort_keys=True))
+
+
+def _cmd_eval(args):
+    corpus, cp = _load_pair(args)
+    flat = flatten_groups(corpus.groups)
+    pred_groups, _, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
+    _print_report(flat, args.truth, pred_groups, P.argmax(axis=1), corpus.num_topics)
     return 0
 
 
@@ -319,20 +324,7 @@ def _cmd_gibbs(args):
         burn_in=args.burn_in, n_samples=args.samples,
         label_weight=args.label_weight, V=corpus.payload.size,
     )
-    pred_items = item_post.argmax(axis=1)
-    pred_groups = pi_hat.argmax(axis=1)
-    true_groups = flat.labels if np.all(flat.labels >= 0) else None
-    true_items = None
-    if args.truth:
-        ids, _, z, truth_labels = load_truth(args.truth)
-        if ids != flat.ids or z.shape[0] != flat.num_items:
-            raise ContractError("truth sidecar does not match the corpus")
-        true_items = z
-        if true_groups is None:
-            true_groups = truth_labels
-    report = evaluation_report(pred_groups=pred_groups, true_groups=true_groups,
-                               pred_items=pred_items, true_items=true_items, K=K)
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    _print_report(flat, args.truth, pi_hat.argmax(axis=1), item_post.argmax(axis=1), K)
     return 0
 
 

@@ -88,13 +88,6 @@ class Corpus:
                 raise ContractError("vocab length must equal vocabulary size")
 
 
-def _payload_of_group(group) -> PayloadSpec:
-    it = group.items[0]
-    if it.token is not None:
-        return PayloadSpec(kind="token", size=int(it.token) + 1)
-    return PayloadSpec(kind="dense", size=it.dense.shape[0])
-
-
 def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
     """Wrap in-memory groups as a Corpus, inferring the payload spec."""
     if not groups:
@@ -267,8 +260,11 @@ def load_truth(path):
         rec = _parse_json_line(raw, lineno)
         _require(isinstance(rec, dict), lineno, "truth record must be an object")
         _require(isinstance(rec.get("id"), str), lineno, "missing group id")
-        pi = np.asarray(rec.get("pi"), dtype=np.float64)
-        _require(pi.shape == (k,), lineno, f"pi must have length {k}")
+        try:
+            pi = np.asarray(rec.get("pi"), dtype=np.float64)
+        except (TypeError, ValueError):
+            pi = None
+        _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
         z = rec.get("z")
         _require(isinstance(z, list) and z, lineno, "z must be a non-empty list")
         _require(all(isinstance(t, int) and 0 <= t < k for t in z), lineno,

@@ -7,10 +7,9 @@ Three interchangeable kinds:
   fixed_loglik frozen K x V row-stochastic matrix; logits are ln beta[:, v],
                which reproduces the word term of collapsed generative LDA
 
-All kinds expose forward logits, the normalized variant g = ln softmax f,
-and exact reverse-mode gradients of <u, f(x, theta)> wrt theta.  Gradients
-are computed per item (or per batch) and summed; the encoder itself holds
-no optimizer state.
+All kinds expose batched forward logits and exact reverse-mode gradients
+of sum_n <u_n, f(x_n, theta)> wrt theta; the encoder itself holds no
+optimizer state.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, UnsupportedOperationError
-from .math_kernels import SIMPLEX_ATOL, SeededRng, log_softmax
+from .math_kernels import SIMPLEX_ATOL, SeededRng
 
 KINDS = ("mlp", "table", "fixed_loglik")
 ACTIVATIONS = ("tanh", "relu", "linear")
@@ -140,34 +139,6 @@ def forward_logits_batch(payload, theta: EncoderParams) -> np.ndarray:
     raise ContractError(f"unknown encoder kind {theta.kind!r}")
 
 
-def forward_logits(item: Item, theta: EncoderParams) -> np.ndarray:
-    """f(x, theta): K logits for one item."""
-    if theta.kind == "mlp":
-        if item.dense is None:
-            raise ContractError("mlp encoder needs a dense payload")
-        return forward_logits_batch(item.dense[None, :], theta)[0]
-    if item.token is None:
-        raise ContractError(f"{theta.kind} encoder needs a token payload")
-    return forward_logits_batch(np.array([item.token]), theta)[0]
-
-
-def log_softmax_g_batch(payload, theta: EncoderParams) -> np.ndarray:
-    """g = ln softmax f for mlp/table; fixed_loglik logits pass through
-    unnormalized (rows of beta are already probability distributions over
-    tokens, and normalizing over topics would destroy that structure)."""
-    f = forward_logits_batch(payload, theta)
-    if theta.kind == "fixed_loglik":
-        return f
-    return log_softmax(f, axis=-1)
-
-
-def log_softmax_g(item: Item, theta: EncoderParams) -> np.ndarray:
-    f = forward_logits(item, theta)
-    if theta.kind == "fixed_loglik":
-        return f
-    return log_softmax(f)
-
-
 def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> EncoderGradient:
     """Gradient of sum_n <grad_wrt_logits[n], f(x_n, theta)> wrt theta."""
     if theta.kind == "fixed_loglik":
@@ -197,16 +168,6 @@ def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> EncoderGra
         if l:
             dh = da @ theta.weights[l]
     return EncoderGradient(kind="mlp", weights=tuple(dWs), biases=tuple(dbs))
-
-
-def backward(item: Item, theta: EncoderParams, grad_wrt_logits) -> EncoderGradient:
-    """Exact reverse-mode gradient of <grad_wrt_logits, f(x, theta)>."""
-    u = np.asarray(grad_wrt_logits, dtype=np.float64)
-    if theta.kind == "mlp":
-        return backward_batch(item.dense[None, :], theta, u[None, :])
-    if theta.kind == "table":
-        return backward_batch(np.array([item.token]), theta, u[None, :])
-    raise UnsupportedOperationError("fixed log-likelihood table has no trainable parameters")
 
 
 def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderParams:

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError
 from .mean_field import flatten_groups
@@ -90,6 +89,9 @@ def match_topics(confusion):
     total = C.sum()
     if total <= 0:
         raise ContractError("confusion matrix is empty")
+    # scipy is imported here, its one use, to keep it off the CLI's start-up
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-C)
     perm = np.empty(C.shape[0], dtype=np.int64)
     perm[cols] = rows

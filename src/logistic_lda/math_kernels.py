@@ -307,16 +307,31 @@ def log_softmax(v, axis=-1):
         return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def _check_positive_rows(x):
+    # one Dirichlet parameter vector, or a (D, K) stack of them
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim == 2 and a.shape[1] >= 1:
+        check_positive_vector(a.ravel())
+        return a
+    return check_positive_vector(a)
+
+
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
 def expected_log_pi(alpha_hat):
-    """E[ln pi] under Dir(alpha_hat): psi(alpha_k) - psi(sum alpha)."""
-    a = check_positive_vector(alpha_hat)
-    return digamma(a) - digamma(float(a.sum()))
+    """E[ln pi] under Dir(alpha_hat): psi(alpha_k) - psi(sum alpha), per row
+    of a (D, K) stack."""
+    a = _check_positive_rows(alpha_hat)
+    return digamma(a) - digamma(a.sum(axis=-1, keepdims=True))
 
 
 def ln_multivariate_beta(alpha):
-    """ln B(alpha) = sum ln Gamma(alpha_k) - ln Gamma(sum alpha_k)."""
-    a = check_positive_vector(alpha)
-    return float(sum(math.lgamma(v) for v in a) - math.lgamma(a.sum()))
+    """ln B(alpha) = sum ln Gamma(alpha_k) - ln Gamma(sum alpha_k); a float
+    for one vector, one value per row of a (D, K) stack."""
+    a = _check_positive_rows(alpha)
+    out = _lgamma(a).sum(axis=-1) - _lgamma(a.sum(axis=-1))
+    return float(out) if a.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

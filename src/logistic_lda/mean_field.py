@@ -1,4 +1,4 @@
-"""Mean-field variational state per group and its coordinate updates.
+"""Mean-field variational inference per group, run over packed corpora.
 
 A group d carries items x_d1..x_dN and optionally a label c_d.  The
 factorized posterior q(pi_d) q(c_d) prod_n q(k_dn) is parameterized by
@@ -15,12 +15,12 @@ The three coordinate updates (any order is valid):
     p_label    = softmax(lam * psi(alpha_hat))        unless clamped
 
 Each update maximizes the evidence lower bound in its own coordinate, so
-`elbo` is non-decreasing along any update sequence with theta held fixed.
+the bound is non-decreasing along any update sequence with theta held
+fixed.
 
-Single-group operations below are the readable reference path; the
-flattened batch kernels at the bottom (numba or vectorized numpy, chosen
-by the backend flag) do the same arithmetic for whole corpora and are
-what training and inference call.
+The flattened batch kernels below (numba or vectorized numpy, chosen by
+the backend flag) run the updates for a whole packed corpus; a readable
+single-group copy lives with the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -30,19 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import njit, pick
-from .encoders import EncoderParams, Item, forward_logits_batch, log_softmax_g_batch
 from .errors import ContractError, DomainError
-from .math_kernels import (
-    check_positive_vector,
-    digamma,
-    digamma_scalar_nb,
-    expected_log_pi,
-    ln_multivariate_beta,
-    log_softmax,
-    softmax,
-)
-
-DEFAULT_ORDER = ("items", "alpha", "label")
+from .math_kernels import check_positive_vector, digamma, digamma_scalar_nb, softmax
 
 
 @dataclass
@@ -92,109 +81,12 @@ class HyperParams:
         return self.alpha.size
 
 
-@dataclass
-class MeanFieldState:
-    alpha_hat: np.ndarray
-    p_label: np.ndarray
-    p_items: np.ndarray  # (N, K)
-    clamped: bool = False
-
-
 def group_payload(group: Group):
     """Stack the group's item payloads into one array for the encoder."""
     first = group.items[0]
     if first.dense is not None:
         return np.stack([it.dense for it in group.items])
     return np.array([it.token for it in group.items], dtype=np.int64)
-
-
-def init_state(group: Group, hyper: HyperParams, clamp_label: bool = False) -> MeanFieldState:
-    """Uniform beliefs and alpha_hat = alpha; the label belief is the
-    observed one-hot when clamping is requested and a label exists."""
-    K = hyper.num_topics
-    if group.label is not None and group.label >= K:
-        raise DomainError(f"group {group.id!r}: label {group.label} outside [0, {K})")
-    clamped = clamp_label and group.label is not None
-    if clamped:
-        p_label = np.zeros(K)
-        p_label[group.label] = 1.0
-    else:
-        p_label = np.full(K, 1.0 / K)
-    return MeanFieldState(
-        alpha_hat=hyper.alpha.copy(),
-        p_label=p_label,
-        p_items=np.full((len(group.items), K), 1.0 / K),
-        clamped=clamped,
-    )
-
-
-def update_item_beliefs(state: MeanFieldState, group: Group, theta: EncoderParams) -> np.ndarray:
-    f = forward_logits_batch(group_payload(group), theta)
-    state.p_items = softmax(f + digamma(state.alpha_hat), axis=-1)
-    return state.p_items
-
-
-def update_alpha(state: MeanFieldState, hyper: HyperParams) -> np.ndarray:
-    state.alpha_hat = hyper.alpha + state.p_items.sum(axis=0) + hyper.lam * state.p_label
-    return state.alpha_hat
-
-
-def update_label_beliefs(state: MeanFieldState, hyper: HyperParams) -> np.ndarray:
-    if not state.clamped:
-        state.p_label = softmax(hyper.lam * digamma(state.alpha_hat))
-    return state.p_label
-
-
-def sweep(group, state, theta, hyper, order=DEFAULT_ORDER) -> MeanFieldState:
-    """Apply the three coordinate updates once, in the given order."""
-    for step in order:
-        if step == "items":
-            update_item_beliefs(state, group, theta)
-        elif step == "alpha":
-            update_alpha(state, hyper)
-        elif step == "label":
-            update_label_beliefs(state, hyper)
-        else:
-            raise ContractError(f"unknown update {step!r}")
-    return state
-
-
-def run_sweeps(
-    group, state, theta, hyper, order=DEFAULT_ORDER, tol=1e-6, max_sweeps=100
-):
-    """Sweep until max |change in alpha_hat| < tol, or the cap is hit.
-    Returns (state, sweeps_done)."""
-    for s in range(max_sweeps):
-        prev = state.alpha_hat
-        sweep(group, state, theta, hyper, order)
-        if np.max(np.abs(state.alpha_hat - prev)) < tol:
-            return state, s + 1
-    return state, max_sweeps
-
-
-def elbo(group: Group, state: MeanFieldState, theta: EncoderParams, hyper: HyperParams) -> float:
-    """Evidence lower bound up to an additive constant independent of the
-    variational parameters (theta-only terms, including the topic-usage
-    regularizer, are dropped).  Uses the 0 * (-inf) = 0 convention where a
-    zero belief meets a -inf log-probability."""
-    g = log_softmax_g_batch(group_payload(group), theta)
-    a_hat = state.alpha_hat
-    eln_pi = expected_log_pi(a_hat)
-    P = state.p_items
-    pl = state.p_label
-
-    def dot0(x, y):
-        # sum of x*y treating entries with x == 0 as exactly 0
-        return float(np.sum(np.where(x > 0.0, x * y, 0.0)))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = float((hyper.alpha - 1.0) @ eln_pi)
-        total += dot0(P, g + eln_pi)
-        total -= dot0(P, np.log(P))
-        total += hyper.lam * float(pl @ eln_pi)
-        total -= dot0(pl, np.log(pl))
-        total += ln_multivariate_beta(a_hat) - float((a_hat - 1.0) @ eln_pi)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ then backpropagate the label cross-entropy -c' ln p_label through every
 update (softmax Jacobians, the digamma bias via trigamma, and the
 alpha_hat accumulation) back into each use of the cached logits.
 
+One epoch loop, `train`, runs both; they differ only in the batch step.
 Hot paths exist as twin kernels, numba loops or vectorized numpy,
 selected by the backend flag.  Epoch records go to stdout as JSON lines
 and optionally to a metrics file.
@@ -19,15 +20,12 @@ and optionally to a metrics file.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .backend import njit, pick
 from .encoders import (
-    EncoderParams,
     backward_batch,
     flat_to_params,
     forward_logits_batch,
@@ -39,29 +37,20 @@ from .math_kernels import (
     SeededRng,
     digamma,
     digamma_scalar_nb,
+    expected_log_pi,
+    ln_multivariate_beta,
     log_softmax,
     softmax,
     trigamma,
     trigamma_scalar_nb,
 )
-from .mean_field import (
-    FlatGroups,
-    Group,
-    HyperParams,
-    batch_mean_field,
-    flatten_groups,
-    group_payload,
-)
+from .mean_field import FlatGroups, batch_mean_field, flatten_groups
 from .regularizer import RegularizerState, update_running_estimate
 
 LOSS_FLOOR = 1e-30
 
 MODES = ("variational", "discriminative")
 OPTIMIZERS = ("sgd", "momentum", "adam")
-
-
-class FlooredLossWarning(RuntimeWarning):
-    """A predicted probability hit the floor before the log."""
 
 
 @dataclass
@@ -73,9 +62,6 @@ class TrainConfig:
     lr_decay: float = 1.0  # lr at epoch e is lr * lr_decay**e
     optimizer: str = "adam"
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     clamp_labels: bool = True
     e_step_sweeps: int = 1
@@ -146,37 +132,29 @@ class Optimizer:
 
 
 def make_optimizer(config: TrainConfig) -> Optimizer:
-    return Optimizer(
-        kind=config.optimizer,
-        momentum=config.momentum,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_eps,
-    )
+    return Optimizer(kind=config.optimizer, momentum=config.momentum)
 
 
 # ---------------------------------------------------------------------------
 # variational regime
 
-def variational_loss(groups, states, theta, r_hat, gamma: float) -> float:
-    """-sum_dn (p_items + gamma * r_hat)' g(x_dn, theta); beliefs and
-    r_hat are constants here, only g depends on theta."""
-    if len(groups) != len(states):
-        raise ContractError("one state per group required")
-    flat = flatten_groups(groups)
-    P = np.concatenate([np.asarray(s.p_items, dtype=np.float64) for s in states])
-    if P.shape != (flat.num_items, P.shape[1]):
-        raise ContractError("state beliefs do not match group sizes")
-    g = log_softmax(forward_logits_batch(flat.payload, theta), axis=-1)
-    if g.shape != P.shape:
-        raise ContractError("belief and logit shapes differ")
-    S = P
-    if gamma != 0.0:
-        r_hat = np.asarray(r_hat, dtype=np.float64)
-        if r_hat.shape != P.shape:
-            raise ContractError("r_hat shape does not match items")
-        S = P + gamma * r_hat
-    return -float(np.sum(S * g))
+@dataclass
+class _EStepCarry:
+    """What the variational regime keeps across batches and epochs: each
+    group's alpha_hat and label beliefs (the E-step's warm start) and the
+    running topic-usage estimate."""
+
+    alpha_hat: np.ndarray
+    p_label: np.ndarray
+    reg_state: RegularizerState
+    total_items: int
+
+    @classmethod
+    def start(cls, flat, hyper):
+        """alpha_hat = alpha and uniform label beliefs for every group."""
+        D, K = flat.num_groups, hyper.num_topics
+        return cls(alpha_hat=np.tile(hyper.alpha, (D, 1)), p_label=np.full((D, K), 1.0 / K),
+                   reg_state=RegularizerState(rho=hyper.rho), total_items=flat.num_items)
 
 
 def _soft_target_grad_wrt_logits(F, S):
@@ -184,67 +162,35 @@ def _soft_target_grad_wrt_logits(F, S):
     return softmax(F, axis=-1) * S.sum(axis=1, keepdims=True) - S
 
 
-def _variational_batch_step(
-    payload, offsets, labels, AH0, PL0, theta, flat_params, opt, lr, reg_state, hyper, config,
-    total_items,
-):
-    mini = FlatGroups(payload=payload, offsets=offsets, labels=labels)
-    F = forward_logits_batch(payload, theta)
+def _variational_step(mini, batch_ids, theta, hyper, config, carry):
+    """E-step from the batch's warm-started beliefs, then the gradient of
+    -sum (p_items + gamma * r_hat)' g(x, theta) with beliefs and r_hat held
+    constant.  Updates `carry`; returns (grad, p_items, loss, floor_hits)."""
+    F = forward_logits_batch(mini.payload, theta)
     if np.any(np.isnan(F) | (F == np.inf)):
         # -inf is a legal logit (impossible token); nan and +inf are not
         raise TrainingDivergedError("non-finite logits in variational step")
     P, PL, AH, _ = batch_mean_field(
         F, mini, hyper, config.clamp_labels, config.e_step_sweeps, tol=0.0,
-        alpha_hat0=AH0, p_label0=PL0,
+        alpha_hat0=carry.alpha_hat[batch_ids], p_label0=carry.p_label[batch_ids],
     )
     g = log_softmax(F, axis=-1)
     S = P
     if hyper.gamma > 0.0:
-        reg_state, r_hat = update_running_estimate(reg_state, g, total_items)
+        carry.reg_state, r_hat = update_running_estimate(carry.reg_state, g, carry.total_items)
         S = P + hyper.gamma * r_hat
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite variational loss {loss!r}")
-    dF = _soft_target_grad_wrt_logits(F, S)
-    grad = grad_to_flat(backward_batch(payload, theta, dF))
-    if grad.size and not np.all(np.isfinite(grad)):
-        raise TrainingDivergedError("non-finite gradient in variational step")
-    new_flat = opt.step(flat_params, grad, lr)
-    if new_flat.size and not np.all(np.isfinite(new_flat)):
-        raise TrainingDivergedError("parameters overflowed after update")
-    return new_flat, P, PL, AH, reg_state, loss
-
-
-def variational_train_step(batch, states, theta, reg_state, hyper, config, opt=None, lr=None, total_items=None):
-    """One E-step + one gradient step on a batch of groups.  Mutates the
-    passed-in states; returns (theta, states, reg_state, metrics)."""
-    if opt is None:
-        opt = make_optimizer(config)
-    if lr is None:
-        lr = config.lr
-    flat = flatten_groups(batch)
-    if total_items is None:
-        total_items = flat.num_items
-    AH0 = np.stack([s.alpha_hat for s in states])
-    PL0 = np.stack([s.p_label for s in states])
-    new_flat, P, PL, AH, reg_state, loss = _variational_batch_step(
-        flat.payload, flat.offsets, flat.labels, AH0, PL0, theta,
-        params_to_flat(theta), opt, lr, reg_state, hyper, config, total_items,
-    )
-    theta = flat_to_params(new_flat, theta)
-    for d, s in enumerate(states):
-        lo, hi = flat.offsets[d], flat.offsets[d + 1]
-        s.p_items = P[lo:hi]
-        s.p_label = PL[d]
-        s.alpha_hat = AH[d]
-    metrics = {"loss": loss, "items": flat.num_items}
-    return theta, states, reg_state, metrics
+    grad = grad_to_flat(backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(F, S)))
+    carry.alpha_hat[batch_ids] = AH
+    carry.p_label[batch_ids] = PL
+    return grad, P, loss, 0
 
 
 def _corpus_elbo(g, P, PL, AH, flat, hyper):
     """Sum of per-group bounds, vectorized over the whole corpus."""
-    row_sum = AH.sum(axis=1)
-    eln = digamma(AH) - digamma(row_sum)[:, None]
+    eln = expected_log_pi(AH)
     eln_rep = np.repeat(eln, flat.sizes(), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         item_terms = np.where(P > 0.0, P * (g + eln_rep - np.log(P)), 0.0).sum()
@@ -252,85 +198,12 @@ def _corpus_elbo(g, P, PL, AH, flat, hyper):
     total = float(((hyper.alpha - 1.0) * eln).sum())
     total += float(item_terms)
     total += hyper.lam * float((PL * eln).sum()) + float(label_ent)
-    ln_b = gammaln(AH).sum(axis=1) - gammaln(row_sum)
-    total += float(ln_b.sum()) - float(((AH - 1.0) * eln).sum())
+    total += float(ln_multivariate_beta(AH).sum()) - float(((AH - 1.0) * eln).sum())
     return total
 
 
 # ---------------------------------------------------------------------------
 # discriminative regime: unrolled forward and exact reverse-mode backward
-
-@dataclass
-class UnrollTape:
-    """Everything the backward pass needs: cached logits and the beliefs
-    after each of the n_iter iterations (index 0 holds the start state)."""
-
-    f: np.ndarray  # (N, K)
-    p_items: np.ndarray  # (T, N, K)
-    alpha_hat: np.ndarray  # (T+1, K)
-    p_label: np.ndarray  # (T+1, K)
-
-
-def unrolled_forward(group: Group, theta: EncoderParams, hyper: HyperParams):
-    """Run exactly n_iter iterations of the three updates from uniform
-    beliefs, caching f once.  Returns (p_label, tape)."""
-    f = forward_logits_batch(group_payload(group), theta)
-    T, K, N = hyper.n_iter, hyper.num_topics, f.shape[0]
-    P = np.empty((T, N, K))
-    A = np.empty((T + 1, K))
-    Q = np.empty((T + 1, K))
-    A[0] = hyper.alpha
-    Q[0] = 1.0 / K
-    for t in range(1, T + 1):
-        P[t - 1] = softmax(f + digamma(A[t - 1]), axis=-1)
-        A[t] = hyper.alpha + P[t - 1].sum(axis=0) + hyper.lam * Q[t - 1]
-        Q[t] = softmax(hyper.lam * digamma(A[t]))
-    return Q[T], UnrollTape(f=f, p_items=P, alpha_hat=A, p_label=Q)
-
-
-def discriminative_loss(p_label, c) -> float:
-    """-c' ln p_label for a one-hot c, flooring the probability at 1e-30
-    (a FlooredLossWarning is issued when the floor engages)."""
-    p_label = np.asarray(p_label, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if p_label.shape != c.shape:
-        raise ContractError("p_label and c must have the same length")
-    idx = int(np.argmax(c))
-    p = p_label[idx]
-    if p < LOSS_FLOOR:
-        warnings.warn("label probability floored before log", FlooredLossWarning)
-        p = LOSS_FLOOR
-    return -float(np.log(p))
-
-
-def unrolled_backward(tape: UnrollTape, label: int, hyper: HyperParams):
-    """Adjoint sweep over one group's tape.  Returns (dF, loss, floored)
-    with dF the gradient of the cross-entropy wrt the cached logits."""
-    T = hyper.n_iter
-    lam = hyper.lam
-    A, Q, P = tape.alpha_hat, tape.p_label, tape.p_items
-    p_true = Q[T, label]
-    floored = bool(p_true < LOSS_FLOOR)
-    loss = -float(np.log(max(p_true, LOSS_FLOOR)))
-    dF = np.zeros_like(tape.f)
-    da_items = np.zeros(A.shape[1])
-    prev_da = None
-    for t in range(T, 0, -1):
-        if t == T:
-            dV = Q[T].copy()
-            dV[label] -= 1.0
-        else:
-            dq = lam * prev_da
-            dV = Q[t] * (dq - float(Q[t] @ dq))
-        da = lam * trigamma(A[t]) * dV + da_items
-        dots = P[t - 1] @ da
-        dU = P[t - 1] * (da - dots[:, None])
-        dF += dU
-        if t > 1:
-            da_items = trigamma(A[t - 1]) * dU.sum(axis=0)
-        prev_da = da
-    return dF, loss, floored
-
 
 def _unroll_fwd_nb(F, offsets, alpha, lam, n_iter):
     total, K = F.shape
@@ -489,7 +362,8 @@ _unroll_bwd = pick(_unroll_bwd_nb_jit, _unroll_bwd_np)
 
 
 def _discriminative_batch_grad(payload, offsets, labels, theta, hyper):
-    """Mean cross-entropy over the batch and its flat gradient."""
+    """(mean cross-entropy over the batch, its flat gradient, floor hits,
+    item beliefs after the last iteration)."""
     F = np.ascontiguousarray(forward_logits_batch(payload, theta))
     P, A, Q = _unroll_fwd(F, offsets, hyper.alpha, float(hyper.lam), int(hyper.n_iter))
     dF, losses, floor_hits = _unroll_bwd(
@@ -497,36 +371,19 @@ def _discriminative_batch_grad(payload, offsets, labels, theta, hyper):
     )
     D = offsets.shape[0] - 1
     grad = grad_to_flat(backward_batch(payload, theta, dF / D))
-    return float(losses.mean()), grad, floor_hits, P[-1], Q[:, -1]
+    return float(losses.mean()), grad, floor_hits, P[-1]
 
 
-def discriminative_train_step(group: Group, theta, hyper, config, opt=None, lr=None):
-    """One exact-gradient optimizer step on a single labeled group."""
-    if group.label is None:
-        raise ContractError("discriminative training needs a labeled group")
-    if opt is None:
-        opt = make_optimizer(config)
-    if lr is None:
-        lr = config.lr
-    flat = flatten_groups([group])
-    loss, grad, floor_hits, _, _ = _discriminative_batch_grad(
-        flat.payload, flat.offsets, flat.labels, theta, hyper
+def _discriminative_step(mini, batch_ids, theta, hyper, config, carry):
+    """Exact gradient of the batch's mean label cross-entropy through the
+    unrolled updates.  Returns (grad, p_items, loss summed over groups,
+    floor_hits)."""
+    loss, grad, floor_hits, P_last = _discriminative_batch_grad(
+        mini.payload, mini.offsets, mini.labels, theta, hyper
     )
-    if floor_hits:
-        warnings.warn("label probability floored before log", FlooredLossWarning)
-    if not np.isfinite(loss) or (grad.size and not np.all(np.isfinite(grad))):
-        raise TrainingDivergedError("non-finite loss or gradient in discriminative step")
-    new_flat = opt.step(params_to_flat(theta), grad, lr)
-    if new_flat.size and not np.all(np.isfinite(new_flat)):
-        raise TrainingDivergedError("parameters overflowed after update")
-    return flat_to_params(new_flat, theta), loss
-
-
-def predict_group(group: Group, theta, hyper):
-    """(label index, p_label, p_items) from the unrolled forward pass;
-    observed labels are never consulted.  Ties break to the lowest index."""
-    p_label, tape = unrolled_forward(group, theta, hyper)
-    return int(np.argmax(p_label)), p_label, tape.p_items[-1]
+    if not np.isfinite(loss):
+        raise TrainingDivergedError("non-finite loss")
+    return grad, P_last, loss * len(batch_ids), floor_hits
 
 
 def predict_corpus(flat: FlatGroups, theta, hyper, converged=False, tol=1e-6, max_sweeps=100):
@@ -542,7 +399,7 @@ def predict_corpus(flat: FlatGroups, theta, hyper, converged=False, tol=1e-6, ma
 
 
 # ---------------------------------------------------------------------------
-# epoch loops
+# epoch loop
 
 def _emit(record, config: TrainConfig):
     line = json.dumps(record, sort_keys=True)
@@ -572,75 +429,32 @@ def _batch_slices(flat, batch_ids):
     return idx, offsets
 
 
-def train_variational(groups, theta, hyper, config: TrainConfig, eval_groups=None):
-    """Epoch loop for the variational regime.  Per-group alpha_hat and
-    label beliefs persist across epochs (warm starts); the regularizer
-    running average persists across batches.  Returns (theta, report)."""
+def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
+    """Epoch loop for both regimes; they differ only in the batch step.
+
+    Variational: per-group alpha_hat and label beliefs persist across
+    epochs (warm starts) and the regularizer running average across
+    batches.  Discriminative: every group must be labeled.  Returns
+    (theta, report)."""
     flat = flatten_groups(groups)
     D, K = flat.num_groups, hyper.num_topics
-    eval_flat = flatten_groups(eval_groups) if eval_groups else None
-    rng = SeededRng(config.seed)
-    opt = make_optimizer(config)
-    reg_state = RegularizerState(rho=hyper.rho)
-    AH = np.tile(hyper.alpha, (D, 1))
-    PL = np.full((D, K), 1.0 / K)
-    P_full = np.full((flat.num_items, K), 1.0 / K)
-    flat_params = params_to_flat(theta)
-    report = TrainReport(mode="variational")
-    for epoch in range(config.epochs):
-        lr = config.lr * config.lr_decay**epoch
-        order = rng.gen.permutation(D)
-        total_loss = 0.0
-        for start in range(0, D, config.batch_size):
-            batch_ids = order[start : start + config.batch_size]
-            idx, offsets_b = _batch_slices(flat, batch_ids)
-            try:
-                flat_params, P_b, PL_b, AH_b, reg_state, loss = _variational_batch_step(
-                    flat.payload[idx], offsets_b, flat.labels[batch_ids],
-                    AH[batch_ids], PL[batch_ids], theta, flat_params, opt, lr,
-                    reg_state, hyper, config, flat.num_items,
-                )
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(
-                    f"epoch {epoch}, groups {start}..{start + len(batch_ids)}: {exc}"
-                ) from exc
-            theta = flat_to_params(flat_params, theta)
-            AH[batch_ids] = AH_b
-            PL[batch_ids] = PL_b
-            P_full[idx] = P_b
-            total_loss += loss
-        record = {
-            "mode": "variational",
-            "epoch": epoch,
-            "loss": total_loss / flat.num_items,
-            "topic_usage": np.bincount(np.argmax(P_full, axis=1), minlength=K).tolist(),
-        }
-        if config.track_elbo:
-            g = log_softmax(forward_logits_batch(flat.payload, theta), axis=-1)
-            record["elbo"] = _corpus_elbo(g, P_full, PL, AH, flat, hyper)
-        if eval_flat is not None:
-            record["eval_accuracy"] = _eval_accuracy(eval_flat, theta, hyper, converged=True)
-        report.records.append(record)
-        _emit(record, config)
-    report.reg_state = reg_state
-    return theta, report
-
-
-def train_discriminative(groups, theta, hyper, config: TrainConfig, eval_groups=None):
-    """Epoch loop for the unrolled regime; every group must be labeled.
-    Returns (theta, report)."""
-    flat = flatten_groups(groups)
-    if np.any(flat.labels < 0):
-        raise ContractError("discriminative training requires a label on every group")
-    if np.any(flat.labels >= hyper.num_topics):
-        raise DomainError("label outside [0, K)")
-    D, K = flat.num_groups, hyper.num_topics
+    variational = config.mode == "variational"
+    if variational:
+        step, carry = _variational_step, _EStepCarry.start(flat, hyper)
+        loss_per = flat.num_items  # the record's loss is the mean per item
+    else:
+        if np.any(flat.labels < 0):
+            raise ContractError("discriminative training requires a label on every group")
+        if np.any(flat.labels >= K):
+            raise DomainError("label outside [0, K)")
+        step, carry = _discriminative_step, None
+        loss_per = D  # the record's loss is the mean per group
     eval_flat = flatten_groups(eval_groups) if eval_groups else None
     rng = SeededRng(config.seed)
     opt = make_optimizer(config)
     flat_params = params_to_flat(theta)
     P_full = np.full((flat.num_items, K), 1.0 / K)
-    report = TrainReport(mode="discriminative")
+    report = TrainReport(mode=config.mode)
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay**epoch
         order = rng.gen.permutation(D)
@@ -649,39 +463,38 @@ def train_discriminative(groups, theta, hyper, config: TrainConfig, eval_groups=
         for start in range(0, D, config.batch_size):
             batch_ids = order[start : start + config.batch_size]
             idx, offsets_b = _batch_slices(flat, batch_ids)
-            loss, grad, floor_hits, P_last, _ = _discriminative_batch_grad(
-                flat.payload[idx], offsets_b, flat.labels[batch_ids], theta, hyper
-            )
-            if not np.isfinite(loss) or (grad.size and not np.all(np.isfinite(grad))):
+            mini = FlatGroups(payload=flat.payload[idx], offsets=offsets_b,
+                              labels=flat.labels[batch_ids])
+            try:
+                grad, P_b, loss, floor_hits = step(mini, batch_ids, theta, hyper, config, carry)
+                if grad.size and not np.all(np.isfinite(grad)):
+                    raise TrainingDivergedError("non-finite gradient")
+                flat_params = opt.step(flat_params, grad, lr)
+                if flat_params.size and not np.all(np.isfinite(flat_params)):
+                    raise TrainingDivergedError("parameters overflowed after update")
+            except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
-                    f"epoch {epoch}, groups {start}..{start + len(batch_ids)}: "
-                    "non-finite loss or gradient"
-                )
-            flat_params = opt.step(flat_params, grad, lr)
-            if flat_params.size and not np.all(np.isfinite(flat_params)):
-                raise TrainingDivergedError(
-                    f"epoch {epoch}, groups {start}..{start + len(batch_ids)}: "
-                    "parameters overflowed after update"
-                )
+                    f"epoch {epoch}, groups {start}..{start + len(batch_ids)}: {exc}"
+                ) from exc
             theta = flat_to_params(flat_params, theta)
-            loss_sum += loss * len(batch_ids)
+            P_full[idx] = P_b
+            loss_sum += loss
             floor_total += floor_hits
-            P_full[idx] = P_last
         record = {
-            "mode": "discriminative",
+            "mode": config.mode,
             "epoch": epoch,
-            "loss": loss_sum / D,
+            "loss": loss_sum / loss_per,
             "topic_usage": np.bincount(np.argmax(P_full, axis=1), minlength=K).tolist(),
-            "floor_hits": floor_total,
         }
+        if variational and config.track_elbo:
+            g = log_softmax(forward_logits_batch(flat.payload, theta), axis=-1)
+            record["elbo"] = _corpus_elbo(g, P_full, carry.p_label, carry.alpha_hat, flat, hyper)
+        if not variational:
+            record["floor_hits"] = floor_total
         if eval_flat is not None:
-            record["eval_accuracy"] = _eval_accuracy(eval_flat, theta, hyper, converged=False)
+            record["eval_accuracy"] = _eval_accuracy(eval_flat, theta, hyper, converged=variational)
         report.records.append(record)
         _emit(record, config)
+    if variational:
+        report.reg_state = carry.reg_state
     return theta, report
-
-
-def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
-    if config.mode == "variational":
-        return train_variational(groups, theta, hyper, config, eval_groups)
-    return train_discriminative(groups, theta, hyper, config, eval_groups)

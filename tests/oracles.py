@@ -1,13 +1,28 @@
 """Independent oracles shared by the test suite.
 
-Everything here is deliberately written straight from first principles
-(mpmath, math.lgamma, brute-force loops) so it shares no code path with
-the package being tested.
+The special-function, gradient, ELBO and Gibbs oracles are written
+straight from first principles (mpmath, math.lgamma, scipy, brute-force
+loops) so they share no code path with the package being tested.
+
+The single-group reference path (init_state ... unrolled_backward) is
+the readable one-group-at-a-time form of the coordinate updates and of
+the unrolled adjoint.  It borrows only the package's encoder forward pass
+and elementwise special functions; its loops and bookkeeping are its own,
+so it checks the packed batch kernels that training and inference run.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from logistic_lda.encoders import forward_logits_batch
+from logistic_lda.errors import ContractError, DomainError
+from logistic_lda.math_kernels import digamma, softmax, trigamma
+from logistic_lda.mean_field import group_payload
+
+DEFAULT_ORDER = ("items", "alpha", "label")
+LOSS_FLOOR = 1e-30
 
 
 def psi_oracle(xs, order=0, dps=30):
@@ -110,3 +125,138 @@ def lda_collapsed_pair_posterior(tokens, alpha, eta, K, V):
     weights = {z: math.exp(lp - mx) for z, lp in scores.items()}
     total = sum(weights.values())
     return {z: w / total for z, w in weights.items()}
+
+
+# ---------------------------------------------------------------------------
+# single-group reference path: mean-field coordinate updates
+
+
+@dataclass
+class MeanFieldState:
+    alpha_hat: np.ndarray
+    p_label: np.ndarray
+    p_items: np.ndarray  # (N, K)
+    clamped: bool = False
+
+
+def init_state(group, hyper, clamp_label=False):
+    """Uniform beliefs and alpha_hat = alpha; the label belief is the
+    observed one-hot when clamping is requested and a label exists."""
+    K = hyper.num_topics
+    if group.label is not None and group.label >= K:
+        raise DomainError(f"group {group.id!r}: label {group.label} outside [0, {K})")
+    clamped = clamp_label and group.label is not None
+    if clamped:
+        p_label = np.zeros(K)
+        p_label[group.label] = 1.0
+    else:
+        p_label = np.full(K, 1.0 / K)
+    return MeanFieldState(
+        alpha_hat=hyper.alpha.copy(),
+        p_label=p_label,
+        p_items=np.full((len(group.items), K), 1.0 / K),
+        clamped=clamped,
+    )
+
+
+def update_item_beliefs(state, group, theta):
+    f = forward_logits_batch(group_payload(group), theta)
+    state.p_items = softmax(f + digamma(state.alpha_hat), axis=-1)
+    return state.p_items
+
+
+def update_alpha(state, hyper):
+    state.alpha_hat = hyper.alpha + state.p_items.sum(axis=0) + hyper.lam * state.p_label
+    return state.alpha_hat
+
+
+def update_label_beliefs(state, hyper):
+    if not state.clamped:
+        state.p_label = softmax(hyper.lam * digamma(state.alpha_hat))
+    return state.p_label
+
+
+def sweep(group, state, theta, hyper, order=DEFAULT_ORDER):
+    """Apply the three coordinate updates once, in the given order."""
+    for step in order:
+        if step == "items":
+            update_item_beliefs(state, group, theta)
+        elif step == "alpha":
+            update_alpha(state, hyper)
+        elif step == "label":
+            update_label_beliefs(state, hyper)
+        else:
+            raise ContractError(f"unknown update {step!r}")
+    return state
+
+
+def run_sweeps(group, state, theta, hyper, order=DEFAULT_ORDER, tol=1e-6, max_sweeps=100):
+    """Sweep until max |change in alpha_hat| < tol, or the cap is hit.
+    Returns (state, sweeps_done)."""
+    for s in range(max_sweeps):
+        prev = state.alpha_hat
+        sweep(group, state, theta, hyper, order)
+        if np.max(np.abs(state.alpha_hat - prev)) < tol:
+            return state, s + 1
+    return state, max_sweeps
+
+
+# ---------------------------------------------------------------------------
+# single-group reference path: unrolled forward and its adjoint
+
+
+@dataclass
+class UnrollTape:
+    """Everything the backward pass needs: cached logits and the beliefs
+    after each of the n_iter iterations (index 0 holds the start state)."""
+
+    f: np.ndarray  # (N, K)
+    p_items: np.ndarray  # (T, N, K)
+    alpha_hat: np.ndarray  # (T+1, K)
+    p_label: np.ndarray  # (T+1, K)
+
+
+def unrolled_forward(group, theta, hyper):
+    """Run exactly n_iter iterations of the three updates from uniform
+    beliefs, caching f once.  Returns (p_label, tape)."""
+    f = forward_logits_batch(group_payload(group), theta)
+    T, K, N = hyper.n_iter, hyper.num_topics, f.shape[0]
+    P = np.empty((T, N, K))
+    A = np.empty((T + 1, K))
+    Q = np.empty((T + 1, K))
+    A[0] = hyper.alpha
+    Q[0] = 1.0 / K
+    for t in range(1, T + 1):
+        P[t - 1] = softmax(f + digamma(A[t - 1]), axis=-1)
+        A[t] = hyper.alpha + P[t - 1].sum(axis=0) + hyper.lam * Q[t - 1]
+        Q[t] = softmax(hyper.lam * digamma(A[t]))
+    return Q[T], UnrollTape(f=f, p_items=P, alpha_hat=A, p_label=Q)
+
+
+def unrolled_backward(tape, label, hyper):
+    """Adjoint sweep over one group's tape.  Returns (dF, loss, floored)
+    with dF the gradient of the cross-entropy wrt the cached logits."""
+    T = hyper.n_iter
+    lam = hyper.lam
+    A, Q, P = tape.alpha_hat, tape.p_label, tape.p_items
+    p_true = Q[T, label]
+    floored = bool(p_true < LOSS_FLOOR)
+    loss = -float(np.log(max(p_true, LOSS_FLOOR)))
+    dF = np.zeros_like(tape.f)
+    da_items = np.zeros(A.shape[1])
+    prev_da = None
+    for t in range(T, 0, -1):
+        if t == T:
+            dV = Q[T].copy()
+            dV[label] -= 1.0
+        else:
+            dq = lam * prev_da
+            dV = Q[t] * (dq - float(Q[t] @ dq))
+        da = lam * trigamma(A[t]) * dV + da_items
+        dots = P[t - 1] @ da
+        dU = P[t - 1] * (da - dots[:, None])
+        dF += dU
+        if t > 1:
+            da_items = trigamma(A[t - 1]) * dU.sum(axis=0)
+        prev_da = da
+    return dF, loss, floored

@@ -152,6 +152,15 @@ class TestBackendFlag:
         assert proc.returncode != 0
         assert "LOGISTIC_LDA_BACKEND" in proc.stderr
 
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is imported only where topics are matched, not at start-up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, logistic_lda.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_numpy_backend_runs_pipeline(self, tmp_path):
         # end to end smoke on the fallback: the CLI must work without numba
         env = dict(os.environ, LOGISTIC_LDA_BACKEND="numpy")

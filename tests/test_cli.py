@@ -149,6 +149,26 @@ class TestTrainInferEval:
         assert code == 3
         assert "diverged" in err
 
+    @pytest.mark.parametrize("command", ["eval", "gibbs"])
+    def test_malformed_truth_is_data_error(self, tmp_path, tiny_corpus, capsys, command):
+        model = tmp_path / "m.ckpt"
+        run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+            "--epochs", "1", "--quiet")
+        truth = tmp_path / "bad.truth"
+        lines = (tmp_path / "c.jsonl.truth").read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["pi"] = ["x", 0.5, 0.5]
+        truth.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        argv = ["--corpus", str(tiny_corpus), "--truth", str(truth)]
+        if command == "eval":
+            argv += ["--model", str(model)]
+        else:
+            argv += ["--burn-in", "1", "--samples", "1"]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert "line 2: pi must be 3 numbers" in err
+        assert "Traceback" not in err
+
     def test_config_file_with_flag_override(self, tmp_path, tiny_corpus, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=2\nlr=0.01\nquiet=true\n# comment\nclamp=false\n")

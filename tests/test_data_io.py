@@ -158,6 +158,16 @@ class TestTruthSidecar:
         np.testing.assert_array_equal(labels, truth.labels)
         np.testing.assert_array_equal(pi, truth.pi)  # decimal text is exact
 
+    @pytest.mark.parametrize("pi", ['["x", 0.5, 0.5]', "[[0.5], 0.25, 0.25]", '{"a": 1}', "null"],
+                             ids=["text", "ragged", "object", "null"])
+    def test_malformed_pi_is_format_error(self, tmp_path, pi):
+        p = tmp_path / "t.jsonl"
+        write_lines(p, ['{"format":"corpus-truth","version":1,"k":3}',
+                        '{"id":"a","pi":[0.2,0.3,0.5],"z":[0]}',
+                        '{"id":"b","pi":' + pi + ',"z":[1]}'])
+        with pytest.raises(CorpusFormatError, match="line 3: pi must be 3 numbers"):
+            load_truth(p)
+
 
 def make_checkpoint(kind="mlp", with_reg=True):
     rng = SeededRng(7)

@@ -5,26 +5,38 @@ import pytest
 
 from logistic_lda.encoders import (
     Item,
-    backward,
     backward_batch,
     fixed_loglik_params,
     flat_to_params,
-    forward_logits,
     forward_logits_batch,
     grad_to_flat,
     init_params,
-    log_softmax_g,
     num_params,
     params_to_flat,
 )
 from logistic_lda.errors import ContractError, DomainError, UnsupportedOperationError
-from logistic_lda.math_kernels import SeededRng, log_sum_exp, softmax
+from logistic_lda.math_kernels import SeededRng, log_softmax, log_sum_exp, softmax
 
 from oracles import central_difference_grad, max_relative_error
 
 
 def small_mlp(seed=0, dims=(5, 4, 3), scale=1.0):
     return init_params("mlp", dims, scale, SeededRng(seed))
+
+
+def one_row(x):
+    """A one-item batch payload: a (1, E) dense row or a (1,) token id."""
+    if np.ndim(x):
+        return np.asarray(x, dtype=np.float64)[None, :]
+    return np.array([x], dtype=np.int64)
+
+
+def forward_one(x, theta):
+    return forward_logits_batch(one_row(x), theta)[0]
+
+
+def backward_one(x, theta, u):
+    return backward_batch(one_row(x), theta, np.asarray(u, dtype=np.float64)[None, :])
 
 
 class TestItem:
@@ -44,26 +56,26 @@ class TestItem:
 class TestForward:
     def test_zero_mlp_gives_zero_logits(self):
         theta = small_mlp(scale=0.0)
-        out = forward_logits(Item(dense=np.ones(5)), theta)
+        out = forward_one(np.ones(5), theta)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_table_lookup_is_column(self):
         theta = init_params("table", (3, 3), 0.0, SeededRng(0))
         theta.table[:] = np.eye(3)
         np.testing.assert_array_equal(
-            forward_logits(Item(token=1), theta), np.array([0.0, 1.0, 0.0])
+            forward_one(1, theta), np.array([0.0, 1.0, 0.0])
         )
 
     def test_fixed_loglik_is_log_column(self):
         beta = np.array([[0.2, 0.8], [0.4, 0.6]])
         theta = fixed_loglik_params(beta)
         np.testing.assert_allclose(
-            forward_logits(Item(token=0), theta), [math.log(0.2), math.log(0.4)], atol=1e-15
+            forward_one(0, theta), [math.log(0.2), math.log(0.4)], atol=1e-15
         )
 
     def test_fixed_loglik_zero_entry_is_neg_inf(self):
         theta = fixed_loglik_params(np.array([[0.0, 1.0], [0.5, 0.5]]))
-        f = forward_logits(Item(token=0), theta)
+        f = forward_one(0, theta)
         assert f[0] == -np.inf and f[1] == math.log(0.5)
 
     def test_fixed_loglik_rows_normalize_in_log_space(self):
@@ -78,67 +90,61 @@ class TestForward:
         X = SeededRng(2).gen.normal(size=(7, 5))
         batch = forward_logits_batch(X, theta)
         for n in range(7):
-            np.testing.assert_allclose(forward_logits(Item(dense=X[n]), theta), batch[n])
+            np.testing.assert_allclose(forward_one(X[n], theta), batch[n])
 
     def test_kind_mismatch(self):
         theta = small_mlp()
         with pytest.raises(ContractError):
-            forward_logits(Item(token=0), theta)
+            forward_one(0, theta)
         tab = init_params("table", (3, 10), 1.0, SeededRng(0))
         with pytest.raises(ContractError):
-            forward_logits(Item(dense=np.ones(5)), tab)
+            forward_one(np.ones(5), tab)
 
     def test_token_out_of_range(self):
         tab = init_params("table", (3, 10), 1.0, SeededRng(0))
         with pytest.raises(ContractError):
-            forward_logits(Item(token=10), tab)
+            forward_one(10, tab)
 
 
 class TestLogSoftmaxG:
     def test_uniform(self):
         theta = small_mlp(scale=0.0, dims=(5, 2))
-        g = log_softmax_g(Item(dense=np.zeros(5)), theta)
+        g = log_softmax(forward_one(np.zeros(5), theta))
         np.testing.assert_allclose(g, [-math.log(2)] * 2, atol=1e-15)
 
     def test_two_to_one(self):
         tab = init_params("table", (2, 1), 0.0, SeededRng(0))
         tab.table[:, 0] = [math.log(2), 0.0]
-        g = log_softmax_g(Item(token=0), tab)
+        g = log_softmax(forward_one(0, tab))
         np.testing.assert_allclose(g, [math.log(2 / 3), math.log(1 / 3)], atol=1e-14)
 
     def test_exp_sums_to_one(self):
         theta = small_mlp(seed=5)
         x = SeededRng(6).gen.normal(size=5) * 20
-        g = log_softmax_g(Item(dense=x), theta)
+        g = log_softmax(forward_one(x, theta))
         assert abs(np.exp(g).sum() - 1.0) < 1e-12
 
     def test_shift_invariance_of_conditional(self):
         # adding a constant to all logits cannot change softmax(f + ln pi)
         tab = init_params("table", (4, 3), 1.0, SeededRng(7))
         lnpi = np.log(np.array([0.1, 0.2, 0.3, 0.4]))
-        f = forward_logits(Item(token=2), tab)
+        f = forward_one(2, tab)
         np.testing.assert_allclose(
             softmax(f + 11.0 + lnpi), softmax(f + lnpi), atol=1e-14
-        )
-
-    def test_fixed_loglik_passthrough(self):
-        theta = fixed_loglik_params(np.array([[0.2, 0.8], [0.4, 0.6]]))
-        np.testing.assert_array_equal(
-            log_softmax_g(Item(token=1), theta), forward_logits(Item(token=1), theta)
         )
 
 
 class TestBackward:
     def test_zero_upstream_zero_grad(self):
         theta = small_mlp(seed=8)
-        g = backward(Item(dense=np.ones(5)), theta, np.zeros(3))
+        g = backward_one(np.ones(5), theta, np.zeros(3))
         assert all(np.all(W == 0) for W in g.weights)
         assert all(np.all(b == 0) for b in g.biases)
 
     def test_table_grad_touches_only_token_column(self):
         tab = init_params("table", (3, 7), 1.0, SeededRng(9))
         u = np.array([1.0, -2.0, 0.5])
-        g = backward(Item(token=4), tab, u)
+        g = backward_one(4, tab, u)
         np.testing.assert_array_equal(g.table[:, 4], u)
         mask = np.ones(7, dtype=bool)
         mask[4] = False
@@ -151,11 +157,11 @@ class TestBackward:
 
         def loss(flat):
             p = flat_to_params(flat, theta)
-            return float(u @ forward_logits(Item(dense=x), p))
+            return float(u @ forward_one(x, p))
 
         flat0 = params_to_flat(theta)
         numeric = central_difference_grad(loss, flat0, h=1e-5)
-        analytic = grad_to_flat(backward(Item(dense=x), theta, u))
+        analytic = grad_to_flat(backward_one(x, theta, u))
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_deep_mlp_matches_finite_differences(self):
@@ -177,10 +183,10 @@ class TestBackward:
         u = np.array([0.3, -1.1])
 
         def loss(flat):
-            return float(u @ forward_logits(Item(dense=x), flat_to_params(flat, theta)))
+            return float(u @ forward_one(x, flat_to_params(flat, theta)))
 
         numeric = central_difference_grad(loss, params_to_flat(theta), h=1e-5)
-        analytic = grad_to_flat(backward(Item(dense=x), theta, u))
+        analytic = grad_to_flat(backward_one(x, theta, u))
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_linear_in_upstream(self):
@@ -188,9 +194,9 @@ class TestBackward:
         x = SeededRng(19).gen.normal(size=5)
         u1 = SeededRng(20).gen.normal(size=3)
         u2 = SeededRng(21).gen.normal(size=3)
-        g1 = grad_to_flat(backward(Item(dense=x), theta, u1))
-        g2 = grad_to_flat(backward(Item(dense=x), theta, u2))
-        g12 = grad_to_flat(backward(Item(dense=x), theta, 2.0 * u1 - 3.0 * u2))
+        g1 = grad_to_flat(backward_one(x, theta, u1))
+        g2 = grad_to_flat(backward_one(x, theta, u2))
+        g12 = grad_to_flat(backward_one(x, theta, 2.0 * u1 - 3.0 * u2))
         np.testing.assert_allclose(g12, 2.0 * g1 - 3.0 * g2, atol=1e-12)
 
     def test_batch_is_sum_of_items(self):
@@ -200,13 +206,13 @@ class TestBackward:
         total = grad_to_flat(backward_batch(X, theta, U))
         acc = np.zeros_like(total)
         for n in range(4):
-            acc += grad_to_flat(backward(Item(dense=X[n]), theta, U[n]))
+            acc += grad_to_flat(backward_one(X[n], theta, U[n]))
         np.testing.assert_allclose(total, acc, atol=1e-12)
 
     def test_fixed_loglik_unsupported(self):
         theta = fixed_loglik_params(np.array([[0.5, 0.5]]))
         with pytest.raises(UnsupportedOperationError):
-            backward(Item(token=0), theta, np.zeros(1))
+            backward_one(0, theta, np.zeros(1))
 
 
 class TestInit:

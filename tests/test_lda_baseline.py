@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits
+from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.lda_baseline import (
     CorpusTruth,
@@ -323,7 +323,7 @@ class TestSpecialCaseConditional:
             v = int(rng.gen.integers(0, V))
             want = special_case_conditional(beta, v, pi)
             theta = fixed_loglik_params(beta)
-            f = forward_logits(Item(token=v), theta)
+            f = forward_logits_batch(np.array([v]), theta)[0]
             got = softmax(f + np.log(pi))
             np.testing.assert_allclose(got, want, atol=1e-12)
 

@@ -187,6 +187,12 @@ class TestExpectedLogPi:
     def test_domain(self):
         with pytest.raises(DomainError):
             expected_log_pi(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            expected_log_pi(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rows_match_single_vectors(self):
+        A = np.random.default_rng(5).uniform(0.05, 40.0, size=(7, 4))
+        np.testing.assert_array_equal(expected_log_pi(A), [expected_log_pi(a) for a in A])
 
 
 class TestLnMultivariateBeta:
@@ -207,6 +213,12 @@ class TestLnMultivariateBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             ln_multivariate_beta(np.array([-1.0, 2.0]))
+        with pytest.raises(DomainError):
+            ln_multivariate_beta(np.array([[1.0, 2.0], [np.inf, 1.0]]))
+
+    def test_rows_match_single_vectors(self):
+        A = np.random.default_rng(6).uniform(0.05, 40.0, size=(7, 4))
+        np.testing.assert_array_equal(ln_multivariate_beta(A), [ln_multivariate_beta(a) for a in A])
 
 
 class TestSampling:

@@ -5,25 +5,22 @@ import numpy as np
 import pytest
 from scipy.special import digamma as sp_digamma
 
-from logistic_lda.encoders import Item, fixed_loglik_params, init_params
+from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch, init_params
 from logistic_lda.errors import ContractError, DomainError
-from logistic_lda.math_kernels import SeededRng, digamma, expected_log_pi, softmax
-from logistic_lda.mean_field import (
-    Group,
-    HyperParams,
+from logistic_lda.math_kernels import SeededRng, digamma, expected_log_pi, log_softmax, softmax
+from logistic_lda.mean_field import Group, HyperParams, batch_mean_field, flatten_groups
+from logistic_lda.training import _corpus_elbo
+
+from oracles import (
     MeanFieldState,
-    batch_mean_field,
-    elbo,
-    flatten_groups,
     init_state,
+    reference_group_elbo,
     run_sweeps,
     sweep,
     update_alpha,
     update_item_beliefs,
     update_label_beliefs,
 )
-
-from oracles import reference_group_elbo
 
 # f == 0 with alpha_hat = [3, 1]: psi(3) - psi(1) = 3/2, so the first
 # component is the logistic of 1.5
@@ -40,6 +37,20 @@ def token_group(tokens, label=None, gid="g"):
 
 def hp(K, lam=1.0, **kw):
     return HyperParams(alpha=np.ones(K), lam=lam, **kw)
+
+
+def log_probs(flat, theta):
+    """g(x, theta): ln softmax f, except fixed_loglik logits, which are
+    already the per-topic token log-likelihoods."""
+    f = forward_logits_batch(flat.payload, theta)
+    return f if theta.kind == "fixed_loglik" else log_softmax(f, axis=-1)
+
+
+def elbo(group, state, theta, hyper):
+    """The bound training reports (`_corpus_elbo`), for one group."""
+    flat = flatten_groups([group])
+    return _corpus_elbo(log_probs(flat, theta), state.p_items, state.p_label[None],
+                        state.alpha_hat[None], flat, hyper)
 
 
 class TestInitState:
@@ -308,12 +319,9 @@ class TestElbo:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_straight_line_reference(self, seed):
-        from logistic_lda.encoders import log_softmax_g_batch
-        from logistic_lda.mean_field import group_payload
-
         g, s, theta, h = random_instance(seed)
         want = reference_group_elbo(
-            log_softmax_g_batch(group_payload(g), theta),
+            log_probs(flatten_groups([g]), theta),
             s.p_items,
             s.p_label,
             s.alpha_hat,
@@ -321,6 +329,28 @@ class TestElbo:
             h.lam,
         )
         got = elbo(g, s, theta, h)
+        assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_corpus_elbo_is_sum_of_group_references(self, seed):
+        # the corpus-wide vectorized bound, on arbitrary beliefs, equals the
+        # straight-line reference summed group by group
+        rng = SeededRng(500 + seed)
+        K, V, D = int(rng.gen.integers(1, 6)), 9, int(rng.gen.integers(1, 8))
+        groups = [token_group(rng.gen.integers(0, V, size=int(rng.gen.integers(1, 7))),
+                              gid=f"d{d}") for d in range(D)]
+        flat = flatten_groups(groups)
+        theta = init_params("table", (K, V), 1.5, rng)
+        h = HyperParams(alpha=rng.gen.uniform(0.1, 3.0, size=K), lam=float(rng.gen.uniform(0, 3)))
+        P = rng.gen.dirichlet(np.ones(K), size=flat.num_items)
+        PL = rng.gen.dirichlet(np.ones(K), size=D)
+        AH = h.alpha + rng.gen.uniform(0.0, 6.0, size=(D, K))
+        g = log_probs(flat, theta)
+        got = _corpus_elbo(g, P, PL, AH, flat, h)
+        want = 0.0
+        for d in range(D):
+            lo, hi = flat.offsets[d], flat.offsets[d + 1]
+            want += reference_group_elbo(g[lo:hi], P[lo:hi], PL[d], AH[d], h.alpha, h.lam)
         assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
     def test_zero_likelihood_topic_with_zero_belief_is_finite(self):
@@ -386,9 +416,6 @@ class TestBatchLayer:
     @pytest.mark.parametrize("token_items", [True, False])
     @pytest.mark.parametrize("clamp", [True, False])
     def test_batch_matches_single_group_sweeps(self, token_items, clamp):
-        from logistic_lda.encoders import forward_logits_batch
-        from logistic_lda.mean_field import group_payload
-
         groups, theta, h = self.make_corpus(11, token_items=token_items)
         flat = flatten_groups(groups)
         F = forward_logits_batch(flat.payload, theta)
@@ -405,8 +432,6 @@ class TestBatchLayer:
             np.testing.assert_allclose(AH[d], s.alpha_hat, atol=1e-12)
 
     def test_batch_convergence_tolerance(self):
-        from logistic_lda.encoders import forward_logits_batch
-
         groups, theta, h = self.make_corpus(13)
         flat = flatten_groups(groups)
         F = forward_logits_batch(flat.payload, theta)

@@ -13,33 +13,63 @@ from logistic_lda.encoders import (
     params_to_flat,
 )
 from logistic_lda.errors import ContractError, DomainError, TrainingDivergedError
-from logistic_lda.math_kernels import SeededRng, softmax
-from logistic_lda.mean_field import Group, HyperParams, batch_mean_field, flatten_groups, init_state
+from logistic_lda.math_kernels import SeededRng, log_softmax, softmax
+from logistic_lda.mean_field import Group, HyperParams, batch_mean_field, flatten_groups
 from logistic_lda.training import (
-    FlooredLossWarning,
+    LOSS_FLOOR,
     Optimizer,
     TrainConfig,
     _discriminative_batch_grad,
+    _EStepCarry,
     _unroll_bwd,
     _unroll_fwd,
-    discriminative_loss,
-    discriminative_train_step,
-    make_optimizer,
-    predict_group,
+    _variational_step,
     predict_corpus,
-    train_discriminative,
-    train_variational,
-    unrolled_backward,
-    unrolled_forward,
-    variational_loss,
-    variational_train_step,
+    train,
 )
 
-from oracles import central_difference_grad, max_relative_error
+from oracles import (
+    UnrollTape,
+    central_difference_grad,
+    max_relative_error,
+    unrolled_backward,
+    unrolled_forward,
+)
 
 
 def token_group(tokens, label=None, gid="g"):
     return Group(id=gid, items=[Item(token=int(t)) for t in tokens], label=label)
+
+
+def unroll(group, theta, h):
+    """The shipped unrolled forward pass on one group: (p_label, tape)."""
+    flat = flatten_groups([group])
+    F = np.ascontiguousarray(forward_logits_batch(flat.payload, theta))
+    P, A, Q = _unroll_fwd(F, flat.offsets, h.alpha, float(h.lam), int(h.n_iter))
+    return Q[0, -1], UnrollTape(f=F, p_items=P, alpha_hat=A[0], p_label=Q[0])
+
+
+def batch_loss(group, theta, h):
+    """The shipped discriminative loss (mean label cross-entropy) on one group."""
+    flat = flatten_groups([group])
+    return _discriminative_batch_grad(flat.payload, flat.offsets, flat.labels, theta, h)[0]
+
+
+def label_loss(p_label, label):
+    """(loss, floor_hits) the shipped adjoint kernel reports for final
+    label beliefs p_label; the loss reads only the last iteration."""
+    K = len(p_label)
+    Q = np.full((1, 2, K), 1.0 / K)
+    Q[0, 1] = p_label
+    _, losses, hits = _unroll_bwd(np.array([0, 1]), 1.0, np.full((1, 1, K), 1.0 / K),
+                                  np.ones((1, 2, K)), Q, np.array([label]), 1, LOSS_FLOOR)
+    return float(losses[0]), hits
+
+
+def predict_one(group, theta, h):
+    """(label, p_label, p_items) from n_iter sweeps, as predict_corpus runs them."""
+    labels, PL, P = predict_corpus(flatten_groups([group]), theta, h, converged=False)
+    return int(labels[0]), PL[0], P
 
 
 class TestOptimizer:
@@ -94,25 +124,26 @@ class TestTrainConfig:
 
 
 class TestVariationalLoss:
-    def make_single(self, p_row):
-        theta = init_params("table", (2, 1), 0.0, SeededRng(0))  # g = [ln .5, ln .5]
-        g = token_group([0])
+    def step_loss(self, alpha_hat0):
+        # zero table over one token: g = [ln .5, ln .5] whatever the beliefs,
+        # which the warm-start alpha_hat0 sets
+        theta = init_params("table", (2, 1), 0.0, SeededRng(0))
+        flat = flatten_groups([token_group([0])])
         h = HyperParams(alpha=np.ones(2))
-        s = init_state(g, h)
-        s.p_items = np.array([p_row])
-        return [g], [s], theta
+        carry = _EStepCarry.start(flat, h)
+        carry.alpha_hat[0] = alpha_hat0
+        _, P, loss, _ = _variational_step(flat, np.array([0]), theta, h, TrainConfig(), carry)
+        return P[0], loss
 
     def test_one_hot_target(self):
-        groups, states, theta = self.make_single([1.0, 0.0])
-        assert variational_loss(groups, states, theta, None, 0.0) == pytest.approx(
-            0.6931472, abs=1e-6
-        )
+        p, loss = self.step_loss([1e6, 1e-6])
+        np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
+        assert loss == pytest.approx(0.6931472, abs=1e-6)
 
     def test_uniform_target(self):
-        groups, states, theta = self.make_single([0.5, 0.5])
-        assert variational_loss(groups, states, theta, None, 0.0) == pytest.approx(
-            0.6931472, abs=1e-6
-        )
+        p, loss = self.step_loss([1.0, 1.0])
+        np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-15)
+        assert loss == pytest.approx(0.6931472, abs=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = SeededRng(1)
@@ -121,31 +152,32 @@ class TestVariationalLoss:
             Group(id="a", items=[Item(dense=rng.gen.normal(size=4)) for _ in range(3)]),
             Group(id="b", items=[Item(dense=rng.gen.normal(size=4)) for _ in range(2)]),
         ]
-        h = HyperParams(alpha=np.ones(3))
-        states = [init_state(g, h) for g in groups]
-        for s in states:
-            s.p_items = rng.gen.dirichlet(np.ones(3), size=s.p_items.shape[0])
+        flat = flatten_groups(groups)
+        P = np.concatenate([rng.gen.dirichlet(np.ones(3), size=n) for n in (3, 2)])
         r_hat = rng.gen.uniform(0.0, 0.2, size=(5, 3))
-        gamma = 0.7
+        S = P + 0.7 * r_hat  # gamma = 0.7
 
-        def loss_fn(flat):
-            return variational_loss(groups, states, flat_to_params(flat, theta), r_hat, gamma)
+        def loss_fn(fv):
+            g = log_softmax(forward_logits_batch(flat.payload, flat_to_params(fv, theta)), axis=-1)
+            return -float(np.sum(S * g))
 
         numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
 
         from logistic_lda.encoders import backward_batch, grad_to_flat
         from logistic_lda.training import _soft_target_grad_wrt_logits
 
-        flat = flatten_groups(groups)
         F = forward_logits_batch(flat.payload, theta)
-        S = np.concatenate([s.p_items for s in states]) + gamma * r_hat
         analytic = grad_to_flat(backward_batch(flat.payload, theta, _soft_target_grad_wrt_logits(F, S)))
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_shape_mismatch(self):
-        groups, states, theta = self.make_single([0.5, 0.5])
+        # warm-start state that does not match the topic count is refused
+        theta = init_params("table", (2, 1), 0.0, SeededRng(0))
+        flat = flatten_groups([token_group([0])])
+        h = HyperParams(alpha=np.ones(2))
+        carry = _EStepCarry.start(flat, HyperParams(alpha=np.ones(3)))
         with pytest.raises(ContractError):
-            variational_loss(groups, states, theta, np.zeros((3, 2)), 1.0)
+            _variational_step(flat, np.array([0]), theta, h, TrainConfig(), carry)
 
 
 class TestUnrolledForward:
@@ -155,7 +187,7 @@ class TestUnrolledForward:
         for n_iter in (1, 3, 7):
             for lam in (0.0, 1.0, 4.0):
                 h = HyperParams(alpha=np.full(3, 0.7), lam=lam, n_iter=n_iter)
-                p_label, tape = unrolled_forward(g, theta, h)
+                p_label, tape = unroll(g, theta, h)
                 np.testing.assert_allclose(p_label, 1 / 3, atol=1e-12)
                 np.testing.assert_allclose(tape.p_items, 1 / 3, atol=1e-12)
 
@@ -164,7 +196,7 @@ class TestUnrolledForward:
         theta.table[:, 0] = [1.0, 0.0]
         g = token_group([0])
         h = HyperParams(alpha=np.ones(2), lam=1.0, n_iter=1)
-        p_label, tape = unrolled_forward(g, theta, h)
+        p_label, tape = unroll(g, theta, h)
         np.testing.assert_allclose(tape.p_items[0, 0], [0.7310586, 0.2689414], atol=1e-7)
         np.testing.assert_allclose(tape.alpha_hat[1], [2.2310586, 1.7689414], atol=1e-7)
         # straight-line recomputation with an independent digamma
@@ -181,7 +213,7 @@ class TestUnrolledForward:
         prev = 0.5
         for lam in (0.5, 1.0, 2.0, 4.0, 8.0):
             h = HyperParams(alpha=np.ones(2), lam=lam, n_iter=1)
-            p_label, _ = unrolled_forward(g, theta, h)
+            p_label, _ = unroll(g, theta, h)
             assert p_label[0] > prev
             prev = p_label[0]
 
@@ -190,7 +222,7 @@ class TestUnrolledForward:
         theta = init_params("table", (4, 9), 1.5, rng)
         g = token_group(rng.gen.integers(0, 9, size=6))
         h = HyperParams(alpha=rng.gen.uniform(0.2, 2.0, size=4), lam=2.0, n_iter=6)
-        _, tape = unrolled_forward(g, theta, h)
+        _, tape = unroll(g, theta, h)
         np.testing.assert_allclose(tape.p_items.sum(axis=-1), 1.0, atol=1e-12)
         np.testing.assert_allclose(tape.p_label.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(tape.p_items >= 0) and np.all(tape.p_label >= 0)
@@ -198,21 +230,17 @@ class TestUnrolledForward:
 
 class TestDiscriminativeLoss:
     def test_perfect_prediction(self):
-        assert discriminative_loss(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+        assert label_loss(np.array([0.0, 1.0]), 1) == (0.0, 0)
 
     def test_uniform(self):
-        assert discriminative_loss(np.full(4, 0.25), np.eye(4)[1]) == pytest.approx(
-            1.3862944, abs=1e-6
-        )
+        assert label_loss(np.full(4, 0.25), 1)[0] == pytest.approx(1.3862944, abs=1e-6)
 
     def test_wrong_confident(self):
-        assert discriminative_loss(np.array([0.9, 0.1]), np.array([0.0, 1.0])) == pytest.approx(
-            2.3025851, abs=1e-6
-        )
+        assert label_loss(np.array([0.9, 0.1]), 1)[0] == pytest.approx(2.3025851, abs=1e-6)
 
-    def test_floor_warns(self):
-        with pytest.warns(FlooredLossWarning):
-            loss = discriminative_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    def test_floor_counted(self):
+        loss, hits = label_loss(np.array([1.0, 0.0]), 1)
+        assert hits == 1
         assert loss == pytest.approx(-math.log(1e-30))
 
 
@@ -232,13 +260,12 @@ class TestDiscriminativeGradient:
             n_iter=3,
         )
         flat = flatten_groups([grp])
-        _, grad, _, _, _ = _discriminative_batch_grad(
+        _, grad, _, _ = _discriminative_batch_grad(
             flat.payload, flat.offsets, flat.labels, theta, h
         )
 
         def loss_fn(fv):
-            p, _ = unrolled_forward(grp, flat_to_params(fv, theta), h)
-            return discriminative_loss(p, np.eye(3)[grp.label])
+            return batch_loss(grp, flat_to_params(fv, theta), h)
 
         numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
         assert max_relative_error(grad, numeric) <= 1e-5
@@ -250,13 +277,12 @@ class TestDiscriminativeGradient:
         grp = Group(id="z", items=[Item(dense=np.zeros(3)) for _ in range(2)], label=1)
         h = HyperParams(alpha=np.ones(2), lam=1.0, n_iter=2)
         flat = flatten_groups([grp])
-        _, grad, _, _, _ = _discriminative_batch_grad(
+        _, grad, _, _ = _discriminative_batch_grad(
             flat.payload, flat.offsets, flat.labels, theta, h
         )
 
         def loss_fn(fv):
-            p, _ = unrolled_forward(grp, flat_to_params(fv, theta), h)
-            return discriminative_loss(p, np.eye(2)[1])
+            return batch_loss(grp, flat_to_params(fv, theta), h)
 
         numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
         assert max_relative_error(grad, numeric) <= 1e-5
@@ -297,30 +323,33 @@ class TestDiscriminativeStep:
         before = params_to_flat(theta).copy()
         g = token_group([0, 1], label=1)
         h = HyperParams(alpha=np.ones(2), n_iter=2)
-        theta2, loss = discriminative_train_step(g, theta, h, TrainConfig(mode="discriminative"), lr=0.0)
+        cfg = TrainConfig(mode="discriminative", epochs=1, lr=0.0, verbose=False)
+        theta2, report = train([g], theta, h, cfg)
         np.testing.assert_array_equal(params_to_flat(theta2), before)
-        assert np.isfinite(loss)
+        assert np.isfinite(report.final_loss)
 
     def test_unlabeled_rejected(self):
-        g = token_group([0])
+        groups = [token_group([0], label=1, gid="a"), token_group([1], gid="b")]
         h = HyperParams(alpha=np.ones(2))
         with pytest.raises(ContractError):
-            discriminative_train_step(g, init_params("table", (2, 2), 0.0, SeededRng(0)), h,
-                                      TrainConfig(mode="discriminative"))
+            train(groups, init_params("table", (2, 2), 0.0, SeededRng(0)), h,
+                  TrainConfig(mode="discriminative", verbose=False))
+
+    def test_label_out_of_range_rejected(self):
+        h = HyperParams(alpha=np.ones(2))
+        with pytest.raises(DomainError):
+            train([token_group([0], label=2)], init_params("table", (2, 2), 0.0, SeededRng(0)),
+                  h, TrainConfig(mode="discriminative", verbose=False))
 
     def test_loss_decreases(self):
         rng = SeededRng(3)
         theta = init_params("table", (2, 4), 0.1, rng)
         g = token_group([0, 0, 1], label=0)
         h = HyperParams(alpha=np.ones(2), n_iter=3)
-        cfg = TrainConfig(mode="discriminative", lr=0.2, optimizer="sgd")
-        opt = make_optimizer(cfg)
-        losses = []
-        for _ in range(30):
-            theta, loss = discriminative_train_step(g, theta, h, cfg, opt=opt)
-        losses.append(loss)
-        _, final = discriminative_train_step(g, theta, h, cfg, opt=opt, lr=0.0)
-        assert final < 0.3
+        cfg = TrainConfig(mode="discriminative", epochs=30, batch_size=1, lr=0.2,
+                          optimizer="sgd", verbose=False)
+        theta, _ = train([g], theta, h, cfg)
+        assert batch_loss(g, theta, h) < 0.3
 
 
 class TestPredict:
@@ -329,7 +358,7 @@ class TestPredict:
         theta.table[:, 0] = [0.0, 12.0, 0.0]
         g = token_group([0])
         h = HyperParams(alpha=np.ones(3), lam=1.0, n_iter=5)
-        label, p_label, p_items = predict_group(g, theta, h)
+        label, p_label, p_items = predict_one(g, theta, h)
         assert label == 1
         assert p_items[0, 1] > 0.99
 
@@ -337,7 +366,7 @@ class TestPredict:
         theta = init_params("table", (4, 2), 0.0, SeededRng(0))
         g = token_group([0, 1])
         h = HyperParams(alpha=np.ones(4), n_iter=3)
-        label, p_label, _ = predict_group(g, theta, h)
+        label, p_label, _ = predict_one(g, theta, h)
         assert label == 0
         np.testing.assert_allclose(p_label, 0.25, atol=1e-12)
 
@@ -349,15 +378,15 @@ class TestPredict:
         theta.table[:, 1] = [0.0, 0.0]   # token 1 ambiguous
         g = token_group([0, 0, 0, 0, 1])
         h = HyperParams(alpha=np.full(2, 0.5), lam=1.0, n_iter=10)
-        _, _, p_items = predict_group(g, theta, h)
+        _, _, p_items = predict_one(g, theta, h)
         unbiased = softmax(theta.table[:, 1])
         assert p_items[4, 1] > unbiased[1]
 
     def test_labels_never_used(self):
         theta = init_params("table", (2, 2), 1.0, SeededRng(9))
         h = HyperParams(alpha=np.ones(2), n_iter=4)
-        a = predict_group(token_group([0, 1], label=1), theta, h)
-        b = predict_group(token_group([0, 1]), theta, h)
+        a = predict_one(token_group([0, 1], label=1), theta, h)
+        b = predict_one(token_group([0, 1]), theta, h)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -369,17 +398,15 @@ class TestVariationalStep:
         before = params_to_flat(theta).copy()
         groups = [token_group([0, 1], label=0), token_group([2, 3])]
         h = HyperParams(alpha=np.ones(2), lam=1.0)
-        states = [init_state(g, h, clamp_label=True) for g in groups]
-        cfg = TrainConfig(mode="variational", lr=0.0)
-        from logistic_lda.regularizer import RegularizerState
-
-        theta2, states, _, metrics = variational_train_step(
-            groups, states, theta, RegularizerState(), h, cfg
-        )
-        np.testing.assert_array_equal(params_to_flat(theta2), before)
+        cfg = TrainConfig(mode="variational", epochs=1, lr=0.0, verbose=False)
+        flat = flatten_groups(groups)
+        carry = _EStepCarry.start(flat, h)
+        _, _, loss, _ = _variational_step(flat, np.arange(2), theta, h, cfg, carry)
         # the E-step ran: alpha_hat moved away from alpha
-        assert not np.allclose(states[0].alpha_hat, h.alpha)
-        assert np.isfinite(metrics["loss"])
+        assert not np.allclose(carry.alpha_hat[0], h.alpha)
+        assert np.isfinite(loss)
+        theta2, _ = train(groups, theta, h, cfg)
+        np.testing.assert_array_equal(params_to_flat(theta2), before)
 
     def test_clamped_estep_matches_reference_loop(self):
         # all labels observed, gamma = 0: the E-step is the unrolled loop
@@ -424,7 +451,7 @@ class TestVariationalStep:
             mode="variational", epochs=400, batch_size=1, lr=0.05,
             e_step_sweeps=2, verbose=False, track_elbo=False, seed=0,
         )
-        theta, _ = train_variational([group], theta, h, cfg)
+        theta, _ = train([group], theta, h, cfg)
         flat = flatten_groups([group])
         F = forward_logits_batch(flat.payload, theta)
         P, _, _, _ = batch_mean_field(F, flat, h, True, cfg.e_step_sweeps, tol=0.0)
@@ -448,7 +475,7 @@ class TestVariationalStep:
         cfg = TrainConfig(mode="variational", epochs=5, lr=1e308, optimizer="sgd",
                           e_step_sweeps=2, verbose=False, track_elbo=False)
         with pytest.raises(TrainingDivergedError):
-            train_variational(groups, theta, h, cfg)
+            train(groups, theta, h, cfg)
 
 
 class TestEpochLoops:
@@ -469,7 +496,7 @@ class TestEpochLoops:
         h = HyperParams(alpha=np.ones(2), lam=1.0, n_iter=4)
         cfg = TrainConfig(mode="discriminative", epochs=40, batch_size=4, lr=0.05,
                           verbose=False, seed=1)
-        theta, report = train_discriminative(groups, theta, h, cfg, eval_groups=groups)
+        theta, report = train(groups, theta, h, cfg, eval_groups=groups)
         assert report.records[-1]["eval_accuracy"] == 1.0
         assert report.records[-1]["loss"] < report.records[0]["loss"]
 
@@ -482,7 +509,7 @@ class TestEpochLoops:
         runs = []
         for _ in range(2):
             theta = init_params("table", (2, 6), 0.1, SeededRng(99))
-            _, report = train_discriminative(groups, theta, h, cfg)
+            _, report = train(groups, theta, h, cfg)
             runs.append(report.records)
         assert runs[0] == runs[1]
 
@@ -495,7 +522,7 @@ class TestEpochLoops:
         runs = []
         for _ in range(2):
             theta = init_params("table", (2, 6), 0.1, SeededRng(42))
-            _, report = train_variational(groups, theta, h, cfg, eval_groups=groups)
+            _, report = train(groups, theta, h, cfg, eval_groups=groups)
             runs.append(report.records)
         assert runs[0] == runs[1]
         for rec in runs[0]:
@@ -509,7 +536,7 @@ class TestEpochLoops:
         cfg = TrainConfig(mode="variational", epochs=3, lr=0.01, verbose=False,
                           metrics_path=str(path), track_elbo=False, seed=0)
         theta = init_params("table", (2, 6), 0.1, rng)
-        train_variational(groups, theta, HyperParams(alpha=np.ones(2)), cfg)
+        train(groups, theta, HyperParams(alpha=np.ones(2)), cfg)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         recs = [json.loads(ln) for ln in lines]
@@ -520,7 +547,7 @@ class TestEpochLoops:
         theta = init_params("table", (2, 2), 0.1, SeededRng(0))
         cfg = TrainConfig(mode="discriminative", verbose=False)
         with pytest.raises(ContractError):
-            train_discriminative(groups, theta, HyperParams(alpha=np.ones(2)), cfg)
+            train(groups, theta, HyperParams(alpha=np.ones(2)), cfg)
 
     def test_predict_corpus_modes_agree_on_easy_data(self):
         rng = SeededRng(16)
