@@ -31,12 +31,7 @@ from logistic_lda.mean_field import (
     _mean_field_batch_np,
     flatten_groups,
 )
-from logistic_lda.training import (
-    _unroll_bwd_nb_jit,
-    _unroll_bwd_np,
-    _unroll_fwd_nb_jit,
-    _unroll_fwd_np,
-)
+from logistic_lda.training import _unroll_bwd_nb_jit, _unroll_bwd_np, _unroll_fwd
 
 
 def best_of(fn, repeats):
@@ -86,12 +81,7 @@ def main():
     bench(f"mean-field E-step (5 sweeps, {flat.num_items} items)",
           mf(_mean_field_batch_nb_jit), mf(_mean_field_batch_np))
 
-    def fwd(kernel):
-        return lambda: kernel(F, flat.offsets, hyper.alpha, 1.0, 5)
-
-    bench("unroll forward (n_iter=5)", fwd(_unroll_fwd_nb_jit), fwd(_unroll_fwd_np))
-
-    P, A, Q = _unroll_fwd_np(F, flat.offsets, hyper.alpha, 1.0, 5)
+    P, A, Q = _unroll_fwd(F, flat.offsets, hyper.alpha, 1.0, 5)
 
     def bwd(kernel):
         return lambda: kernel(flat.offsets, 1.0, P, A, Q, flat.labels, 5, 1e-30)

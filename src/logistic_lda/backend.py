@@ -1,9 +1,11 @@
 """Numba/numpy backend selection for the hot kernels.
 
-Every hot kernel in this package has two interchangeable implementations:
-a loop-style one compiled with ``numba.njit`` and a vectorized pure-numpy
-one. The active backend is chosen once at import time from the
-``LOGISTIC_LDA_BACKEND`` environment variable:
+Three hot kernels have two interchangeable implementations, a loop-style
+one compiled with ``numba.njit`` and a vectorized pure-numpy one:
+digamma/trigamma, the mean-field sweep and the unrolled adjoint sweep.
+The Gibbs sweep has one loop, compiled or run as plain Python. The active
+backend is chosen once at import time from the ``LOGISTIC_LDA_BACKEND``
+environment variable:
 
     auto   (default) use numba when importable, else numpy
     numba  require numba; raise if it is missing

@@ -26,8 +26,10 @@ import numpy as np
 
 from .encoders import ACTIVATIONS, EncoderParams, Item, KINDS
 from .errors import (
+    CheckpointError,
     ContractError,
     CorpusFormatError,
+    DomainError,
     IntegrityError,
     UnsupportedVersionError,
 )
@@ -158,6 +160,19 @@ def _require(cond, lineno, msg):
         raise CorpusFormatError(f"line {lineno}: {msg}")
 
 
+def _is_int(value):
+    # JSON true/false decode to bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float_array(value):
+    """`value` as a float64 array, or None when it is not numbers."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+
+
 def _read_header(lines, expect_format):
     _require(len(lines) >= 1 and lines[0].strip(), 1, "missing header record")
     header = _parse_json_line(lines[0], 1)
@@ -202,13 +217,12 @@ def load_corpus(path) -> Corpus:
                  "items must be a non-empty list")
         label = rec.get("label")
         if label is not None:
-            _require(isinstance(label, int) and 0 <= label < k, lineno,
+            _require(_is_int(label) and 0 <= label < k, lineno,
                      f"label {label!r} not in [0, {k})")
         items = []
         for j, entry in enumerate(items_raw):
             if kind == "token":
-                _require(isinstance(entry, int) and not isinstance(entry, bool),
-                         lineno, f"item {j}: token must be an integer")
+                _require(_is_int(entry), lineno, f"item {j}: token must be an integer")
                 _require(0 <= entry < size, lineno,
                          f"item {j}: token {entry} not in [0, {size})")
                 items.append(Item(token=entry))
@@ -260,14 +274,11 @@ def load_truth(path):
         rec = _parse_json_line(raw, lineno)
         _require(isinstance(rec, dict), lineno, "truth record must be an object")
         _require(isinstance(rec.get("id"), str), lineno, "missing group id")
-        try:
-            pi = np.asarray(rec.get("pi"), dtype=np.float64)
-        except (TypeError, ValueError):
-            pi = None
+        pi = _float_array(rec.get("pi"))
         _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
         z = rec.get("z")
         _require(isinstance(z, list) and z, lineno, "z must be a non-empty list")
-        _require(all(isinstance(t, int) and 0 <= t < k for t in z), lineno,
+        _require(all(_is_int(t) and 0 <= t < k for t in z), lineno,
                  "z entries must be topics in range")
         ids.append(rec["id"])
         pis.append(pi)
@@ -386,7 +397,16 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(sections["meta"].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"unreadable meta section: {exc}") from None
+    try:
+        return _checkpoint_from_meta(meta, sections, version)
+    except (CheckpointError, ContractError, DomainError):
+        raise  # already typed
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        # a field the manifest lacks, or one of the wrong JSON type
+        raise IntegrityError(f"malformed meta section: {exc!r}") from None
 
+
+def _checkpoint_from_meta(meta, sections, version):
     arrays = {}
     for name, shape in meta["arrays"]:
         if name not in sections:
@@ -471,12 +491,23 @@ def read_predictions(path):
         lines = fh.read().splitlines()
     _require(len(lines) >= 1, 1, "missing predictions header")
     header = _parse_json_line(lines[0], 1)
-    _require(header.get("format") == "predictions", 1, "not a predictions file")
+    _require(isinstance(header, dict) and header.get("format") == "predictions", 1,
+             "not a predictions file")
+    k = header.get("k")
+    _require(_is_int(k) and k >= 0, 1, "header k must be a non-negative integer")
     ids, labels, p_label, p_items = [], [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         rec = _parse_json_line(raw, lineno)
+        _require(isinstance(rec, dict), lineno, "prediction record must be an object")
+        _require(isinstance(rec.get("id"), str), lineno, "missing group id")
+        label = rec.get("label")
+        _require(_is_int(label), lineno, f"label {label!r} is not an integer")
+        pl, pi = _float_array(rec.get("p_label")), _float_array(rec.get("p_items"))
+        _require(pl is not None and pl.shape == (k,), lineno, f"p_label must be {k} numbers")
+        _require(pi is not None and pi.ndim == 2 and pi.shape[1] == k, lineno,
+                 f"p_items must be rows of {k} numbers")
         ids.append(rec["id"])
-        labels.append(int(rec["label"]))
-        p_label.append(rec["p_label"])
-        p_items.append(np.asarray(rec["p_items"], dtype=np.float64))
+        labels.append(label)
+        p_label.append(pl)
+        p_items.append(pi)
     return ids, np.asarray(labels, dtype=np.int64), np.asarray(p_label, dtype=np.float64), p_items

@@ -102,13 +102,9 @@ def check_positive_vector(v):
 # at x = 6 is below 2e-13 for digamma and 5e-13 for trigamma.
 # ---------------------------------------------------------------------------
 
-def _digamma_scalar(x):
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    z = 1.0 / (x * x)
-    series = z * (
+def _digamma_tail(z):
+    """log(x) - 0.5/x - psi(x) at z = 1/x^2 (x >= 6); scalar or array."""
+    return z * (
         1.0 / 12.0
         - z * (
             1.0 / 120.0
@@ -124,16 +120,11 @@ def _digamma_scalar(x):
             )
         )
     )
-    return acc + math.log(x) - 0.5 / x - series
 
 
-def _trigamma_scalar(x):
-    acc = 0.0
-    while x < 6.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    z = 1.0 / (x * x)
-    inner = z * (
+def _trigamma_tail(z):
+    """x * (psi'(x) - 1/x - 0.5/x^2) at z = 1/x^2 (x >= 6); scalar or array."""
+    return z * (
         1.0 / 6.0
         - z * (
             1.0 / 30.0
@@ -149,7 +140,28 @@ def _trigamma_scalar(x):
             )
         )
     )
-    return acc + 1.0 / x + 0.5 * z + inner / x
+
+
+_digamma_tail_nb = njit(_digamma_tail)
+_trigamma_tail_nb = njit(_trigamma_tail)
+
+
+def _digamma_scalar(x):
+    acc = 0.0
+    while x < 6.0:
+        acc -= 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    return acc + math.log(x) - 0.5 / x - _digamma_tail_nb(z)
+
+
+def _trigamma_scalar(x):
+    acc = 0.0
+    while x < 6.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    return acc + 1.0 / x + 0.5 * z + _trigamma_tail_nb(z) / x
 
 
 digamma_scalar_nb = njit(_digamma_scalar)
@@ -181,23 +193,7 @@ def _digamma_arr_np(flat, out):
         acc[m] -= 1.0 / x[m]
         x[m] += 1.0
     z = 1.0 / (x * x)
-    series = z * (
-        1.0 / 12.0
-        - z * (
-            1.0 / 120.0
-            - z * (
-                1.0 / 252.0
-                - z * (
-                    1.0 / 240.0
-                    - z * (
-                        1.0 / 132.0
-                        - z * (691.0 / 32760.0 - z * (1.0 / 12.0))
-                    )
-                )
-            )
-        )
-    )
-    out[:] = acc + np.log(x) - 0.5 / x - series
+    out[:] = acc + np.log(x) - 0.5 / x - _digamma_tail(z)
     return out
 
 
@@ -211,23 +207,7 @@ def _trigamma_arr_np(flat, out):
         acc[m] += 1.0 / (x[m] * x[m])
         x[m] += 1.0
     z = 1.0 / (x * x)
-    inner = z * (
-        1.0 / 6.0
-        - z * (
-            1.0 / 30.0
-            - z * (
-                1.0 / 42.0
-                - z * (
-                    1.0 / 30.0
-                    - z * (
-                        5.0 / 66.0
-                        - z * (691.0 / 2730.0 - z * (7.0 / 6.0))
-                    )
-                )
-            )
-        )
-    )
-    out[:] = acc + 1.0 / x + 0.5 * z + inner / x
+    out[:] = acc + 1.0 / x + 0.5 * z + _trigamma_tail(z) / x
     return out
 
 

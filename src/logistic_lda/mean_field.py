@@ -19,8 +19,11 @@ the bound is non-decreasing along any update sequence with theta held
 fixed.
 
 The flattened batch kernels below (numba or vectorized numpy, chosen by
-the backend flag) run the updates for a whole packed corpus; a readable
-single-group copy lives with the tests as their oracle.
+the backend flag) run the updates for a whole packed corpus.  They are the
+only sweep in the package: inference, the variational E-step and the
+discriminative regime's unrolled forward pass (one sweep per call) all
+run them.  A readable single-group copy lives with the tests as their
+oracle.
 """
 
 from __future__ import annotations

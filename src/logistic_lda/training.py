@@ -6,15 +6,16 @@ steps on the cross-entropy against soft targets p_items + gamma * r_hat,
 where r_hat is the running topic-usage estimate.  Beliefs and r_hat are
 treated as constants inside the loss; only g(x, theta) carries gradient.
 
-Discriminative: unroll n_iter coordinate updates from uniform beliefs,
-then backpropagate the label cross-entropy -c' ln p_label through every
+Discriminative: unroll n_iter coordinate updates from uniform beliefs
+(the mean-field E-step kernel, one sweep at a time, taped), then
+backpropagate the label cross-entropy -c' ln p_label through every
 update (softmax Jacobians, the digamma bias via trigamma, and the
 alpha_hat accumulation) back into each use of the cached logits.
 
 One epoch loop, `train`, runs both; they differ only in the batch step.
-Hot paths exist as twin kernels, numba loops or vectorized numpy,
-selected by the backend flag.  Epoch records go to stdout as JSON lines
-and optionally to a metrics file.
+The adjoint sweep exists as twin kernels, a numba loop or vectorized
+numpy, selected by the backend flag.  Epoch records go to stdout as JSON
+lines and optionally to a metrics file.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .encoders import (
 from .errors import ContractError, DomainError, TrainingDivergedError
 from .math_kernels import (
     SeededRng,
-    digamma,
-    digamma_scalar_nb,
+    digamma,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
     expected_log_pi,
     ln_multivariate_beta,
     log_softmax,
@@ -44,7 +44,7 @@ from .math_kernels import (
     trigamma,
     trigamma_scalar_nb,
 )
-from .mean_field import FlatGroups, batch_mean_field, flatten_groups
+from .mean_field import FlatGroups, _mean_field_batch, batch_mean_field, flatten_groups
 from .regularizer import RegularizerState, update_running_estimate
 
 LOSS_FLOOR = 1e-30
@@ -205,53 +205,24 @@ def _corpus_elbo(g, P, PL, AH, flat, hyper):
 # ---------------------------------------------------------------------------
 # discriminative regime: unrolled forward and exact reverse-mode backward
 
-def _unroll_fwd_nb(F, offsets, alpha, lam, n_iter):
+def _unroll_fwd(F, offsets, alpha, lam, n_iter):
+    """n_iter unclamped E-step sweeps from alpha_hat = alpha and uniform
+    label beliefs, taped for the adjoint: P[t-1] holds the item beliefs of
+    sweep t, A[:, t] and Q[:, t] the alpha_hat and label beliefs after it
+    (index 0 is the start state)."""
     total, K = F.shape
     D = offsets.shape[0] - 1
     P = np.empty((n_iter, total, K))
     A = np.empty((D, n_iter + 1, K))
     Q = np.empty((D, n_iter + 1, K))
-    psi_a = np.empty(K)
-    for d in range(D):
-        lo, hi = offsets[d], offsets[d + 1]
-        for k in range(K):
-            A[d, 0, k] = alpha[k]
-            Q[d, 0, k] = 1.0 / K
-        for t in range(1, n_iter + 1):
-            for k in range(K):
-                psi_a[k] = digamma_scalar_nb(A[d, t - 1, k])
-            for n in range(lo, hi):
-                m = -np.inf
-                for k in range(K):
-                    v = F[n, k] + psi_a[k]
-                    P[t - 1, n, k] = v
-                    if v > m:
-                        m = v
-                s = 0.0
-                for k in range(K):
-                    e = np.exp(P[t - 1, n, k] - m)
-                    P[t - 1, n, k] = e
-                    s += e
-                for k in range(K):
-                    P[t - 1, n, k] /= s
-            for k in range(K):
-                acc = alpha[k] + lam * Q[d, t - 1, k]
-                for n in range(lo, hi):
-                    acc += P[t - 1, n, k]
-                A[d, t, k] = acc
-            m = -np.inf
-            for k in range(K):
-                v = lam * digamma_scalar_nb(A[d, t, k])
-                Q[d, t, k] = v
-                if v > m:
-                    m = v
-            s = 0.0
-            for k in range(K):
-                e = np.exp(Q[d, t, k] - m)
-                Q[d, t, k] = e
-                s += e
-            for k in range(K):
-                Q[d, t, k] /= s
+    A[:, 0] = alpha
+    Q[:, 0] = 1.0 / K
+    unlabeled = np.full(D, -1, dtype=np.int64)
+    for t in range(1, n_iter + 1):
+        P[t - 1], Q[:, t], A[:, t], _ = _mean_field_batch(
+            F, offsets, alpha, lam, unlabeled, False, 1, 0.0,
+            np.ascontiguousarray(A[:, t - 1]), np.ascontiguousarray(Q[:, t - 1]),
+        )
     return P, A, Q
 
 
@@ -307,25 +278,7 @@ def _unroll_bwd_nb(offsets, lam, P, A, Q, labels, n_iter, floor):
     return dF, losses, floor_hits
 
 
-_unroll_fwd_nb_jit = njit(_unroll_fwd_nb)
 _unroll_bwd_nb_jit = njit(_unroll_bwd_nb)
-
-
-def _unroll_fwd_np(F, offsets, alpha, lam, n_iter):
-    total, K = F.shape
-    D = offsets.shape[0] - 1
-    sizes = np.diff(offsets)
-    P = np.empty((n_iter, total, K))
-    A = np.empty((D, n_iter + 1, K))
-    Q = np.empty((D, n_iter + 1, K))
-    A[:, 0] = alpha
-    Q[:, 0] = 1.0 / K
-    for t in range(1, n_iter + 1):
-        psi_a = digamma(A[:, t - 1])
-        P[t - 1] = softmax(F + np.repeat(psi_a, sizes, axis=0), axis=-1)
-        A[:, t] = alpha + np.add.reduceat(P[t - 1], offsets[:-1], axis=0) + lam * Q[:, t - 1]
-        Q[:, t] = softmax(lam * digamma(A[:, t]), axis=-1)
-    return P, A, Q
 
 
 def _unroll_bwd_np(offsets, lam, P, A, Q, labels, n_iter, floor):
@@ -357,7 +310,6 @@ def _unroll_bwd_np(offsets, lam, P, A, Q, labels, n_iter, floor):
     return dF, losses, floor_hits
 
 
-_unroll_fwd = pick(_unroll_fwd_nb_jit, _unroll_fwd_np)
 _unroll_bwd = pick(_unroll_bwd_nb_jit, _unroll_bwd_np)
 
 

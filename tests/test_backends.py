@@ -25,14 +25,10 @@ from logistic_lda.mean_field import (
     HyperParams,
     _mean_field_batch_nb_jit,
     _mean_field_batch_np,
+    batch_mean_field,
     flatten_groups,
 )
-from logistic_lda.training import (
-    _unroll_bwd_nb_jit,
-    _unroll_bwd_np,
-    _unroll_fwd_nb_jit,
-    _unroll_fwd_np,
-)
+from logistic_lda.training import _unroll_bwd_nb_jit, _unroll_bwd_np, _unroll_fwd
 
 needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
@@ -81,24 +77,29 @@ class TestMeanFieldParity:
         np.testing.assert_allclose(AH_nb, AH_np, atol=1e-10)
 
 
-@needs_numba
 class TestUnrollParity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_forward_and_backward_agree(self, seed):
+    def test_forward_is_the_estep_sweep(self, seed):
+        # the tape after t iterations is exactly what t E-step sweeps return,
+        # on whichever backend is active
         flat, F, hyper = random_problem(seed)
-        P_nb, A_nb, Q_nb = _unroll_fwd_nb_jit(F, flat.offsets, hyper.alpha,
-                                              hyper.lam, hyper.n_iter)
-        P_np, A_np, Q_np = _unroll_fwd_np(F, flat.offsets, hyper.alpha,
-                                          hyper.lam, hyper.n_iter)
-        np.testing.assert_allclose(P_nb, P_np, atol=1e-12)
-        np.testing.assert_allclose(A_nb, A_np, atol=1e-11)
-        np.testing.assert_allclose(Q_nb, Q_np, atol=1e-12)
+        P, A, Q = _unroll_fwd(F, flat.offsets, hyper.alpha, hyper.lam, hyper.n_iter)
+        for t in range(1, hyper.n_iter + 1):
+            P_t, PL_t, AH_t, _ = batch_mean_field(F, flat, hyper, False, t, tol=0.0)
+            np.testing.assert_array_equal(P[t - 1], P_t)
+            np.testing.assert_array_equal(A[:, t], AH_t)
+            np.testing.assert_array_equal(Q[:, t], PL_t)
 
+    @needs_numba
+    @pytest.mark.parametrize("seed", range(8))
+    def test_backward_agrees(self, seed):
+        flat, F, hyper = random_problem(seed)
+        P, A, Q = _unroll_fwd(F, flat.offsets, hyper.alpha, hyper.lam, hyper.n_iter)
         labels = np.where(flat.labels >= 0, flat.labels, 0).astype(np.int64)
         dF_nb, losses_nb, hits_nb = _unroll_bwd_nb_jit(
-            flat.offsets, hyper.lam, P_nb, A_nb, Q_nb, labels, hyper.n_iter, 1e-30)
+            flat.offsets, hyper.lam, P, A, Q, labels, hyper.n_iter, 1e-30)
         dF_np, losses_np, hits_np = _unroll_bwd_np(
-            flat.offsets, hyper.lam, P_np, A_np, Q_np, labels, hyper.n_iter, 1e-30)
+            flat.offsets, hyper.lam, P, A, Q, labels, hyper.n_iter, 1e-30)
         np.testing.assert_allclose(dF_nb, dF_np, atol=1e-12)
         np.testing.assert_allclose(losses_nb, losses_np, atol=1e-12)
         assert hits_nb == hits_np

@@ -169,6 +169,18 @@ class TestTrainInferEval:
         assert "line 2: pi must be 3 numbers" in err
         assert "Traceback" not in err
 
+    def test_checkpoint_without_hyper_is_data_error(self, tmp_path, tiny_corpus, capsys,
+                                                    save_with_meta):
+        model = tmp_path / "m.ckpt"
+        run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+            "--epochs", "1", "--quiet")
+        save_with_meta(model, load_checkpoint(model), lambda m: m.pop("hyper"))
+        code, _, err = run(capsys, "infer", "--corpus", str(tiny_corpus),
+                           "--model", str(model), "-o", str(tmp_path / "p.jsonl"))
+        assert code == 2
+        assert "malformed meta section" in err
+        assert "Traceback" not in err
+
     def test_config_file_with_flag_override(self, tmp_path, tiny_corpus, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=2\nlr=0.01\nquiet=true\n# comment\nclamp=false\n")

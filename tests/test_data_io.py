@@ -21,6 +21,7 @@ from logistic_lda.encoders import EncoderParams, Item, init_params, params_to_fl
 from logistic_lda.errors import (
     ContractError,
     CorpusFormatError,
+    DomainError,
     IntegrityError,
     UnsupportedVersionError,
 )
@@ -35,6 +36,7 @@ def write_lines(path, lines):
 
 
 HEADER = '{"format":"corpus","version":1,"k":3,"payload":{"token":5}}'
+PRED_HEADER = '{"format":"predictions","version":1,"k":2}'
 
 
 class TestCorpusLoad:
@@ -64,6 +66,12 @@ class TestCorpusLoad:
         p = tmp_path / "c.jsonl"
         write_lines(p, [HEADER, '{"id":"g1","label":3,"items":[0]}'])
         with pytest.raises(CorpusFormatError, match="line 2"):
+            load_corpus(p)
+
+    def test_boolean_label_rejected(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [HEADER, '{"id":"g1","items":[0]}', '{"id":"g2","label":true,"items":[0]}'])
+        with pytest.raises(CorpusFormatError, match="line 3: label True"):
             load_corpus(p)
 
     def test_mixed_payload_rejected(self, tmp_path):
@@ -168,6 +176,14 @@ class TestTruthSidecar:
         with pytest.raises(CorpusFormatError, match="line 3: pi must be 3 numbers"):
             load_truth(p)
 
+    def test_boolean_topics_rejected(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_lines(p, ['{"format":"corpus-truth","version":1,"k":2}',
+                        '{"id":"a","pi":[0.5,0.5],"z":[0]}',
+                        '{"id":"b","pi":[0.5,0.5],"z":[true,false]}'])
+        with pytest.raises(CorpusFormatError, match="line 3: z entries must be topics"):
+            load_truth(p)
+
 
 def make_checkpoint(kind="mlp", with_reg=True):
     rng = SeededRng(7)
@@ -245,6 +261,30 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("hyper"),
+        lambda m: m.pop("encoder"),
+        lambda m: m.pop("arrays"),
+        lambda m: m["hyper"].pop("n_iter"),
+        lambda m: m["regularizer"].pop("items_seen"),
+        lambda m: m["arrays"].pop(0),  # the alpha entry
+        lambda m: m["arrays"][1].pop(),  # an entry without its shape
+        lambda m: m.update(encoder="mlp"),
+        lambda m: m["hyper"].update(lam="x"),
+    ], ids=["no-hyper", "no-encoder", "no-arrays", "no-n_iter", "no-items_seen",
+            "no-alpha", "no-shape", "encoder-not-object", "lam-not-number"])
+    def test_malformed_meta_is_integrity_error(self, tmp_path, save_with_meta, edit):
+        p = tmp_path / "m.ckpt"
+        save_with_meta(p, make_checkpoint(), edit)
+        with pytest.raises(IntegrityError, match="malformed meta section"):
+            load_checkpoint(p)
+
+    def test_out_of_domain_meta_keeps_its_error(self, tmp_path, save_with_meta):
+        p = tmp_path / "m.ckpt"
+        save_with_meta(p, make_checkpoint(), lambda m: m["hyper"].update(lam=-1.0))
+        with pytest.raises(DomainError, match="lam must be >= 0"):
+            load_checkpoint(p)
+
     def test_activations_preserved(self, tmp_path):
         rng = SeededRng(9)
         params = init_params("mlp", (3, 4, 4, 2), 0.5, rng, activations=("relu", "tanh", "linear"))
@@ -297,6 +337,23 @@ class TestPredictions:
         np.testing.assert_array_equal(labels, [1])
         np.testing.assert_allclose(pl, p_label, atol=5e-7)
         np.testing.assert_allclose(pi[0], p_items, atol=5e-7)
+
+    @pytest.mark.parametrize("lines,message", [
+        (['["predictions"]'], "line 1: not a predictions file"),
+        ([PRED_HEADER, '{"label":0,"p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
+         "line 2: missing group id"),
+        ([PRED_HEADER, '{"id":"a","label":"x","p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
+         "line 2: label 'x' is not an integer"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_items":[[0.5,0.5]]}'],
+         "line 2: p_label must be 2 numbers"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[0.5,0.5]}'],
+         "line 2: p_items must be rows of 2 numbers"),
+    ], ids=["header-not-object", "no-id", "label-text", "no-p_label", "flat-p_items"])
+    def test_malformed_is_format_error(self, tmp_path, lines, message):
+        p = tmp_path / "pred.jsonl"
+        write_lines(p, lines)
+        with pytest.raises(CorpusFormatError, match=message):
+            read_predictions(p)
 
     def test_offsets_mismatch_rejected(self, tmp_path):
         with pytest.raises(ContractError):
