@@ -24,7 +24,7 @@ from logistic_lda.lda_baseline import (
     gibbs_init,
     item_groups,
 )
-from logistic_lda.math_kernels import SeededRng, _digamma_arr_nb, _digamma_arr_np
+from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import (
     HyperParams,
     _mean_field_batch_nb_jit,
@@ -102,14 +102,6 @@ def main():
 
     bench(f"gibbs sweep ({flat.num_items} items)",
           gibbs(_gibbs_sweep_nb_jit), gibbs(_gibbs_sweep_nb))
-
-    xs = np.linspace(0.01, 50.0, 1_000_000)
-    out = np.empty_like(xs)
-
-    def psi(kernel):
-        return lambda: kernel(xs, out)
-
-    bench("digamma (1e6 points)", psi(_digamma_arr_nb), psi(_digamma_arr_np))
 
     print(f"active backend: {BACKEND} (numba {'available' if HAS_NUMBA else 'not installed'})")
     print(f"{'kernel':<48} {'numba ms':>10} {'numpy ms':>10} {'speedup':>8}")

@@ -1,9 +1,10 @@
 """Numba/numpy backend selection for the hot kernels.
 
-Three hot kernels have two interchangeable implementations, a loop-style
-one compiled with ``numba.njit`` and a vectorized pure-numpy one:
-digamma/trigamma, the mean-field sweep and the unrolled adjoint sweep.
-The Gibbs sweep has one loop, compiled or run as plain Python. The active
+Two hot kernels have two interchangeable implementations, a loop-style
+one compiled with ``numba.njit`` and a vectorized pure-numpy one: the
+mean-field sweep and the unrolled adjoint sweep. The Gibbs sweep has one
+loop, compiled or run as plain Python. Array digamma/trigamma are numpy
+only; the compiled kernels call the scalar series directly. The active
 backend is chosen once at import time from the ``LOGISTIC_LDA_BACKEND``
 environment variable:
 
@@ -34,7 +35,7 @@ elif _choice == "numba":
             "LOGISTIC_LDA_BACKEND=numba but numba is not installed"
         )
     USE_NUMBA = True
-elif _choice in ("numpy", "python"):
+elif _choice == "numpy":
     USE_NUMBA = False
 else:
     raise ValueError(

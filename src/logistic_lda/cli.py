@@ -38,12 +38,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .evaluation import evaluation_report, top_items_per_topic
-from .lda_baseline import (
-    disjoint_topic_matrix,
-    generate_corpus,
-    gibbs_run,
-    item_groups,
-)
+from .lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_run
 from .math_kernels import SeededRng
 from .mean_field import HyperParams, flatten_groups
 from .regularizer import default_gamma
@@ -71,21 +66,25 @@ def _inject_config(argv):
             break
     if i == 0:
         raise ContractError("--config must follow a subcommand")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not UTF-8 text ({exc.reason})") from None
     expanded = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("_", "-")
-            if key in _BOOL_KEYS:
-                truthy = value.lower() in ("1", "true", "yes", "on")
-                expanded.append(f"--{key}" if truthy else f"--no-{key}")
-            else:
-                expanded.extend([f"--{key}", value])
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ContractError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.replace("_", "-")
+        if key in _BOOL_KEYS:
+            truthy = value.lower() in ("1", "true", "yes", "on")
+            expanded.append(f"--{key}" if truthy else f"--no-{key}")
+        else:
+            expanded.extend([f"--{key}", value])
     # insert after the subcommand so explicit flags, which come later, win
     return argv[:1] + expanded + argv[1:i] + argv[i + span :]
 
@@ -94,6 +93,14 @@ def _gamma_arg(text):
     if text == "auto":
         return text
     return float(text)
+
+
+def _hidden_arg(text):
+    try:
+        return [int(h) for h in text.split(",") if h.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer widths, got {text!r}") from None
 
 
 def _add_hyper_flags(p):
@@ -142,7 +149,7 @@ def _build_parser():
     t.add_argument("--mode", choices=("variational", "discriminative"), default="variational")
     t.add_argument("--encoder", choices=("table", "mlp"), default=None,
                    help="default: table for token corpora, mlp for dense")
-    t.add_argument("--hidden", default="128",
+    t.add_argument("--hidden", type=_hidden_arg, default="128",
                    help="comma-separated mlp hidden widths, empty for none")
     t.add_argument("--init-scale", type=float, default=0.1)
     _add_hyper_flags(t)
@@ -233,8 +240,7 @@ def _cmd_train(args):
     else:
         if corpus.payload.kind != "dense":
             raise ContractError("mlp encoder needs a dense corpus")
-        hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
-        theta = init_params("mlp", (corpus.payload.size, *hidden, K), args.init_scale, rng)
+        theta = init_params("mlp", (corpus.payload.size, *args.hidden, K), args.init_scale, rng)
     config = TrainConfig(
         mode=args.mode, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         lr_decay=args.lr_decay, optimizer=args.optimizer, momentum=args.momentum,

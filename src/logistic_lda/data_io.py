@@ -148,11 +148,29 @@ def save_corpus(path, corpus: Corpus):
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _read_lines(path):
+    """The file's lines as text; bytes that are not UTF-8 are a format
+    error on the line that holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    del data  # a large corpus should not hold its bytes, text and lines at once
+    return text.splitlines()
+
+
 def _parse_json_line(raw, lineno):
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:
+        # nesting deeper than the parser's recursion limit, or an integer
+        # longer than Python converts
+        raise CorpusFormatError(f"line {lineno}: unreadable JSON ({exc})") from None
 
 
 def _require(cond, lineno, msg):
@@ -185,8 +203,7 @@ def _read_header(lines, expect_format):
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     header = _read_header(lines, "corpus")
     k = header.get("k")
     _require(isinstance(k, int) and k >= 1, 1, "header k must be a positive integer")
@@ -227,9 +244,9 @@ def load_corpus(path) -> Corpus:
                          f"item {j}: token {entry} not in [0, {size})")
                 items.append(Item(token=entry))
             else:
-                _require(isinstance(entry, list) and len(entry) == size, lineno,
+                vec = _float_array(entry) if isinstance(entry, list) else None
+                _require(vec is not None and vec.shape == (size,), lineno,
                          f"item {j}: expected {size} floats")
-                vec = np.asarray(entry, dtype=np.float64)
                 _require(bool(np.all(np.isfinite(vec))), lineno,
                          f"item {j}: embedding has non-finite entries")
                 items.append(Item(dense=vec))
@@ -264,8 +281,7 @@ def save_truth(path, corpus: Corpus, truth):
 
 def load_truth(path):
     """Returns (ids, pi (D, K), z flat, labels) from a sidecar file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     header = _read_header(lines, "corpus-truth")
     k = header.get("k")
     _require(isinstance(k, int) and k >= 1, 1, "header k must be a positive integer")
@@ -383,7 +399,10 @@ def load_checkpoint(path) -> Checkpoint:
     sections = {}
     order = []
     for _ in range(n_sections):
-        name = cur.take(cur.u32()).decode("utf-8")
+        try:
+            name = cur.take(cur.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise IntegrityError(f"section name at offset {cur.pos} is not UTF-8") from None
         payload = bytes(cur.take(cur.u64()))
         if name in sections:
             raise IntegrityError(f"duplicate checkpoint section {name!r}")
@@ -395,13 +414,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError("checkpoint has no meta section")
     try:
         meta = json.loads(sections["meta"].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
         raise IntegrityError(f"unreadable meta section: {exc}") from None
     try:
         return _checkpoint_from_meta(meta, sections, version)
     except (CheckpointError, ContractError, DomainError):
         raise  # already typed
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         # a field the manifest lacks, or one of the wrong JSON type
         raise IntegrityError(f"malformed meta section: {exc!r}") from None
 
@@ -474,7 +493,7 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     if offsets[-1] != p_items.shape[0]:
         raise ContractError("offsets do not cover p_items")
     k = p_label.shape[1] if D else 0
-    lines = [json.dumps({"format": "predictions", "version": 1, "k": k},
+    lines = [json.dumps({"format": "predictions", "version": CORPUS_VERSION, "k": k},
                         separators=(",", ":"))]
     for d, gid in enumerate(ids):
         rows = ",".join(_fmt_row(r) for r in p_items[offsets[d] : offsets[d + 1]])
@@ -487,12 +506,13 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
 
 def read_predictions(path):
     """Returns (ids, labels, p_label, p_items list of per-group arrays)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     _require(len(lines) >= 1, 1, "missing predictions header")
     header = _parse_json_line(lines[0], 1)
     _require(isinstance(header, dict) and header.get("format") == "predictions", 1,
              "not a predictions file")
+    _require(header.get("version") == CORPUS_VERSION, 1,
+             f"unsupported predictions version {header.get('version')!r}")
     k = header.get("k")
     _require(_is_int(k) and k >= 0, 1, "header k must be a non-negative integer")
     ids, labels, p_label, p_items = [], [], [], []

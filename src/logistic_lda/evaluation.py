@@ -11,7 +11,6 @@ from .training import predict_corpus
 __all__ = [
     "EvalReport",
     "accuracy",
-    "majority_vote",
     "match_topics",
     "confusion_matrix",
     "evaluation_report",
@@ -48,17 +47,6 @@ def accuracy(pred, true):
     if pred.shape != true.shape or pred.ndim != 1 or pred.size < 1:
         raise ContractError("pred and true must be equal-length non-empty vectors")
     return float(np.mean(pred == true))
-
-
-def majority_vote(predictions):
-    """Modal label of one group's item predictions; ties break to the
-    lowest label."""
-    p = np.asarray(predictions, dtype=np.int64)
-    if p.ndim != 1 or p.size < 1:
-        raise ContractError("need at least one prediction")
-    if np.any(p < 0):
-        raise ContractError("labels must be non-negative")
-    return int(np.bincount(p).argmax())  # argmax takes the first maximum
 
 
 def confusion_matrix(true, pred, K):

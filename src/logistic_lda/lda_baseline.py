@@ -1,6 +1,5 @@
 """Classical generative LDA: synthetic corpora, collapsed Gibbs sampling,
-posterior-mean parameter estimates, and the special-case item conditional
-shared with the discriminative model.
+and posterior-mean parameter estimates.
 
 Count convention: n_dk[d, k] tokens of group d assigned to topic k,
 n_kv[k, v] occurrences of token v assigned to topic k, n_k[k] the row sums
@@ -14,7 +13,7 @@ import numpy as np
 
 from .backend import njit, pick
 from .errors import ContractError, DomainError
-from .math_kernels import check_positive_vector, check_simplex
+from .math_kernels import check_positive_vector, check_simplex, sample_dirichlet
 from .mean_field import FlatGroups, Group
 from .encoders import Item
 
@@ -24,13 +23,9 @@ __all__ = [
     "disjoint_topic_matrix",
     "generate_corpus",
     "gibbs_init",
-    "gibbs_conditional",
     "gibbs_sweep",
     "gibbs_run",
     "estimate_beta_theta",
-    "lda_item_topic_avg",
-    "special_case_conditional",
-    "check_counts",
     "item_groups",
 ]
 
@@ -124,11 +119,7 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     if D < 1 or N_per_doc < 1:
         raise ContractError("need at least one group and one item per group")
 
-    gammas = rng.gen.standard_gamma(np.broadcast_to(alpha, (D, K)))
-    totals = gammas.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0.0):
-        raise DomainError("Dirichlet draw underflowed; alpha too small for float64")
-    pi = gammas / totals
+    pi = sample_dirichlet(np.broadcast_to(alpha, (D, K)), rng)
 
     beta_cum = np.cumsum(beta, axis=1)
     groups = []
@@ -155,14 +146,6 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     return groups, CorpusTruth(pi=pi, z=z_all, labels=labels)
 
 
-def _counts_from_z(z, gid, tokens, D, K, V):
-    n_dk = np.zeros((D, K))
-    n_kv = np.zeros((K, V))
-    np.add.at(n_dk, (gid, z), 1.0)
-    np.add.at(n_kv, (z, tokens), 1.0)
-    return n_dk, n_kv, n_kv.sum(axis=1)
-
-
 def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     """Uniform-random initial assignments with consistent counts.
 
@@ -177,51 +160,18 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     if tokens.size and tokens.max() >= V:
         raise ContractError("token id out of vocabulary range")
     z = rng.gen.integers(0, K, size=tokens.shape[0], dtype=np.int64)
-    gid = item_groups(flat)
-    n_dk, n_kv, n_k = _counts_from_z(z, gid, tokens, flat.num_groups, K, V)
+    n_dk = np.zeros((flat.num_groups, K))
+    n_kv = np.zeros((K, V))
+    np.add.at(n_dk, (item_groups(flat), z), 1.0)
+    np.add.at(n_kv, (z, tokens), 1.0)
     bias = np.zeros((flat.num_groups, K))
     if label_weight != 0.0:
         if label_weight < 0.0:
             raise DomainError("label_weight must be >= 0")
         seen = flat.labels >= 0
         bias[np.flatnonzero(seen), flat.labels[seen]] = label_weight
-    return GibbsState(z=z, n_dk=n_dk, n_kv=n_kv, n_k=n_k, eta=eta, label_bias=bias)
-
-
-def check_counts(state: GibbsState, flat: FlatGroups) -> None:
-    """Raise unless the count caches agree with z exactly."""
-    tokens = _token_payload(flat)
-    gid = item_groups(flat)
-    n_dk, n_kv, n_k = _counts_from_z(
-        state.z, gid, tokens, flat.num_groups, state.num_topics, state.vocab_size
-    )
-    if (
-        not np.array_equal(n_dk, state.n_dk)
-        or not np.array_equal(n_kv, state.n_kv)
-        or not np.array_equal(n_k, state.n_k)
-    ):
-        raise ContractError("Gibbs counts are inconsistent with assignments")
-
-
-def gibbs_conditional(state, d, token, alpha):
-    """p(k) for one held-out item: (n_dk + alpha_k + bias_dk) *
-    (n_kv + eta) / (n_k + V*eta), normalized.  Counts must already exclude
-    the item being resampled."""
-    alpha = check_positive_vector(alpha)
-    if alpha.shape[0] != state.num_topics:
-        raise ContractError("alpha length does not match topic count")
-    if np.any(state.n_dk < 0) or np.any(state.n_kv < 0) or np.any(state.n_k < 0):
-        raise ContractError("negative count; state does not exclude the item")
-    V = state.vocab_size
-    p = (
-        (state.n_dk[d] + alpha + state.label_bias[d])
-        * (state.n_kv[:, token] + state.eta)
-        / (state.n_k + V * state.eta)
-    )
-    total = p.sum()
-    if not total > 0.0:
-        raise DomainError("degenerate assignment conditional")
-    return p / total
+    return GibbsState(z=z, n_dk=n_dk, n_kv=n_kv, n_k=n_kv.sum(axis=1), eta=eta,
+                      label_bias=bias)
 
 
 def _gibbs_sweep_nb(z, n_dk, n_kv, n_k, tokens, gid, alpha, bias, eta, u):
@@ -264,16 +214,15 @@ _gibbs_sweep_nb_jit = njit(_gibbs_sweep_nb)
 _gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_nb)
 
 
-def gibbs_sweep(state, flat, alpha, rng, _gid=None):
+def gibbs_sweep(state, flat, alpha, rng):
     """Resample every assignment once, in corpus order, updating counts
     incrementally.  Mutates state; one uniform is consumed per item."""
     tokens = _token_payload(flat)
     alpha = check_positive_vector(alpha)
-    gid = item_groups(flat) if _gid is None else _gid
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(
         state.z, state.n_dk, state.n_kv, state.n_k,
-        tokens, gid, alpha, state.label_bias, state.eta, u,
+        tokens, item_groups(flat), alpha, state.label_bias, state.eta, u,
     )
     return state
 
@@ -300,15 +249,14 @@ def gibbs_run(flat, K, alpha, eta, rng, burn_in=500, n_samples=500, label_weight
         raise ContractError("burn_in must be >= 0 and n_samples >= 1")
     alpha = check_positive_vector(alpha)
     state = gibbs_init(flat, K, eta, rng, label_weight=label_weight, V=V)
-    gid = item_groups(flat)
     for _ in range(burn_in):
-        gibbs_sweep(state, flat, alpha, rng, _gid=gid)
+        gibbs_sweep(state, flat, alpha, rng)
     item_post = np.zeros((flat.num_items, K))
     beta_hat = np.zeros((K, state.vocab_size))
     pi_hat = np.zeros((flat.num_groups, K))
     rows = np.arange(flat.num_items)
     for _ in range(n_samples):
-        gibbs_sweep(state, flat, alpha, rng, _gid=gid)
+        gibbs_sweep(state, flat, alpha, rng)
         item_post[rows, state.z] += 1.0
         b, p = estimate_beta_theta(state, alpha)
         beta_hat += b
@@ -317,36 +265,3 @@ def gibbs_run(flat, K, alpha, eta, rng, burn_in=500, n_samples=500, label_weight
     beta_hat /= n_samples
     pi_hat /= n_samples
     return state, item_post, beta_hat, pi_hat
-
-
-def lda_item_topic_avg(beliefs):
-    """Mean of per-token topic beliefs; the item-level belief used when a
-    generative model scores multi-token items."""
-    b = np.asarray(beliefs, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] < 1:
-        raise ContractError("need a (M, K) array with M >= 1 token beliefs")
-    for row in b:
-        check_simplex(row)
-    return b.mean(axis=0)
-
-
-def special_case_conditional(beta, token, pi):
-    """Item-topic conditional when the per-topic token distributions are
-    known: normalize(pi_k * beta_kv).  Matches the discriminative model's
-    conditional run with fixed per-topic log-likelihood logits."""
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2:
-        raise ContractError("beta must be K x V")
-    for row in beta:
-        check_simplex(row)
-    pi = check_simplex(pi)
-    if pi.shape[0] != beta.shape[0]:
-        raise ContractError("pi length does not match beta rows")
-    token = int(token)
-    if not 0 <= token < beta.shape[1]:
-        raise ContractError("token out of range")
-    p = pi * beta[:, token]
-    total = p.sum()
-    if not total > 0.0:
-        raise DomainError("token has zero probability under every weighted topic")
-    return p / total

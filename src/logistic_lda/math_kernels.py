@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .backend import njit, pick
+from .backend import njit
 from .errors import ContractError, DomainError
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "expected_log_pi",
     "ln_multivariate_beta",
     "sample_dirichlet",
-    "sample_categorical",
     "check_simplex",
     "check_positive_vector",
 ]
@@ -39,27 +38,12 @@ class SeededRng:
     """Counter-based random stream (numpy Philox).
 
     The Philox generator is keyed by the seed alone, so an identical seed
-    yields an identical stream on every platform. Instances are
-    single-owner: parallel code must fork independent child streams with
-    :meth:`spawn` instead of sharing one instance.
+    yields an identical stream on every platform.
     """
-
-    algorithm = "philox4x64"
 
     def __init__(self, seed):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.gen = np.random.Generator(np.random.Philox(self.seed))
-
-    def spawn(self, n):
-        """Derive ``n`` independent child streams, deterministic in the seed."""
-        seeds = np.random.SeedSequence(self.seed).spawn(n)
-        children = []
-        for ss in seeds:
-            child = SeededRng.__new__(SeededRng)
-            child.seed = self.seed
-            child.gen = np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
-            children.append(child)
-        return children
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed})"
@@ -168,21 +152,7 @@ digamma_scalar_nb = njit(_digamma_scalar)
 trigamma_scalar_nb = njit(_trigamma_scalar)
 
 
-@njit
-def _digamma_arr_nb(flat, out):
-    for i in range(flat.shape[0]):
-        out[i] = digamma_scalar_nb(flat[i])
-    return out
-
-
-@njit
-def _trigamma_arr_nb(flat, out):
-    for i in range(flat.shape[0]):
-        out[i] = trigamma_scalar_nb(flat[i])
-    return out
-
-
-def _digamma_arr_np(flat, out):
+def _digamma_arr(flat, out):
     x = flat.copy()
     acc = np.zeros_like(x)
     # at most six unit shifts are needed to move any positive x above 6
@@ -197,7 +167,7 @@ def _digamma_arr_np(flat, out):
     return out
 
 
-def _trigamma_arr_np(flat, out):
+def _trigamma_arr(flat, out):
     x = flat.copy()
     acc = np.zeros_like(x)
     for _ in range(6):
@@ -209,10 +179,6 @@ def _trigamma_arr_np(flat, out):
     z = 1.0 / (x * x)
     out[:] = acc + 1.0 / x + 0.5 * z + _trigamma_tail(z) / x
     return out
-
-
-_digamma_arr = pick(_digamma_arr_nb, _digamma_arr_np)
-_trigamma_arr = pick(_trigamma_arr_nb, _trigamma_arr_np)
 
 
 def _psi_like(x, arr_impl, name):
@@ -319,20 +285,13 @@ def ln_multivariate_beta(alpha):
 # ---------------------------------------------------------------------------
 
 def sample_dirichlet(alpha, rng):
-    """One draw from Dir(alpha) via normalized standard-gamma variates."""
-    a = check_positive_vector(alpha)
+    """One draw from Dir(alpha) via normalized standard-gamma variates; one
+    draw per row of a (D, K) stack."""
+    a = _check_positive_rows(alpha)
     draws = rng.gen.standard_gamma(a)
-    total = draws.sum()
-    if total <= 0.0:
+    totals = draws.sum(axis=-1, keepdims=True)
+    if np.any(totals <= 0.0):
         raise DomainError(
             "Dirichlet sample underflowed to zero; alpha too small for float64"
         )
-    return draws / total
-
-
-def sample_categorical(p, rng):
-    """One index draw from Cat(p); validates that p is a simplex."""
-    p = check_simplex(p)
-    u = rng.gen.random()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    return min(idx, p.size - 1)
+    return draws / totals

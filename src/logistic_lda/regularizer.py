@@ -34,39 +34,6 @@ def _as_g_matrix(g_all):
     return g
 
 
-def regularizer_value(g_all, gamma: float) -> float:
-    """gamma * sum_k ln sum_dn exp g_k, via log_sum_exp per topic column."""
-    g = _as_g_matrix(g_all)
-    if gamma == 0.0:
-        return 0.0
-    return float(gamma * np.sum(log_sum_exp(g, axis=0)))
-
-
-def responsibilities(g_all) -> np.ndarray:
-    """r_dnk = exp g_k(x_dn) / sum_dn exp g_k; columns sum to one."""
-    g = _as_g_matrix(g_all)
-    return np.exp(g - log_sum_exp(g, axis=0))
-
-
-def bound_value(g_all, r, gamma: float) -> float:
-    """Lower bound gamma * sum r_dnk ln(exp g_k / r_dnk); tight (equal to
-    regularizer_value) exactly when r = responsibilities(g_all)."""
-    g = _as_g_matrix(g_all)
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != g.shape:
-        raise ContractError("r must match the shape of g")
-    if np.any(r < 0):
-        raise DomainError("responsibilities must be non-negative")
-    if np.any((r == 0.0) & (g > -np.inf)):
-        raise DomainError("zero responsibility assigned to an item with nonzero mass")
-    if gamma == 0.0:
-        return 0.0
-    live = r > 0.0
-    with np.errstate(divide="ignore"):
-        terms = r[live] * (g[live] - np.log(r[live]))
-    return float(gamma * terms.sum())
-
-
 def default_gamma(num_items: int) -> float:
     """Recommended regularizer strength for unsupervised training.
 

@@ -48,6 +48,10 @@ from .mean_field import FlatGroups, _mean_field_batch, batch_mean_field, flatten
 from .regularizer import RegularizerState, update_running_estimate
 
 LOSS_FLOOR = 1e-30
+# converged inference: sweep until max |change in alpha_hat| < tol, at most
+# this many sweeps
+PREDICT_TOL = 1e-6
+PREDICT_MAX_SWEEPS = 100
 
 MODES = ("variational", "discriminative")
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -129,10 +133,6 @@ class Optimizer:
         m_hat = self._m / (1.0 - self.beta1**self._t)
         v_hat = self._v / (1.0 - self.beta2**self._t)
         return flat - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def make_optimizer(config: TrainConfig) -> Optimizer:
-    return Optimizer(kind=config.optimizer, momentum=config.momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +338,14 @@ def _discriminative_step(mini, batch_ids, theta, hyper, config, carry):
     return grad, P_last, loss * len(batch_ids), floor_hits
 
 
-def predict_corpus(flat: FlatGroups, theta, hyper, converged=False, tol=1e-6, max_sweeps=100):
+def predict_corpus(flat: FlatGroups, theta, hyper, converged=False):
     """Predictions for a packed corpus: exactly n_iter sweeps (the
     unrolled forward pass) or, with converged=True, sweeps to tolerance.
     Returns (labels, p_label, p_items)."""
     F = forward_logits_batch(flat.payload, theta)
     if converged:
-        P, PL, _, _ = batch_mean_field(F, flat, hyper, False, max_sweeps, tol=tol)
+        P, PL, _, _ = batch_mean_field(F, flat, hyper, False, PREDICT_MAX_SWEEPS,
+                                       tol=PREDICT_TOL)
     else:
         P, PL, _, _ = batch_mean_field(F, flat, hyper, False, hyper.n_iter, tol=0.0)
     return np.argmax(PL, axis=1), PL, P
@@ -403,7 +404,7 @@ def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
         loss_per = D  # the record's loss is the mean per group
     eval_flat = flatten_groups(eval_groups) if eval_groups else None
     rng = SeededRng(config.seed)
-    opt = make_optimizer(config)
+    opt = Optimizer(kind=config.optimizer, momentum=config.momentum)
     flat_params = params_to_flat(theta)
     P_full = np.full((flat.num_items, K), 1.0 / K)
     report = TrainReport(mode=config.mode)

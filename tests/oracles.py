@@ -4,6 +4,12 @@ The special-function, gradient, ELBO and Gibbs oracles are written
 straight from first principles (mpmath, math.lgamma, scipy, brute-force
 loops) so they share no code path with the package being tested.
 
+The exact topic-usage regularizer, its responsibilities and its lower
+bound are the closed forms whose gradient the running estimate in
+`logistic_lda.regularizer` approximates; `gibbs_conditional` and
+`check_counts` state, one item at a time, what the shipped collapsed
+Gibbs kernel computes in bulk.
+
 The single-group reference path (init_state ... unrolled_backward) is
 the readable one-group-at-a-time form of the coordinate updates and of
 the unrolled adjoint.  It borrows only the package's encoder forward pass
@@ -18,8 +24,15 @@ import numpy as np
 
 from logistic_lda.encoders import forward_logits_batch
 from logistic_lda.errors import ContractError, DomainError
-from logistic_lda.math_kernels import digamma, softmax, trigamma
+from logistic_lda.math_kernels import (
+    check_positive_vector,
+    digamma,
+    log_sum_exp,
+    softmax,
+    trigamma,
+)
 from logistic_lda.mean_field import group_payload
+from logistic_lda.regularizer import _as_g_matrix
 
 DEFAULT_ORDER = ("items", "alpha", "label")
 LOSS_FLOOR = 1e-30
@@ -260,3 +273,80 @@ def unrolled_backward(tape, label, hyper):
             da_items = trigamma(A[t - 1]) * dU.sum(axis=0)
         prev_da = da
     return dF, loss, floored
+
+
+# ---------------------------------------------------------------------------
+# exact topic-usage regularizer
+
+
+def regularizer_value(g_all, gamma: float) -> float:
+    """gamma * sum_k ln sum_dn exp g_k, via log_sum_exp per topic column."""
+    g = _as_g_matrix(g_all)
+    if gamma == 0.0:
+        return 0.0
+    return float(gamma * np.sum(log_sum_exp(g, axis=0)))
+
+
+def responsibilities(g_all) -> np.ndarray:
+    """r_dnk = exp g_k(x_dn) / sum_dn exp g_k; columns sum to one."""
+    g = _as_g_matrix(g_all)
+    return np.exp(g - log_sum_exp(g, axis=0))
+
+
+def bound_value(g_all, r, gamma: float) -> float:
+    """Lower bound gamma * sum r_dnk ln(exp g_k / r_dnk); tight (equal to
+    regularizer_value) exactly when r = responsibilities(g_all)."""
+    g = _as_g_matrix(g_all)
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape != g.shape:
+        raise ContractError("r must match the shape of g")
+    if np.any(r < 0):
+        raise DomainError("responsibilities must be non-negative")
+    if np.any((r == 0.0) & (g > -np.inf)):
+        raise DomainError("zero responsibility assigned to an item with nonzero mass")
+    if gamma == 0.0:
+        return 0.0
+    live = r > 0.0
+    with np.errstate(divide="ignore"):
+        terms = r[live] * (g[live] - np.log(r[live]))
+    return float(gamma * terms.sum())
+
+
+# ---------------------------------------------------------------------------
+# collapsed Gibbs, one item at a time
+
+
+def gibbs_conditional(state, d, token, alpha):
+    """p(k) for one held-out item: (n_dk + alpha_k + bias_dk) *
+    (n_kv + eta) / (n_k + V*eta), normalized.  Counts must already exclude
+    the item being resampled."""
+    alpha = check_positive_vector(alpha)
+    if alpha.shape[0] != state.num_topics:
+        raise ContractError("alpha length does not match topic count")
+    if np.any(state.n_dk < 0) or np.any(state.n_kv < 0) or np.any(state.n_k < 0):
+        raise ContractError("negative count; state does not exclude the item")
+    V = state.vocab_size
+    p = (
+        (state.n_dk[d] + alpha + state.label_bias[d])
+        * (state.n_kv[:, token] + state.eta)
+        / (state.n_k + V * state.eta)
+    )
+    total = p.sum()
+    if not total > 0.0:
+        raise DomainError("degenerate assignment conditional")
+    return p / total
+
+
+def check_counts(state, flat):
+    """Raise unless the count caches agree with z exactly."""
+    gid = np.repeat(np.arange(flat.num_groups), flat.sizes())
+    n_dk = np.zeros_like(state.n_dk)
+    n_kv = np.zeros_like(state.n_kv)
+    np.add.at(n_dk, (gid, state.z), 1.0)
+    np.add.at(n_kv, (state.z, flat.payload), 1.0)
+    if (
+        not np.array_equal(n_dk, state.n_dk)
+        or not np.array_equal(n_kv, state.n_kv)
+        or not np.array_equal(n_kv.sum(axis=1), state.n_k)
+    ):
+        raise ContractError("Gibbs counts are inconsistent with assignments")

@@ -6,6 +6,7 @@ consumes pre-drawn uniforms so its sample paths are identical exactly."""
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +181,17 @@ class TestBackendFlag:
                 capture_output=True, text=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
+
+
+class TestBenchBackends:
+    def test_smoke_one_row_per_kernel(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "bench_backends.py"),
+             "--docs", "20", "--len", "5", "--repeats", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = proc.stdout.splitlines()[2:]
+        assert [r.split(" (")[0] for r in rows] == [
+            "mean-field E-step", "unroll backward", "gibbs sweep"]

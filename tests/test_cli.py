@@ -190,6 +190,38 @@ class TestTrainInferEval:
         assert code == 0, err
         assert load_checkpoint(model).provenance["epochs"] == 1  # flag beat config
 
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, tiny_corpus, capsys):
+        model = tmp_path / "m.ckpt"
+        run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+            "--epochs", "1", "--quiet")
+        lines = tiny_corpus.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1][1:]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        code, _, err = run(capsys, "eval", "--corpus", str(bad), "--model", str(model))
+        assert code == 2
+        assert "line 2: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, tiny_corpus, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"epochs=2\n\xfflr=0.01\n")
+        code, _, err = run(capsys, "train", "--corpus", str(tiny_corpus),
+                           "-o", str(tmp_path / "m.ckpt"), "--config", str(cfg))
+        assert code == 1
+        assert "not UTF-8" in err
+
+    def test_hidden_widths_not_integers_is_usage_error(self, tmp_path, capsys):
+        dense = tmp_path / "d.jsonl"
+        dense.write_text(
+            '{"format":"corpus","version":1,"k":2,"payload":{"dense":2}}\n'
+            '{"id":"a","items":[[0.1,0.2]]}\n'
+        )
+        code, _, err = run(capsys, "train", "--corpus", str(dense), "-o",
+                           str(tmp_path / "m.ckpt"), "--encoder", "mlp", "--hidden", "abc")
+        assert code == 1
+        assert "--hidden" in err and "usage" in err
+
     def test_config_before_subcommand_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("epochs=1\n")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logistic_lda.data_io import (
     Checkpoint,
@@ -19,6 +21,7 @@ from logistic_lda.data_io import (
 )
 from logistic_lda.encoders import EncoderParams, Item, init_params, params_to_flat
 from logistic_lda.errors import (
+    CheckpointError,
     ContractError,
     CorpusFormatError,
     DomainError,
@@ -348,7 +351,11 @@ class TestPredictions:
          "line 2: p_label must be 2 numbers"),
         ([PRED_HEADER, '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[0.5,0.5]}'],
          "line 2: p_items must be rows of 2 numbers"),
-    ], ids=["header-not-object", "no-id", "label-text", "no-p_label", "flat-p_items"])
+        (['{"format":"predictions","version":7,"k":2}',
+          '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
+         "line 1: unsupported predictions version 7"),
+    ], ids=["header-not-object", "no-id", "label-text", "no-p_label", "flat-p_items",
+            "future-version"])
     def test_malformed_is_format_error(self, tmp_path, lines, message):
         p = tmp_path / "pred.jsonl"
         write_lines(p, lines)
@@ -364,3 +371,83 @@ class TestPredictions:
         p = tmp_path / "pred.jsonl"
         write_predictions(p, ["a"], [0], np.ones((1, 1)), np.ones((1, 1)), [0, 1])
         assert [f.name for f in tmp_path.iterdir()] == ["pred.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A 20-group token corpus, its truth sidecar, predictions for it and a
+    checkpoint, each written by the package's own writers."""
+    d = tmp_path_factory.mktemp("valid")
+    groups, truth = generate_corpus(3, 9, 20, 6, np.full(3, 0.5),
+                                    np.full((3, 9), 1 / 9), SeededRng(4), labeled=True)
+    corpus = corpus_from_groups(groups, 3, vocab_size=9)
+    save_corpus(d / "c.jsonl", corpus)
+    save_truth(d / "c.truth", corpus, truth)
+    p_items = np.full((120, 3), 1 / 3)
+    write_predictions(d / "p.jsonl", [g.id for g in groups], truth.labels, truth.pi,
+                      p_items, np.arange(0, 121, 6))
+    save_checkpoint(d / "m.ckpt", make_checkpoint("table"))
+    return {name: (d / name).read_bytes() for name in ("c.jsonl", "c.truth", "p.jsonl", "m.ckpt")}
+
+
+# each loader with the errors it may raise on bad bytes: the ones the CLI
+# reports as data errors, never a bare ValueError or RecursionError
+LOADERS = {
+    "c.jsonl": (load_corpus, (CorpusFormatError,)),
+    "c.truth": (load_truth, (CorpusFormatError,)),
+    "p.jsonl": (read_predictions, (CorpusFormatError,)),
+    "m.ckpt": (load_checkpoint, (CheckpointError, ContractError, DomainError)),
+}
+
+
+class TestCorruptInput:
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_byte_corruption_raises_only_typed_errors(self, tmp_path_factory, valid_files,
+                                                      name, data):
+        raw = bytearray(valid_files[name])
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        path = tmp_path_factory.getbasetemp() / f"corrupt-{name}"
+        path.write_bytes(bytes(raw))
+        loader, typed = LOADERS[name]
+        try:
+            loader(path)
+        except typed:
+            pass
+
+    @pytest.mark.parametrize("name,line", [("c.jsonl", 3), ("c.truth", 2), ("p.jsonl", 4)])
+    def test_non_utf8_names_its_line(self, tmp_path, valid_files, name, line):
+        lines = valid_files[name].split(b"\n")
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][6:]
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusFormatError, match=f"line {line}: not UTF-8"):
+            LOADERS[name][0](path)
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "c.truth", "p.jsonl"])
+    def test_deep_nesting_is_format_error(self, tmp_path, valid_files, name):
+        header = valid_files[name].split(b"\n")[0]
+        path = tmp_path / name
+        path.write_bytes(header + b"\n" + b"[" * 200_000 + b"\n")
+        with pytest.raises(CorpusFormatError, match="line 2: unreadable JSON"):
+            LOADERS[name][0](path)
+
+    @pytest.mark.parametrize("items", ['[["a","b"]]', "[[[1],[2,3]]]"], ids=["text", "ragged"])
+    def test_dense_item_not_numbers_is_format_error(self, tmp_path, items):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, ['{"format":"corpus","version":1,"k":2,"payload":{"dense":2}}',
+                        '{"id":"a","items":' + items + '}'])
+        with pytest.raises(CorpusFormatError, match="line 2: item 0: expected 2 floats"):
+            load_corpus(p)
+
+    def test_non_utf8_section_name_is_integrity_error(self, tmp_path, valid_files):
+        raw = bytearray(valid_files["m.ckpt"])
+        # magic, version and section count, then the first name's length and bytes
+        assert raw[16:20] == b"meta"
+        raw[16:20] = b"\xff\xfe\xfd\xfc"
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="not UTF-8"):
+            load_checkpoint(path)

@@ -9,7 +9,6 @@ from logistic_lda.evaluation import (
     accuracy,
     confusion_matrix,
     evaluation_report,
-    majority_vote,
     match_topics,
     top_items_per_topic,
 )
@@ -34,30 +33,6 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             accuracy([], [])
-
-
-class TestMajorityVote:
-    def test_clear_mode(self):
-        assert majority_vote([1, 1, 2]) == 1
-
-    def test_tie_lowest_index(self):
-        assert majority_vote([0, 1]) == 0
-        assert majority_vote([2, 1, 1, 2]) == 1
-
-    def test_single(self):
-        assert majority_vote([2]) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            majority_vote([])
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_histogram_oracle(self, seed):
-        rng = SeededRng(seed)
-        preds = rng.gen.integers(0, 5, size=int(rng.gen.integers(1, 12)))
-        hist = np.bincount(preds, minlength=5)
-        winners = np.flatnonzero(hist == hist.max())
-        assert majority_vote(preds) == winners.min()
 
 
 class TestMatchTopics:

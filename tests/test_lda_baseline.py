@@ -1,27 +1,24 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch
+from logistic_lda.encoders import Item
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.lda_baseline import (
-    CorpusTruth,
     GibbsState,
-    check_counts,
     estimate_beta_theta,
     generate_corpus,
-    gibbs_conditional,
     gibbs_init,
     gibbs_run,
     gibbs_sweep,
     item_groups,
-    lda_item_topic_avg,
-    special_case_conditional,
 )
-from logistic_lda.math_kernels import SeededRng, softmax
+from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import flatten_groups
 
-from oracles import lda_collapsed_pair_posterior
+from oracles import check_counts, gibbs_conditional, lda_collapsed_pair_posterior
 
 
 def disjoint_beta(K, V):
@@ -185,6 +182,39 @@ class TestGibbsSweep:
             gibbs_init(flat, 3, 0.1, rng, V=5)
 
 
+class TestSweepReplay:
+    def test_each_draw_is_the_oracle_inverse_cdf(self):
+        # replay every sweep item by item from the same uniforms: each new
+        # z[i] is where u[i] falls in the oracle's cumulative conditional,
+        # label bias included
+        rng = SeededRng(18)
+        K, V = 3, 12
+        groups, _ = generate_corpus(K, V, 8, 6, np.full(K, 0.5), disjoint_beta(K, V), rng,
+                                    labeled=True)
+        groups[2].label = None
+        flat = flatten_groups(groups)
+        alpha = np.array([0.3, 0.7, 1.1])
+        st = gibbs_init(flat, K, 0.2, rng, label_weight=2.0, V=V)
+        gid = item_groups(flat)
+        for _ in range(4):
+            replay = copy.deepcopy(st)
+            u = copy.deepcopy(rng).gen.random(flat.num_items)
+            gibbs_sweep(st, flat, alpha, rng)
+            for i, (d, v) in enumerate(zip(gid, flat.payload)):
+                k = replay.z[i]
+                replay.n_dk[d, k] -= 1.0
+                replay.n_kv[k, v] -= 1.0
+                replay.n_k[k] -= 1.0
+                p = gibbs_conditional(replay, d, v, alpha)
+                k = min(int(np.searchsorted(np.cumsum(p), u[i], side="right")), K - 1)
+                assert st.z[i] == k, f"item {i}"
+                replay.z[i] = k
+                replay.n_dk[d, k] += 1.0
+                replay.n_kv[k, v] += 1.0
+                replay.n_k[k] += 1.0
+            check_counts(st, flat)
+
+
 @pytest.fixture(scope="module")
 def recovery_run():
     rng = SeededRng(21)
@@ -265,67 +295,6 @@ class TestPairPosterior:
             counts[tuple(st.z)] += 1
         tv = 0.5 * sum(abs(counts[z] / n_sweeps - exact[z]) for z in exact)
         assert tv <= 0.02
-
-
-class TestItemTopicAvg:
-    def test_single_belief_identity(self):
-        b = np.array([[0.2, 0.3, 0.5]])
-        np.testing.assert_array_equal(lda_item_topic_avg(b), b[0])
-
-    def test_opposite_onehots_uniform(self):
-        b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(lda_item_topic_avg(b), 0.5, atol=1e-15)
-
-    def test_mean_is_simplex(self):
-        rng = SeededRng(12)
-        b = rng.gen.dirichlet(np.ones(4), size=6)
-        avg = lda_item_topic_avg(b)
-        assert avg.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(avg >= 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            lda_item_topic_avg(np.zeros((0, 3)))
-
-
-class TestSpecialCaseConditional:
-    def test_direct_product(self):
-        beta = np.array([[0.2, 0.8], [0.4, 0.6]])
-        got = special_case_conditional(beta, 0, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(got, [1 / 3, 2 / 3], atol=1e-15)
-
-    def test_onehot_pi(self):
-        beta = np.array([[0.2, 0.8], [0.4, 0.6]])
-        got = special_case_conditional(beta, 1, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(got, [0.0, 1.0], atol=1e-15)
-
-    def test_uniform_pi_returns_normalized_column(self):
-        rng = SeededRng(13)
-        beta = rng.gen.dirichlet(np.ones(5), size=3)
-        got = special_case_conditional(beta, 2, np.full(3, 1 / 3))
-        want = beta[:, 2] / beta[:, 2].sum()
-        np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_zero_column_degenerate(self):
-        beta = np.array([[0.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(DomainError):
-            special_case_conditional(beta, 0, np.array([0.3, 0.7]))
-
-    def test_equivalence_with_loglik_encoder(self):
-        # the model's item conditional with fixed per-topic token
-        # log-likelihoods and log pi as the group bias must reproduce
-        # normalize(pi * beta[:, v]) exactly
-        rng = SeededRng(14)
-        K, V = 4, 9
-        for _ in range(100):
-            beta = rng.gen.dirichlet(np.full(V, 0.5), size=K)
-            pi = rng.gen.dirichlet(np.full(K, 0.5))
-            v = int(rng.gen.integers(0, V))
-            want = special_case_conditional(beta, v, pi)
-            theta = fixed_loglik_params(beta)
-            f = forward_logits_batch(np.array([v]), theta)[0]
-            got = softmax(f + np.log(pi))
-            np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestLabelBiasRun:

@@ -14,7 +14,6 @@ from logistic_lda.math_kernels import (
     expected_log_pi,
     ln_multivariate_beta,
     sample_dirichlet,
-    sample_categorical,
     check_simplex,
 )
 
@@ -246,33 +245,14 @@ class TestSampling:
         )
         assert hits >= 9900
 
-    def test_categorical_one_hot(self):
-        rng = SeededRng(8)
-        for _ in range(50):
-            assert sample_categorical(np.array([0.0, 0.0, 1.0, 0.0]), rng) == 2
-
-    def test_categorical_frequencies(self):
-        rng = SeededRng(9)
-        draws = np.array([sample_categorical(np.array([0.25, 0.75]), rng) for _ in range(10_000)])
-        freq = np.bincount(draws, minlength=2) / draws.size
-        np.testing.assert_allclose(freq, [0.25, 0.75], atol=0.02)
-
-    def test_categorical_deterministic(self):
-        p = np.array([0.2, 0.3, 0.5])
-        a = [sample_categorical(p, SeededRng(11)) for _ in range(5)]
-        b = [sample_categorical(p, SeededRng(11)) for _ in range(5)]
-        # fresh rng per call: every draw identical
-        assert a == b
-
-    def test_categorical_invalid_simplex(self):
-        with pytest.raises(DomainError):
-            sample_categorical(np.array([0.5, 0.6]), SeededRng(1))
+    def test_dirichlet_stack_draws_rows_in_order(self):
+        # a (D, K) stack draws row after row from the one stream, as D
+        # single draws would
+        A = np.array([[0.5, 1.5, 3.0], [0.1, 0.1, 0.1], [2.0, 1.0, 4.0]])
+        rng = SeededRng(21)
+        want = np.stack([sample_dirichlet(row, rng) for row in A])
+        np.testing.assert_array_equal(sample_dirichlet(A, SeededRng(21)), want)
 
     def test_dirichlet_domain(self):
         with pytest.raises(DomainError):
             sample_dirichlet(np.array([1.0, -1.0]), SeededRng(1))
-
-    def test_spawned_streams_differ(self):
-        parent = SeededRng(42)
-        c1, c2 = parent.spawn(2)
-        assert c1.gen.random() != c2.gen.random()

@@ -5,15 +5,15 @@ import pytest
 
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import SeededRng, log_softmax
-from logistic_lda.regularizer import (
-    RegularizerState,
+from logistic_lda.regularizer import RegularizerState, update_running_estimate
+
+from oracles import (
     bound_value,
+    central_difference_grad,
+    max_relative_error,
     regularizer_value,
     responsibilities,
-    update_running_estimate,
 )
-
-from oracles import central_difference_grad, max_relative_error
 
 
 def random_g(rng, n, k, scale=2.0):
