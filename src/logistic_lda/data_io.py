@@ -13,18 +13,20 @@ payload length, payload bytes).  The "meta" section holds a JSON manifest;
 every other section is one parameter array as little-endian float64 in C
 order.  Length prefixes make truncation detectable.
 
-All writers go through a temp file and rename, so partial output never
-lands at the target path.
+All writers go through a private temp file beside the target, flushed to
+disk and then renamed over it, so partial output never lands at the target
+path and concurrent writers never share a temp file.
 """
 
 import json
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoders import ACTIVATIONS, EncoderParams, Item, KINDS
+from .encoders import ACTIVATIONS, EncoderParams, Item, KINDS, fixed_loglik_params
 from .errors import (
     CheckpointError,
     ContractError,
@@ -116,14 +118,25 @@ def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
 
 
 def _atomic_write(path, data: bytes):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def _float_list(arr):
-    return [float(x) for x in np.asarray(arr, dtype=np.float64).ravel()]
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def save_corpus(path, corpus: Corpus):
@@ -140,7 +153,7 @@ def save_corpus(path, corpus: Corpus):
         if corpus.payload.kind == "token":
             items = [int(it.token) for it in g.items]
         else:
-            items = [_float_list(it.dense) for it in g.items]
+            items = [it.dense.tolist() for it in g.items]
         rec = {"id": g.id, "items": items}
         if g.label is not None:
             rec["label"] = int(g.label)
@@ -269,7 +282,7 @@ def save_truth(path, corpus: Corpus, truth):
         n = len(g.items)
         rec = {
             "id": g.id,
-            "pi": _float_list(truth.pi[d]),
+            "pi": truth.pi[d].tolist(),
             "z": [int(t) for t in truth.z[pos : pos + n]],
         }
         pos += n
@@ -422,7 +435,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise  # already typed
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         # a field the manifest lacks, or one of the wrong JSON type
-        raise IntegrityError(f"malformed meta section: {exc!r}") from None
+        raise _malformed(repr(exc)) from None
+
+
+def _malformed(msg):
+    return IntegrityError(f"malformed meta section: {msg}")
 
 
 def _checkpoint_from_meta(meta, sections, version):
@@ -439,6 +456,11 @@ def _checkpoint_from_meta(meta, sections, version):
             )
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
+    h = meta["hyper"]
+    hyper = HyperParams(alpha=arrays["alpha"], lam=float(h["lam"]), gamma=float(h["gamma"]),
+                        n_iter=int(h["n_iter"]), rho=float(h["rho"]))
+    K = hyper.num_topics
+
     enc = meta["encoder"]
     kind = enc.get("kind")
     if kind not in KINDS:
@@ -447,29 +469,40 @@ def _checkpoint_from_meta(meta, sections, version):
         acts = tuple(enc.get("activations", ()))
         if any(a not in ACTIVATIONS for a in acts):
             raise IntegrityError(f"unknown activation in {acts!r}")
-        n_layers = len(acts)
         weights, biases = [], []
-        for i in range(n_layers):
+        for i in range(len(acts)):
             if f"weights_{i}" not in arrays or f"biases_{i}" not in arrays:
                 raise IntegrityError(f"missing layer {i} arrays")
-            weights.append(arrays[f"weights_{i}"])
-            biases.append(arrays[f"biases_{i}"])
+            W, b = arrays[f"weights_{i}"], arrays[f"biases_{i}"]
+            # W is (out, in), b is (out,), and each in is the previous out
+            if W.ndim != 2 or b.shape != W.shape[:1] or (weights and W.shape[1] != len(biases[-1])):
+                raise _malformed(f"layer {i} weights {W.shape} and biases {b.shape} "
+                                 "do not chain")
+            weights.append(W)
+            biases.append(b)
+        if not biases or len(biases[-1]) != K:
+            raise _malformed(f"the last MLP layer needs {K} outputs, one per topic in alpha")
         params = EncoderParams(kind="mlp", weights=tuple(weights), biases=tuple(biases),
                                activations=acts)
     else:
         if "table" not in arrays:
             raise IntegrityError("missing table array")
-        params = EncoderParams(kind=kind, table=arrays["table"])
+        table = arrays["table"]
+        if table.ndim != 2 or table.shape[0] != K:
+            raise _malformed(f"table shape {table.shape} needs {K} rows, one per topic in alpha")
+        params = (fixed_loglik_params(table) if kind == "fixed_loglik"
+                  else EncoderParams(kind=kind, table=table))
 
-    h = meta["hyper"]
-    hyper = HyperParams(alpha=arrays["alpha"], lam=float(h["lam"]), gamma=float(h["gamma"]),
-                        n_iter=int(h["n_iter"]), rho=float(h["rho"]))
     reg_state = None
     if meta.get("regularizer") is not None:
         r = meta["regularizer"]
         reg_state = RegularizerState(rho=float(r["rho"]),
                                      log_ema_per_topic=arrays["reg_log_ema"],
                                      items_seen=int(r["items_seen"]))
+        # a state that has seen no item has no average yet
+        if reg_state.log_ema_per_topic.shape != ((K,) if reg_state.items_seen else (0,)):
+            raise _malformed(f"reg_log_ema shape {reg_state.log_ema_per_topic.shape} "
+                             f"after {reg_state.items_seen} items, for {K} topics")
     return Checkpoint(hyper=hyper, params=params, reg_state=reg_state,
                       provenance=meta.get("provenance", {}), version=version)
 

@@ -62,12 +62,53 @@ def confusion_matrix(true, pred, K):
     return C
 
 
+def _max_assignment(C):
+    """row_of[j], the row matched to column j in a perfect matching of the
+    square matrix C whose matched entries sum to the most.
+
+    Kuhn-Munkres (Kuhn 1955) in the shortest-augmenting-path form of
+    Jonker & Volgenant (1987): rows join one at a time, each along a
+    shortest path of reduced costs -C[i, j] - u[i] - v[j], with the row
+    potentials u and column potentials v keeping every reduced cost >= 0.
+    O(K^3), one vectorised scan over the columns per step.  Column K is the
+    virtual start of each path.
+    """
+    K = C.shape[0]
+    u = np.zeros(K)
+    v = np.zeros(K + 1)
+    row_of = np.full(K + 1, -1, dtype=np.int64)  # row matched to each column
+    way = np.zeros(K + 1, dtype=np.int64)        # previous column on the path
+    for i in range(K):
+        row_of[K] = i
+        j0 = K
+        dist = np.full(K + 1, np.inf)  # shortest reduced path cost to each column
+        done = np.zeros(K + 1, dtype=bool)
+        while row_of[j0] >= 0:
+            done[j0] = True
+            i0 = row_of[j0]
+            reduced = -C[i0] - u[i0] - v[:K]
+            shorter = ~done[:K] & (reduced < dist[:K])
+            dist[:K][shorter] = reduced[shorter]
+            way[:K][shorter] = j0
+            j1 = int(np.argmin(np.where(done[:K], np.inf, dist[:K])))
+            delta = dist[j1]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+            j0 = j1
+        while j0 != K:  # flip the matching along the path back to the start
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    return row_of[:K]
+
+
 def match_topics(confusion):
     """Optimal assignment of predicted topics to true ones.
 
     Returns (perm, matched_accuracy) where perm[j] is the true topic
     assigned to predicted topic j and matched_accuracy the fraction of
-    mass on the matched diagonal.
+    mass on the matched diagonal.  When several assignments reach the
+    optimum, perm is one of them.
     """
     C = np.asarray(confusion, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
@@ -77,13 +118,9 @@ def match_topics(confusion):
     total = C.sum()
     if total <= 0:
         raise ContractError("confusion matrix is empty")
-    # scipy is imported here, its one use, to keep it off the CLI's start-up
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(-C)
-    perm = np.empty(C.shape[0], dtype=np.int64)
-    perm[cols] = rows
-    return perm, float(C[rows, cols].sum() / total)
+    perm = _max_assignment(C)
+    # the matched entries, summed row by row
+    return perm, float(C[np.arange(C.shape[0]), np.argsort(perm)].sum() / total)
 
 
 def evaluation_report(pred_groups=None, true_groups=None, pred_items=None,

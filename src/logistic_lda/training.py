@@ -55,6 +55,10 @@ PREDICT_MAX_SWEEPS = 100
 
 MODES = ("variational", "discriminative")
 OPTIMIZERS = ("sgd", "momentum", "adam")
+# adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -108,9 +112,6 @@ class Optimizer:
 
     kind: str = "adam"
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     _m: np.ndarray | None = None
     _v: np.ndarray | None = None
     _t: int = 0
@@ -128,11 +129,11 @@ class Optimizer:
         if self._v is None:
             self._v = np.zeros_like(flat)
         self._t += 1
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
-        m_hat = self._m / (1.0 - self.beta1**self._t)
-        v_hat = self._v / (1.0 - self.beta2**self._t)
-        return flat - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * grad
+        self._v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self._m / (1.0 - ADAM_BETA1**self._t)
+        v_hat = self._v / (1.0 - ADAM_BETA2**self._t)
+        return flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -154,14 +154,28 @@ class TestBackendFlag:
         assert proc.returncode != 0
         assert "LOGISTIC_LDA_BACKEND" in proc.stderr
 
-    def test_cli_import_leaves_scipy_out(self):
-        # scipy is imported only where topics are matched, not at start-up
+    def test_cli_import_leaves_scipy_out(self, tmp_path):
+        # numpy is the only runtime dependency: not even topic matching in
+        # eval and gibbs --truth imports scipy
+        script = """
+import sys
+from logistic_lda.cli import run_cli
+c, m = sys.argv[1] + "/c.jsonl", sys.argv[1] + "/m.ckpt"
+for argv in (
+    ["gen", "--k", "3", "--v", "9", "--docs", "12", "--len", "8", "--seed", "7", "-o", c],
+    ["train", "--corpus", c, "-o", m, "--epochs", "1", "--quiet"],
+    ["eval", "--corpus", c, "--model", m, "--truth", c + ".truth"],
+    ["gibbs", "--corpus", c, "--truth", c + ".truth", "--burn-in", "1", "--samples", "1"],
+):
+    assert run_cli(argv) == 0, argv
+print("scipy" in sys.modules)
+"""
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, logistic_lda.cli; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", script, str(tmp_path)],
             capture_output=True, text=True, check=True,
         )
-        assert proc.stdout.strip() == "False"
+        assert '"matched_item_accuracy"' in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_numpy_backend_runs_pipeline(self, tmp_path):
         # end to end smoke on the fallback: the CLI must work without numba

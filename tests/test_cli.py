@@ -181,6 +181,19 @@ class TestTrainInferEval:
         assert "malformed meta section" in err
         assert "Traceback" not in err
 
+    def test_checkpoint_table_not_alpha_shaped_is_data_error(self, tmp_path, tiny_corpus,
+                                                            capsys, save_with_meta):
+        model = tmp_path / "m.ckpt"
+        run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+            "--epochs", "1", "--quiet")
+        # the (3, 9) table's manifest shape read as (9, 3)
+        save_with_meta(model, load_checkpoint(model),
+                       lambda m: m["arrays"][1][1].reverse())
+        code, _, err = run(capsys, "eval", "--corpus", str(tiny_corpus), "--model", str(model))
+        assert code == 2
+        assert "table shape (9, 3) needs 3 rows" in err
+        assert "Traceback" not in err
+
     def test_config_file_with_flag_override(self, tmp_path, tiny_corpus, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=2\nlr=0.01\nquiet=true\n# comment\nclamp=false\n")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def make_checkpoint(kind="mlp", with_reg=True):
                       provenance={"seed": 7, "epochs": 20})
 
 
+def unchained_mlp():
+    cp = make_checkpoint()
+    W0, _ = cp.params.weights
+    cp.params.weights = (W0, np.zeros((3, 6)))  # layer 1 reads 6 inputs, layer 0 gives 5
+    return cp
+
+
+def short_reg_ema():
+    cp = make_checkpoint()
+    cp.reg_state.log_ema_per_topic = np.zeros(2)  # alpha has 3 topics
+    return cp
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["mlp", "table"])
     @pytest.mark.parametrize("with_reg", [True, False])
@@ -264,21 +278,30 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("edit", [
-        lambda m: m.pop("hyper"),
-        lambda m: m.pop("encoder"),
-        lambda m: m.pop("arrays"),
-        lambda m: m["hyper"].pop("n_iter"),
-        lambda m: m["regularizer"].pop("items_seen"),
-        lambda m: m["arrays"].pop(0),  # the alpha entry
-        lambda m: m["arrays"][1].pop(),  # an entry without its shape
-        lambda m: m.update(encoder="mlp"),
-        lambda m: m["hyper"].update(lam="x"),
+    @pytest.mark.parametrize("make,edit", [
+        (make_checkpoint, lambda m: m.pop("hyper")),
+        (make_checkpoint, lambda m: m.pop("encoder")),
+        (make_checkpoint, lambda m: m.pop("arrays")),
+        (make_checkpoint, lambda m: m["hyper"].pop("n_iter")),
+        (make_checkpoint, lambda m: m["regularizer"].pop("items_seen")),
+        (make_checkpoint, lambda m: m["arrays"].pop(0)),  # the alpha entry
+        (make_checkpoint, lambda m: m["arrays"][1].pop()),  # an entry without its shape
+        (make_checkpoint, lambda m: m.update(encoder="mlp")),
+        (make_checkpoint, lambda m: m["hyper"].update(lam="x")),
+        # the (3, 6) table read as (6, 3): the bytes fit, the topics do not
+        (lambda: make_checkpoint("table"), lambda m: m["arrays"][1][1].reverse()),
+        # only the first layer kept: 5 outputs under a 3-topic alpha
+        (make_checkpoint, lambda m: m["encoder"]["activations"].pop()),
+        (make_checkpoint, lambda m: m["arrays"][2][1].append(1)),  # biases_0 read as (5, 1)
+        (unchained_mlp, lambda m: None),
+        (short_reg_ema, lambda m: None),
     ], ids=["no-hyper", "no-encoder", "no-arrays", "no-n_iter", "no-items_seen",
-            "no-alpha", "no-shape", "encoder-not-object", "lam-not-number"])
-    def test_malformed_meta_is_integrity_error(self, tmp_path, save_with_meta, edit):
+            "no-alpha", "no-shape", "encoder-not-object", "lam-not-number",
+            "table-rows-not-K", "mlp-outputs-not-K", "biases-not-vector",
+            "layers-do-not-chain", "reg-ema-not-K"])
+    def test_malformed_meta_is_integrity_error(self, tmp_path, save_with_meta, make, edit):
         p = tmp_path / "m.ckpt"
-        save_with_meta(p, make_checkpoint(), edit)
+        save_with_meta(p, make(), edit)
         with pytest.raises(IntegrityError, match="malformed meta section"):
             load_checkpoint(p)
 
@@ -286,6 +309,17 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_with_meta(p, make_checkpoint(), lambda m: m["hyper"].update(lam=-1.0))
         with pytest.raises(DomainError, match="lam must be >= 0"):
+            load_checkpoint(p)
+
+    def test_fixed_loglik_table_must_be_row_stochastic(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        hyper = HyperParams(alpha=np.ones(3))
+        save_checkpoint(p, Checkpoint(hyper=hyper, params=EncoderParams(
+            kind="fixed_loglik", table=np.full((3, 6), 1 / 6))))
+        assert load_checkpoint(p).params.kind == "fixed_loglik"
+        save_checkpoint(p, Checkpoint(hyper=hyper, params=EncoderParams(
+            kind="fixed_loglik", table=np.full((3, 6), 0.2))))
+        with pytest.raises(DomainError, match="each beta row must sum to 1"):
             load_checkpoint(p)
 
     def test_activations_preserved(self, tmp_path):
@@ -371,6 +405,26 @@ class TestPredictions:
         p = tmp_path / "pred.jsonl"
         write_predictions(p, ["a"], [0], np.ones((1, 1)), np.ones((1, 1)), [0, 1])
         assert [f.name for f in tmp_path.iterdir()] == ["pred.jsonl"]
+
+    def test_failed_replace_keeps_target_and_removes_tmp(self, tmp_path, monkeypatch):
+        p = tmp_path / "pred.jsonl"
+        p.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_predictions(p, ["a"], [0], np.ones((1, 1)), np.ones((1, 1)), [0, 1])
+        assert p.read_bytes() == b"old"
+        assert [f.name for f in tmp_path.iterdir()] == ["pred.jsonl"]
+
+    def test_written_file_has_the_umask_mode(self, tmp_path):
+        p = tmp_path / "pred.jsonl"
+        write_predictions(p, ["a"], [0], np.ones((1, 1)), np.ones((1, 1)), [0, 1])
+        umask = os.umask(0)
+        os.umask(umask)
+        assert p.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from logistic_lda.data_io import corpus_from_groups
 from logistic_lda.encoders import Item, init_params
@@ -70,6 +73,46 @@ class TestMatchTopics:
     def test_rejects_negative(self):
         with pytest.raises(ContractError):
             match_topics(np.array([[1.0, -1.0], [0.0, 1.0]]))
+
+
+class TestMatchTopicsIsOptimal:
+    """match_topics against every permutation, and against scipy's solver."""
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_brute_force_on_tie_heavy_counts(self, K):
+        rng = np.random.default_rng(K)
+        perms = np.array(list(itertools.permutations(range(K))))
+        for _ in range(150):
+            C = rng.integers(0, 3, size=(K, K)).astype(np.float64)
+            if C.sum() == 0:
+                continue
+            totals = C[perms, np.arange(K)].sum(axis=1)  # perms[p, j]: true topic of j
+            perm, acc = match_topics(C)
+            np.testing.assert_array_equal(np.sort(perm), np.arange(K))
+            assert C[perm, np.arange(K)].sum() == totals.max()
+            assert acc == totals.max() / C.sum()
+            if np.count_nonzero(totals == totals.max()) == 1:
+                np.testing.assert_array_equal(perm, perms[totals.argmax()])
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 13, 21, 34, 60])
+    def test_optimal_value_equals_scipy(self, K):
+        rng = np.random.default_rng(100 + K)
+        for C in (rng.integers(0, 4, size=(K, K)) + np.eye(K),  # tied counts
+                  rng.integers(0, 1000, size=(K, K)).astype(np.float64),
+                  rng.random((K, K))):
+            rows, cols = linear_sum_assignment(-C)
+            _, acc = match_topics(C)
+            assert acc == C[rows, cols].sum() / C.sum()
+
+    @pytest.mark.parametrize("K", [2, 5, 10, 30, 60])
+    def test_permutation_equals_scipy_when_optimum_unique(self, K):
+        # continuous entries: two assignments tie with probability 0
+        rng = np.random.default_rng(200 + K)
+        for _ in range(10):
+            C = rng.random((K, K))
+            rows, cols = linear_sum_assignment(-C)
+            perm, _ = match_topics(C)
+            np.testing.assert_array_equal(perm[cols], rows)
 
 
 class TestEvaluationReport:

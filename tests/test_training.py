@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma as sp_digamma
 
+from logistic_lda import training
 from logistic_lda.encoders import (
     Item,
     flat_to_params,
@@ -87,8 +88,9 @@ class TestOptimizer:
         x = opt.step(x, g, lr=1.0)  # velocity 1.5
         np.testing.assert_allclose(x, [-2.5])
 
-    def test_adam_first_step_is_signed(self):
-        opt = Optimizer(kind="adam", eps=0.0)
+    def test_adam_first_step_is_signed(self, monkeypatch):
+        monkeypatch.setattr(training, "ADAM_EPS", 0.0)
+        opt = Optimizer(kind="adam")
         out = opt.step(np.zeros(2), np.array([3.0, -0.01]), lr=0.1)
         np.testing.assert_allclose(out, [-0.1, 0.1], atol=1e-12)
 
