@@ -39,7 +39,7 @@ from .errors import (
 )
 from .evaluation import evaluation_report, top_items_per_topic
 from .lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_run
-from .math_kernels import SeededRng
+from .math_kernels import SeededRng, check_positive_vector
 from .mean_field import HyperParams, flatten_groups
 from .regularizer import default_gamma
 from .training import TrainConfig, predict_corpus, train
@@ -206,7 +206,10 @@ def _cmd_gen(args):
     if args.beta == "disjoint":
         beta = disjoint_topic_matrix(args.k, args.v)
     else:
-        beta = rng.gen.dirichlet(np.full(args.v, args.beta_concentration), size=args.k)
+        if args.k < 1 or args.v < 1:
+            raise ContractError("need K >= 1 and V >= 1")
+        concentration = check_positive_vector(np.full(args.v, args.beta_concentration))
+        beta = rng.gen.dirichlet(concentration, size=args.k)
     groups, truth = generate_corpus(
         args.k, args.v, args.docs, args.doc_len,
         np.full(args.k, args.alpha), beta, rng, labeled=args.labeled,

@@ -8,13 +8,16 @@ Three interchangeable kinds:
                which reproduces the word term of collapsed generative LDA
 
 All kinds expose batched forward logits and exact reverse-mode gradients
-of sum_n <u_n, f(x_n, theta)> wrt theta; the encoder itself holds no
-optimizer state.
+of sum_n <u_n, f(x_n, theta)> wrt theta.  Trainable parameters live in one
+flat vector, `EncoderParams.flat`, and gradients come back in its layout,
+so a first-order optimizer works on plain vectors; the encoder itself
+holds no optimizer state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,13 +53,46 @@ class Item:
 @dataclass
 class EncoderParams:
     """Parameters of f.  mlp uses weights/biases/activations; the other two
-    kinds keep a single (K, V) matrix in `table` (logits, or beta rows)."""
+    kinds keep a single (K, V) matrix in `table` (logits, or beta rows).
+    The trainable arrays are views into one float64 vector `flat`, in layer
+    order (W_0, b_0, W_1, b_1, ...) or the table; stepping `flat` in place
+    updates them.  A frozen fixed_loglik table stays outside: flat is empty."""
 
     kind: str
     weights: tuple = ()
     biases: tuple = ()
     activations: tuple = ()
     table: np.ndarray | None = None
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        arrays = [np.ravel(a) for a in self._trainable()] or [np.empty(0)]
+        self._bind(np.concatenate(arrays, dtype=np.float64))
+
+    def with_flat(self, flat) -> EncoderParams:
+        """The same kind, shapes and activations over `flat`, not copied."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.flat.shape:
+            raise ContractError("flat vector length does not match parameter count")
+        out = copy.copy(self)
+        out._bind(flat)
+        return out
+
+    def _trainable(self):
+        if self.kind == "mlp":
+            return [a for W, b in zip(self.weights, self.biases) for a in (W, b)]
+        return [self.table] if self.kind == "table" else []
+
+    def _bind(self, flat):
+        # rebind the trainable arrays as views of `flat`, keeping their shapes
+        self.flat, views, pos = flat, [], 0
+        for a in self._trainable():
+            views.append(flat[pos : pos + np.size(a)].reshape(np.shape(a)))
+            pos += np.size(a)
+        if self.kind == "mlp":
+            self.weights, self.biases = tuple(views[0::2]), tuple(views[1::2])
+        elif self.kind == "table":
+            self.table = views[0]
 
     @property
     def num_topics(self) -> int:
@@ -69,16 +105,6 @@ class EncoderParams:
         if self.kind == "mlp":
             raise ContractError("mlp encoder has no vocabulary")
         return self.table.shape[1]
-
-
-@dataclass
-class EncoderGradient:
-    """Same shapes as the matching EncoderParams (mlp and table kinds only)."""
-
-    kind: str
-    weights: tuple = ()
-    biases: tuple = ()
-    table: np.ndarray | None = None
 
 
 def _check_tokens(tokens, vocab_size):
@@ -139,35 +165,34 @@ def forward_logits_batch(payload, theta: EncoderParams) -> np.ndarray:
     raise ContractError(f"unknown encoder kind {theta.kind!r}")
 
 
-def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> EncoderGradient:
-    """Gradient of sum_n <grad_wrt_logits[n], f(x_n, theta)> wrt theta."""
+def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> np.ndarray:
+    """Gradient of sum_n <grad_wrt_logits[n], f(x_n, theta)> wrt theta, as
+    one vector in the layout of `theta.flat`."""
     if theta.kind == "fixed_loglik":
         raise UnsupportedOperationError("fixed log-likelihood table has no trainable parameters")
     dF = np.asarray(grad_wrt_logits, dtype=np.float64)
     if dF.ndim != 2 or dF.shape[1] != theta.num_topics:
         raise ContractError("grad_wrt_logits must be (N, K)")
+    grad = np.zeros_like(theta.flat)
+    G = theta.with_flat(grad)  # the gradient, shaped like theta
 
     if theta.kind == "table":
         tokens = np.asarray(payload)
         _check_tokens(tokens, theta.table.shape[1])
-        G = np.zeros_like(theta.table)
-        np.add.at(G.T, tokens, dF)
-        return EncoderGradient(kind="table", table=G)
+        np.add.at(G.table.T, tokens, dF)
+        return grad
 
     X = np.asarray(payload, dtype=np.float64)
     _, hs = _mlp_forward(theta, X, keep_hidden=True)
-    L = len(theta.weights)
-    dWs = [None] * L
-    dbs = [None] * L
     dh = dF
-    for l in reversed(range(L)):
+    for l in reversed(range(len(theta.weights))):
         g = _act_grad(theta.activations[l], hs[l + 1])
         da = dh if g is None else dh * g
-        dWs[l] = da.T @ hs[l]
-        dbs[l] = da.sum(axis=0)
+        G.weights[l][...] = da.T @ hs[l]
+        G.biases[l][...] = da.sum(axis=0)
         if l:
             dh = da @ theta.weights[l]
-    return EncoderGradient(kind="mlp", weights=tuple(dWs), biases=tuple(dbs))
+    return grad
 
 
 def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderParams:
@@ -184,6 +209,9 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise ContractError("all dimensions must be positive")
+    scale = float(scale)
+    if not (np.isfinite(scale) and scale >= 0.0):
+        raise DomainError("init scale must be finite and >= 0")
     if kind == "mlp":
         if len(dims) < 2:
             raise ContractError("mlp needs at least (input_dim, K)")
@@ -195,7 +223,7 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
             raise ContractError("one activation per layer, each in %r" % (ACTIVATIONS,))
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            std = float(scale) / np.sqrt(fan_in)
+            std = scale / np.sqrt(fan_in)
             weights.append(rng.gen.normal(0.0, std, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
         return EncoderParams(
@@ -204,7 +232,7 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
     if kind == "table":
         if len(dims) != 2:
             raise ContractError("table needs dims (K, V)")
-        return EncoderParams(kind="table", table=rng.gen.normal(0.0, float(scale), size=dims))
+        return EncoderParams(kind="table", table=rng.gen.normal(0.0, scale, size=dims))
     if kind == "fixed_loglik":
         raise ContractError("fixed_loglik params come from fixed_loglik_params(beta)")
     raise ContractError(f"unknown encoder kind {kind!r}")
@@ -220,52 +248,3 @@ def fixed_loglik_params(beta) -> EncoderParams:
     if np.any(np.abs(beta.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
         raise DomainError("each beta row must sum to 1")
     return EncoderParams(kind="fixed_loglik", table=beta)
-
-
-# ---------------------------------------------------------------------------
-# flat views, for optimizers that work on a single parameter vector
-
-def _arrays_of(p):
-    if p.kind == "mlp":
-        out = []
-        for W, b in zip(p.weights, p.biases):
-            out.extend((W, b))
-        return out
-    if p.kind == "table":
-        return [p.table]
-    return []
-
-
-def num_params(theta: EncoderParams) -> int:
-    return sum(a.size for a in _arrays_of(theta))
-
-
-def params_to_flat(theta: EncoderParams) -> np.ndarray:
-    arrs = _arrays_of(theta)
-    if not arrs:
-        return np.empty(0)
-    return np.concatenate([a.ravel() for a in arrs])
-
-
-grad_to_flat = params_to_flat  # gradients share the container layout
-
-
-def flat_to_params(flat, template: EncoderParams) -> EncoderParams:
-    """Rebuild params with the template's shapes from one flat vector."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != num_params(template):
-        raise ContractError("flat vector length does not match parameter count")
-    if template.kind == "fixed_loglik":
-        return template
-    pos = 0
-    parts = []
-    for a in _arrays_of(template):
-        parts.append(flat[pos : pos + a.size].reshape(a.shape).copy())
-        pos += a.size
-    if template.kind == "table":
-        return EncoderParams(kind="table", table=parts[0])
-    weights = tuple(parts[0::2])
-    biases = tuple(parts[1::2])
-    return EncoderParams(
-        kind="mlp", weights=weights, biases=biases, activations=template.activations
-    )

@@ -51,8 +51,8 @@ class GibbsState:
         self.n_kv = np.ascontiguousarray(self.n_kv, dtype=np.float64)
         self.n_k = np.ascontiguousarray(self.n_k, dtype=np.float64)
         self.eta = float(self.eta)
-        if self.eta <= 0.0:
-            raise DomainError("eta must be > 0")
+        if not (np.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError("eta must be finite and > 0")
         if self.label_bias is None:
             self.label_bias = np.zeros_like(self.n_dk)
         self.label_bias = np.ascontiguousarray(self.label_bias, dtype=np.float64)
@@ -156,6 +156,8 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     tokens = _token_payload(flat)
     if K < 1:
         raise ContractError("K must be >= 1")
+    if not (np.isfinite(label_weight) and label_weight >= 0.0):
+        raise DomainError("label_weight must be finite and >= 0")
     V = int(tokens.max()) + 1 if V is None else int(V)
     if tokens.size and tokens.max() >= V:
         raise ContractError("token id out of vocabulary range")
@@ -166,8 +168,6 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     np.add.at(n_kv, (z, tokens), 1.0)
     bias = np.zeros((flat.num_groups, K))
     if label_weight != 0.0:
-        if label_weight < 0.0:
-            raise DomainError("label_weight must be >= 0")
         seen = flat.labels >= 0
         bias[np.flatnonzero(seen), flat.labels[seen]] = label_weight
     return GibbsState(z=z, n_dk=n_dk, n_kv=n_kv, n_k=n_kv.sum(axis=1), eta=eta,

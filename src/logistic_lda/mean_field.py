@@ -70,10 +70,10 @@ class HyperParams:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         check_positive_vector(self.alpha)
-        if self.lam < 0:
-            raise DomainError("lam must be >= 0")
-        if self.gamma < 0:
-            raise DomainError("gamma must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise DomainError("lam must be >= 0 and finite")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise DomainError("gamma must be >= 0 and finite")
         if self.n_iter < 1:
             raise ContractError("n_iter must be a positive integer")
         if not 0.0 <= self.rho < 1.0:

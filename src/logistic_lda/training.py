@@ -13,7 +13,8 @@ update (softmax Jacobians, the digamma bias via trigamma, and the
 alpha_hat accumulation) back into each use of the cached logits.
 
 One epoch loop, `train`, runs both; they differ only in the batch step.
-The adjoint sweep exists as twin kernels, a numba loop or vectorized
+It steps one copy of theta's flat parameter vector in place, so the given
+parameters stay as they were.  The adjoint sweep exists as twin kernels, a numba loop or vectorized
 numpy, selected by the backend flag.  Epoch records go to stdout as JSON
 lines and optionally to a metrics file.
 """
@@ -26,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import njit, pick
-from .encoders import (
-    backward_batch,
-    flat_to_params,
-    forward_logits_batch,
-    grad_to_flat,
-    params_to_flat,
-)
+from .encoders import backward_batch, forward_logits_batch
 from .errors import ContractError, DomainError, TrainingDivergedError
 from .math_kernels import (
     SeededRng,
@@ -86,6 +81,8 @@ class TrainConfig:
             raise ContractError("epochs, batch_size and e_step_sweeps must be positive")
         if self.lr < 0 or not np.isfinite(self.lr):
             raise DomainError("lr must be finite and >= 0")
+        if not np.isfinite(self.momentum):
+            raise DomainError("momentum must be finite")
         if not 0.0 < self.lr_decay <= 1.0:
             raise DomainError("lr_decay must lie in (0, 1]")
 
@@ -107,33 +104,33 @@ class TrainReport:
 
 @dataclass
 class Optimizer:
-    """Flat-vector first-order updates: plain descent, heavy-ball
-    momentum, or adaptive moments (the default elsewhere)."""
+    """In-place first-order updates of a flat float64 parameter vector:
+    plain descent, heavy-ball momentum, or adaptive moments (the default
+    elsewhere)."""
 
     kind: str = "adam"
     momentum: float = 0.9
-    _m: np.ndarray | None = None
-    _v: np.ndarray | None = None
-    _t: int = 0
+    _m: np.ndarray | None = field(default=None, init=False)
+    _v: np.ndarray | None = field(default=None, init=False)
+    _t: int = field(default=0, init=False)
 
     def step(self, flat, grad, lr):
-        flat = np.asarray(flat, dtype=np.float64)
-        grad = np.asarray(grad, dtype=np.float64)
+        """flat -= the step for `grad`, in place."""
         if self.kind == "sgd":
-            return flat - lr * grad
+            flat -= lr * grad
+            return
         if self._m is None:
-            self._m = np.zeros_like(flat)
+            self._m, self._v = np.zeros_like(flat), np.zeros_like(flat)
         if self.kind == "momentum":
             self._m = self.momentum * self._m + grad
-            return flat - lr * self._m
-        if self._v is None:
-            self._v = np.zeros_like(flat)
+            flat -= lr * self._m
+            return
         self._t += 1
         self._m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * grad
         self._v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = self._m / (1.0 - ADAM_BETA1**self._t)
         v_hat = self._v / (1.0 - ADAM_BETA2**self._t)
-        return flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +180,7 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite variational loss {loss!r}")
-    grad = grad_to_flat(backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(F, S)))
+    grad = backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(F, S))
     carry.alpha_hat[batch_ids] = AH
     carry.p_label[batch_ids] = PL
     return grad, P, loss, 0
@@ -323,7 +320,7 @@ def _discriminative_batch_grad(payload, offsets, labels, theta, hyper):
         offsets, float(hyper.lam), P, A, Q, labels, int(hyper.n_iter), LOSS_FLOOR
     )
     D = offsets.shape[0] - 1
-    grad = grad_to_flat(backward_batch(payload, theta, dF / D))
+    grad = backward_batch(payload, theta, dF / D)
     return float(losses.mean()), grad, floor_hits, P[-1]
 
 
@@ -389,7 +386,8 @@ def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
     Variational: per-group alpha_hat and label beliefs persist across
     epochs (warm starts) and the regularizer running average across
     batches.  Discriminative: every group must be labeled.  Returns
-    (theta, report)."""
+    (theta, report): new parameters, stepped in place on one copy of the
+    given ones, which stay as they were."""
     flat = flatten_groups(groups)
     D, K = flat.num_groups, hyper.num_topics
     variational = config.mode == "variational"
@@ -406,7 +404,7 @@ def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
     eval_flat = flatten_groups(eval_groups) if eval_groups else None
     rng = SeededRng(config.seed)
     opt = Optimizer(kind=config.optimizer, momentum=config.momentum)
-    flat_params = params_to_flat(theta)
+    theta = theta.with_flat(theta.flat.copy())
     P_full = np.full((flat.num_items, K), 1.0 / K)
     report = TrainReport(mode=config.mode)
     for epoch in range(config.epochs):
@@ -421,16 +419,15 @@ def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
                               labels=flat.labels[batch_ids])
             try:
                 grad, P_b, loss, floor_hits = step(mini, batch_ids, theta, hyper, config, carry)
-                if grad.size and not np.all(np.isfinite(grad)):
+                if not np.all(np.isfinite(grad)):
                     raise TrainingDivergedError("non-finite gradient")
-                flat_params = opt.step(flat_params, grad, lr)
-                if flat_params.size and not np.all(np.isfinite(flat_params)):
+                opt.step(theta.flat, grad, lr)
+                if not np.all(np.isfinite(theta.flat)):
                     raise TrainingDivergedError("parameters overflowed after update")
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch}, groups {start}..{start + len(batch_ids)}: {exc}"
                 ) from exc
-            theta = flat_to_params(flat_params, theta)
             P_full[idx] = P_b
             loss_sum += loss
             floor_total += floor_hits
@@ -449,6 +446,6 @@ def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
             record["eval_accuracy"] = _eval_accuracy(eval_flat, theta, hyper, converged=variational)
         report.records.append(record)
         _emit(record, config)
-    if variational:
+    if variational and hyper.gamma > 0.0:
         report.reg_state = carry.reg_state
     return theta, report

@@ -26,8 +26,6 @@ from logistic_lda.encoders import (
     fixed_loglik_params,
     forward_logits_batch,
     init_params,
-    params_to_flat,
-    flat_to_params,
 )
 from logistic_lda.lda_baseline import (
     disjoint_topic_matrix,
@@ -178,10 +176,10 @@ def test_03_unrolled_gradient():
 
             def loss_fn(fv):
                 return _discriminative_batch_grad(
-                    flat.payload, flat.offsets, flat.labels, flat_to_params(fv, theta), hyper
+                    flat.payload, flat.offsets, flat.labels, theta.with_flat(fv), hyper
                 )[0]
 
-            numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
+            numeric = central_difference_grad(loss_fn, theta.flat, h=1e-5)
             worst = max(worst, max_relative_error(grad, numeric))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-5 and dt < 60.0
@@ -363,7 +361,7 @@ def test_10_persistence_roundtrips(tmp_path):
         save_checkpoint(path, Checkpoint(hyper=hyper, params=theta, reg_state=reg,
                                          provenance={"seed": seed}))
         loaded = load_checkpoint(path)
-        bitwise &= params_to_flat(loaded.params).tobytes() == params_to_flat(theta).tobytes()
+        bitwise &= loaded.params.flat.tobytes() == theta.flat.tobytes()
         bitwise &= loaded.hyper.alpha.tobytes() == hyper.alpha.tobytes()
         bitwise &= (loaded.hyper.lam, loaded.hyper.gamma, loaded.hyper.n_iter) == (
             hyper.lam, hyper.gamma, hyper.n_iter)

@@ -264,3 +264,33 @@ class TestGibbsCommand:
         code, _, err = run(capsys, "gibbs", "--corpus", str(dense))
         assert code == 2
         assert "token corpus" in err
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--gamma", "nan"],
+        ["train", "--lam", "nan"],
+        ["train", "--lam", "inf"],
+        ["train", "--init-scale", "-1"],
+        ["train", "--init-scale", "nan"],
+        ["train", "--optimizer", "momentum", "--momentum", "nan"],
+        ["gibbs", "--eta", "nan"],
+        ["gibbs", "--eta", "inf"],
+        ["gibbs", "--label-weight", "nan"],
+        ["gen", "--beta", "random", "--beta-concentration", "-1"],
+        ["gen", "--beta", "random", "--beta-concentration", "0"],
+        ["gen", "--beta", "random", "--k", "-1"],
+        ["gen", "--beta", "random", "--v", "-1"],
+    ], ids=" ".join)
+    def test_out_of_domain_flag_is_data_error(self, tmp_path, tiny_corpus, capsys, argv):
+        out = tmp_path / "out"
+        base = {
+            "gen": ["--k", "3", "--v", "9", "--docs", "4", "--len", "5", "-o", str(out)],
+            "train": ["--corpus", str(tiny_corpus), "-o", str(out), "--epochs", "1", "--quiet"],
+            "gibbs": ["--corpus", str(tiny_corpus), "--burn-in", "1", "--samples", "1"],
+        }[argv[0]]
+        # the case's own flags come last, so they override the base ones
+        code, stdout, err = run(capsys, argv[0], *base, *argv[1:])
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert stdout == "" and not out.exists()

@@ -20,7 +20,7 @@ from logistic_lda.data_io import (
     save_truth,
     write_predictions,
 )
-from logistic_lda.encoders import EncoderParams, Item, init_params, params_to_flat
+from logistic_lda.encoders import EncoderParams, Item, init_params
 from logistic_lda.errors import (
     CheckpointError,
     ContractError,
@@ -227,7 +227,7 @@ class TestCheckpoint:
         save_checkpoint(p, cp)
         back = load_checkpoint(p)
         assert back.params.kind == cp.params.kind
-        assert params_to_flat(back.params).tobytes() == params_to_flat(cp.params).tobytes()
+        assert back.params.flat.tobytes() == cp.params.flat.tobytes()
         assert back.hyper.alpha.tobytes() == cp.hyper.alpha.tobytes()
         assert back.hyper.lam == cp.hyper.lam
         assert back.hyper.n_iter == cp.hyper.n_iter
@@ -238,6 +238,17 @@ class TestCheckpoint:
             assert back.reg_state.items_seen == cp.reg_state.items_seen
         else:
             assert back.reg_state is None
+
+    def test_empty_regularizer_state_still_loads(self, tmp_path):
+        # what a gamma = 0 variational run used to save: a state that has
+        # seen no item and holds no average
+        cp = make_checkpoint(with_reg=False)
+        cp.reg_state = RegularizerState(rho=0.99, log_ema_per_topic=np.empty(0), items_seen=0)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, cp)
+        back = load_checkpoint(p)
+        assert back.reg_state.items_seen == 0
+        assert back.reg_state.log_ema_per_topic.shape == (0,)
 
     def test_save_is_deterministic(self, tmp_path):
         cp = make_checkpoint()

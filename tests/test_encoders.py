@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from logistic_lda.encoders import (
+    EncoderParams,
     Item,
     backward_batch,
     fixed_loglik_params,
-    flat_to_params,
     forward_logits_batch,
-    grad_to_flat,
     init_params,
-    num_params,
-    params_to_flat,
 )
 from logistic_lda.errors import ContractError, DomainError, UnsupportedOperationError
 from logistic_lda.math_kernels import SeededRng, log_softmax, log_sum_exp, softmax
+from logistic_lda.training import Optimizer
 
 from oracles import central_difference_grad, max_relative_error
 
@@ -137,14 +135,14 @@ class TestLogSoftmaxG:
 class TestBackward:
     def test_zero_upstream_zero_grad(self):
         theta = small_mlp(seed=8)
-        g = backward_one(np.ones(5), theta, np.zeros(3))
+        g = theta.with_flat(backward_one(np.ones(5), theta, np.zeros(3)))
         assert all(np.all(W == 0) for W in g.weights)
         assert all(np.all(b == 0) for b in g.biases)
 
     def test_table_grad_touches_only_token_column(self):
         tab = init_params("table", (3, 7), 1.0, SeededRng(9))
         u = np.array([1.0, -2.0, 0.5])
-        g = backward_one(4, tab, u)
+        g = tab.with_flat(backward_one(4, tab, u))
         np.testing.assert_array_equal(g.table[:, 4], u)
         mask = np.ones(7, dtype=bool)
         mask[4] = False
@@ -156,12 +154,12 @@ class TestBackward:
         u = SeededRng(12).gen.normal(size=3)
 
         def loss(flat):
-            p = flat_to_params(flat, theta)
+            p = theta.with_flat(flat)
             return float(u @ forward_one(x, p))
 
-        flat0 = params_to_flat(theta)
+        flat0 = theta.flat
         numeric = central_difference_grad(loss, flat0, h=1e-5)
-        analytic = grad_to_flat(backward_one(x, theta, u))
+        analytic = backward_one(x, theta, u)
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_deep_mlp_matches_finite_differences(self):
@@ -170,11 +168,11 @@ class TestBackward:
         U = SeededRng(15).gen.normal(size=(6, 3))
 
         def loss(flat):
-            p = flat_to_params(flat, theta)
+            p = theta.with_flat(flat)
             return float(np.sum(U * forward_logits_batch(X, p)))
 
-        numeric = central_difference_grad(loss, params_to_flat(theta), h=1e-5)
-        analytic = grad_to_flat(backward_batch(X, theta, U))
+        numeric = central_difference_grad(loss, theta.flat, h=1e-5)
+        analytic = backward_batch(X, theta, U)
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_relu_matches_finite_differences(self):
@@ -183,10 +181,10 @@ class TestBackward:
         u = np.array([0.3, -1.1])
 
         def loss(flat):
-            return float(u @ forward_one(x, flat_to_params(flat, theta)))
+            return float(u @ forward_one(x, theta.with_flat(flat)))
 
-        numeric = central_difference_grad(loss, params_to_flat(theta), h=1e-5)
-        analytic = grad_to_flat(backward_one(x, theta, u))
+        numeric = central_difference_grad(loss, theta.flat, h=1e-5)
+        analytic = backward_one(x, theta, u)
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_linear_in_upstream(self):
@@ -194,19 +192,19 @@ class TestBackward:
         x = SeededRng(19).gen.normal(size=5)
         u1 = SeededRng(20).gen.normal(size=3)
         u2 = SeededRng(21).gen.normal(size=3)
-        g1 = grad_to_flat(backward_one(x, theta, u1))
-        g2 = grad_to_flat(backward_one(x, theta, u2))
-        g12 = grad_to_flat(backward_one(x, theta, 2.0 * u1 - 3.0 * u2))
+        g1 = backward_one(x, theta, u1)
+        g2 = backward_one(x, theta, u2)
+        g12 = backward_one(x, theta, 2.0 * u1 - 3.0 * u2)
         np.testing.assert_allclose(g12, 2.0 * g1 - 3.0 * g2, atol=1e-12)
 
     def test_batch_is_sum_of_items(self):
         theta = small_mlp(seed=22)
         X = SeededRng(23).gen.normal(size=(4, 5))
         U = SeededRng(24).gen.normal(size=(4, 3))
-        total = grad_to_flat(backward_batch(X, theta, U))
+        total = backward_batch(X, theta, U)
         acc = np.zeros_like(total)
         for n in range(4):
-            acc += grad_to_flat(backward_one(X[n], theta, U[n]))
+            acc += backward_one(X[n], theta, U[n])
         np.testing.assert_allclose(total, acc, atol=1e-12)
 
     def test_fixed_loglik_unsupported(self):
@@ -223,8 +221,8 @@ class TestInit:
         assert np.all(tab.table == 0)
 
     def test_deterministic_under_seed(self):
-        a = params_to_flat(small_mlp(seed=42))
-        b = params_to_flat(small_mlp(seed=42))
+        a = small_mlp(seed=42).flat
+        b = small_mlp(seed=42).flat
         np.testing.assert_array_equal(a, b)
 
     def test_fan_in_variance(self):
@@ -245,6 +243,12 @@ class TestInit:
         with pytest.raises(ContractError):
             init_params("fixed_loglik", (2, 2), 1.0, SeededRng(0))
 
+    @pytest.mark.parametrize("kind, dims", [("mlp", (5, 3)), ("table", (3, 4))])
+    @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
+    def test_bad_scale_rejected(self, kind, dims, scale):
+        with pytest.raises(DomainError):
+            init_params(kind, dims, scale, SeededRng(0))
+
     def test_fixed_loglik_row_sum_checked(self):
         with pytest.raises(DomainError):
             fixed_loglik_params(np.array([[0.5, 0.6]]))
@@ -253,24 +257,49 @@ class TestInit:
 class TestFlatViews:
     def test_roundtrip_mlp(self):
         theta = small_mlp(seed=44)
-        flat = params_to_flat(theta)
-        assert flat.size == num_params(theta) == 5 * 4 + 4 + 4 * 3 + 3
-        back = flat_to_params(flat, theta)
-        np.testing.assert_array_equal(params_to_flat(back), flat)
+        assert theta.flat.size == 5 * 4 + 4 + 4 * 3 + 3
+        back = theta.with_flat(theta.flat.copy())
+        for x, y in zip(back.weights + back.biases, theta.weights + theta.biases):
+            np.testing.assert_array_equal(x, y)
         assert back.activations == theta.activations
 
     def test_roundtrip_table(self):
         tab = init_params("table", (3, 11), 1.0, SeededRng(45))
-        flat = params_to_flat(tab)
-        back = flat_to_params(flat, tab)
+        back = tab.with_flat(tab.flat.copy())
         np.testing.assert_array_equal(back.table, tab.table)
 
     def test_fixed_loglik_has_no_params(self):
         theta = fixed_loglik_params(np.array([[0.5, 0.5]]))
-        assert num_params(theta) == 0
-        assert params_to_flat(theta).size == 0
+        assert theta.flat.size == 0
 
     def test_length_mismatch(self):
         theta = small_mlp()
         with pytest.raises(ContractError):
-            flat_to_params(np.zeros(3), theta)
+            theta.with_flat(np.zeros(3))
+
+    def test_arrays_are_views_of_flat(self):
+        theta = small_mlp(seed=46)
+        assert all(np.shares_memory(a, theta.flat) for a in theta.weights + theta.biases)
+        tab = init_params("table", (3, 4), 1.0, SeededRng(47))
+        assert np.shares_memory(tab.table, tab.flat)
+        back = theta.with_flat(theta.flat)  # no copy either way
+        assert np.shares_memory(back.weights[0], theta.flat)
+
+    def test_layout_is_layer_order(self):
+        theta = small_mlp(seed=48)
+        np.testing.assert_array_equal(theta.flat, np.concatenate(
+            [a.ravel() for W, b in zip(theta.weights, theta.biases) for a in (W, b)]))
+
+    def test_constructor_copies_given_arrays(self):
+        table = np.zeros((2, 3))
+        theta = EncoderParams(kind="table", table=table)
+        theta.flat[:] = 1.0
+        assert np.all(table == 0.0) and np.all(theta.table == 1.0)
+
+    def test_optimizer_step_moves_forward_logits(self):
+        theta = small_mlp(seed=49)
+        X = SeededRng(50).gen.normal(size=(3, 5))
+        before = forward_logits_batch(X, theta)
+        Optimizer(kind="sgd").step(theta.flat, backward_batch(X, theta, np.ones((3, 3))), lr=0.1)
+        after = forward_logits_batch(X, theta)
+        assert np.sum(after) < np.sum(before)

@@ -181,6 +181,15 @@ class TestGibbsSweep:
         with pytest.raises(ContractError):
             gibbs_init(flat, 3, 0.1, rng, V=5)
 
+    @pytest.mark.parametrize("kw", [{"eta": 0.0}, {"eta": np.nan}, {"eta": np.inf},
+                                    {"label_weight": -1.0}, {"label_weight": np.nan},
+                                    {"label_weight": np.inf}])
+    def test_init_rejects_bad_eta_and_label_weight(self, kw):
+        rng = SeededRng(9)
+        flat, _ = small_corpus(rng, V=12)
+        with pytest.raises(DomainError):
+            gibbs_init(flat, 3, kw.get("eta", 0.1), rng, label_weight=kw.get("label_weight", 0.0))
+
 
 class TestSweepReplay:
     def test_each_draw_is_the_oracle_inverse_cdf(self):

@@ -381,6 +381,12 @@ class TestHyperParams:
         with pytest.raises(DomainError):
             HyperParams(alpha=np.ones(2), rho=1.0)
 
+    @pytest.mark.parametrize("kw", [{"lam": np.nan}, {"lam": np.inf},
+                                    {"gamma": np.nan}, {"gamma": np.inf}])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(DomainError):
+            HyperParams(alpha=np.ones(2), **kw)
+
 
 class TestBatchLayer:
     def make_corpus(self, seed, D=6, token_items=True):

@@ -8,10 +8,8 @@ from scipy.special import digamma as sp_digamma
 from logistic_lda import training
 from logistic_lda.encoders import (
     Item,
-    flat_to_params,
     forward_logits_batch,
     init_params,
-    params_to_flat,
 )
 from logistic_lda.errors import ContractError, DomainError, TrainingDivergedError
 from logistic_lda.math_kernels import SeededRng, log_softmax, softmax
@@ -76,29 +74,32 @@ def predict_one(group, theta, h):
 class TestOptimizer:
     def test_sgd(self):
         opt = Optimizer(kind="sgd")
-        out = opt.step(np.array([1.0, 2.0]), np.array([0.5, -1.0]), lr=0.1)
-        np.testing.assert_allclose(out, [0.95, 2.1])
+        x = np.array([1.0, 2.0])
+        opt.step(x, np.array([0.5, -1.0]), lr=0.1)
+        np.testing.assert_allclose(x, [0.95, 2.1])
 
     def test_momentum_accumulates(self):
         opt = Optimizer(kind="momentum", momentum=0.5)
         x = np.zeros(1)
         g = np.ones(1)
-        x = opt.step(x, g, lr=1.0)  # velocity 1
+        opt.step(x, g, lr=1.0)  # velocity 1
         np.testing.assert_allclose(x, [-1.0])
-        x = opt.step(x, g, lr=1.0)  # velocity 1.5
+        opt.step(x, g, lr=1.0)  # velocity 1.5
         np.testing.assert_allclose(x, [-2.5])
 
     def test_adam_first_step_is_signed(self, monkeypatch):
         monkeypatch.setattr(training, "ADAM_EPS", 0.0)
         opt = Optimizer(kind="adam")
-        out = opt.step(np.zeros(2), np.array([3.0, -0.01]), lr=0.1)
-        np.testing.assert_allclose(out, [-0.1, 0.1], atol=1e-12)
+        x = np.zeros(2)
+        opt.step(x, np.array([3.0, -0.01]), lr=0.1)
+        np.testing.assert_allclose(x, [-0.1, 0.1], atol=1e-12)
 
     def test_lr_zero_identity(self):
         for kind in ("sgd", "momentum", "adam"):
             opt = Optimizer(kind=kind)
             x = np.array([1.0, -2.0])
-            np.testing.assert_array_equal(opt.step(x, np.ones(2), lr=0.0), x)
+            opt.step(x, np.ones(2), lr=0.0)
+            np.testing.assert_array_equal(x, [1.0, -2.0])
 
 
 class TestTrainConfig:
@@ -119,7 +120,8 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(**kw)
 
-    @pytest.mark.parametrize("kw", [{"lr": -1.0}, {"lr": np.inf}, {"lr_decay": 0.0}])
+    @pytest.mark.parametrize("kw", [{"lr": -1.0}, {"lr": np.inf}, {"lr_decay": 0.0},
+                                    {"momentum": np.nan}, {"momentum": np.inf}])
     def test_domain_errors(self, kw):
         with pytest.raises(DomainError):
             TrainConfig(**kw)
@@ -160,16 +162,16 @@ class TestVariationalLoss:
         S = P + 0.7 * r_hat  # gamma = 0.7
 
         def loss_fn(fv):
-            g = log_softmax(forward_logits_batch(flat.payload, flat_to_params(fv, theta)), axis=-1)
+            g = log_softmax(forward_logits_batch(flat.payload, theta.with_flat(fv)), axis=-1)
             return -float(np.sum(S * g))
 
-        numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
+        numeric = central_difference_grad(loss_fn, theta.flat, h=1e-5)
 
-        from logistic_lda.encoders import backward_batch, grad_to_flat
+        from logistic_lda.encoders import backward_batch
         from logistic_lda.training import _soft_target_grad_wrt_logits
 
         F = forward_logits_batch(flat.payload, theta)
-        analytic = grad_to_flat(backward_batch(flat.payload, theta, _soft_target_grad_wrt_logits(F, S)))
+        analytic = backward_batch(flat.payload, theta, _soft_target_grad_wrt_logits(F, S))
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_shape_mismatch(self):
@@ -267,9 +269,9 @@ class TestDiscriminativeGradient:
         )
 
         def loss_fn(fv):
-            return batch_loss(grp, flat_to_params(fv, theta), h)
+            return batch_loss(grp, theta.with_flat(fv), h)
 
-        numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
+        numeric = central_difference_grad(loss_fn, theta.flat, h=1e-5)
         assert max_relative_error(grad, numeric) <= 1e-5
 
     def test_constant_zero_encoder_grad_only_in_biases(self):
@@ -284,11 +286,11 @@ class TestDiscriminativeGradient:
         )
 
         def loss_fn(fv):
-            return batch_loss(grp, flat_to_params(fv, theta), h)
+            return batch_loss(grp, theta.with_flat(fv), h)
 
-        numeric = central_difference_grad(loss_fn, params_to_flat(theta), h=1e-5)
+        numeric = central_difference_grad(loss_fn, theta.flat, h=1e-5)
         assert max_relative_error(grad, numeric) <= 1e-5
-        rebuilt = flat_to_params(grad, theta)
+        rebuilt = theta.with_flat(grad)
         assert np.all(rebuilt.weights[0] == 0)
         assert np.any(rebuilt.biases[0] != 0)
 
@@ -322,12 +324,12 @@ class TestDiscriminativeGradient:
 class TestDiscriminativeStep:
     def test_lr_zero_theta_unchanged(self):
         theta = init_params("table", (2, 3), 1.0, SeededRng(0))
-        before = params_to_flat(theta).copy()
+        before = theta.flat.copy()
         g = token_group([0, 1], label=1)
         h = HyperParams(alpha=np.ones(2), n_iter=2)
         cfg = TrainConfig(mode="discriminative", epochs=1, lr=0.0, verbose=False)
         theta2, report = train([g], theta, h, cfg)
-        np.testing.assert_array_equal(params_to_flat(theta2), before)
+        np.testing.assert_array_equal(theta2.flat, before)
         assert np.isfinite(report.final_loss)
 
     def test_unlabeled_rejected(self):
@@ -397,7 +399,7 @@ class TestVariationalStep:
     def test_lr_zero_updates_states_not_theta(self):
         rng = SeededRng(4)
         theta = init_params("table", (2, 4), 1.0, rng)
-        before = params_to_flat(theta).copy()
+        before = theta.flat.copy()
         groups = [token_group([0, 1], label=0), token_group([2, 3])]
         h = HyperParams(alpha=np.ones(2), lam=1.0)
         cfg = TrainConfig(mode="variational", epochs=1, lr=0.0, verbose=False)
@@ -408,7 +410,7 @@ class TestVariationalStep:
         assert not np.allclose(carry.alpha_hat[0], h.alpha)
         assert np.isfinite(loss)
         theta2, _ = train(groups, theta, h, cfg)
-        np.testing.assert_array_equal(params_to_flat(theta2), before)
+        np.testing.assert_array_equal(theta2.flat, before)
 
     def test_clamped_estep_matches_reference_loop(self):
         # all labels observed, gamma = 0: the E-step is the unrolled loop
@@ -543,6 +545,29 @@ class TestEpochLoops:
         assert len(lines) == 3
         recs = [json.loads(ln) for ln in lines]
         assert [r["epoch"] for r in recs] == [0, 1, 2]
+
+    @pytest.mark.parametrize("mode", ["variational", "discriminative"])
+    @pytest.mark.parametrize("kind", ["table", "mlp"])
+    def test_callers_params_untouched(self, kind, mode):
+        rng = SeededRng(17)
+        groups = self.make_supervised(rng)
+        if kind == "mlp":  # one-hot rows in place of the token ids
+            groups = [Group(id=g.id, items=[Item(dense=np.eye(6)[it.token]) for it in g.items],
+                            label=g.label) for g in groups]
+        theta = init_params(kind, (2, 6) if kind == "table" else (6, 4, 2), 0.5, rng)
+        before = theta.flat.tobytes()
+        cfg = TrainConfig(mode=mode, epochs=2, batch_size=4, lr=0.1, verbose=False)
+        trained, _ = train(groups, theta, HyperParams(alpha=np.ones(2), gamma=0.5), cfg)
+        assert theta.flat.tobytes() == before
+        assert trained.flat.tobytes() != before
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_reg_state_only_when_regularized(self, gamma):
+        groups = self.make_supervised(SeededRng(18), D=4)
+        cfg = TrainConfig(mode="variational", epochs=1, lr=0.01, verbose=False)
+        theta = init_params("table", (2, 6), 0.1, SeededRng(0))
+        _, report = train(groups, theta, HyperParams(alpha=np.ones(2), gamma=gamma), cfg)
+        assert (report.reg_state is None) == (gamma == 0.0)
 
     def test_unlabeled_group_rejected_in_discriminative(self):
         groups = [token_group([0, 1])]
