@@ -2,8 +2,9 @@
 
 Both sides of every kernel pair are importable regardless of the active
 LOGISTIC_LDA_BACKEND, so a single process can compare them directly on
-identical inputs.  Without numba installed only the numpy column is
-reported.
+identical inputs.  The numpy column times what the numpy backend runs,
+which for the Gibbs sweep is the loop over Python lists.  Without numba
+installed only the numpy column is reported.
 
     python3 benchmarks/bench_backends.py [--docs 1000] [--len 60] [--repeats 5]
 """
@@ -15,14 +16,13 @@ import time
 import numpy as np
 
 from logistic_lda.backend import BACKEND, HAS_NUMBA
-from logistic_lda.encoders import forward_logits_batch, init_params
+from logistic_lda.encoders import fixed_loglik_params, forward_logits_batch, init_params
 from logistic_lda.lda_baseline import (
-    _gibbs_sweep_nb,
+    _gibbs_sweep_lists,
     _gibbs_sweep_nb_jit,
     disjoint_topic_matrix,
     generate_corpus,
     gibbs_init,
-    item_groups,
 )
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import (
@@ -74,12 +74,20 @@ def main():
         t_nb = best_of(nb_fn, args.repeats) if HAS_NUMBA else None
         rows.append((name, t_nb, t_np))
 
-    def mf(kernel):
-        return lambda: kernel(F, flat.offsets, hyper.alpha, 1.0, flat.labels,
-                              False, 5, 0.0, AH0.copy(), PL0.copy())
+    def mf(kernel, logits, sweeps, tol):
+        return lambda: kernel(logits, flat.offsets, hyper.alpha, 1.0, flat.labels,
+                              False, sweeps, tol, AH0.copy(), PL0.copy())
 
     bench(f"mean-field E-step (5 sweeps, {flat.num_items} items)",
-          mf(_mean_field_batch_nb_jit), mf(_mean_field_batch_np))
+          mf(_mean_field_batch_nb_jit, F, 5, 0.0), mf(_mean_field_batch_np, F, 5, 0.0))
+    # the converged inference of eval, infer and topics, on the logits of a
+    # model that fits the corpus (the generating topics, smoothed), where
+    # groups settle after different numbers of sweeps and each stops on its own
+    fitted = fixed_loglik_params(0.9 * disjoint_topic_matrix(K, V) + 0.1 / V)
+    F_fit = np.ascontiguousarray(forward_logits_batch(flat.payload, fitted))
+    bench("converged E-step (tol 1e-6, cap 100)",
+          mf(_mean_field_batch_nb_jit, F_fit, 100, 1e-6),
+          mf(_mean_field_batch_np, F_fit, 100, 1e-6))
 
     P, A, Q = _unroll_fwd(F, flat.offsets, hyper.alpha, 1.0, 5)
 
@@ -89,19 +97,18 @@ def main():
     bench("unroll backward (n_iter=5)", bwd(_unroll_bwd_nb_jit), bwd(_unroll_bwd_np))
 
     state0 = gibbs_init(flat, K, 0.1, SeededRng(7), V=V)
-    gid = item_groups(flat)
     tokens = flat.payload.astype(np.int64)
     u = SeededRng(8).gen.random(flat.num_items)
 
     def gibbs(kernel):
         def run():
             s = copy.deepcopy(state0)
-            kernel(s.z, s.n_dk, s.n_kv, s.n_k, tokens, gid, hyper.alpha,
+            kernel(s.z, s.n_dk, s.n_kv, s.n_k, tokens, flat.offsets, hyper.alpha,
                    s.label_bias, s.eta, u)
         return run
 
     bench(f"gibbs sweep ({flat.num_items} items)",
-          gibbs(_gibbs_sweep_nb_jit), gibbs(_gibbs_sweep_nb))
+          gibbs(_gibbs_sweep_nb_jit), gibbs(_gibbs_sweep_lists))
 
     print(f"active backend: {BACKEND} (numba {'available' if HAS_NUMBA else 'not installed'})")
     print(f"{'kernel':<48} {'numba ms':>10} {'numpy ms':>10} {'speedup':>8}")

@@ -12,6 +12,7 @@ variable LOGISTIC_LDA_LOG sets the log level (DEBUG/INFO/WARNING/ERROR).
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .evaluation import evaluation_report, top_items_per_topic
 from .lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_run
-from .math_kernels import SeededRng, check_positive_vector
+from .math_kernels import SeededRng
 from .mean_field import HyperParams, flatten_groups
 from .regularizer import default_gamma
 from .training import TrainConfig, predict_corpus, train
@@ -101,6 +102,12 @@ def _hidden_arg(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integer widths, got {text!r}") from None
+
+
+def _check_positive_flag(flag, value):
+    """Reject a Dirichlet flag that is not finite and > 0, naming the flag."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{flag} must be finite and > 0, got {value}")
 
 
 def _add_hyper_flags(p):
@@ -202,14 +209,15 @@ def _build_parser():
 
 
 def _cmd_gen(args):
+    _check_positive_flag("--alpha", args.alpha)
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
         beta = disjoint_topic_matrix(args.k, args.v)
     else:
+        _check_positive_flag("--beta-concentration", args.beta_concentration)
         if args.k < 1 or args.v < 1:
             raise ContractError("need K >= 1 and V >= 1")
-        concentration = check_positive_vector(np.full(args.v, args.beta_concentration))
-        beta = rng.gen.dirichlet(concentration, size=args.k)
+        beta = rng.gen.dirichlet(np.full(args.v, args.beta_concentration), size=args.k)
     groups, truth = generate_corpus(
         args.k, args.v, args.docs, args.doc_len,
         np.full(args.k, args.alpha), beta, rng, labeled=args.labeled,
@@ -231,6 +239,7 @@ def _make_hyper(args, K, num_items):
 
 
 def _cmd_train(args):
+    _check_positive_flag("--alpha", args.alpha)
     corpus = load_corpus(args.corpus)
     K = corpus.num_topics
     hyper = _make_hyper(args, K, sum(len(g.items) for g in corpus.groups))
@@ -322,6 +331,7 @@ def _cmd_topics(args):
 
 
 def _cmd_gibbs(args):
+    _check_positive_flag("--alpha", args.alpha)
     corpus = load_corpus(args.corpus)
     if corpus.payload.kind != "token":
         raise ContractError("the Gibbs baseline needs a token corpus")

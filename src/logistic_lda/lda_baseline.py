@@ -174,44 +174,92 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
                       label_bias=bias)
 
 
-def _gibbs_sweep_nb(z, n_dk, n_kv, n_k, tokens, gid, alpha, bias, eta, u):
+def _gibbs_sweep_nb(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
     K = n_dk.shape[1]
     V = n_kv.shape[1]
     probs = np.empty(K)
-    for i in range(z.shape[0]):
-        d = gid[i]
-        v = tokens[i]
-        k = z[i]
-        n_dk[d, k] -= 1.0
-        n_kv[k, v] -= 1.0
-        n_k[k] -= 1.0
-        total = 0.0
-        for kk in range(K):
-            p = (
-                (n_dk[d, kk] + alpha[kk] + bias[d, kk])
-                * (n_kv[kk, v] + eta)
-                / (n_k[kk] + V * eta)
-            )
-            probs[kk] = p
-            total += p
-        r = u[i] * total
-        acc = 0.0
-        knew = K - 1
-        for kk in range(K):
-            acc += probs[kk]
-            if r < acc:
-                knew = kk
-                break
-        z[i] = knew
-        n_dk[d, knew] += 1.0
-        n_kv[knew, v] += 1.0
-        n_k[knew] += 1.0
+    for d in range(offsets.shape[0] - 1):
+        for i in range(offsets[d], offsets[d + 1]):
+            v = tokens[i]
+            k = z[i]
+            n_dk[d, k] -= 1.0
+            n_kv[k, v] -= 1.0
+            n_k[k] -= 1.0
+            total = 0.0
+            for kk in range(K):
+                p = (
+                    (n_dk[d, kk] + alpha[kk] + bias[d, kk])
+                    * (n_kv[kk, v] + eta)
+                    / (n_k[kk] + V * eta)
+                )
+                probs[kk] = p
+                total += p
+            r = u[i] * total
+            acc = 0.0
+            knew = K - 1
+            for kk in range(K):
+                acc += probs[kk]
+                if r < acc:
+                    knew = kk
+                    break
+            z[i] = knew
+            n_dk[d, knew] += 1.0
+            n_kv[knew, v] += 1.0
+            n_k[knew] += 1.0
+
+
+def _gibbs_sweep_lists(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
+    """_gibbs_sweep_nb's loop and arithmetic order over Python lists, for
+    when numba is absent: CPython indexes lists of floats far faster than
+    numpy arrays.  Converts one group at a time, so the lists never hold
+    more than one group's items; the topic-token counts are lists for the
+    whole sweep.  Writes everything back into the arrays."""
+    K = n_dk.shape[1]
+    v_eta = n_kv.shape[1] * eta
+    kv = n_kv.tolist()
+    nk = n_k.tolist()
+    a = alpha.tolist()
+    probs = [0.0] * K
+    for d in range(offsets.shape[0] - 1):
+        lo, hi = offsets[d], offsets[d + 1]
+        zd = z[lo:hi].tolist()
+        toks = tokens[lo:hi].tolist()
+        ud = u[lo:hi].tolist()
+        dk = n_dk[d].tolist()
+        b = bias[d].tolist()
+        for i in range(hi - lo):
+            v = toks[i]
+            k = zd[i]
+            dk[k] -= 1.0
+            kv[k][v] -= 1.0
+            nk[k] -= 1.0
+            total = 0.0
+            for kk in range(K):
+                p = (dk[kk] + a[kk] + b[kk]) * (kv[kk][v] + eta) / (nk[kk] + v_eta)
+                probs[kk] = p
+                total += p
+            r = ud[i] * total
+            acc = 0.0
+            knew = K - 1
+            for kk in range(K):
+                acc += probs[kk]
+                if r < acc:
+                    knew = kk
+                    break
+            zd[i] = knew
+            dk[knew] += 1.0
+            kv[knew][v] += 1.0
+            nk[knew] += 1.0
+        z[lo:hi] = zd
+        n_dk[d] = dk
+    n_kv[:] = kv
+    n_k[:] = nk
 
 
 _gibbs_sweep_nb_jit = njit(_gibbs_sweep_nb)
-# fallback shares the jitted source; identical arithmetic order means both
-# backends walk identical assignment trajectories from the same uniforms
-_gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_nb)
+# both runners keep one arithmetic order, so both backends walk identical
+# assignment trajectories from the same uniforms
+_gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_lists)
 
 
 def gibbs_sweep(state, flat, alpha, rng):
@@ -222,7 +270,7 @@ def gibbs_sweep(state, flat, alpha, rng):
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(
         state.z, state.n_dk, state.n_kv, state.n_k,
-        tokens, item_groups(flat), alpha, state.label_bias, state.eta, u,
+        tokens, flat.offsets, alpha, state.label_bias, state.eta, u,
     )
     return state
 

@@ -22,8 +22,10 @@ The flattened batch kernels below (numba or vectorized numpy, chosen by
 the backend flag) run the updates for a whole packed corpus.  They are the
 only sweep in the package: inference, the variational E-step and the
 discriminative regime's unrolled forward pass (one sweep per call) all
-run them.  A readable single-group copy lives with the tests as their
-oracle.
+run them.  With theta fixed, no group's updates read another group's
+state, so a convergence tolerance is a per-group rule: each group stops
+once its own alpha_hat settles, exactly as it would in a corpus of its
+own.  A readable single-group copy lives with the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -139,23 +141,22 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     P = np.empty((total, K))
     PL = np.empty((D, K))
     AH = np.empty((D, K))
+    psi_a = np.empty(K)
+    sweeps = 0
     for d in range(D):
-        lab = labels[d]
-        if clamp and lab >= 0:
+        lo, hi = offsets[d], offsets[d + 1]
+        clamped = clamp and labels[d] >= 0
+        if clamped:
             for k in range(K):
                 PL[d, k] = 0.0
-            PL[d, lab] = 1.0
+            PL[d, labels[d]] = 1.0
         else:
             for k in range(K):
                 PL[d, k] = PL0[d, k]
         for k in range(K):
             AH[d, k] = AH0[d, k]
-    psi_a = np.empty(K)
-    sweeps = 0
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for d in range(D):
-            lo, hi = offsets[d], offsets[d + 1]
+        done = 0
+        while done < max_sweeps:
             for k in range(K):
                 psi_a[k] = digamma_scalar_nb(AH[d, k])
             for n in range(lo, hi):
@@ -172,6 +173,7 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                     s += e
                 for k in range(K):
                     P[n, k] /= s
+            delta = 0.0
             for k in range(K):
                 new = alpha[k] + lam * PL[d, k]
                 for n in range(lo, hi):
@@ -182,7 +184,7 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                 if diff > delta:
                     delta = diff
                 AH[d, k] = new
-            if not (clamp and labels[d] >= 0):
+            if not clamped:
                 m = -np.inf
                 for k in range(K):
                     v = lam * digamma_scalar_nb(AH[d, k])
@@ -196,42 +198,61 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                     s += e
                 for k in range(K):
                     PL[d, k] /= s
-        sweeps += 1
-        if tol > 0.0 and delta < tol:
-            break
+            done += 1
+            if tol > 0.0 and delta < tol:
+                break
+        if done > sweeps:
+            sweeps = done
     return P, PL, AH, sweeps
 
 
 _mean_field_batch_nb_jit = njit(_mean_field_batch_nb)
 
 
+def _sweep_np(F, sizes, starts, alpha, lam, AH, PL, clamped):
+    """One sweep of the three updates over packed groups; the clamped rows
+    of PL stay as they are.  Returns the new (P, AH, PL)."""
+    P = softmax(F + np.repeat(digamma(AH), sizes, axis=0), axis=-1)
+    AH = alpha + np.add.reduceat(P, starts, axis=0) + lam * PL
+    new_PL = softmax(lam * digamma(AH), axis=-1)
+    if clamped.any():
+        new_PL[clamped] = PL[clamped]
+    return P, AH, new_PL
+
+
 def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0):
-    D = offsets.shape[0] - 1
-    K = F.shape[1]
     sizes = np.diff(offsets)
     AH = AH0.copy()
     PL = PL0.copy()
-    if clamp:
-        observed = np.nonzero(labels >= 0)[0]
-        PL[observed] = 0.0
-        PL[observed, labels[observed]] = 1.0
-    else:
-        observed = np.empty(0, dtype=np.int64)
+    clamped = labels >= 0 if clamp else np.zeros(labels.shape, dtype=bool)
+    PL[clamped] = 0.0
+    PL[clamped, labels[clamped]] = 1.0
     P = np.empty_like(F)
+    if tol <= 0.0:
+        for _ in range(max_sweeps):
+            P, AH, PL = _sweep_np(F, sizes, offsets[:-1], alpha, lam, AH, PL, clamped)
+        return P, PL, AH, max_sweeps
+    # Groups never read one another's state, so each stops on its own change:
+    # a group that stops keeps the state of its last sweep, and only the
+    # groups still moving are re-packed and swept again.
+    rows = np.arange(F.shape[0])  # corpus rows of the moving groups' items
+    moving = np.arange(sizes.size)
+    Fm, sm, starts, AHm, PLm, cm = F, sizes, offsets[:-1], AH, PL, clamped
     sweeps = 0
-    for _ in range(max_sweeps):
-        psi_a = digamma(AH)
-        P = softmax(F + np.repeat(psi_a, sizes, axis=0), axis=-1)
-        new_AH = alpha + np.add.reduceat(P, offsets[:-1], axis=0) + lam * PL
-        delta = float(np.max(np.abs(new_AH - AH)))
-        AH = new_AH
-        new_PL = softmax(lam * digamma(AH), axis=-1)
-        if clamp and observed.size:
-            new_PL[observed] = PL[observed]
-        PL = new_PL
+    while moving.size and sweeps < max_sweeps:
+        Pm, new_AH, PLm = _sweep_np(Fm, sm, starts, alpha, lam, AHm, PLm, cm)
         sweeps += 1
-        if tol > 0.0 and delta < tol:
-            break
+        stop = (np.max(np.abs(new_AH - AHm), axis=1) < tol) | (sweeps == max_sweeps)
+        AHm = new_AH
+        if stop.any():
+            item_stop = np.repeat(stop, sm)
+            P[rows[item_stop]] = Pm[item_stop]
+            AH[moving[stop]] = AHm[stop]
+            PL[moving[stop]] = PLm[stop]
+            keep, item_keep = ~stop, ~item_stop
+            Fm, rows = Fm[item_keep], rows[item_keep]
+            moving, sm, AHm, PLm, cm = moving[keep], sm[keep], AHm[keep], PLm[keep], cm[keep]
+            starts = np.cumsum(sm) - sm
     return P, PL, AH, sweeps
 
 
@@ -249,11 +270,14 @@ def batch_mean_field(
     p_label0=None,
 ):
     """Run coordinate sweeps for a whole corpus from cached logits F
-    (num_items, K).  tol = 0 runs exactly max_sweeps sweeps (the unrolled
-    regime); tol > 0 stops once max |change in alpha_hat| drops below it.
-    alpha_hat0/p_label0 warm-start the per-group state (fresh alpha and
-    uniform beliefs otherwise); clamped labels override p_label0.
-    Returns (p_items, p_label, alpha_hat, sweeps_done)."""
+    (num_items, K).  tol = 0 runs exactly max_sweeps sweeps on every group
+    (the unrolled regime); with tol > 0 each group stops after the first
+    sweep that moves its own alpha_hat by less than tol in every entry, or
+    at max_sweeps, and keeps the state of that sweep.  alpha_hat0/p_label0
+    warm-start the per-group state (fresh alpha and uniform beliefs
+    otherwise); clamped labels override p_label0.  Returns (p_items,
+    p_label, alpha_hat, sweeps_done), sweeps_done being the largest
+    per-group sweep count."""
     F = np.ascontiguousarray(F, dtype=np.float64)
     D, K = flat.num_groups, hyper.num_topics
     if F.shape != (flat.num_items, K):

@@ -43,8 +43,8 @@ from .mean_field import FlatGroups, _mean_field_batch, batch_mean_field, flatten
 from .regularizer import RegularizerState, update_running_estimate
 
 LOSS_FLOOR = 1e-30
-# converged inference: sweep until max |change in alpha_hat| < tol, at most
-# this many sweeps
+# converged inference: each group sweeps until its own max |change in
+# alpha_hat| < tol, at most this many sweeps
 PREDICT_TOL = 1e-6
 PREDICT_MAX_SWEEPS = 100
 

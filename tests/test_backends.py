@@ -1,12 +1,11 @@
 """Both kernel backends must agree: the compiled and vectorized paths are
 interchangeable up to floating-point reassociation (different libm digamma
-and summation orders allow ~1e-12 drift, never more), and the Gibbs kernel
-consumes pre-drawn uniforms so its sample paths are identical exactly.
+and summation orders allow ~1e-12 drift, never more), and the Gibbs runners
+consume pre-drawn uniforms so their sample paths are identical exactly.
 
-Without numba, `njit` returns the loop source unchanged, so the mean-field
-and adjoint parity tests still compare the loop kernels, run as plain
-Python, against the vectorized ones.  The Gibbs parity test would compare
-one function with itself there, so it needs numba."""
+Without numba, `njit` returns the loop source unchanged, so the parity
+tests still compare the loop kernels, run as plain Python, against the
+vectorized ones and the Gibbs list runner."""
 
 import os
 import subprocess
@@ -19,12 +18,12 @@ import pytest
 from logistic_lda.backend import HAS_NUMBA
 from logistic_lda.encoders import forward_logits_batch, init_params
 from logistic_lda.lda_baseline import (
+    _gibbs_sweep_lists,
     _gibbs_sweep_nb,
     _gibbs_sweep_nb_jit,
     gibbs_init,
     disjoint_topic_matrix,
     generate_corpus,
-    item_groups,
 )
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import (
@@ -35,9 +34,6 @@ from logistic_lda.mean_field import (
     flatten_groups,
 )
 from logistic_lda.training import _unroll_bwd_nb_jit, _unroll_bwd_np, _unroll_fwd
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-
 
 def random_problem(seed, D=7, K=4, V=11):
     rng = SeededRng(seed)
@@ -82,6 +78,34 @@ class TestMeanFieldParity:
         np.testing.assert_allclose(AH_nb, AH_np, atol=1e-10)
 
 
+    @pytest.mark.parametrize("kernel", [_mean_field_batch_nb_jit, _mean_field_batch_np])
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("max_sweeps", [25, 200])
+    def test_each_group_stops_as_if_alone(self, kernel, clamp, max_sweeps):
+        # groups never read one another's state, so at tol > 0 each group's
+        # beliefs and sweep count are bitwise those of a corpus holding only
+        # that group, and the batch reports the largest count
+        flat, F, hyper = random_problem(99, D=9)
+        D, K = flat.num_groups, hyper.num_topics
+        rng = np.random.default_rng(3)
+        AH0 = hyper.alpha + rng.uniform(0.0, 4.0, size=(D, K))
+        PL0 = rng.dirichlet(np.ones(K), size=D)
+        P, PL, AH, done = kernel(F, flat.offsets, hyper.alpha, hyper.lam, flat.labels,
+                                 clamp, max_sweeps, 1e-6, AH0, PL0)
+        counts = []
+        for d in range(D):
+            lo, hi = flat.offsets[d], flat.offsets[d + 1]
+            P_d, PL_d, AH_d, s_d = kernel(
+                F[lo:hi], np.array([0, hi - lo]), hyper.alpha, hyper.lam,
+                flat.labels[d:d + 1], clamp, max_sweeps, 1e-6, AH0[d:d + 1], PL0[d:d + 1])
+            np.testing.assert_array_equal(P[lo:hi], P_d)
+            np.testing.assert_array_equal(PL[d], PL_d[0])
+            np.testing.assert_array_equal(AH[d], AH_d[0])
+            counts.append(s_d)
+        assert type(done) is int and done == max(counts)
+        assert min(counts) < max(counts)
+
+
 class TestUnrollParity:
     @pytest.mark.parametrize("seed", range(8))
     def test_forward_is_the_estep_sweep(self, seed):
@@ -109,31 +133,35 @@ class TestUnrollParity:
         assert hits_nb == hits_np
 
 
-@needs_numba
 class TestGibbsParity:
     def test_identical_sample_paths(self):
-        # same pre-drawn uniforms, same arithmetic order: the two kernels
-        # must produce bit-identical assignment trajectories
+        # same pre-drawn uniforms, same arithmetic order: the loop source,
+        # the list runner and (with numba) the compiled loop must produce
+        # bit-identical assignment trajectories
         rng = SeededRng(5)
         K, V = 3, 9
         groups, _ = generate_corpus(K, V, 15, 10, np.full(K, 0.4),
-                                    disjoint_topic_matrix(K, V), rng)
+                                    disjoint_topic_matrix(K, V), rng, labeled=True)
         flat = flatten_groups(groups)
-        gid = item_groups(flat)
         alpha = np.full(K, 0.4)
 
+        kernels = [_gibbs_sweep_nb, _gibbs_sweep_lists]
+        if HAS_NUMBA:
+            kernels.append(_gibbs_sweep_nb_jit)
         states = []
-        for kernel in (_gibbs_sweep_nb_jit, _gibbs_sweep_nb):
-            st = gibbs_init(flat, K, 0.1, SeededRng(77), V=V)
+        for kernel in kernels:
+            st = gibbs_init(flat, K, 0.1, SeededRng(77), label_weight=0.7, V=V)
             u_rng = SeededRng(123)
             for _ in range(30):
                 u = u_rng.gen.random(flat.num_items)
-                kernel(st.z, st.n_dk, st.n_kv, st.n_k, flat.payload, gid,
+                kernel(st.z, st.n_dk, st.n_kv, st.n_k, flat.payload, flat.offsets,
                        alpha, st.label_bias, st.eta, u)
             states.append(st)
-        np.testing.assert_array_equal(states[0].z, states[1].z)
-        np.testing.assert_array_equal(states[0].n_dk, states[1].n_dk)
-        np.testing.assert_array_equal(states[0].n_kv, states[1].n_kv)
+        for st in states[1:]:
+            np.testing.assert_array_equal(states[0].z, st.z)
+            np.testing.assert_array_equal(states[0].n_dk, st.n_dk)
+            np.testing.assert_array_equal(states[0].n_kv, st.n_kv)
+            np.testing.assert_array_equal(states[0].n_k, st.n_k)
 
 
 class TestBackendFlag:
@@ -211,4 +239,4 @@ class TestBenchBackends:
         assert proc.returncode == 0, proc.stderr
         rows = proc.stdout.splitlines()[2:]
         assert [r.split(" (")[0] for r in rows] == [
-            "mean-field E-step", "unroll backward", "gibbs sweep"]
+            "mean-field E-step", "converged E-step", "unroll backward", "gibbs sweep"]

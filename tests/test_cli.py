@@ -279,8 +279,16 @@ class TestFlagDomains:
         ["gibbs", "--label-weight", "nan"],
         ["gen", "--beta", "random", "--beta-concentration", "-1"],
         ["gen", "--beta", "random", "--beta-concentration", "0"],
+        ["gen", "--beta", "random", "--beta-concentration", "nan"],
         ["gen", "--beta", "random", "--k", "-1"],
         ["gen", "--beta", "random", "--v", "-1"],
+        ["gen", "--alpha", "nan"],
+        ["gen", "--alpha", "-1"],
+        ["gen", "--beta", "random", "--alpha", "0"],
+        ["train", "--alpha", "nan"],
+        ["train", "--alpha", "-1"],
+        ["gibbs", "--alpha", "nan"],
+        ["gibbs", "--alpha", "-1"],
     ], ids=" ".join)
     def test_out_of_domain_flag_is_data_error(self, tmp_path, tiny_corpus, capsys, argv):
         out = tmp_path / "out"
@@ -294,3 +302,6 @@ class TestFlagDomains:
         assert code == 2, err
         assert err.startswith("error: ") and "Traceback" not in err
         assert stdout == "" and not out.exists()
+        for flag in ("--alpha", "--beta-concentration"):
+            if flag in argv:
+                assert flag in err
