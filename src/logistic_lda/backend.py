@@ -3,11 +3,12 @@
 Two hot kernels have two interchangeable implementations, a loop-style
 one compiled with ``numba.njit`` and a vectorized pure-numpy one: the
 mean-field sweep and the unrolled adjoint sweep. The Gibbs sweep is
-sequential per item, so it has one loop, compiled by numba; without numba
-a runner with the same loop and arithmetic order over Python lists takes
-its place. Array digamma/trigamma are numpy only; the compiled kernels
-call the scalar series directly. The active backend is chosen once at
-import time from the ``LOGISTIC_LDA_BACKEND`` environment variable:
+sequential per item, so it is one loop source with two runners: numba
+compiles the per-group loop over array views, and without numba CPython
+runs the same function over Python lists. Array digamma/trigamma are
+numpy only; the compiled kernels call the scalar series directly. The
+active backend is chosen once at import time from the
+``LOGISTIC_LDA_BACKEND`` environment variable:
 
     auto   (default) use numba when importable, else numpy
     numba  require numba; raise if it is missing

@@ -23,6 +23,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -93,12 +94,14 @@ class Corpus:
 
 
 def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
-    """Wrap in-memory groups as a Corpus, inferring the payload spec."""
+    """Wrap in-memory groups as a Corpus, inferring the payload spec.  Refuses
+    what load_corpus would refuse in the saved file: mixed item kinds, dense
+    items of two widths, a token outside the vocabulary, a label >= K."""
     if not groups:
         raise ContractError("corpus must contain at least one group")
     kinds = set()
     max_token = -1
-    dim = None
+    dims = set()
     for g in groups:
         for it in g.items:
             if it.token is not None:
@@ -106,14 +109,20 @@ def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
                 max_token = max(max_token, int(it.token))
             else:
                 kinds.add("dense")
-                dim = it.dense.shape[0]
+                dims.add(it.dense.shape[0])
+        if g.label is not None and g.label >= num_topics:
+            raise ContractError(f"group {g.id!r}: label {g.label} not in [0, {num_topics})")
     if len(kinds) != 1:
         raise ContractError("corpus mixes token and dense items")
     if kinds == {"token"}:
         size = int(vocab_size) if vocab_size is not None else max_token + 1
+        if max_token >= size:
+            raise ContractError(f"token {max_token} not in the vocabulary [0, {size})")
         spec = PayloadSpec(kind="token", size=size)
     else:
-        spec = PayloadSpec(kind="dense", size=dim)
+        if len(dims) != 1:
+            raise ContractError(f"dense items have different widths {sorted(dims)}")
+        spec = PayloadSpec(kind="dense", size=dims.pop())
     return Corpus(groups=list(groups), num_topics=num_topics, payload=spec, vocab=vocab)
 
 
@@ -196,12 +205,48 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _float_array(value):
-    """`value` as a float64 array, or None when it is not numbers."""
+    """`value`, a list of JSON numbers or a list of such lists, as a float64
+    array; None when it holds anything else.  numpy alone would convert text
+    and true/false, so the element types are checked first."""
+    if type(value) is not list:
+        return None
+    elements = value
+    if value and type(value[0]) is list:
+        if not all(type(row) is list for row in value):
+            return None
+        elements = chain.from_iterable(value)
+    if not _NUMBER_TYPES.issuperset(map(type, elements)):
+        return None
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):  # ragged rows, or an integer beyond float range
         return None
+
+
+def _finite_array(value):
+    """_float_array, and None also when an entry is NaN or infinite."""
+    arr = _float_array(value)
+    return arr if arr is not None and np.isfinite(arr).all() else None
+
+
+def _dense_rows(items_raw, size, lineno):
+    """A dense group's items as one (n, size) float64 array, checked as a
+    whole; the items are walked one by one only to name the one at fault."""
+    rows = _float_array(items_raw)
+    if rows is None or rows.shape != (len(items_raw), size):
+        for j, entry in enumerate(items_raw):
+            vec = _float_array(entry)
+            _require(vec is not None and vec.shape == (size,), lineno,
+                     f"item {j}: expected {size} floats")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise CorpusFormatError(
+            f"line {lineno}: item {np.argmin(finite)}: embedding has non-finite entries")
+    return rows
 
 
 def _read_header(lines, expect_format):
@@ -210,8 +255,9 @@ def _read_header(lines, expect_format):
     _require(isinstance(header, dict), 1, "header must be an object")
     _require(header.get("format") == expect_format, 1,
              f"expected format {expect_format!r}, got {header.get('format')!r}")
-    _require(header.get("version") == CORPUS_VERSION, 1,
-             f"unsupported corpus version {header.get('version')!r}")
+    version = header.get("version")
+    _require(_is_int(version) and version == CORPUS_VERSION, 1,
+             f"unsupported corpus version {version!r}")
     return header
 
 
@@ -219,7 +265,7 @@ def load_corpus(path) -> Corpus:
     lines = _read_lines(path)
     header = _read_header(lines, "corpus")
     k = header.get("k")
-    _require(isinstance(k, int) and k >= 1, 1, "header k must be a positive integer")
+    _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")
     payload = header.get("payload")
     _require(
         isinstance(payload, dict) and len(payload) == 1
@@ -227,7 +273,7 @@ def load_corpus(path) -> Corpus:
         1, "header payload must be {\"token\": V} or {\"dense\": E}",
     )
     kind, size = next(iter(payload.items()))
-    _require(isinstance(size, int) and size >= 1, 1, "payload size must be a positive integer")
+    _require(_is_int(size) and size >= 1, 1, "payload size must be a positive integer")
     vocab = header.get("vocab")
     if vocab is not None:
         _require(kind == "token", 1, "vocab only applies to token corpora")
@@ -249,20 +295,15 @@ def load_corpus(path) -> Corpus:
         if label is not None:
             _require(_is_int(label) and 0 <= label < k, lineno,
                      f"label {label!r} not in [0, {k})")
-        items = []
-        for j, entry in enumerate(items_raw):
-            if kind == "token":
+        if kind == "token":
+            items = []
+            for j, entry in enumerate(items_raw):
                 _require(_is_int(entry), lineno, f"item {j}: token must be an integer")
                 _require(0 <= entry < size, lineno,
                          f"item {j}: token {entry} not in [0, {size})")
                 items.append(Item(token=entry))
-            else:
-                vec = _float_array(entry) if isinstance(entry, list) else None
-                _require(vec is not None and vec.shape == (size,), lineno,
-                         f"item {j}: expected {size} floats")
-                _require(bool(np.all(np.isfinite(vec))), lineno,
-                         f"item {j}: embedding has non-finite entries")
-                items.append(Item(dense=vec))
+        else:
+            items = [Item(dense=row) for row in _dense_rows(items_raw, size, lineno)]
         groups.append(Group(id=gid, items=items, label=label))
     if not groups:
         raise CorpusFormatError(f"line {len(lines) + 1}: corpus has no groups")
@@ -297,13 +338,13 @@ def load_truth(path):
     lines = _read_lines(path)
     header = _read_header(lines, "corpus-truth")
     k = header.get("k")
-    _require(isinstance(k, int) and k >= 1, 1, "header k must be a positive integer")
+    _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")
     ids, pis, zs = [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         rec = _parse_json_line(raw, lineno)
         _require(isinstance(rec, dict), lineno, "truth record must be an object")
         _require(isinstance(rec.get("id"), str), lineno, "missing group id")
-        pi = _float_array(rec.get("pi"))
+        pi = _finite_array(rec.get("pi"))
         _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
         z = rec.get("z")
         _require(isinstance(z, list) and z, lineno, "z must be a non-empty list")
@@ -442,12 +483,24 @@ def _malformed(msg):
     return IntegrityError(f"malformed meta section: {msg}")
 
 
+def _meta_int(value, what):
+    if not _is_int(value):
+        raise _malformed(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _meta_float(value, what):
+    if type(value) not in _NUMBER_TYPES:
+        raise _malformed(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _checkpoint_from_meta(meta, sections, version):
     arrays = {}
     for name, shape in meta["arrays"]:
         if name not in sections:
             raise IntegrityError(f"manifest names missing section {name!r}")
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(_meta_int(s, f"{name} shape") for s in shape)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = sections[name]
         if len(raw) != count * 8:
@@ -457,8 +510,9 @@ def _checkpoint_from_meta(meta, sections, version):
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
     h = meta["hyper"]
-    hyper = HyperParams(alpha=arrays["alpha"], lam=float(h["lam"]), gamma=float(h["gamma"]),
-                        n_iter=int(h["n_iter"]), rho=float(h["rho"]))
+    hyper = HyperParams(alpha=arrays["alpha"], lam=_meta_float(h["lam"], "lam"),
+                        gamma=_meta_float(h["gamma"], "gamma"),
+                        n_iter=_meta_int(h["n_iter"], "n_iter"), rho=_meta_float(h["rho"], "rho"))
     K = hyper.num_topics
 
     enc = meta["encoder"]
@@ -496,9 +550,9 @@ def _checkpoint_from_meta(meta, sections, version):
     reg_state = None
     if meta.get("regularizer") is not None:
         r = meta["regularizer"]
-        reg_state = RegularizerState(rho=float(r["rho"]),
+        reg_state = RegularizerState(rho=_meta_float(r["rho"], "regularizer rho"),
                                      log_ema_per_topic=arrays["reg_log_ema"],
-                                     items_seen=int(r["items_seen"]))
+                                     items_seen=_meta_int(r["items_seen"], "items_seen"))
         # a state that has seen no item has no average yet
         if reg_state.log_ema_per_topic.shape != ((K,) if reg_state.items_seen else (0,)):
             raise _malformed(f"reg_log_ema shape {reg_state.log_ema_per_topic.shape} "
@@ -544,8 +598,9 @@ def read_predictions(path):
     header = _parse_json_line(lines[0], 1)
     _require(isinstance(header, dict) and header.get("format") == "predictions", 1,
              "not a predictions file")
-    _require(header.get("version") == CORPUS_VERSION, 1,
-             f"unsupported predictions version {header.get('version')!r}")
+    version = header.get("version")
+    _require(_is_int(version) and version == CORPUS_VERSION, 1,
+             f"unsupported predictions version {version!r}")
     k = header.get("k")
     _require(_is_int(k) and k >= 0, 1, "header k must be a non-negative integer")
     ids, labels, p_label, p_items = [], [], [], []
@@ -555,7 +610,7 @@ def read_predictions(path):
         _require(isinstance(rec.get("id"), str), lineno, "missing group id")
         label = rec.get("label")
         _require(_is_int(label), lineno, f"label {label!r} is not an integer")
-        pl, pi = _float_array(rec.get("p_label")), _float_array(rec.get("p_items"))
+        pl, pi = _finite_array(rec.get("p_label")), _finite_array(rec.get("p_items"))
         _require(pl is not None and pl.shape == (k,), lineno, f"p_label must be {k} numbers")
         _require(pi is not None and pi.ndim == 2 and pi.shape[1] == k, lineno,
                  f"p_items must be rows of {k} numbers")

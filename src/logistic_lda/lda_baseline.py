@@ -5,6 +5,10 @@ Count convention: n_dk[d, k] tokens of group d assigned to topic k,
 n_kv[k, v] occurrences of token v assigned to topic k, n_k[k] the row sums
 of n_kv.  Counts live in float64 (they stay integer-valued, exactly) so the
 sampling kernel runs in one dtype.
+
+The sampler's update has one source, `_gibbs_group`, with two runners:
+numba compiles it over array views, and without numba it runs in CPython
+over Python lists.  Both walk the same sample path from the same uniforms.
 """
 
 from dataclasses import dataclass, field
@@ -174,82 +178,61 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
                       label_bias=bias)
 
 
+def _gibbs_group(zd, toks, ud, dk, b, kv, nk, a, eta, v_eta, probs):
+    """Resample one group's assignments (zd) in order, updating its counts
+    dk and the corpus-wide kv and nk.  Indexed as kv[k][v], so numba compiles
+    it over array views and CPython runs it over lists, in one order."""
+    K = len(dk)
+    for i in range(len(zd)):
+        v = toks[i]
+        k = zd[i]
+        dk[k] -= 1.0
+        kv[k][v] -= 1.0
+        nk[k] -= 1.0
+        total = 0.0
+        for kk in range(K):
+            p = (dk[kk] + a[kk] + b[kk]) * (kv[kk][v] + eta) / (nk[kk] + v_eta)
+            probs[kk] = p
+            total += p
+        r = ud[i] * total
+        acc = 0.0
+        knew = K - 1
+        for kk in range(K):
+            acc += probs[kk]
+            if r < acc:
+                knew = kk
+                break
+        zd[i] = knew
+        dk[knew] += 1.0
+        kv[knew][v] += 1.0
+        nk[knew] += 1.0
+
+
+_gibbs_group_jit = njit(_gibbs_group)
+
+
 def _gibbs_sweep_nb(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
-    K = n_dk.shape[1]
-    V = n_kv.shape[1]
-    probs = np.empty(K)
+    v_eta = n_kv.shape[1] * eta
+    probs = np.empty(n_dk.shape[1])
     for d in range(offsets.shape[0] - 1):
-        for i in range(offsets[d], offsets[d + 1]):
-            v = tokens[i]
-            k = z[i]
-            n_dk[d, k] -= 1.0
-            n_kv[k, v] -= 1.0
-            n_k[k] -= 1.0
-            total = 0.0
-            for kk in range(K):
-                p = (
-                    (n_dk[d, kk] + alpha[kk] + bias[d, kk])
-                    * (n_kv[kk, v] + eta)
-                    / (n_k[kk] + V * eta)
-                )
-                probs[kk] = p
-                total += p
-            r = u[i] * total
-            acc = 0.0
-            knew = K - 1
-            for kk in range(K):
-                acc += probs[kk]
-                if r < acc:
-                    knew = kk
-                    break
-            z[i] = knew
-            n_dk[d, knew] += 1.0
-            n_kv[knew, v] += 1.0
-            n_k[knew] += 1.0
+        lo, hi = offsets[d], offsets[d + 1]
+        _gibbs_group_jit(z[lo:hi], tokens[lo:hi], u[lo:hi], n_dk[d], bias[d],
+                         n_kv, n_k, alpha, eta, v_eta, probs)
 
 
 def _gibbs_sweep_lists(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
-    """_gibbs_sweep_nb's loop and arithmetic order over Python lists, for
-    when numba is absent: CPython indexes lists of floats far faster than
-    numpy arrays.  Converts one group at a time, so the lists never hold
-    more than one group's items; the topic-token counts are lists for the
-    whole sweep.  Writes everything back into the arrays."""
-    K = n_dk.shape[1]
+    """_gibbs_group over Python lists, which CPython indexes far faster than
+    arrays: one group's lists at a time, kv and nk for the whole sweep, all
+    written back into the arrays."""
     v_eta = n_kv.shape[1] * eta
-    kv = n_kv.tolist()
-    nk = n_k.tolist()
-    a = alpha.tolist()
-    probs = [0.0] * K
+    kv, nk, a = n_kv.tolist(), n_k.tolist(), alpha.tolist()
+    probs = [0.0] * n_dk.shape[1]
     for d in range(offsets.shape[0] - 1):
         lo, hi = offsets[d], offsets[d + 1]
         zd = z[lo:hi].tolist()
-        toks = tokens[lo:hi].tolist()
-        ud = u[lo:hi].tolist()
         dk = n_dk[d].tolist()
-        b = bias[d].tolist()
-        for i in range(hi - lo):
-            v = toks[i]
-            k = zd[i]
-            dk[k] -= 1.0
-            kv[k][v] -= 1.0
-            nk[k] -= 1.0
-            total = 0.0
-            for kk in range(K):
-                p = (dk[kk] + a[kk] + b[kk]) * (kv[kk][v] + eta) / (nk[kk] + v_eta)
-                probs[kk] = p
-                total += p
-            r = ud[i] * total
-            acc = 0.0
-            knew = K - 1
-            for kk in range(K):
-                acc += probs[kk]
-                if r < acc:
-                    knew = kk
-                    break
-            zd[i] = knew
-            dk[knew] += 1.0
-            kv[knew][v] += 1.0
-            nk[knew] += 1.0
+        _gibbs_group(zd, tokens[lo:hi].tolist(), u[lo:hi].tolist(), dk, bias[d].tolist(),
+                     kv, nk, a, eta, v_eta, probs)
         z[lo:hi] = zd
         n_dk[d] = dk
     n_kv[:] = kv
@@ -257,8 +240,7 @@ def _gibbs_sweep_lists(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u)
 
 
 _gibbs_sweep_nb_jit = njit(_gibbs_sweep_nb)
-# both runners keep one arithmetic order, so both backends walk identical
-# assignment trajectories from the same uniforms
+# one loop source: both backends walk identical sample paths from one set of uniforms
 _gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_lists)
 
 

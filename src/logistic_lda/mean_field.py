@@ -123,12 +123,17 @@ class FlatGroups:
 def flatten_groups(groups) -> FlatGroups:
     if not groups:
         raise ContractError("need at least one group")
-    payloads = [group_payload(g) for g in groups]
+    try:
+        payloads = [group_payload(g) for g in groups]
+        payload = np.concatenate(payloads)
+    except (TypeError, ValueError):
+        # numpy's stack and concatenate refuse arrays of unequal shapes
+        raise ContractError("items must all be tokens, or dense vectors of one width") from None
     offsets = np.zeros(len(groups) + 1, dtype=np.int64)
     np.cumsum([p.shape[0] for p in payloads], out=offsets[1:])
     labels = np.array([-1 if g.label is None else g.label for g in groups], dtype=np.int64)
     return FlatGroups(
-        payload=np.concatenate(payloads),
+        payload=payload,
         offsets=offsets,
         labels=labels,
         ids=[g.id for g in groups],

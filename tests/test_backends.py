@@ -23,10 +23,12 @@ from logistic_lda.lda_baseline import (
     _gibbs_sweep_nb_jit,
     gibbs_init,
     disjoint_topic_matrix,
+    item_groups,
     generate_corpus,
 )
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import (
+    FlatGroups,
     HyperParams,
     _mean_field_batch_nb_jit,
     _mean_field_batch_np,
@@ -134,17 +136,11 @@ class TestUnrollParity:
 
 
 class TestGibbsParity:
-    def test_identical_sample_paths(self):
-        # same pre-drawn uniforms, same arithmetic order: the loop source,
-        # the list runner and (with numba) the compiled loop must produce
-        # bit-identical assignment trajectories
-        rng = SeededRng(5)
-        K, V = 3, 9
-        groups, _ = generate_corpus(K, V, 15, 10, np.full(K, 0.4),
-                                    disjoint_topic_matrix(K, V), rng, labeled=True)
-        flat = flatten_groups(groups)
-        alpha = np.full(K, 0.4)
-
+    # same pre-drawn uniforms, same arithmetic order: the loop source, the
+    # list runner and (with numba) the compiled loop must produce
+    # bit-identical assignment trajectories
+    @staticmethod
+    def assert_runners_agree(flat, K, V, alpha, sweeps=30):
         kernels = [_gibbs_sweep_nb, _gibbs_sweep_lists]
         if HAS_NUMBA:
             kernels.append(_gibbs_sweep_nb_jit)
@@ -152,7 +148,7 @@ class TestGibbsParity:
         for kernel in kernels:
             st = gibbs_init(flat, K, 0.1, SeededRng(77), label_weight=0.7, V=V)
             u_rng = SeededRng(123)
-            for _ in range(30):
+            for _ in range(sweeps):
                 u = u_rng.gen.random(flat.num_items)
                 kernel(st.z, st.n_dk, st.n_kv, st.n_k, flat.payload, flat.offsets,
                        alpha, st.label_bias, st.eta, u)
@@ -162,6 +158,32 @@ class TestGibbsParity:
             np.testing.assert_array_equal(states[0].n_dk, st.n_dk)
             np.testing.assert_array_equal(states[0].n_kv, st.n_kv)
             np.testing.assert_array_equal(states[0].n_k, st.n_k)
+        # the counts stay those of the assignments
+        st = states[0]
+        n_dk, n_kv = np.zeros_like(st.n_dk), np.zeros_like(st.n_kv)
+        np.add.at(n_dk, (item_groups(flat), st.z), 1.0)
+        np.add.at(n_kv, (st.z, flat.payload), 1.0)
+        np.testing.assert_array_equal(st.n_dk, n_dk)
+        np.testing.assert_array_equal(st.n_kv, n_kv)
+        np.testing.assert_array_equal(st.n_k, n_kv.sum(axis=1))
+
+    def test_identical_sample_paths(self):
+        rng = SeededRng(5)
+        K, V = 3, 9
+        groups, _ = generate_corpus(K, V, 15, 10, np.full(K, 0.4),
+                                    disjoint_topic_matrix(K, V), rng, labeled=True)
+        self.assert_runners_agree(flatten_groups(groups), K, V, np.full(K, 0.4))
+
+    def test_identical_sample_paths_on_ragged_groups(self):
+        # one-item groups, groups of unequal length, and unlabeled groups
+        # between labeled ones
+        K, V = 4, 7
+        sizes = [1, 9, 3, 1, 14, 2]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        tokens = np.random.default_rng(8).integers(0, V, size=offsets[-1]).astype(np.int64)
+        flat = FlatGroups(payload=tokens, offsets=offsets,
+                          labels=np.array([2, -1, 0, -1, 3, 1], dtype=np.int64))
+        self.assert_runners_agree(flat, K, V, np.array([0.3, 0.5, 0.2, 0.9]))
 
 
 class TestBackendFlag:

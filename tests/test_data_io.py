@@ -93,6 +93,23 @@ class TestCorpusLoad:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(p)
 
+    @pytest.mark.parametrize("header,loader,message", [
+        ('{"format":"corpus","version":1,"k":true,"payload":{"token":5}}', load_corpus,
+         "header k must be a positive integer"),
+        ('{"format":"corpus","version":1,"k":3,"payload":{"token":true}}', load_corpus,
+         "payload size must be a positive integer"),
+        ('{"format":"corpus","version":true,"k":3,"payload":{"token":5}}', load_corpus,
+         "unsupported corpus version True"),
+        ('{"format":"corpus-truth","version":1,"k":true}', load_truth,
+         "header k must be a positive integer"),
+    ], ids=["corpus-k", "payload-size", "corpus-version", "truth-k"])
+    def test_boolean_header_number_is_format_error(self, tmp_path, header, loader, message):
+        # JSON true decodes to a Python int subclass; it is not a number here
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [header, '{"id":"g1","items":[0],"pi":[1.0],"z":[0]}'])
+        with pytest.raises(CorpusFormatError, match="line 1: " + message):
+            loader(p)
+
     def test_header_only_rejected(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_lines(p, [HEADER])
@@ -147,6 +164,19 @@ class TestCorpusRoundtrip:
             for ia, ib in zip(a.items, b.items):
                 np.testing.assert_array_equal(ia.dense, ib.dense)
 
+    @pytest.mark.parametrize("groups,kwargs,message", [
+        ([Group(id="a", items=[Item(dense=np.zeros(2))]),
+          Group(id="b", items=[Item(dense=np.zeros(3))])], {}, r"different widths \[2, 3\]"),
+        ([Group(id="a", items=[Item(token=0), Item(token=7)])], {"vocab_size": 5},
+         r"token 7 not in the vocabulary \[0, 5\)"),
+        ([Group(id="a", items=[Item(token=0)], label=2)], {},
+         r"group 'a': label 2 not in \[0, 2\)"),
+    ], ids=["dense-widths", "token-beyond-vocab", "label-beyond-k"])
+    def test_wrap_refuses_what_load_refuses(self, groups, kwargs, message):
+        # each of these would be saved as a file that load_corpus rejects
+        with pytest.raises(ContractError, match=message):
+            corpus_from_groups(groups, 2, **kwargs)
+
     def test_mixed_groups_rejected_at_wrap(self):
         groups = [
             Group(id="a", items=[Item(token=0)]),
@@ -170,8 +200,11 @@ class TestTruthSidecar:
         np.testing.assert_array_equal(labels, truth.labels)
         np.testing.assert_array_equal(pi, truth.pi)  # decimal text is exact
 
-    @pytest.mark.parametrize("pi", ['["x", 0.5, 0.5]', "[[0.5], 0.25, 0.25]", '{"a": 1}', "null"],
-                             ids=["text", "ragged", "object", "null"])
+    @pytest.mark.parametrize("pi", ['["x", 0.5, 0.5]', "[[0.5], 0.25, 0.25]", '{"a": 1}', "null",
+                                    '["0.2", 0.3, 0.5]', "[true, 0, 0]", "[NaN, 0.5, 0.5]",
+                                    "[Infinity, 0, 0]"],
+                             ids=["text", "ragged", "object", "null", "numeric-text", "boolean",
+                                  "nan", "infinity"])
     def test_malformed_pi_is_format_error(self, tmp_path, pi):
         p = tmp_path / "t.jsonl"
         write_lines(p, ['{"format":"corpus-truth","version":1,"k":3}',
@@ -306,10 +339,17 @@ class TestCheckpoint:
         (make_checkpoint, lambda m: m["arrays"][2][1].append(1)),  # biases_0 read as (5, 1)
         (unchained_mlp, lambda m: None),
         (short_reg_ema, lambda m: None),
+        # numbers must be JSON numbers: nothing is truncated or converted
+        (make_checkpoint, lambda m: m["hyper"].update(n_iter=5.9)),
+        (make_checkpoint, lambda m: m["hyper"].update(lam="2.5")),
+        (make_checkpoint, lambda m: m["hyper"].update(gamma=False)),
+        (make_checkpoint, lambda m: m["regularizer"].update(items_seen=True)),
+        (lambda: make_checkpoint("table"), lambda m: m["arrays"][1].__setitem__(1, ["3", 6.0])),
     ], ids=["no-hyper", "no-encoder", "no-arrays", "no-n_iter", "no-items_seen",
             "no-alpha", "no-shape", "encoder-not-object", "lam-not-number",
             "table-rows-not-K", "mlp-outputs-not-K", "biases-not-vector",
-            "layers-do-not-chain", "reg-ema-not-K"])
+            "layers-do-not-chain", "reg-ema-not-K", "n_iter-fraction", "lam-numeric-text",
+            "gamma-boolean", "items_seen-boolean", "shape-not-integers"])
     def test_malformed_meta_is_integrity_error(self, tmp_path, save_with_meta, make, edit):
         p = tmp_path / "m.ckpt"
         save_with_meta(p, make(), edit)
@@ -399,8 +439,24 @@ class TestPredictions:
         (['{"format":"predictions","version":7,"k":2}',
           '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
          "line 1: unsupported predictions version 7"),
+        (['{"format":"predictions","version":true,"k":2}',
+          '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
+         "line 1: unsupported predictions version True"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":["0.5",0.5],"p_items":[[0.5,0.5]]}'],
+         "line 2: p_label must be 2 numbers"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":[true,0],"p_items":[[0.5,0.5]]}'],
+         "line 2: p_label must be 2 numbers"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":[NaN,0.5],"p_items":[[0.5,0.5]]}'],
+         "line 2: p_label must be 2 numbers"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[0.5,"0.5"]]}'],
+         "line 2: p_items must be rows of 2 numbers"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[false,1]]}'],
+         "line 2: p_items must be rows of 2 numbers"),
+        ([PRED_HEADER, '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[-Infinity,1]]}'],
+         "line 2: p_items must be rows of 2 numbers"),
     ], ids=["header-not-object", "no-id", "label-text", "no-p_label", "flat-p_items",
-            "future-version"])
+            "future-version", "boolean-version", "p_label-numeric-text", "p_label-boolean",
+            "p_label-nan", "p_items-numeric-text", "p_items-boolean", "p_items-infinity"])
     def test_malformed_is_format_error(self, tmp_path, lines, message):
         p = tmp_path / "pred.jsonl"
         write_lines(p, lines)
@@ -499,7 +555,9 @@ class TestCorruptInput:
         with pytest.raises(CorpusFormatError, match="line 2: unreadable JSON"):
             LOADERS[name][0](path)
 
-    @pytest.mark.parametrize("items", ['[["a","b"]]', "[[[1],[2,3]]]"], ids=["text", "ragged"])
+    @pytest.mark.parametrize("items", ['[["a","b"]]', "[[[1],[2,3]]]", '[["1.5",2]]',
+                                       "[[true,1.0]]", "[[1" + "0" * 400 + ",1]]"],
+                             ids=["text", "ragged", "numeric-text", "boolean", "huge-integer"])
     def test_dense_item_not_numbers_is_format_error(self, tmp_path, items):
         p = tmp_path / "d.jsonl"
         write_lines(p, ['{"format":"corpus","version":1,"k":2,"payload":{"dense":2}}',

@@ -419,6 +419,19 @@ class TestBatchLayer:
         for d, g in enumerate(groups):
             assert flat.labels[d] == (-1 if g.label is None else g.label)
 
+    @pytest.mark.parametrize("items", [
+        [[Item(token=0)], [Item(dense=np.zeros(2))]],
+        [[Item(dense=np.zeros(1))], [Item(token=0)]],
+        [[Item(dense=np.zeros(2))], [Item(dense=np.zeros(3))]],
+        [[Item(dense=np.zeros(2)), Item(dense=np.zeros(3))]],
+        [[Item(token=1), Item(dense=np.zeros(2))]],
+    ], ids=["token-then-dense", "dense-then-token", "widths-across-groups",
+            "widths-in-group", "kinds-in-group"])
+    def test_flatten_refuses_mixed_payloads(self, items):
+        groups = [Group(id=f"g{d}", items=its) for d, its in enumerate(items)]
+        with pytest.raises(ContractError, match="tokens, or dense vectors of one width"):
+            flatten_groups(groups)
+
     @pytest.mark.parametrize("token_items", [True, False])
     @pytest.mark.parametrize("clamp", [True, False])
     def test_batch_matches_single_group_sweeps(self, token_items, clamp):
