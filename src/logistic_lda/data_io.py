@@ -279,6 +279,7 @@ def load_corpus(path) -> Corpus:
         _require(kind == "token", 1, "vocab only applies to token corpora")
         _require(isinstance(vocab, list) and len(vocab) == size, 1,
                  "vocab length must equal vocabulary size")
+        _require(all(isinstance(w, str) for w in vocab), 1, "vocab entries must be strings")
 
     groups = []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -561,8 +562,10 @@ def _checkpoint_from_meta(meta, sections, version):
                       provenance=meta.get("provenance", {}), version=version)
 
 
-def _fmt_row(row):
-    return "[" + ",".join(f"{x:.6f}" for x in row) + "]"
+def _row_format(width):
+    # one %-format per row over Python floats; "%.6f" % x is the same
+    # string as f"{x:.6f}"
+    return "[" + ",".join(["%.6f"] * width) + "]"
 
 
 def write_predictions(path, ids, labels, p_label, p_items, offsets):
@@ -582,11 +585,13 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     k = p_label.shape[1] if D else 0
     lines = [json.dumps({"format": "predictions", "version": CORPUS_VERSION, "k": k},
                         separators=(",", ":"))]
+    fmt_label, fmt_item = _row_format(k), _row_format(p_items.shape[-1])
     for d, gid in enumerate(ids):
-        rows = ",".join(_fmt_row(r) for r in p_items[offsets[d] : offsets[d + 1]])
+        group = p_items[offsets[d] : offsets[d + 1]].tolist()
+        rows = ",".join([fmt_item % tuple(r) for r in group])
         lines.append(
             f'{{"id":{json.dumps(str(gid))},"label":{int(labels[d])},'
-            f'"p_label":{_fmt_row(p_label[d])},"p_items":[{rows}]}}'
+            f'"p_label":{fmt_label % tuple(p_label[d].tolist())},"p_items":[{rows}]}}'
         )
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 

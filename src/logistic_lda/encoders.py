@@ -179,7 +179,11 @@ def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> np.ndarray
     if theta.kind == "table":
         tokens = np.asarray(payload)
         _check_tokens(tokens, theta.table.shape[1])
-        np.add.at(G.table.T, tokens, dF)
+        # one bincount per topic adds in item order from zero, as
+        # np.add.at(G.table.T, tokens, dF) does, and runs far faster
+        V = theta.table.shape[1]
+        for k, column in enumerate(np.ascontiguousarray(dF.T)):
+            G.table[k] = np.bincount(tokens, weights=column, minlength=V)
         return grad
 
     X = np.asarray(payload, dtype=np.float64)

@@ -3,7 +3,22 @@
 All accumulation is in float64. The digamma/trigamma pair is implemented
 with upward recurrence to shift the argument above 6 followed by an
 asymptotic series, which keeps both functions branch-free to test and
-accurate to ~1e-12 over [1e-4, 1e6] relative to scale.
+accurate to ~1e-12 over [1e-4, 1e6] relative to scale.  The array forms
+shift with masked in-place ufuncs (`where=`), so each element sees the
+same operations as the scalar loop, without boolean fancy indexing.
+
+softmax and log_softmax run over K topics per row, and K is short (5-10 in
+the paper's settings).  numpy reduces a short contiguous row with a fixed
+cost per row: on a 2-CPU Xeon, np.max(v, axis=1) over a (6000, 5) array
+takes about 210 us, while the max over axis 0 of a transposed contiguous
+copy takes 17 us.  The copy costs O(N K), so the crossover lies between
+K = 40 and 50 on 6000 rows and between 50 and 100 on 32 rows; rows of at
+most SHORT_ROW = 32 entries take the transposed path.  A max is exact in
+any order: the two paths can differ only in the sign of a zero when +0.0
+and -0.0 tie for a row's max, and then that row's softmax and log_softmax
+bits are the same either way (each tied entry contributes exp(0) = 1).
+The row sums stay np.sum: a column-wise sum equals numpy's pairwise row
+sum bit for bit only below 8 columns.
 """
 
 import math
@@ -155,13 +170,15 @@ trigamma_scalar_nb = njit(_trigamma_scalar)
 def _digamma_arr(flat, out):
     x = flat.copy()
     acc = np.zeros_like(x)
+    step = np.empty_like(x)
     # at most six unit shifts are needed to move any positive x above 6
     for _ in range(6):
         m = x < 6.0
         if not m.any():
             break
-        acc[m] -= 1.0 / x[m]
-        x[m] += 1.0
+        np.divide(1.0, x, out=step, where=m)
+        np.subtract(acc, step, out=acc, where=m)
+        np.add(x, 1.0, out=x, where=m)
     z = 1.0 / (x * x)
     out[:] = acc + np.log(x) - 0.5 / x - _digamma_tail(z)
     return out
@@ -170,12 +187,15 @@ def _digamma_arr(flat, out):
 def _trigamma_arr(flat, out):
     x = flat.copy()
     acc = np.zeros_like(x)
+    step = np.empty_like(x)
     for _ in range(6):
         m = x < 6.0
         if not m.any():
             break
-        acc[m] += 1.0 / (x[m] * x[m])
-        x[m] += 1.0
+        np.multiply(x, x, out=step, where=m)
+        np.divide(1.0, step, out=step, where=m)
+        np.add(acc, step, out=acc, where=m)
+        np.add(x, 1.0, out=x, where=m)
     z = 1.0 / (x * x)
     out[:] = acc + 1.0 / x + 0.5 * z + _trigamma_tail(z) / x
     return out
@@ -185,7 +205,8 @@ def _psi_like(x, arr_impl, name):
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:
         raise DomainError(f"{name} of an empty argument")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+    # NaN fails both comparisons
+    if not (arr.min() > 0.0 and arr.max() < np.inf):
         raise DomainError(f"{name} requires finite, strictly positive arguments")
     flat = np.ascontiguousarray(arr.ravel())
     out = arr_impl(flat, np.empty_like(flat)).reshape(arr.shape)
@@ -208,14 +229,40 @@ def trigamma(x):
 # Simplex operations
 # ---------------------------------------------------------------------------
 
+SHORT_ROW = 32
+
+
+def _row_max(v, axis):
+    """np.max(v, axis=axis, keepdims=True); a 2-d array with rows of at most
+    SHORT_ROW entries is reduced as a transposed contiguous copy (see the
+    module docstring)."""
+    if v.ndim == 2 and axis in (1, -1) and v.shape[1] <= SHORT_ROW:
+        return np.ascontiguousarray(v.T).max(axis=0)[:, None]
+    return np.max(v, axis=axis, keepdims=True)
+
+
 def _check_logits(v, name):
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ContractError(f"{name} of an empty array")
-    # -inf entries are legal log-probabilities (zero mass); NaN/+inf are not
-    if np.any(np.isnan(v)) or np.any(v == np.inf):
-        raise DomainError(f"{name} requires entries in [-inf, +inf)")
     return v
+
+
+def _check_max(m, name):
+    # -inf entries are legal log-probabilities (zero mass); NaN/+inf are
+    # not, and either one propagates into the max of its row
+    if not np.all(m < np.inf):
+        raise DomainError(f"{name} requires entries in [-inf, +inf)")
+
+
+def _shift_by_max(v, axis, name):
+    """v minus its max along `axis`, refusing NaN, +inf and all -inf rows."""
+    v = _check_logits(v, name)
+    m = _row_max(v, axis)
+    _check_max(m, name)
+    if np.any(m == -np.inf):
+        raise DomainError(f"{name} of all -inf logits is undefined")
+    return v - m
 
 
 def log_sum_exp(v, axis=None):
@@ -223,34 +270,32 @@ def log_sum_exp(v, axis=None):
     v = _check_logits(v, "log_sum_exp")
     if axis is None:
         m = float(np.max(v))
+        _check_max(m, "log_sum_exp")
         if m == -np.inf:
             return -np.inf
         return m + math.log(np.exp(v - m).sum())
     m = np.max(v, axis=axis, keepdims=True)
+    _check_max(m, "log_sum_exp")
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         return np.squeeze(m_safe, axis=axis) + np.log(np.exp(v - m_safe).sum(axis=axis))
 
 
+# Each row's max entry contributes exp(0) = 1, so the sums below are >= 1.
+
 def softmax(v, axis=-1):
     """exp(v)/sum exp(v); shift-invariant, tolerates -inf logits."""
-    v = _check_logits(v, "softmax")
-    m = np.max(v, axis=axis, keepdims=True)
-    if np.any(m == -np.inf):
-        raise DomainError("softmax of all -inf logits is undefined")
-    e = np.exp(v - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = _shift_by_max(v, axis, "softmax")
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(v, axis=-1):
     """Elementwise log of softmax, computed stably in log space."""
-    v = _check_logits(v, "log_softmax")
-    m = np.max(v, axis=axis, keepdims=True)
-    if np.any(m == -np.inf):
-        raise DomainError("log_softmax of all -inf logits is undefined")
-    shifted = v - m
-    with np.errstate(divide="ignore"):
-        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = _shift_by_max(v, axis, "log_softmax")
+    shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted
 
 
 def _check_positive_rows(x):

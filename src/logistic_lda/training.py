@@ -189,9 +189,17 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
 def _corpus_elbo(g, P, PL, AH, flat, hyper):
     """Sum of per-group bounds, vectorized over the whole corpus."""
     eln = expected_log_pi(AH)
-    eln_rep = np.repeat(eln, flat.sizes(), axis=0)
+    # P * (g + eln - ln P) where P > 0, else 0, evaluated in place in one
+    # (N, K) buffer in the order the expression reads
+    item = np.repeat(eln, flat.sizes(), axis=0)
+    np.add(g, item, out=item)
     with np.errstate(divide="ignore", invalid="ignore"):
-        item_terms = np.where(P > 0.0, P * (g + eln_rep - np.log(P)), 0.0).sum()
+        log_p = np.log(P)
+        item -= log_p
+        del log_p
+        item *= P
+        np.copyto(item, 0.0, where=~(P > 0.0))
+        item_terms = item.sum()
         label_ent = -np.where(PL > 0.0, PL * np.log(PL), 0.0).sum()
     total = float(((hyper.alpha - 1.0) * eln).sum())
     total += float(item_terms)
@@ -290,6 +298,7 @@ def _unroll_bwd_np(offsets, lam, P, A, Q, labels, n_iter, floor):
     losses = -np.log(np.maximum(p_true, floor))
     da_items = np.zeros((D, K))
     prev_da = None
+    tri = trigamma(A[:, 1:])  # tri[:, t - 1] = trigamma(A[:, t])
     for t in range(n_iter, 0, -1):
         if t == n_iter:
             dV = Q[:, t].copy()
@@ -297,13 +306,13 @@ def _unroll_bwd_np(offsets, lam, P, A, Q, labels, n_iter, floor):
         else:
             dq = lam * prev_da
             dV = Q[:, t] * (dq - np.sum(Q[:, t] * dq, axis=1, keepdims=True))
-        da = lam * trigamma(A[:, t]) * dV + da_items
+        da = lam * tri[:, t - 1] * dV + da_items
         da_rep = np.repeat(da, sizes, axis=0)
         dots = np.sum(P[t - 1] * da_rep, axis=1, keepdims=True)
         dU = P[t - 1] * (da_rep - dots)
         dF += dU
         if t > 1:
-            da_items = trigamma(A[:, t - 1]) * np.add.reduceat(dU, offsets[:-1], axis=0)
+            da_items = tri[:, t - 2] * np.add.reduceat(dU, offsets[:-1], axis=0)
         prev_da = da
     return dF, losses, floor_hits
 

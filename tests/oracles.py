@@ -15,6 +15,11 @@ the readable one-group-at-a-time form of the coordinate updates and of
 the unrolled adjoint.  It borrows only the package's encoder forward pass
 and elementwise special functions; its loops and bookkeeping are its own,
 so it checks the packed batch kernels that training and inference run.
+
+The reference_* kernels at the end are the earlier, plainer numpy forms
+of softmax, log_softmax, digamma, trigamma, the table encoder's backward
+scatter and the corpus ELBO; the shipped kernels must match them bit for
+bit.
 """
 
 import math
@@ -350,3 +355,106 @@ def check_counts(state, flat):
         or not np.array_equal(n_kv.sum(axis=1), state.n_k)
     ):
         raise ContractError("Gibbs counts are inconsistent with assignments")
+
+
+# ---------------------------------------------------------------------------
+# earlier numpy kernels, kept as bitwise references
+#
+# The shipped forms are faster (the row max of a transposed copy, masked
+# in-place digamma/trigamma shifts, bincount scatters, an in-place ELBO item
+# term) and must not change an output bit.  These keep their validation
+# too, so tests can require equal bits and equal errors.
+
+
+def _reference_check_logits(v, name):
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ContractError(f"{name} of an empty array")
+    if np.any(np.isnan(v)) or np.any(v == np.inf):
+        raise DomainError(f"{name} requires entries in [-inf, +inf)")
+    return v
+
+
+def reference_softmax(v, axis=-1):
+    v = _reference_check_logits(v, "softmax")
+    m = np.max(v, axis=axis, keepdims=True)
+    if np.any(m == -np.inf):
+        raise DomainError("softmax of all -inf logits is undefined")
+    e = np.exp(v - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_log_softmax(v, axis=-1):
+    v = _reference_check_logits(v, "log_softmax")
+    m = np.max(v, axis=axis, keepdims=True)
+    if np.any(m == -np.inf):
+        raise DomainError("log_softmax of all -inf logits is undefined")
+    shifted = v - m
+    with np.errstate(divide="ignore"):
+        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def _reference_psi(x, name, shift, finish):
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size == 0:
+        raise DomainError(f"{name} of an empty argument")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise DomainError(f"{name} requires finite, strictly positive arguments")
+    x = arr.ravel().copy()
+    acc = np.zeros_like(x)
+    for _ in range(6):
+        m = x < 6.0
+        if not m.any():
+            break
+        shift(acc, x, m)
+        x[m] += 1.0
+    out = finish(acc, x, 1.0 / (x * x)).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def reference_digamma(x):
+    from logistic_lda.math_kernels import _digamma_tail
+
+    def shift(acc, x, m):
+        acc[m] -= 1.0 / x[m]
+
+    def finish(acc, x, z):
+        return acc + np.log(x) - 0.5 / x - _digamma_tail(z)
+
+    return _reference_psi(x, "digamma", shift, finish)
+
+
+def reference_trigamma(x):
+    from logistic_lda.math_kernels import _trigamma_tail
+
+    def shift(acc, x, m):
+        acc[m] += 1.0 / (x[m] * x[m])
+
+    def finish(acc, x, z):
+        return acc + 1.0 / x + 0.5 * z + _trigamma_tail(z) / x
+
+    return _reference_psi(x, "trigamma", shift, finish)
+
+
+def reference_table_backward(tokens, table_shape, dF):
+    """Gradient of sum_n <dF[n], table[:, tokens[n]]> wrt a (K, V) table,
+    scattered with np.add.at."""
+    grad = np.zeros(table_shape)
+    np.add.at(grad.T, np.asarray(tokens), np.asarray(dF, dtype=np.float64))
+    return grad
+
+
+def reference_corpus_elbo(g, P, PL, AH, flat, hyper):
+    """training._corpus_elbo with its item term as one np.where expression."""
+    from logistic_lda.math_kernels import expected_log_pi, ln_multivariate_beta
+
+    eln = expected_log_pi(AH)
+    eln_rep = np.repeat(eln, flat.sizes(), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        item_terms = np.where(P > 0.0, P * (g + eln_rep - np.log(P)), 0.0).sum()
+        label_ent = -np.where(PL > 0.0, PL * np.log(PL), 0.0).sum()
+    total = float(((hyper.alpha - 1.0) * eln).sum())
+    total += float(item_terms)
+    total += hyper.lam * float((PL * eln).sum()) + float(label_ent)
+    total += float(ln_multivariate_beta(AH).sum()) - float(((AH - 1.0) * eln).sum())
+    return total

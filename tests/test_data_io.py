@@ -84,6 +84,17 @@ class TestCorpusLoad:
         with pytest.raises(CorpusFormatError, match="token must be an integer"):
             load_corpus(p)
 
+    @pytest.mark.parametrize("vocab", ['[null,"b","c","d","e"]', '["a",true,"c","d","e"]',
+                                       '["a","b",{"x":1},"d","e"]', '["a","b","c",4,"e"]',
+                                       '["a","b","c","d",["e"]]'],
+                             ids=["null", "boolean", "object", "number", "list"])
+    def test_vocab_entries_must_be_strings(self, tmp_path, vocab):
+        p = tmp_path / "c.jsonl"
+        header = HEADER[:-1] + f',"vocab":{vocab}}}'
+        write_lines(p, [header, '{"id":"g1","items":[2]}'])
+        with pytest.raises(CorpusFormatError, match="line 1: vocab entries must be strings"):
+            load_corpus(p)
+
     def test_nan_embedding_rejected(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_lines(p, [
@@ -404,6 +415,26 @@ class TestPredictions:
                 assert abs(sum(row) - 1.0) <= 5e-6
         assert '"p_label":[0.333333,0.333333,0.333333]' in lines[1]
         assert '0.731059' in lines[2]
+
+    def test_rows_format_as_fixed_six_decimals(self, tmp_path):
+        # values that round up, round half-even at the 7th decimal, underflow
+        # to zero or carry a sign, formatted as f"{x:.6f}" formats them
+        values = np.array([0.0, -0.0, 1.0, 1 / 3, 2 / 3, 0.9999995, 0.0000005, 0.0000015,
+                           5e-324, 1e-7, 0.1234565, 0.7310585786300049])
+        p_items = values.reshape(4, 3)
+        p_label = p_items[[0, 3]]
+        p = tmp_path / "pred.jsonl"
+        write_predictions(p, ["a", "b"], [0, 1], p_label, p_items, [0, 1, 4])
+
+        def row(r):
+            return "[" + ",".join(f"{x:.6f}" for x in r) + "]"
+
+        lines = p.read_text().splitlines()
+        assert lines[1] == (f'{{"id":"a","label":0,"p_label":{row(p_label[0])},'
+                            f'"p_items":[{row(p_items[0])}]}}')
+        assert lines[2] == (f'{{"id":"b","label":1,"p_label":{row(p_label[1])},'
+                            f'"p_items":[{",".join(row(r) for r in p_items[1:])}]}}')
+        assert '"p_label":[0.000000,-0.000000,1.000000]' in lines[1]
 
     def test_deterministic_bytes(self, tmp_path):
         rng = SeededRng(11)

@@ -15,7 +15,7 @@ from logistic_lda.errors import ContractError, DomainError, UnsupportedOperation
 from logistic_lda.math_kernels import SeededRng, log_softmax, log_sum_exp, softmax
 from logistic_lda.training import Optimizer
 
-from oracles import central_difference_grad, max_relative_error
+from oracles import central_difference_grad, max_relative_error, reference_table_backward
 
 
 def small_mlp(seed=0, dims=(5, 4, 3), scale=1.0):
@@ -147,6 +147,21 @@ class TestBackward:
         mask = np.ones(7, dtype=bool)
         mask[4] = False
         assert np.all(g.table[:, mask] == 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 50, 300])
+    @pytest.mark.parametrize("n", [1, 7, 640, 6000])
+    def test_table_grad_bits_match_add_at(self, n, k):
+        # repeated tokens accumulate in item order, signed zeros included
+        rng = np.random.default_rng(n + k)
+        tab = init_params("table", (k, 40), 1.0, SeededRng(k))
+        tokens = rng.integers(0, 40 if n > 7 else 3, size=n)
+        dF = rng.normal(scale=10.0, size=(n, k))
+        dF[rng.random((n, k)) < 0.2] = -0.0
+        dF[rng.random((n, k)) < 0.2] = 0.0
+        for upstream in (dF, np.asfortranarray(dF)):
+            grad = tab.with_flat(backward_batch(tokens, tab, upstream)).table
+            want = reference_table_backward(tokens, tab.table.shape, upstream)
+            assert grad.tobytes() == want.tobytes()
 
     def test_mlp_matches_finite_differences(self):
         theta = small_mlp(seed=10)

@@ -16,8 +16,15 @@ from logistic_lda.math_kernels import (
     sample_dirichlet,
     check_simplex,
 )
+from logistic_lda.math_kernels import _row_max
 
-from oracles import psi_oracle
+from oracles import (
+    psi_oracle,
+    reference_digamma,
+    reference_log_softmax,
+    reference_softmax,
+    reference_trigamma,
+)
 
 # Frozen oracle values (tests/oracles.py psi_oracle at 40 digits):
 #   psi(1)   = -euler                   psi(0.5)  = -euler - 2 ln 2
@@ -111,6 +118,13 @@ class TestLogSumExp:
         assert log_sum_exp(np.array([-np.inf, 0.0])) == pytest.approx(0.0)
         assert log_sum_exp(np.array([-np.inf, -np.inf])) == -np.inf
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_nan_and_inf_rejected(self, bad, axis):
+        v = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [1.0, bad]])
+        with pytest.raises(DomainError, match=r"log_sum_exp requires entries in \[-inf, \+inf\)"):
+            log_sum_exp(v, axis=axis)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -149,6 +163,114 @@ class TestSoftmax:
     def test_all_neg_inf_rejected(self):
         with pytest.raises(DomainError):
             softmax(np.array([-np.inf, -np.inf]))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_error(fn, reference, *args):
+    with pytest.raises(Exception) as want:
+        reference(*args)
+    with pytest.raises(type(want.value)) as got:
+        fn(*args)
+    assert str(got.value) == str(want.value)
+
+
+ROWS = [1, 7, 640, 6000]
+TOPICS = [1, 2, 5, 10, 50, 300]
+
+
+def hard_logits(n, k, seed):
+    """(n, k) logits with -inf entries, wide magnitudes, rows whose max is a
+    tie between 0.0 and -0.0, and rows whose max is a lone zero with every
+    other entry negligible (a row sum of exactly 1)."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(scale=30.0, size=(n, k))
+    v[rng.random((n, k)) < 0.3] = -np.inf
+    v[np.arange(n), rng.integers(k, size=n)] = rng.normal(size=n)  # one finite entry per row
+    ties = np.arange(0, n, 3)
+    v[ties] = -np.abs(v[ties]) - 1.0
+    v[ties, rng.integers(k, size=ties.size)] = 0.0
+    v[ties, rng.integers(k, size=ties.size)] = -0.0
+    lone = np.arange(1, n, 3)
+    v[lone] = -np.abs(v[lone]) - 800.0
+    v[lone, rng.integers(k, size=lone.size)] = rng.choice([0.0, -0.0], size=lone.size)
+    return v
+
+
+class TestTopicAxisKernelsKeepTheirBits:
+    """softmax, log_softmax, digamma and trigamma against the straightforward
+    forms they replaced (tests/oracles.py): the same bits, the same errors."""
+
+    @pytest.mark.parametrize("k", TOPICS)
+    @pytest.mark.parametrize("n", ROWS)
+    def test_softmax_rows(self, n, k):
+        v = hard_logits(n, k, seed=n * 1000 + k)
+        for fn, ref in ((softmax, reference_softmax), (log_softmax, reference_log_softmax)):
+            assert_same_bits(fn(v), ref(v))
+            assert_same_bits(fn(v, axis=1), ref(v, axis=1))
+            f_order = np.asfortranarray(v)
+            assert_same_bits(fn(f_order), ref(f_order))
+
+    @pytest.mark.parametrize("fn,ref", [(softmax, reference_softmax),
+                                        (log_softmax, reference_log_softmax)])
+    def test_softmax_other_layouts(self, fn, ref):
+        v = hard_logits(40, 6, seed=3)
+        v[np.isinf(v)] = -745.0  # no lane along any axis is all -inf
+        for arg, axis in ((v, 0), (v.T, 0), (v[0], -1), (v.reshape(4, 10, 6), -1),
+                          (v.reshape(4, 10, 6), 1), (v[:, ::2], -1), (v.tolist(), -1)):
+            assert_same_bits(fn(arg, axis=axis), ref(arg, axis=axis))
+
+    def test_row_max_is_the_max(self):
+        for n in ROWS:
+            for k in TOPICS:
+                v = hard_logits(n, k, seed=k)
+                np.testing.assert_array_equal(_row_max(v, -1), np.max(v, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("v", [
+        [[0.0, np.nan]], [[np.inf, 0.0]], [[np.inf, np.nan]], [[-np.inf, -np.inf], [0.0, 1.0]],
+        [[0.0, 1.0], [np.nan, -np.inf], [-np.inf, -np.inf]], [[-np.inf, -np.inf], [np.inf, 0.0]],
+        [np.nan], [np.inf, -np.inf], [-np.inf], np.empty((0, 3)), np.empty((3, 0)),
+        np.full((2, 50), np.nan), np.full((2, 50), -np.inf),
+    ], ids=["nan", "inf", "inf-nan", "all-neg-inf", "nan-before-all-neg-inf",
+            "all-neg-inf-before-inf", "1d-nan", "1d-inf", "1d-neg-inf", "empty-rows",
+            "empty-cols", "wide-nan", "wide-neg-inf"])
+    def test_softmax_errors(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        assert_same_error(softmax, reference_softmax, v)
+        assert_same_error(log_softmax, reference_log_softmax, v)
+
+    @staticmethod
+    def psi_arguments():
+        # a few ulps either side of 1, 5 and 6, where the shift count changes
+        near = [c + s * np.spacing(c) for c in (1.0, 5.0, 6.0) for s in range(-3, 4)]
+        rng = np.random.default_rng(7)
+        return [
+            np.array(near),
+            np.array([1e-300, 5e-324, 1e-10, 0.5, 6.0 - 1e-12, 6.0, 1e6, 1e300, 1.7e308]),
+            rng.uniform(0.0, 12.0, size=(640, 5)) + 5e-324,
+            rng.uniform(5.9, 6.1, size=(7, 10)),
+            10.0 ** rng.uniform(-300, 300, size=6000),
+            rng.uniform(0.1, 20.0, size=(40, 6, 5))[:, 1:],  # a non-contiguous tape slice
+            np.float64(3.5),
+        ]
+
+    @pytest.mark.parametrize("fn,ref", [(digamma, reference_digamma),
+                                        (trigamma, reference_trigamma)])
+    def test_psi_bits(self, fn, ref):
+        for x in self.psi_arguments():
+            with np.errstate(over="ignore", divide="ignore"):  # trigamma(5e-324) is inf
+                assert_same_bits(fn(x), ref(x))
+        assert isinstance(fn(2.5), float) and fn(2.5) == ref(2.5)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, [],
+                                   [1.0, np.nan], [2.0, np.inf], [3.0, 0.0], [[1.0], [-1e-300]]])
+    def test_psi_errors(self, x):
+        assert_same_error(digamma, reference_digamma, x)
+        assert_same_error(trigamma, reference_trigamma, x)
 
 
 class TestExpectedLogPi:

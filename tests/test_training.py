@@ -12,8 +12,14 @@ from logistic_lda.encoders import (
     init_params,
 )
 from logistic_lda.errors import ContractError, DomainError, TrainingDivergedError
-from logistic_lda.math_kernels import SeededRng, log_softmax, softmax
-from logistic_lda.mean_field import Group, HyperParams, batch_mean_field, flatten_groups
+from logistic_lda.math_kernels import SeededRng, log_softmax, softmax, trigamma
+from logistic_lda.mean_field import (
+    FlatGroups,
+    Group,
+    HyperParams,
+    batch_mean_field,
+    flatten_groups,
+)
 from logistic_lda.training import (
     LOSS_FLOOR,
     Optimizer,
@@ -31,6 +37,7 @@ from oracles import (
     UnrollTape,
     central_difference_grad,
     max_relative_error,
+    reference_corpus_elbo,
     unrolled_backward,
     unrolled_forward,
 )
@@ -230,6 +237,53 @@ class TestUnrolledForward:
         np.testing.assert_allclose(tape.p_items.sum(axis=-1), 1.0, atol=1e-12)
         np.testing.assert_allclose(tape.p_label.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(tape.p_items >= 0) and np.all(tape.p_label >= 0)
+
+
+class TestUnrolledBackwardTape:
+    @pytest.mark.parametrize("n_iter", [1, 2, 5])
+    def test_one_trigamma_call_per_tape(self, monkeypatch, n_iter):
+        rng = np.random.default_rng(n_iter)
+        D, K = 6, 4
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(1, 6, size=D))])
+        F = rng.normal(size=(offsets[-1], K))
+        P, A, Q = _unroll_fwd(F, offsets, np.full(K, 0.5), 1.5, n_iter)
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return trigamma(x)
+
+        monkeypatch.setattr(training, "trigamma", counted)
+        training._unroll_bwd_np(offsets, 1.5, P, A, Q, rng.integers(0, K, size=D), n_iter,
+                                LOSS_FLOOR)
+        # one call covers alpha_hat after every sweep of the tape
+        assert calls == [(D, n_iter, K)]
+
+
+class TestCorpusElbo:
+    @staticmethod
+    def corpus(rng, D, max_size, K=5):
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(1, max_size + 1, size=D))])
+        N = int(offsets[-1])
+        flat = FlatGroups(payload=np.zeros(N, dtype=np.int64), offsets=offsets,
+                          labels=np.full(D, -1))
+        P = softmax(3.0 * rng.normal(size=(N, K)))
+        zero = rng.random((N, K)) < 0.2
+        P[zero] = 0.0  # zero beliefs contribute 0, even where g is -inf
+        g = log_softmax(3.0 * rng.normal(size=(N, K)))
+        g[zero & (rng.random((N, K)) < 0.5)] = -np.inf
+        PL = softmax(rng.normal(size=(D, K)))
+        PL[:, 0] = 0.0
+        AH = rng.uniform(0.5, 20.0, size=(D, K))
+        return g, P, PL, AH, flat, HyperParams(alpha=np.full(K, 0.3), lam=2.0)
+
+    def test_bits_match_the_where_expression(self):
+        # small corpora, so that an ulp in one item term reaches the total
+        rng = np.random.default_rng(3)
+        for D, max_size in [(1, 1), (1, 3), (2, 4)] * 100 + [(300, 60)]:
+            args = self.corpus(rng, D, max_size)
+            got = training._corpus_elbo(*args)
+            assert got.hex() == reference_corpus_elbo(*args).hex()
 
 
 class TestDiscriminativeLoss:
