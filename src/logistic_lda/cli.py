@@ -41,7 +41,10 @@ from .errors import (
 from .evaluation import evaluation_report, top_items_per_topic
 from .lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_run
 from .math_kernels import SeededRng
-from .mean_field import HyperParams, flatten_groups
+from .mean_field import (
+    HyperParams,
+    flatten_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
+)
 from .regularizer import default_gamma
 from .training import TrainConfig, predict_corpus, train
 
@@ -242,7 +245,7 @@ def _cmd_train(args):
     _check_positive_flag("--alpha", args.alpha)
     corpus = load_corpus(args.corpus)
     K = corpus.num_topics
-    hyper = _make_hyper(args, K, sum(len(g.items) for g in corpus.groups))
+    hyper = _make_hyper(args, K, corpus.flat.num_items)
     rng = SeededRng(args.seed)
     encoder = args.encoder or ("table" if corpus.payload.kind == "token" else "mlp")
     if encoder == "table":
@@ -259,8 +262,8 @@ def _cmd_train(args):
         seed=args.seed, clamp_labels=args.clamp, e_step_sweeps=args.e_step_sweeps,
         track_elbo=args.track_elbo, metrics_path=args.metrics, verbose=not args.quiet,
     )
-    eval_groups = load_corpus(args.eval_corpus).groups if args.eval_corpus else None
-    theta, report = train(corpus.groups, theta, hyper, config, eval_groups=eval_groups)
+    eval_flat = load_corpus(args.eval_corpus).flat if args.eval_corpus else None
+    theta, report = train(corpus.flat, theta, hyper, config, eval_flat=eval_flat)
     cp = Checkpoint(
         hyper=hyper, params=theta, reg_state=report.reg_state,
         provenance={"seed": args.seed, "epochs": args.epochs, "mode": args.mode,
@@ -284,7 +287,7 @@ def _load_pair(args):
 
 def _cmd_infer(args):
     corpus, cp = _load_pair(args)
-    flat = flatten_groups(corpus.groups)
+    flat = corpus.flat
     labels, PL, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
     write_predictions(args.out, flat.ids, labels, PL, P, flat.offsets)
     print(json.dumps({"predictions": args.out, "groups": int(labels.shape[0])}))
@@ -311,7 +314,7 @@ def _print_report(flat, truth_path, pred_groups, pred_items, K):
 
 def _cmd_eval(args):
     corpus, cp = _load_pair(args)
-    flat = flatten_groups(corpus.groups)
+    flat = corpus.flat
     pred_groups, _, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
     _print_report(flat, args.truth, pred_groups, P.argmax(axis=1), corpus.num_topics)
     return 0
@@ -335,7 +338,7 @@ def _cmd_gibbs(args):
     corpus = load_corpus(args.corpus)
     if corpus.payload.kind != "token":
         raise ContractError("the Gibbs baseline needs a token corpus")
-    flat = flatten_groups(corpus.groups)
+    flat = corpus.flat
     K = corpus.num_topics
     rng = SeededRng(args.seed)
     state, item_post, beta_hat, pi_hat = gibbs_run(

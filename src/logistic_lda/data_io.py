@@ -23,6 +23,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     IntegrityError,
     UnsupportedVersionError,
 )
-from .mean_field import Group, HyperParams
+from .mean_field import FlatGroups, Group, HyperParams, flatten_groups
 from .regularizer import RegularizerState
 
 __all__ = [
@@ -75,13 +76,16 @@ class PayloadSpec:
 
 @dataclass
 class Corpus:
-    groups: list
+    """A corpus header (K, payload spec, optional vocab) and its groups,
+    packed as one FlatGroups."""
+
     num_topics: int
     payload: PayloadSpec
+    flat: FlatGroups
     vocab: tuple = None
 
     def __post_init__(self):
-        if not self.groups:
+        if self.flat.num_groups < 1:
             raise ContractError("corpus must contain at least one group")
         if self.num_topics < 1:
             raise ContractError("num_topics must be >= 1")
@@ -91,6 +95,22 @@ class Corpus:
             self.vocab = tuple(str(w) for w in self.vocab)
             if len(self.vocab) != self.payload.size:
                 raise ContractError("vocab length must equal vocabulary size")
+
+    @cached_property
+    def groups(self):
+        """The groups as Group/Item objects, built from `flat` on first use.
+        A read-only view for code written against the object API; nothing
+        in the package reads it."""
+        flat, token = self.flat, self.payload.kind == "token"
+        rows = flat.payload.tolist() if token else flat.payload
+        bounds, labels = flat.offsets.tolist(), flat.labels.tolist()
+        return tuple(
+            Group(id=gid,
+                  items=[Item(token=t) if token else Item(dense=t)
+                         for t in rows[bounds[d] : bounds[d + 1]]],
+                  label=None if labels[d] < 0 else labels[d])
+            for d, gid in enumerate(flat.ids)
+        )
 
 
 def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
@@ -123,7 +143,7 @@ def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
         if len(dims) != 1:
             raise ContractError(f"dense items have different widths {sorted(dims)}")
         spec = PayloadSpec(kind="dense", size=dims.pop())
-    return Corpus(groups=list(groups), num_topics=num_topics, payload=spec, vocab=vocab)
+    return Corpus(num_topics=num_topics, payload=spec, flat=flatten_groups(groups), vocab=vocab)
 
 
 def _atomic_write(path, data: bytes):
@@ -148,6 +168,13 @@ def _atomic_write(path, data: bytes):
         raise
 
 
+def _group_records(flat):
+    """Per group its id, its slice of the item arrays and its label
+    (-1 when absent), as Python values."""
+    bounds = flat.offsets.tolist()
+    return zip(flat.ids, zip(bounds, bounds[1:]), flat.labels.tolist())
+
+
 def save_corpus(path, corpus: Corpus):
     header = {
         "format": "corpus",
@@ -158,14 +185,11 @@ def save_corpus(path, corpus: Corpus):
     if corpus.vocab is not None:
         header["vocab"] = list(corpus.vocab)
     lines = [json.dumps(header, separators=(",", ":"))]
-    for g in corpus.groups:
-        if corpus.payload.kind == "token":
-            items = [int(it.token) for it in g.items]
-        else:
-            items = [it.dense.tolist() for it in g.items]
-        rec = {"id": g.id, "items": items}
-        if g.label is not None:
-            rec["label"] = int(g.label)
+    payload = corpus.flat.payload
+    for gid, (lo, hi), label in _group_records(corpus.flat):
+        rec = {"id": gid, "items": payload[lo:hi].tolist()}
+        if label >= 0:
+            rec["label"] = label
         lines.append(json.dumps(rec, separators=(",", ":")))
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -206,6 +230,8 @@ def _is_int(value):
 
 
 _NUMBER_TYPES = frozenset((int, float))
+_INT_TYPE = frozenset((int,))  # JSON true/false decode to bool, a type of its own
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _float_array(value):
@@ -261,7 +287,21 @@ def _read_header(lines, expect_format):
     return header
 
 
+def _check_tokens(items_raw, size, lineno):
+    """A token group's items, all JSON integers in [0, size), checked as a
+    whole; the items are walked one by one only to name the one at fault."""
+    if (_INT_TYPE.issuperset(map(type, items_raw))
+            and 0 <= min(items_raw) and max(items_raw) < size):
+        return
+    for j, entry in enumerate(items_raw):
+        _require(_is_int(entry), lineno, f"item {j}: token must be an integer")
+        _require(0 <= entry < size, lineno, f"item {j}: token {entry} not in [0, {size})")
+
+
 def load_corpus(path) -> Corpus:
+    """Read a corpus file straight into FlatGroups arrays: token lines are
+    checked as Python lists and converted once at the end, dense lines
+    are parsed as one (n, E) array each."""
     lines = _read_lines(path)
     header = _read_header(lines, "corpus")
     k = header.get("k")
@@ -274,6 +314,8 @@ def load_corpus(path) -> Corpus:
     )
     kind, size = next(iter(payload.items()))
     _require(_is_int(size) and size >= 1, 1, "payload size must be a positive integer")
+    _require(kind == "dense" or size <= _INT64_MAX, 1,
+             f"vocabulary size {size} is beyond the int64 token ids")
     vocab = header.get("vocab")
     if vocab is not None:
         _require(kind == "token", 1, "vocab only applies to token corpora")
@@ -281,7 +323,7 @@ def load_corpus(path) -> Corpus:
                  "vocab length must equal vocabulary size")
         _require(all(isinstance(w, str) for w in vocab), 1, "vocab entries must be strings")
 
-    groups = []
+    ids, labels, sizes, chunks = [], [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             raise CorpusFormatError(f"line {lineno}: blank line")
@@ -297,40 +339,40 @@ def load_corpus(path) -> Corpus:
             _require(_is_int(label) and 0 <= label < k, lineno,
                      f"label {label!r} not in [0, {k})")
         if kind == "token":
-            items = []
-            for j, entry in enumerate(items_raw):
-                _require(_is_int(entry), lineno, f"item {j}: token must be an integer")
-                _require(0 <= entry < size, lineno,
-                         f"item {j}: token {entry} not in [0, {size})")
-                items.append(Item(token=entry))
+            _check_tokens(items_raw, size, lineno)
+            chunks.append(items_raw)
         else:
-            items = [Item(dense=row) for row in _dense_rows(items_raw, size, lineno)]
-        groups.append(Group(id=gid, items=items, label=label))
-    if not groups:
+            chunks.append(_dense_rows(items_raw, size, lineno))
+        ids.append(gid)
+        labels.append(-1 if label is None else label)
+        sizes.append(len(items_raw))
+    if not ids:
         raise CorpusFormatError(f"line {len(lines) + 1}: corpus has no groups")
-    return Corpus(groups=groups, num_topics=k,
-                  payload=PayloadSpec(kind=kind, size=size), vocab=vocab)
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if kind == "token":
+        items = np.fromiter(chain.from_iterable(chunks), dtype=np.int64, count=offsets[-1])
+    else:
+        items = np.concatenate(chunks)
+    flat = FlatGroups(payload=items, offsets=offsets,
+                      labels=np.array(labels, dtype=np.int64), ids=ids)
+    return Corpus(num_topics=k, payload=PayloadSpec(kind=kind, size=size), flat=flat,
+                  vocab=vocab)
 
 
 def save_truth(path, corpus: Corpus, truth):
     """Ground-truth sidecar: per group the generating pi row and the true
     topic of each item, in corpus order."""
-    if truth.pi.shape[0] != len(corpus.groups):
+    flat = corpus.flat
+    if truth.pi.shape[0] != flat.num_groups:
         raise ContractError("truth pi rows must match group count")
+    if truth.z.shape[0] != flat.num_items:
+        raise ContractError("truth z length must match total item count")
     header = {"format": "corpus-truth", "version": CORPUS_VERSION, "k": corpus.num_topics}
     lines = [json.dumps(header, separators=(",", ":"))]
-    pos = 0
-    for d, g in enumerate(corpus.groups):
-        n = len(g.items)
-        rec = {
-            "id": g.id,
-            "pi": truth.pi[d].tolist(),
-            "z": [int(t) for t in truth.z[pos : pos + n]],
-        }
-        pos += n
+    for d, (gid, (lo, hi), _) in enumerate(_group_records(flat)):
+        rec = {"id": gid, "pi": truth.pi[d].tolist(), "z": truth.z[lo:hi].tolist()}
         lines.append(json.dumps(rec, separators=(",", ":")))
-    if pos != truth.z.shape[0]:
-        raise ContractError("truth z length must match total item count")
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -107,9 +107,14 @@ class EncoderParams:
         return self.table.shape[1]
 
 
-def _check_tokens(tokens, vocab_size):
+def _token_array(payload, vocab_size):
+    """payload as a 1-d integer array of ids in [0, vocab_size)."""
+    tokens = np.asarray(payload)
+    if tokens.dtype.kind not in "iu" or tokens.ndim != 1:
+        raise ContractError("token payload must be a 1-d integer array")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         raise ContractError("token id outside [0, vocab_size)")
+    return tokens
 
 
 def _mlp_forward(theta, X, keep_hidden=False):
@@ -152,10 +157,7 @@ def forward_logits_batch(payload, theta: EncoderParams) -> np.ndarray:
                 f"payload dim {X.shape[1]} != encoder input dim {theta.weights[0].shape[1]}"
             )
         return _mlp_forward(theta, X)
-    tokens = np.asarray(payload)
-    if tokens.dtype.kind not in "iu" or tokens.ndim != 1:
-        raise ContractError("token payload must be a 1-d integer array")
-    _check_tokens(tokens, theta.table.shape[1])
+    tokens = _token_array(payload, theta.table.shape[1])
     if theta.kind == "table":
         return theta.table[:, tokens].T.copy()
     if theta.kind == "fixed_loglik":
@@ -177,8 +179,7 @@ def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> np.ndarray
     G = theta.with_flat(grad)  # the gradient, shaped like theta
 
     if theta.kind == "table":
-        tokens = np.asarray(payload)
-        _check_tokens(tokens, theta.table.shape[1])
+        tokens = _token_array(payload, theta.table.shape[1])
         # one bincount per topic adds in item order from zero, as
         # np.add.at(G.table.T, tokens, dF) does, and runs far faster
         V = theta.table.shape[1]

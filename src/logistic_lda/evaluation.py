@@ -5,7 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .mean_field import flatten_groups
+from .mean_field import (
+    flatten_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
+)
 from .training import predict_corpus
 
 __all__ = [
@@ -162,18 +164,18 @@ def top_items_per_topic(corpus, theta, hyper, n, converged=True):
     """
     if n < 0:
         raise ContractError("n must be >= 0")
-    flat = flatten_groups(corpus.groups)
+    flat = corpus.flat
     _, _, P = predict_corpus(flat, theta, hyper, converged=converged)
-    K = P.shape[1]
-    texts = []
-    for g in corpus.groups:
-        for j, it in enumerate(g.items):
-            if it.token is not None:
-                texts.append(corpus.vocab[it.token] if corpus.vocab else str(it.token))
-            else:
-                texts.append(f"{g.id}[{j}]")
+
+    def text(i):
+        if corpus.payload.kind == "token":
+            token = int(flat.payload[i])
+            return corpus.vocab[token] if corpus.vocab else str(token)
+        d = int(np.searchsorted(flat.offsets, i, side="right")) - 1
+        return f"{flat.ids[d]}[{i - int(flat.offsets[d])}]"
+
     out = []
-    for k in range(K):
-        order = np.argsort(-P[:, k], kind="stable")[:n]
-        out.append([(int(i), float(P[i, k]), texts[i]) for i in order])
+    for k in range(P.shape[1]):
+        order = np.argsort(-P[:, k], kind="stable")[:n].tolist()
+        out.append([(i, float(P[i, k]), text(i)) for i in order])
     return out

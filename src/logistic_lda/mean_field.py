@@ -36,7 +36,7 @@ import numpy as np
 
 from .backend import njit, pick
 from .errors import ContractError, DomainError
-from .math_kernels import check_positive_vector, digamma, digamma_scalar_nb, softmax
+from .math_kernels import _row_max, check_positive_vector, digamma, digamma_scalar_nb, softmax
 
 
 @dataclass
@@ -247,7 +247,7 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     while moving.size and sweeps < max_sweeps:
         Pm, new_AH, PLm = _sweep_np(Fm, sm, starts, alpha, lam, AHm, PLm, cm)
         sweeps += 1
-        stop = (np.max(np.abs(new_AH - AHm), axis=1) < tol) | (sweeps == max_sweeps)
+        stop = (_row_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
         AHm = new_AH
         if stop.any():
             item_stop = np.repeat(stop, sm)

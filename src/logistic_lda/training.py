@@ -39,7 +39,12 @@ from .math_kernels import (
     trigamma,
     trigamma_scalar_nb,
 )
-from .mean_field import FlatGroups, _mean_field_batch, batch_mean_field, flatten_groups
+from .mean_field import (
+    FlatGroups,
+    _mean_field_batch,
+    batch_mean_field,
+    flatten_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
+)
 from .regularizer import RegularizerState, update_running_estimate
 
 LOSS_FLOOR = 1e-30
@@ -380,24 +385,26 @@ def _eval_accuracy(eval_flat, theta, hyper, converged):
 
 
 def _batch_slices(flat, batch_ids):
-    sizes = flat.sizes()
-    idx = np.concatenate(
-        [np.arange(flat.offsets[d], flat.offsets[d + 1]) for d in batch_ids]
-    )
+    """The corpus rows of the groups batch_ids, in that order, and the
+    batch's own offsets: one ragged arange, each group's run shifted from
+    its batch position to its corpus position."""
+    starts = flat.offsets[batch_ids]
+    sizes = flat.offsets[batch_ids + 1] - starts
     offsets = np.zeros(len(batch_ids) + 1, dtype=np.int64)
-    np.cumsum(sizes[batch_ids], out=offsets[1:])
+    np.cumsum(sizes, out=offsets[1:])
+    idx = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
     return idx, offsets
 
 
-def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
+def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
     """Epoch loop for both regimes; they differ only in the batch step.
 
     Variational: per-group alpha_hat and label beliefs persist across
     epochs (warm starts) and the regularizer running average across
-    batches.  Discriminative: every group must be labeled.  Returns
-    (theta, report): new parameters, stepped in place on one copy of the
-    given ones, which stay as they were."""
-    flat = flatten_groups(groups)
+    batches.  Discriminative: every group must be labeled.  eval_flat,
+    when given, is scored after every epoch.  Returns (theta, report): new
+    parameters, stepped in place on one copy of the given ones, which stay
+    as they were."""
     D, K = flat.num_groups, hyper.num_topics
     variational = config.mode == "variational"
     if variational:
@@ -410,7 +417,6 @@ def train(groups, theta, hyper, config: TrainConfig, eval_groups=None):
             raise DomainError("label outside [0, K)")
         step, carry = _discriminative_step, None
         loss_per = D  # the record's loss is the mean per group
-    eval_flat = flatten_groups(eval_groups) if eval_groups else None
     rng = SeededRng(config.seed)
     opt = Optimizer(kind=config.optimizer, momentum=config.momentum)
     theta = theta.with_flat(theta.flat.copy())

@@ -19,7 +19,9 @@ so it checks the packed batch kernels that training and inference run.
 The reference_* kernels at the end are the earlier, plainer numpy forms
 of softmax, log_softmax, digamma, trigamma, the table encoder's backward
 scatter and the corpus ELBO; the shipped kernels must match them bit for
-bit.
+bit.  reference_load_corpus is the earlier corpus loader, which validates
+and builds one Item per entry; the array loader must produce the same
+packed corpus from a valid file and the same error from a broken one.
 """
 
 import math
@@ -458,3 +460,81 @@ def reference_corpus_elbo(g, P, PL, AH, flat, hyper):
     total += hyper.lam * float((PL * eln).sum()) + float(label_ent)
     total += float(ln_multivariate_beta(AH).sum()) - float(((AH - 1.0) * eln).sum())
     return total
+
+
+# ---------------------------------------------------------------------------
+# the earlier corpus loader, kept as a reference for the array loader
+
+
+@dataclass
+class ReferenceCorpus:
+    groups: list
+    num_topics: int
+    payload: object  # data_io.PayloadSpec
+    vocab: tuple = None
+
+
+def reference_load_corpus(path):
+    """The corpus file as Group/Item objects, each entry checked on its own."""
+    from logistic_lda.data_io import (
+        PayloadSpec,
+        _dense_rows,
+        _is_int,
+        _parse_json_line,
+        _read_header,
+        _read_lines,
+        _require,
+    )
+    from logistic_lda.encoders import Item
+    from logistic_lda.errors import CorpusFormatError
+    from logistic_lda.mean_field import Group
+
+    lines = _read_lines(path)
+    header = _read_header(lines, "corpus")
+    k = header.get("k")
+    _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")
+    payload = header.get("payload")
+    _require(
+        isinstance(payload, dict) and len(payload) == 1
+        and next(iter(payload)) in ("token", "dense"),
+        1, "header payload must be {\"token\": V} or {\"dense\": E}",
+    )
+    kind, size = next(iter(payload.items()))
+    _require(_is_int(size) and size >= 1, 1, "payload size must be a positive integer")
+    vocab = header.get("vocab")
+    if vocab is not None:
+        _require(kind == "token", 1, "vocab only applies to token corpora")
+        _require(isinstance(vocab, list) and len(vocab) == size, 1,
+                 "vocab length must equal vocabulary size")
+        _require(all(isinstance(w, str) for w in vocab), 1, "vocab entries must be strings")
+
+    groups = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            raise CorpusFormatError(f"line {lineno}: blank line")
+        rec = _parse_json_line(raw, lineno)
+        _require(isinstance(rec, dict), lineno, "group record must be an object")
+        gid = rec.get("id")
+        _require(isinstance(gid, str) and gid, lineno, "group id must be a non-empty string")
+        items_raw = rec.get("items")
+        _require(isinstance(items_raw, list) and items_raw, lineno,
+                 "items must be a non-empty list")
+        label = rec.get("label")
+        if label is not None:
+            _require(_is_int(label) and 0 <= label < k, lineno,
+                     f"label {label!r} not in [0, {k})")
+        if kind == "token":
+            items = []
+            for j, entry in enumerate(items_raw):
+                _require(_is_int(entry), lineno, f"item {j}: token must be an integer")
+                _require(0 <= entry < size, lineno,
+                         f"item {j}: token {entry} not in [0, {size})")
+                items.append(Item(token=entry))
+        else:
+            items = [Item(dense=row) for row in _dense_rows(items_raw, size, lineno)]
+        groups.append(Group(id=gid, items=items, label=label))
+    if not groups:
+        raise CorpusFormatError(f"line {len(lines) + 1}: corpus has no groups")
+    return ReferenceCorpus(groups=groups, num_topics=k,
+                           payload=PayloadSpec(kind=kind, size=size),
+                           vocab=None if vocab is None else tuple(vocab))

@@ -77,7 +77,7 @@ def _warm_kernels():
     hyper = HyperParams(alpha=np.full(2, 0.5), lam=1.0, n_iter=2)
     theta = init_params("table", (2, 6), 0.1, rng)
     cfg = TrainConfig(mode="variational", epochs=1, batch_size=3, lr=0.01, verbose=False)
-    train(groups, theta, hyper, cfg)
+    train(flatten_groups(groups), theta, hyper, cfg)
     flat = flatten_groups(groups)
     _discriminative_batch_grad(flat.payload, flat.offsets, flat.labels, theta, hyper)
     predict_corpus(flat, theta, hyper, converged=True)
@@ -233,7 +233,7 @@ def recovery_runs():
         hyper = HyperParams(alpha=np.full(K5, 0.1), lam=1.0, gamma=gamma, n_iter=5)
         cfg = TrainConfig(mode="variational", epochs=30, batch_size=100, lr=0.05,
                           e_step_sweeps=1, verbose=False, seed=2)
-        theta, _ = train(groups, theta, hyper, cfg)
+        theta, _ = train(flat, theta, hyper, cfg)
         fhist = np.bincount(forward_logits_batch(flat.payload, theta).argmax(1), minlength=K5)
         _, _, P = predict_corpus(flat, theta, hyper, converged=True)
         C = np.zeros((K5, K5))
@@ -314,7 +314,7 @@ def test_08_discriminative_beats_supervised_variational():
             theta = init_params("table", (K, V), 0.1, SeededRng(seed))
             cfg = TrainConfig(mode=mode, epochs=20, batch_size=50, lr=0.05,
                               clamp_labels=True, e_step_sweeps=1, verbose=False, seed=seed)
-            theta, _ = train(tr, theta, hyper, cfg)
+            theta, _ = train(flatten_groups(tr), theta, hyper, cfg)
             pred, _, _ = predict_corpus(te_flat, theta, hyper, converged=mode == "variational")
             accs.append(float(np.mean(pred == te_labels)))
     m_disc, m_var = float(np.mean(disc)), float(np.mean(var))

@@ -5,6 +5,7 @@ import pytest
 
 from logistic_lda.cli import run_cli
 from logistic_lda.data_io import load_checkpoint, load_corpus, read_predictions
+from logistic_lda.encoders import Item
 
 
 def run(capsys, *argv):
@@ -240,6 +241,26 @@ class TestTrainInferEval:
         cfg.write_text("epochs=1\n")
         code, _, _ = run(capsys, "--config", str(cfg), "train")
         assert code == 1
+
+
+class TestNoItemObjects:
+    def test_commands_build_no_item(self, tmp_path, tiny_corpus, capsys, monkeypatch):
+        """Between the corpus file and the kernels every command works on
+        the packed arrays: none of them builds an Item."""
+        def refuse(self):
+            raise AssertionError("an Item was built")
+
+        monkeypatch.setattr(Item, "__post_init__", refuse)
+        c, truth, model = str(tiny_corpus), str(tiny_corpus) + ".truth", str(tmp_path / "m.ckpt")
+        for argv in (
+            ["train", "--corpus", c, "-o", model, "--epochs", "1", "--eval-corpus", c, "--quiet"],
+            ["eval", "--corpus", c, "--model", model, "--truth", truth],
+            ["infer", "--corpus", c, "--model", model, "-o", str(tmp_path / "p.jsonl")],
+            ["topics", "--corpus", c, "--model", model, "-n", "3"],
+            ["gibbs", "--corpus", c, "--burn-in", "1", "--samples", "1", "--truth", truth],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv[0], err)
 
 
 class TestGibbsCommand:

@@ -31,8 +31,10 @@ from logistic_lda.errors import (
 )
 from logistic_lda.lda_baseline import generate_corpus
 from logistic_lda.math_kernels import SeededRng
-from logistic_lda.mean_field import Group, HyperParams
+from logistic_lda.mean_field import Group, HyperParams, flatten_groups
 from logistic_lda.regularizer import RegularizerState
+
+from oracles import reference_load_corpus
 
 
 def write_lines(path, lines):
@@ -195,6 +197,173 @@ class TestCorpusRoundtrip:
         ]
         with pytest.raises(ContractError):
             corpus_from_groups(groups, 2)
+
+
+def _random_corpus_lines(seed, kind, labels, vocab=False):
+    """A header and ragged groups (one-item ones included) of random items;
+    labels is "all", "none" or "mixed"."""
+    rng = np.random.default_rng(seed)
+    k, size = 3, (7 if kind == "token" else 3)
+    header = {"format": "corpus", "version": 1, "k": k, "payload": {kind: size}}
+    if vocab:
+        header["vocab"] = [f"w{v}" for v in range(size)]
+    lines = [json.dumps(header)]
+    for d in range(int(rng.integers(1, 9))):
+        n = int(rng.choice([1, 1, 2, 5, 13]))
+        if kind == "token":
+            items = rng.integers(0, size, n).tolist()
+        else:
+            items = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=(n, size)).tolist()
+            items[0][0] = int(rng.integers(-5, 5))  # JSON integers are numbers too
+            items[-1][-1] = -0.0
+        rec = {"id": f"g{d}", "items": items}
+        if labels == "all" or (labels == "mixed" and rng.random() < 0.5):
+            rec["label"] = int(rng.integers(0, k))
+        lines.append(json.dumps(rec))
+    return lines
+
+
+def _outcome(loader, path):
+    """The corpus a loader returns, or the type and text of what it raises."""
+    try:
+        return loader(path)
+    except Exception as exc:  # noqa: BLE001  (the comparison is the test)
+        return type(exc), str(exc)
+
+
+def _assert_same_corpus(got, ref):
+    want = flatten_groups(ref.groups)
+    for name in ("payload", "offsets", "labels"):
+        a, b = getattr(got.flat, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), name
+    assert got.flat.ids == want.ids
+    assert (got.num_topics, got.payload, got.vocab) == (ref.num_topics, ref.payload, ref.vocab)
+
+
+TOKEN_HEADER = '{"format":"corpus","version":1,"k":3,"payload":{"token":5}}'
+DENSE_HEADER = '{"format":"corpus","version":1,"k":2,"payload":{"dense":2}}'
+HUGE = "1" + "0" * 400
+
+# corpora both loaders refuse: (header, group lines)
+BROKEN = {
+    "float-token": (TOKEN_HEADER, ['{"id":"a","items":[0,1.0]}']),
+    "boolean-token": (TOKEN_HEADER, ['{"id":"a","items":[true]}']),
+    "false-token": (TOKEN_HEADER, ['{"id":"a","items":[1,false]}']),
+    "text-token": (TOKEN_HEADER, ['{"id":"a","items":["1"]}']),
+    "null-token": (TOKEN_HEADER, ['{"id":"a","items":[null]}']),
+    "list-token": (TOKEN_HEADER, ['{"id":"a","items":[[1]]}']),
+    "negative-token": (TOKEN_HEADER, ['{"id":"a","items":[2,-1]}']),
+    "token-at-vocab-size": (TOKEN_HEADER, ['{"id":"a","items":[5]}']),
+    "range-before-type": (TOKEN_HEADER, ['{"id":"a","items":[1,7,"x"]}']),
+    "type-before-range": (TOKEN_HEADER, ['{"id":"a","items":["x",7]}']),
+    "huge-token": (TOKEN_HEADER, ['{"id":"a","items":[0,' + HUGE + ']}']),
+    "huge-negative-token": (TOKEN_HEADER, ['{"id":"a","items":[-' + HUGE + ']}']),
+    "unconvertible-token": (TOKEN_HEADER, ['{"id":"a","items":[1' + "0" * 5000 + ']}']),
+    "token-line-before-label-line": (TOKEN_HEADER, ['{"id":"a","items":[0]}',
+                                                    '{"id":"b","items":[9]}',
+                                                    '{"id":"c","label":3,"items":[0]}']),
+    "label-before-token": (TOKEN_HEADER, ['{"id":"a","label":3,"items":[9]}']),
+    "label-negative": (TOKEN_HEADER, ['{"id":"a","label":-1,"items":[0]}']),
+    "label-float": (TOKEN_HEADER, ['{"id":"a","label":1.0,"items":[0]}']),
+    "label-text": (TOKEN_HEADER, ['{"id":"a","label":"1","items":[0]}']),
+    "no-items": (TOKEN_HEADER, ['{"id":"a"}']),
+    "empty-items": (TOKEN_HEADER, ['{"id":"a","items":[]}']),
+    "items-object": (TOKEN_HEADER, ['{"id":"a","items":{"0":1}}']),
+    "no-id": (TOKEN_HEADER, ['{"items":[0]}']),
+    "empty-id": (TOKEN_HEADER, ['{"id":"","items":[0]}']),
+    "numeric-id": (TOKEN_HEADER, ['{"id":3,"items":[0]}']),
+    "record-list": (TOKEN_HEADER, ['[0,1]']),
+    "blank-line": (TOKEN_HEADER, ['{"id":"a","items":[0]}', "", '{"id":"b","items":[0]}']),
+    "bad-json": (TOKEN_HEADER, ['{"id":"a","items":[0]}', '{"id":"b",']),
+    "header-only": (TOKEN_HEADER, []),
+    "vocab-on-dense": ('{"format":"corpus","version":1,"k":2,"payload":{"dense":2},'
+                       '"vocab":["a","b"]}', ['{"id":"a","items":[[0,0]]}']),
+    "vocab-too-short": (TOKEN_HEADER[:-1] + ',"vocab":["a"]}', ['{"id":"a","items":[0]}']),
+    "zero-topics": ('{"format":"corpus","version":1,"k":0,"payload":{"token":5}}',
+                    ['{"id":"a","items":[0]}']),
+    "two-payloads": ('{"format":"corpus","version":1,"k":2,"payload":{"token":5,"dense":2}}',
+                     ['{"id":"a","items":[0]}']),
+    "dense-wide": (DENSE_HEADER, ['{"id":"a","items":[[1,2,3]]}']),
+    "dense-flat": (DENSE_HEADER, ['{"id":"a","items":[1,2]}']),
+    "dense-ragged": (DENSE_HEADER, ['{"id":"a","items":[[1,2],[1]]}']),
+    "dense-text": (DENSE_HEADER, ['{"id":"a","items":[[1,"2"]]}']),
+    "dense-boolean": (DENSE_HEADER, ['{"id":"a","items":[[true,1]]}']),
+    "dense-nan": (DENSE_HEADER, ['{"id":"a","items":[[0,1],[NaN,1]]}']),
+    "dense-overflow": (DENSE_HEADER, ['{"id":"a","items":[[1e400,1]]}']),
+    "dense-huge-integer": (DENSE_HEADER, ['{"id":"a","items":[[' + HUGE + ',1]]}']),
+    "token-in-dense": (DENSE_HEADER, ['{"id":"a","items":[3]}']),
+}
+
+
+class TestArrayLoaderMatchesReference:
+    """load_corpus fills FlatGroups straight from the file; the earlier
+    object loader (tests/oracles.py) followed by flatten_groups is the
+    reference for both the arrays and the errors."""
+
+    @pytest.mark.parametrize("kind", ["token", "dense"])
+    @pytest.mark.parametrize("labels", ["all", "none", "mixed"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_arrays(self, tmp_path, kind, labels, seed):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, _random_corpus_lines(seed, kind, labels, vocab=kind == "token"))
+        _assert_same_corpus(load_corpus(p), reference_load_corpus(p))
+
+    def test_same_arrays_on_generated_corpus(self, tmp_path, valid_files):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(valid_files["c.jsonl"])
+        _assert_same_corpus(load_corpus(p), reference_load_corpus(p))
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_same_error(self, tmp_path, case):
+        header, lines = BROKEN[case]
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [header, *lines])
+        got, want = _outcome(load_corpus, p), _outcome(reference_load_corpus, p)
+        assert want[0] is CorpusFormatError
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["token", "dense"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_same_outcome_on_corrupt_bytes(self, tmp_path_factory, kind, data):
+        raw = bytearray(("\n".join(_random_corpus_lines(7, kind, "mixed", vocab=kind == "token"))
+                         + "\n").encode("utf-8"))
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        p = tmp_path_factory.getbasetemp() / f"corrupt-{kind}.jsonl"
+        p.write_bytes(bytes(raw))
+        got, want = _outcome(load_corpus, p), _outcome(reference_load_corpus, p)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_corpus(got, want)
+
+    def test_vocabulary_beyond_int64_is_format_error(self, tmp_path):
+        # every id below the header's size passes the range check, so the
+        # size itself must fit the int64 payload
+        p = tmp_path / "c.jsonl"
+        write_lines(p, ['{"format":"corpus","version":1,"k":2,"payload":{"token":%d}}' % 2**63,
+                        '{"id":"a","items":[%d]}' % (2**63 - 1)])
+        with pytest.raises(CorpusFormatError, match="line 1: vocabulary size"):
+            load_corpus(p)
+        write_lines(p, ['{"format":"corpus","version":1,"k":2,"payload":{"token":%d}}'
+                        % (2**63 - 1), '{"id":"a","items":[%d]}' % (2**63 - 2)])
+        assert load_corpus(p).flat.payload.tolist() == [2**63 - 2]
+
+    @pytest.mark.parametrize("kind", ["token", "dense"])
+    def test_groups_view_rebuilds_the_groups(self, tmp_path, kind):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, _random_corpus_lines(3, kind, "mixed"))
+        view, ref = load_corpus(p).groups, reference_load_corpus(p).groups
+        assert isinstance(view, tuple) and len(view) == len(ref)
+        for a, b in zip(view, ref):
+            assert (a.id, a.label, len(a.items)) == (b.id, b.label, len(b.items))
+            for ia, ib in zip(a.items, b.items):
+                assert ia.token == ib.token
+                assert (ia.dense is None) == (ib.dense is None)
+                if ia.dense is not None:
+                    assert ia.dense.tobytes() == ib.dense.tobytes()
 
 
 class TestTruthSidecar:

@@ -148,6 +148,17 @@ class TestBackward:
         mask[4] = False
         assert np.all(g.table[:, mask] == 0)
 
+    @pytest.mark.parametrize("payload", [np.array([1.0, 2.0]), np.array([[1, 2]]),
+                                         np.array([True, False])],
+                             ids=["float", "2-d", "boolean"])
+    def test_table_grad_refuses_what_forward_refuses(self, payload):
+        tab = init_params("table", (2, 4), 1.0, SeededRng(0))
+        dF = np.ones((payload.shape[0], 2))
+        for call in (lambda: forward_logits_batch(payload, tab),
+                     lambda: backward_batch(payload, tab, dF)):
+            with pytest.raises(ContractError, match="token payload must be a 1-d integer array"):
+                call()
+
     @pytest.mark.parametrize("k", [1, 2, 5, 10, 50, 300])
     @pytest.mark.parametrize("n", [1, 7, 640, 6000])
     def test_table_grad_bits_match_add_at(self, n, k):

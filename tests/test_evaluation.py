@@ -183,3 +183,15 @@ class TestTopItems:
         tops = top_items_per_topic(corpus, theta, HyperParams(alpha=np.ones(2), n_iter=2), 3)
         # the two copies of token 1 share one group, hence one score
         assert [i for i, _, _ in tops[1][:2]] == [0, 2]
+
+    def test_dense_items_are_named_by_group_and_position(self):
+        rng = SeededRng(5)
+        groups = [Group(id=f"g{d}", items=[Item(dense=rng.gen.normal(size=3))
+                                           for _ in range(n)])
+                  for d, n in enumerate([1, 4, 2, 7, 1])]
+        corpus = corpus_from_groups(groups, 2)
+        theta = init_params("mlp", (3, 2), 1.0, rng)
+        names = [f"{g.id}[{j}]" for g in groups for j in range(len(g.items))]
+        for entries in top_items_per_topic(corpus, theta, HyperParams(alpha=np.ones(2)), 15):
+            assert len(entries) == 15
+            assert [text for _, _, text in entries] == [names[i] for i, _, _ in entries]

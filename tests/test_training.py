@@ -25,6 +25,7 @@ from logistic_lda.training import (
     Optimizer,
     TrainConfig,
     _discriminative_batch_grad,
+    _batch_slices,
     _EStepCarry,
     _unroll_bwd,
     _unroll_fwd,
@@ -382,7 +383,7 @@ class TestDiscriminativeStep:
         g = token_group([0, 1], label=1)
         h = HyperParams(alpha=np.ones(2), n_iter=2)
         cfg = TrainConfig(mode="discriminative", epochs=1, lr=0.0, verbose=False)
-        theta2, report = train([g], theta, h, cfg)
+        theta2, report = train(flatten_groups([g]), theta, h, cfg)
         np.testing.assert_array_equal(theta2.flat, before)
         assert np.isfinite(report.final_loss)
 
@@ -390,13 +391,14 @@ class TestDiscriminativeStep:
         groups = [token_group([0], label=1, gid="a"), token_group([1], gid="b")]
         h = HyperParams(alpha=np.ones(2))
         with pytest.raises(ContractError):
-            train(groups, init_params("table", (2, 2), 0.0, SeededRng(0)), h,
+            train(flatten_groups(groups), init_params("table", (2, 2), 0.0, SeededRng(0)), h,
                   TrainConfig(mode="discriminative", verbose=False))
 
     def test_label_out_of_range_rejected(self):
         h = HyperParams(alpha=np.ones(2))
         with pytest.raises(DomainError):
-            train([token_group([0], label=2)], init_params("table", (2, 2), 0.0, SeededRng(0)),
+            train(flatten_groups([token_group([0], label=2)]),
+                  init_params("table", (2, 2), 0.0, SeededRng(0)),
                   h, TrainConfig(mode="discriminative", verbose=False))
 
     def test_loss_decreases(self):
@@ -406,7 +408,7 @@ class TestDiscriminativeStep:
         h = HyperParams(alpha=np.ones(2), n_iter=3)
         cfg = TrainConfig(mode="discriminative", epochs=30, batch_size=1, lr=0.2,
                           optimizer="sgd", verbose=False)
-        theta, _ = train([g], theta, h, cfg)
+        theta, _ = train(flatten_groups([g]), theta, h, cfg)
         assert batch_loss(g, theta, h) < 0.3
 
 
@@ -463,7 +465,7 @@ class TestVariationalStep:
         # the E-step ran: alpha_hat moved away from alpha
         assert not np.allclose(carry.alpha_hat[0], h.alpha)
         assert np.isfinite(loss)
-        theta2, _ = train(groups, theta, h, cfg)
+        theta2, _ = train(flatten_groups(groups), theta, h, cfg)
         np.testing.assert_array_equal(theta2.flat, before)
 
     def test_clamped_estep_matches_reference_loop(self):
@@ -509,7 +511,7 @@ class TestVariationalStep:
             mode="variational", epochs=400, batch_size=1, lr=0.05,
             e_step_sweeps=2, verbose=False, track_elbo=False, seed=0,
         )
-        theta, _ = train([group], theta, h, cfg)
+        theta, _ = train(flatten_groups([group]), theta, h, cfg)
         flat = flatten_groups([group])
         F = forward_logits_batch(flat.payload, theta)
         P, _, _, _ = batch_mean_field(F, flat, h, True, cfg.e_step_sweeps, tol=0.0)
@@ -533,7 +535,23 @@ class TestVariationalStep:
         cfg = TrainConfig(mode="variational", epochs=5, lr=1e308, optimizer="sgd",
                           e_step_sweeps=2, verbose=False, track_elbo=False)
         with pytest.raises(TrainingDivergedError):
-            train(groups, theta, h, cfg)
+            train(flatten_groups(groups), theta, h, cfg)
+
+
+class TestBatchSlices:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_index_equals_the_list_form(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.choice([1, 1, 2, 7, 60], size=int(rng.integers(1, 40)))
+        flat = flatten_groups([token_group(np.zeros(n, dtype=np.int64), gid=f"g{d}")
+                               for d, n in enumerate(sizes)])
+        batch_ids = rng.permutation(flat.num_groups)[: int(rng.integers(1, flat.num_groups + 1))]
+        idx, offsets = _batch_slices(flat, batch_ids)
+        want = np.concatenate(
+            [np.arange(flat.offsets[d], flat.offsets[d + 1]) for d in batch_ids])
+        assert idx.dtype == want.dtype and idx.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(offsets, np.concatenate([[0], np.cumsum(sizes[batch_ids])]))
+        assert offsets.dtype == np.int64
 
 
 class TestEpochLoops:
@@ -554,7 +572,8 @@ class TestEpochLoops:
         h = HyperParams(alpha=np.ones(2), lam=1.0, n_iter=4)
         cfg = TrainConfig(mode="discriminative", epochs=40, batch_size=4, lr=0.05,
                           verbose=False, seed=1)
-        theta, report = train(groups, theta, h, cfg, eval_groups=groups)
+        flat = flatten_groups(groups)
+        theta, report = train(flat, theta, h, cfg, eval_flat=flat)
         assert report.records[-1]["eval_accuracy"] == 1.0
         assert report.records[-1]["loss"] < report.records[0]["loss"]
 
@@ -567,7 +586,7 @@ class TestEpochLoops:
         runs = []
         for _ in range(2):
             theta = init_params("table", (2, 6), 0.1, SeededRng(99))
-            _, report = train(groups, theta, h, cfg)
+            _, report = train(flatten_groups(groups), theta, h, cfg)
             runs.append(report.records)
         assert runs[0] == runs[1]
 
@@ -580,7 +599,8 @@ class TestEpochLoops:
         runs = []
         for _ in range(2):
             theta = init_params("table", (2, 6), 0.1, SeededRng(42))
-            _, report = train(groups, theta, h, cfg, eval_groups=groups)
+            flat = flatten_groups(groups)
+            _, report = train(flat, theta, h, cfg, eval_flat=flat)
             runs.append(report.records)
         assert runs[0] == runs[1]
         for rec in runs[0]:
@@ -594,7 +614,7 @@ class TestEpochLoops:
         cfg = TrainConfig(mode="variational", epochs=3, lr=0.01, verbose=False,
                           metrics_path=str(path), track_elbo=False, seed=0)
         theta = init_params("table", (2, 6), 0.1, rng)
-        train(groups, theta, HyperParams(alpha=np.ones(2)), cfg)
+        train(flatten_groups(groups), theta, HyperParams(alpha=np.ones(2)), cfg)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         recs = [json.loads(ln) for ln in lines]
@@ -611,7 +631,8 @@ class TestEpochLoops:
         theta = init_params(kind, (2, 6) if kind == "table" else (6, 4, 2), 0.5, rng)
         before = theta.flat.tobytes()
         cfg = TrainConfig(mode=mode, epochs=2, batch_size=4, lr=0.1, verbose=False)
-        trained, _ = train(groups, theta, HyperParams(alpha=np.ones(2), gamma=0.5), cfg)
+        trained, _ = train(flatten_groups(groups), theta,
+                           HyperParams(alpha=np.ones(2), gamma=0.5), cfg)
         assert theta.flat.tobytes() == before
         assert trained.flat.tobytes() != before
 
@@ -620,7 +641,8 @@ class TestEpochLoops:
         groups = self.make_supervised(SeededRng(18), D=4)
         cfg = TrainConfig(mode="variational", epochs=1, lr=0.01, verbose=False)
         theta = init_params("table", (2, 6), 0.1, SeededRng(0))
-        _, report = train(groups, theta, HyperParams(alpha=np.ones(2), gamma=gamma), cfg)
+        _, report = train(flatten_groups(groups), theta,
+                          HyperParams(alpha=np.ones(2), gamma=gamma), cfg)
         assert (report.reg_state is None) == (gamma == 0.0)
 
     def test_unlabeled_group_rejected_in_discriminative(self):
@@ -628,7 +650,7 @@ class TestEpochLoops:
         theta = init_params("table", (2, 2), 0.1, SeededRng(0))
         cfg = TrainConfig(mode="discriminative", verbose=False)
         with pytest.raises(ContractError):
-            train(groups, theta, HyperParams(alpha=np.ones(2)), cfg)
+            train(flatten_groups(groups), theta, HyperParams(alpha=np.ones(2)), cfg)
 
     def test_predict_corpus_modes_agree_on_easy_data(self):
         rng = SeededRng(16)
