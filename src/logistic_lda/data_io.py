@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .encoders import ACTIVATIONS, EncoderParams, Item, KINDS, fixed_loglik_params
+from .encoders import ACTIVATIONS, EncoderParams, Item, KINDS, _token_array, fixed_loglik_params
 from .errors import (
     CheckpointError,
     ContractError,
@@ -70,14 +70,15 @@ class PayloadSpec:
     def __post_init__(self):
         if self.kind not in ("token", "dense"):
             raise ContractError(f"payload kind must be token or dense, got {self.kind!r}")
-        if self.size < 1:
-            raise ContractError("payload size must be >= 1")
+        if not _is_int(self.size) or self.size < 1:
+            raise ContractError("payload size must be a positive integer")
 
 
 @dataclass
 class Corpus:
     """A corpus header (K, payload spec, optional vocab) and its groups,
-    packed as one FlatGroups."""
+    packed as one FlatGroups.  However it was built, a Corpus refuses what
+    load_corpus would refuse in the file save_corpus writes from it."""
 
     num_topics: int
     payload: PayloadSpec
@@ -85,10 +86,31 @@ class Corpus:
     vocab: tuple = None
 
     def __post_init__(self):
-        if self.flat.num_groups < 1:
+        flat, k, spec = self.flat, self.num_topics, self.payload
+        offsets, labels = np.asarray(flat.offsets), np.asarray(flat.labels)
+        payload = np.asarray(flat.payload)
+        if offsets.ndim != 1 or offsets.size < 2:
             raise ContractError("corpus must contain at least one group")
-        if self.num_topics < 1:
-            raise ContractError("num_topics must be >= 1")
+        if not _is_int(k) or k < 1:
+            raise ContractError("num_topics must be a positive integer")
+        if (offsets.dtype.kind not in "iu" or payload.ndim < 1 or offsets[0] != 0
+                or offsets[-1] != payload.shape[0] or (np.diff(offsets) < 1).any()):
+            raise ContractError("offsets must split the payload rows into non-empty groups")
+        if labels.dtype.kind not in "iu" or labels.shape != (offsets.size - 1,):
+            raise ContractError("labels must be one integer per group")
+        if len(flat.ids) != labels.size or not all(isinstance(g, str) and g for g in flat.ids):
+            raise ContractError("ids must be one non-empty string per group")
+        bad = np.flatnonzero((labels < -1) | (labels >= k))
+        if bad.size:
+            d = bad[0]
+            raise ContractError(f"group {flat.ids[d]!r}: label {labels[d]} not in [0, {k})")
+        # a dense payload's min and max are NaN or infinite exactly when
+        # some entry is, and they take no (N, E) temporary
+        if spec.kind == "token":
+            _token_array(payload, spec.size)
+        elif (payload.dtype.kind != "f" or payload.shape[1:] != (spec.size,)
+              or not np.isfinite([payload.min(), payload.max()]).all()):
+            raise ContractError(f"dense payload must be finite (N, {spec.size}) floats")
         if self.vocab is not None:
             if self.payload.kind != "token":
                 raise ContractError("vocab only applies to token corpora")
@@ -114,36 +136,16 @@ class Corpus:
 
 
 def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
-    """Wrap in-memory groups as a Corpus, inferring the payload spec.  Refuses
-    what load_corpus would refuse in the saved file: mixed item kinds, dense
-    items of two widths, a token outside the vocabulary, a label >= K."""
-    if not groups:
-        raise ContractError("corpus must contain at least one group")
-    kinds = set()
-    max_token = -1
-    dims = set()
-    for g in groups:
-        for it in g.items:
-            if it.token is not None:
-                kinds.add("token")
-                max_token = max(max_token, int(it.token))
-            else:
-                kinds.add("dense")
-                dims.add(it.dense.shape[0])
-        if g.label is not None and g.label >= num_topics:
-            raise ContractError(f"group {g.id!r}: label {g.label} not in [0, {num_topics})")
-    if len(kinds) != 1:
-        raise ContractError("corpus mixes token and dense items")
-    if kinds == {"token"}:
-        size = int(vocab_size) if vocab_size is not None else max_token + 1
-        if max_token >= size:
-            raise ContractError(f"token {max_token} not in the vocabulary [0, {size})")
+    """Pack in-memory groups as a Corpus.  The payload spec comes from the
+    packed items: tokens under `vocab_size` (by default the largest token
+    plus one), or dense vectors of their one width."""
+    flat = flatten_groups(groups)
+    if flat.payload.ndim == 1:
+        size = int(flat.payload.max()) + 1 if vocab_size is None else int(vocab_size)
         spec = PayloadSpec(kind="token", size=size)
     else:
-        if len(dims) != 1:
-            raise ContractError(f"dense items have different widths {sorted(dims)}")
-        spec = PayloadSpec(kind="dense", size=dims.pop())
-    return Corpus(num_topics=num_topics, payload=spec, flat=flatten_groups(groups), vocab=vocab)
+        spec = PayloadSpec(kind="dense", size=flat.payload.shape[1])
+    return Corpus(num_topics=num_topics, payload=spec, flat=flat, vocab=vocab)
 
 
 def _atomic_write(path, data: bytes):

@@ -113,7 +113,8 @@ def _token_array(payload, vocab_size):
     if tokens.dtype.kind not in "iu" or tokens.ndim != 1:
         raise ContractError("token payload must be a 1-d integer array")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
-        raise ContractError("token id outside [0, vocab_size)")
+        bad = tokens.min() if tokens.min() < 0 else tokens.max()
+        raise ContractError(f"token {bad} not in the vocabulary [0, {vocab_size})")
     return tokens
 
 
@@ -175,6 +176,8 @@ def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> np.ndarray
     dF = np.asarray(grad_wrt_logits, dtype=np.float64)
     if dF.ndim != 2 or dF.shape[1] != theta.num_topics:
         raise ContractError("grad_wrt_logits must be (N, K)")
+    if dF.shape[:1] != np.shape(payload)[:1]:
+        raise ContractError("grad_wrt_logits must have one row per payload item")
     grad = np.zeros_like(theta.flat)
     G = theta.with_flat(grad)  # the gradient, shaped like theta
 

@@ -19,7 +19,7 @@ from .backend import njit, pick
 from .errors import ContractError, DomainError
 from .math_kernels import check_positive_vector, check_simplex, sample_dirichlet
 from .mean_field import FlatGroups, Group
-from .encoders import Item
+from .encoders import Item, _token_array
 
 __all__ = [
     "GibbsState",
@@ -84,12 +84,6 @@ class CorpusTruth:
 def item_groups(flat: FlatGroups) -> np.ndarray:
     """Group index of each item, from the offsets."""
     return np.repeat(np.arange(flat.num_groups, dtype=np.int64), flat.sizes())
-
-
-def _token_payload(flat: FlatGroups) -> np.ndarray:
-    if flat.payload.ndim != 1:
-        raise ContractError("Gibbs sampling needs a token corpus, got dense payloads")
-    return flat.payload
 
 
 def disjoint_topic_matrix(K, V):
@@ -157,14 +151,12 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     for each labeled group's observed topic (unlabeled groups get none).
     V defaults to the largest token id seen plus one.
     """
-    tokens = _token_payload(flat)
     if K < 1:
         raise ContractError("K must be >= 1")
     if not (np.isfinite(label_weight) and label_weight >= 0.0):
         raise DomainError("label_weight must be finite and >= 0")
+    tokens = _token_array(flat.payload, np.inf if V is None else int(V))
     V = int(tokens.max()) + 1 if V is None else int(V)
-    if tokens.size and tokens.max() >= V:
-        raise ContractError("token id out of vocabulary range")
     z = rng.gen.integers(0, K, size=tokens.shape[0], dtype=np.int64)
     n_dk = np.zeros((flat.num_groups, K))
     n_kv = np.zeros((K, V))
@@ -247,7 +239,7 @@ _gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_lists)
 def gibbs_sweep(state, flat, alpha, rng):
     """Resample every assignment once, in corpus order, updating counts
     incrementally.  Mutates state; one uniform is consumed per item."""
-    tokens = _token_payload(flat)
+    tokens = _token_array(flat.payload, state.vocab_size)
     alpha = check_positive_vector(alpha)
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(

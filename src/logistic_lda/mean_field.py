@@ -128,7 +128,10 @@ def flatten_groups(groups) -> FlatGroups:
         payload = np.concatenate(payloads)
     except (TypeError, ValueError):
         # numpy's stack and concatenate refuse arrays of unequal shapes
-        raise ContractError("items must all be tokens, or dense vectors of one width") from None
+        widths = sorted({it.dense.size for g in groups for it in g.items if it.dense is not None})
+        held = f"different widths {widths}" if len(widths) > 1 else "tokens and dense vectors"
+        raise ContractError(
+            f"items must all be tokens, or dense vectors of one width; got {held}") from None
     offsets = np.zeros(len(groups) + 1, dtype=np.int64)
     np.cumsum([p.shape[0] for p in payloads], out=offsets[1:])
     labels = np.array([-1 if g.label is None else g.label for g in groups], dtype=np.int64)

@@ -83,13 +83,11 @@ def update_running_estimate(state: RegularizerState, g_batch, total_items: int):
         raise ContractError("total_items must be at least the batch size")
     # log of the batch mean of exp g_k, never leaving log space
     log_mean = log_sum_exp(g, axis=0) - np.log(batch_size)
+    if state.items_seen and state.log_ema_per_topic.shape != log_mean.shape:
+        raise ContractError("batch K does not match regularizer state")
     if state.items_seen == 0 or state.rho == 0.0:
-        if state.items_seen and state.log_ema_per_topic.shape != log_mean.shape:
-            raise ContractError("batch K does not match regularizer state")
         state.log_ema_per_topic = log_mean
     else:
-        if state.log_ema_per_topic.shape != log_mean.shape:
-            raise ContractError("batch K does not match regularizer state")
         stacked = np.stack(
             [np.log(state.rho) + state.log_ema_per_topic, np.log1p(-state.rho) + log_mean]
         )

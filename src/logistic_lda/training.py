@@ -355,11 +355,8 @@ def predict_corpus(flat: FlatGroups, theta, hyper, converged=False):
     unrolled forward pass) or, with converged=True, sweeps to tolerance.
     Returns (labels, p_label, p_items)."""
     F = forward_logits_batch(flat.payload, theta)
-    if converged:
-        P, PL, _, _ = batch_mean_field(F, flat, hyper, False, PREDICT_MAX_SWEEPS,
-                                       tol=PREDICT_TOL)
-    else:
-        P, PL, _, _ = batch_mean_field(F, flat, hyper, False, hyper.n_iter, tol=0.0)
+    sweeps, tol = (PREDICT_MAX_SWEEPS, PREDICT_TOL) if converged else (hyper.n_iter, 0.0)
+    P, PL, _, _ = batch_mean_field(F, flat, hyper, False, sweeps, tol=tol)
     return np.argmax(PL, axis=1), PL, P
 
 

@@ -31,7 +31,7 @@ from logistic_lda.errors import (
 )
 from logistic_lda.lda_baseline import generate_corpus
 from logistic_lda.math_kernels import SeededRng
-from logistic_lda.mean_field import Group, HyperParams, flatten_groups
+from logistic_lda.mean_field import FlatGroups, Group, HyperParams, flatten_groups
 from logistic_lda.regularizer import RegularizerState
 
 from oracles import reference_load_corpus
@@ -197,6 +197,97 @@ class TestCorpusRoundtrip:
         ]
         with pytest.raises(ContractError):
             corpus_from_groups(groups, 2)
+
+    @pytest.mark.parametrize("gid", [5, ""])
+    def test_wrap_refuses_an_id_that_is_not_a_nonempty_string(self, gid):
+        with pytest.raises(ContractError, match="ids must be one non-empty string per group"):
+            corpus_from_groups([Group(id=gid, items=[Item(token=0)])], 2)
+
+
+def _flat(payload, offsets, labels, ids):
+    return FlatGroups(payload=np.asarray(payload), offsets=np.asarray(offsets, dtype=np.int64),
+                      labels=np.asarray(labels, dtype=np.int64), ids=list(ids))
+
+
+class TestCorpusContract:
+    """A Corpus built straight from arrays refuses what load_corpus would
+    refuse in the file that save_corpus writes from it."""
+
+    @pytest.mark.parametrize("spec,flat,message", [
+        (("token", 3), _flat([0, 7], [0, 2], [0], ["a"]),
+         r"token 7 not in the vocabulary \[0, 3\)"),
+        (("token", 3), _flat([0, 1], [0, 2], [5], ["a"]), r"group 'a': label 5 not in \[0, 2\)"),
+        (("dense", 3), _flat(np.zeros((2, 4)), [0, 2], [0], ["a"]), r"finite \(N, 3\) floats"),
+        (("dense", 3), _flat([0, 1], [0, 2], [0], ["a"]), r"finite \(N, 3\) floats"),
+        (("token", 3), _flat([0, 1, 2], [0, 1, 2], [0, 1], ["a", "b"]), "offsets must split"),
+        (("token", 3), _flat([0, 1], [0, 0, 2], [0, 1], ["a", "b"]), "offsets must split"),
+        (("dense", 2), _flat([[0.0, np.nan]], [0, 1], [0], ["a"]), r"finite \(N, 2\) floats"),
+        (("token", 3), _flat([0, 1], [0, 2], [-2], ["a"]), r"label -2 not in \[0, 2\)"),
+        (("token", 3), _flat([0, 1], [0, 2], [0, 1], ["a"]), "one integer per group"),
+        (("token", 3), _flat([0, 1], [0, 2], [0], ["a", "b"]), "one non-empty string per group"),
+    ], ids=["token-beyond-vocab", "label-beyond-k", "dense-width", "tokens-under-dense",
+            "short-offsets", "empty-group", "non-finite", "label-below-absent",
+            "labels-per-group", "ids-per-group"])
+    def test_refuses(self, spec, flat, message):
+        with pytest.raises(ContractError, match=message):
+            Corpus(num_topics=2, payload=PayloadSpec(*spec), flat=flat)
+
+    @pytest.mark.parametrize("k,size", [(2.5, 3), (True, 3), (2, 3.5), (2, True)])
+    def test_header_numbers_must_be_integers(self, k, size):
+        # the file holds them as JSON numbers, which load_corpus refuses
+        # unless they are integers
+        with pytest.raises(ContractError, match="must be a positive integer"):
+            Corpus(num_topics=k, payload=PayloadSpec("token", size),
+                   flat=_flat([0, 1], [0, 2], [0], ["a"]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_corpus_that_constructs_loads_back_bitwise(self, tmp_path_factory, data):
+        # each part of the corpus breaks the contract in one draw of eight,
+        # so about a third of the corpora construct; those must save a file
+        # that loads back to the same arrays
+        def rarely():
+            return data.draw(st.integers(0, 7)) == 0
+
+        def spoil(values, *faults):
+            if rarely():
+                values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+                    st.sampled_from(faults))
+            return values
+
+        kind = data.draw(st.sampled_from(["token", "dense"]))
+        k, size, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+        if (kind == "token") != rarely():
+            tokens = data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+            payload = np.array(spoil(tokens, -1, size), dtype=np.int64)
+        else:
+            width = size + rarely()
+            cells = data.draw(st.lists(st.floats(width=64), min_size=n * width,
+                                       max_size=n * width))
+            payload = np.array(cells, dtype=np.float64).reshape(n, width)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        offsets = [0, *cuts, n - rarely()]
+        d = len(offsets) - 1
+        labels = spoil(data.draw(st.lists(st.integers(-1, k - 1), min_size=d, max_size=d)), -2, k)
+        ids = spoil(data.draw(st.lists(st.text(min_size=1, max_size=2), min_size=d, max_size=d)),
+                    "", 5)
+        vocab = None
+        if (kind == "token") != rarely() and data.draw(st.booleans()):
+            vocab = [f"w{v}" for v in range(size + rarely())]
+        try:
+            corpus = Corpus(num_topics=k, payload=PayloadSpec(kind, size),
+                            flat=_flat(payload, offsets, labels, ids), vocab=vocab)
+        except ContractError:
+            return
+        p = tmp_path_factory.getbasetemp() / "constructed.jsonl"
+        save_corpus(p, corpus)
+        back = load_corpus(p)
+        assert (back.num_topics, back.payload, back.vocab) == (k, corpus.payload, corpus.vocab)
+        assert back.flat.ids == corpus.flat.ids
+        for name in ("payload", "offsets", "labels"):
+            got, want = getattr(back.flat, name), getattr(corpus.flat, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 def _random_corpus_lines(seed, kind, labels, vocab=False):

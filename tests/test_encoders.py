@@ -159,6 +159,16 @@ class TestBackward:
             with pytest.raises(ContractError, match="token payload must be a 1-d integer array"):
                 call()
 
+    @pytest.mark.parametrize("kind", ["table", "mlp"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_grad_needs_one_row_per_item(self, kind, rows):
+        if kind == "table":
+            theta, payload = init_params("table", (3, 4), 1.0, SeededRng(0)), np.array([0, 1])
+        else:
+            theta, payload = init_params("mlp", (2, 3), 1.0, SeededRng(0)), np.zeros((2, 2))
+        with pytest.raises(ContractError, match="one row per payload item"):
+            backward_batch(payload, theta, np.ones((rows, 3)))
+
     @pytest.mark.parametrize("k", [1, 2, 5, 10, 50, 300])
     @pytest.mark.parametrize("n", [1, 7, 640, 6000])
     def test_table_grad_bits_match_add_at(self, n, k):

@@ -16,7 +16,7 @@ from logistic_lda.lda_baseline import (
     item_groups,
 )
 from logistic_lda.math_kernels import SeededRng
-from logistic_lda.mean_field import flatten_groups
+from logistic_lda.mean_field import FlatGroups, flatten_groups
 
 from oracles import check_counts, gibbs_conditional, lda_collapsed_pair_posterior
 
@@ -180,6 +180,19 @@ class TestGibbsSweep:
         flat, _ = small_corpus(rng, V=12)
         with pytest.raises(ContractError):
             gibbs_init(flat, 3, 0.1, rng, V=5)
+
+    @pytest.mark.parametrize("payload", [np.array([0, 1, -1, 2]), np.array([0.0, 1.0, 1.0, 2.0]),
+                                         np.zeros((4, 2))], ids=["negative", "float", "dense"])
+    @pytest.mark.parametrize("V", [None, 12])
+    def test_refuses_a_payload_that_is_not_token_ids(self, payload, V):
+        rng = SeededRng(10)
+        flat, _ = small_corpus(rng, D=2, N=2)
+        bad = FlatGroups(payload=payload, offsets=flat.offsets, labels=flat.labels, ids=flat.ids)
+        with pytest.raises(ContractError):
+            gibbs_init(bad, 3, 0.1, rng, V=V)
+        state = gibbs_init(flat, 3, 0.1, rng, V=12)
+        with pytest.raises(ContractError):
+            gibbs_sweep(state, bad, np.full(3, 0.5), rng)
 
     @pytest.mark.parametrize("kw", [{"eta": 0.0}, {"eta": np.nan}, {"eta": np.inf},
                                     {"label_weight": -1.0}, {"label_weight": np.nan},

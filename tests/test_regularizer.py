@@ -173,6 +173,15 @@ class TestRunningEstimate:
         with pytest.raises(ContractError):
             update_running_estimate(RegularizerState(), np.zeros((4, 2)), total_items=3)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_batch_k_must_match_state(self, rho):
+        state = RegularizerState(rho=rho)
+        state, _ = update_running_estimate(state, np.zeros((4, 2)), total_items=8)
+        with pytest.raises(ContractError, match="batch K does not match regularizer state"):
+            update_running_estimate(state, np.zeros((4, 3)), total_items=8)
+        # a fresh state takes its K from the first batch, whatever it is
+        update_running_estimate(RegularizerState(rho=rho), np.zeros((4, 3)), total_items=8)
+
     def test_rho_validated(self):
         with pytest.raises(DomainError):
             RegularizerState(rho=1.0)
