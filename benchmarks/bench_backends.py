@@ -26,6 +26,7 @@ from logistic_lda.lda_baseline import (
 )
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import (
+    NO_TAPE,
     HyperParams,
     _mean_field_batch_nb_jit,
     _mean_field_batch_np,
@@ -76,7 +77,8 @@ def main():
 
     def mf(kernel, logits, sweeps, tol):
         return lambda: kernel(logits, flat.offsets, hyper.alpha, 1.0, flat.labels,
-                              False, sweeps, tol, AH0.copy(), PL0.copy())
+                              False, sweeps, tol, AH0.copy(), PL0.copy(),
+                              NO_TAPE, NO_TAPE, NO_TAPE)
 
     bench(f"mean-field E-step (5 sweeps, {flat.num_items} items)",
           mf(_mean_field_batch_nb_jit, F, 5, 0.0), mf(_mean_field_batch_np, F, 5, 0.0))

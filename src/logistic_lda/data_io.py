@@ -114,7 +114,9 @@ class Corpus:
         if self.vocab is not None:
             if self.payload.kind != "token":
                 raise ContractError("vocab only applies to token corpora")
-            self.vocab = tuple(str(w) for w in self.vocab)
+            self.vocab = tuple(self.vocab)
+            if not all(isinstance(w, str) for w in self.vocab):
+                raise ContractError("vocab entries must be strings")
             if len(self.vocab) != self.payload.size:
                 raise ContractError("vocab length must equal vocabulary size")
 

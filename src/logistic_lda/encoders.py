@@ -147,8 +147,11 @@ def _act_grad(name, h):
     return None
 
 
-def forward_logits_batch(payload, theta: EncoderParams) -> np.ndarray:
-    """Logits for a whole batch: (N, E) dense rows or (N,) token ids -> (N, K)."""
+def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False):
+    """Logits for a whole batch: (N, E) dense rows or (N,) token ids -> (N, K).
+    keep_hidden=True returns (logits, hidden): an mlp's layer inputs, which
+    `backward_batch` takes instead of running the forward pass again, or
+    None for the other kinds."""
     if theta.kind == "mlp":
         X = np.asarray(payload, dtype=np.float64)
         if X.ndim != 2:
@@ -157,20 +160,24 @@ def forward_logits_batch(payload, theta: EncoderParams) -> np.ndarray:
             raise ContractError(
                 f"payload dim {X.shape[1]} != encoder input dim {theta.weights[0].shape[1]}"
             )
-        return _mlp_forward(theta, X)
+        return _mlp_forward(theta, X, keep_hidden)
     tokens = _token_array(payload, theta.table.shape[1])
     if theta.kind == "table":
-        return theta.table[:, tokens].T.copy()
-    if theta.kind == "fixed_loglik":
+        F = theta.table[:, tokens].T.copy()
+    elif theta.kind == "fixed_loglik":
         # beta entries may be exactly zero; ln 0 = -inf is the intended value
         with np.errstate(divide="ignore"):
-            return np.log(theta.table[:, tokens].T)
-    raise ContractError(f"unknown encoder kind {theta.kind!r}")
+            F = np.log(theta.table[:, tokens].T)
+    else:
+        raise ContractError(f"unknown encoder kind {theta.kind!r}")
+    return (F, None) if keep_hidden else F
 
 
-def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> np.ndarray:
+def backward_batch(payload, theta: EncoderParams, grad_wrt_logits, hidden=None) -> np.ndarray:
     """Gradient of sum_n <grad_wrt_logits[n], f(x_n, theta)> wrt theta, as
-    one vector in the layout of `theta.flat`."""
+    one vector in the layout of `theta.flat`.  `hidden` is what
+    `forward_logits_batch(payload, theta, keep_hidden=True)` returned; an
+    mlp without it runs the forward pass again."""
     if theta.kind == "fixed_loglik":
         raise UnsupportedOperationError("fixed log-likelihood table has no trainable parameters")
     dF = np.asarray(grad_wrt_logits, dtype=np.float64)
@@ -190,13 +197,13 @@ def backward_batch(payload, theta: EncoderParams, grad_wrt_logits) -> np.ndarray
             G.table[k] = np.bincount(tokens, weights=column, minlength=V)
         return grad
 
-    X = np.asarray(payload, dtype=np.float64)
-    _, hs = _mlp_forward(theta, X, keep_hidden=True)
+    if hidden is None:
+        _, hidden = _mlp_forward(theta, np.asarray(payload, dtype=np.float64), keep_hidden=True)
     dh = dF
     for l in reversed(range(len(theta.weights))):
-        g = _act_grad(theta.activations[l], hs[l + 1])
+        g = _act_grad(theta.activations[l], hidden[l + 1])
         da = dh if g is None else dh * g
-        G.weights[l][...] = da.T @ hs[l]
+        G.weights[l][...] = da.T @ hidden[l]
         G.biases[l][...] = da.sum(axis=0)
         if l:
             dh = da @ theta.weights[l]

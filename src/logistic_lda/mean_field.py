@@ -21,11 +21,12 @@ fixed.
 The flattened batch kernels below (numba or vectorized numpy, chosen by
 the backend flag) run the updates for a whole packed corpus.  They are the
 only sweep in the package: inference, the variational E-step and the
-discriminative regime's unrolled forward pass (one sweep per call) all
-run them.  With theta fixed, no group's updates read another group's
-state, so a convergence tolerance is a per-group rule: each group stops
-once its own alpha_hat settles, exactly as it would in a corpus of its
-own.  A readable single-group copy lives with the tests as their oracle.
+discriminative regime's unrolled forward pass (one call of n_iter sweeps
+that tapes each sweep's state) all run them.  With theta fixed, no
+group's updates read another group's state, so a convergence tolerance
+is a per-group rule: each group stops once its own alpha_hat settles,
+exactly as it would in a corpus of its own.  A readable single-group
+copy lives with the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ def flatten_groups(groups) -> FlatGroups:
     try:
         payloads = [group_payload(g) for g in groups]
         payload = np.concatenate(payloads)
+    except OverflowError:
+        # an Item holds any non-negative Python int; int64 holds < 2**63
+        g, big = next((g, it.token) for g in groups for it in g.items
+                      if it.token is not None and it.token >= 2**63)
+        raise ContractError(
+            f"group {g.id!r}: token {big} outside the int64 range [0, 2**63)") from None
     except (TypeError, ValueError):
         # numpy's stack and concatenate refuse arrays of unequal shapes
         widths = sorted({it.dense.size for g in groups for it in g.items if it.dense is not None})
@@ -143,13 +150,24 @@ def flatten_groups(groups) -> FlatGroups:
     )
 
 
-def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0):
+# The two batch kernels share one signature.  Given non-empty tapes and
+# tol = 0 they record every sweep for the unrolled adjoint: tape_P[t - 1]
+# holds the item beliefs of sweep t, tape_A[:, t] and tape_Q[:, t] the
+# alpha_hat and label beliefs after it, and index 0 the start state.
+# Callers that keep no tape pass NO_TAPE three times: a zero-length tape,
+# so that numba compiles one signature for taped and untaped calls.
+NO_TAPE = np.empty((0, 0, 0))
+
+
+def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
+                         tape_P, tape_A, tape_Q):
     total, K = F.shape
     D = offsets.shape[0] - 1
     P = np.empty((total, K))
     PL = np.empty((D, K))
     AH = np.empty((D, K))
     psi_a = np.empty(K)
+    taped = tape_P.shape[0] > 0
     sweeps = 0
     for d in range(D):
         lo, hi = offsets[d], offsets[d + 1]
@@ -163,6 +181,10 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                 PL[d, k] = PL0[d, k]
         for k in range(K):
             AH[d, k] = AH0[d, k]
+        if taped:
+            for k in range(K):
+                tape_A[d, 0, k] = AH[d, k]
+                tape_Q[d, 0, k] = PL[d, k]
         done = 0
         while done < max_sweeps:
             for k in range(K):
@@ -207,6 +229,13 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                 for k in range(K):
                     PL[d, k] /= s
             done += 1
+            if taped:
+                for n in range(lo, hi):
+                    for k in range(K):
+                        tape_P[done - 1, n, k] = P[n, k]
+                for k in range(K):
+                    tape_A[d, done, k] = AH[d, k]
+                    tape_Q[d, done, k] = PL[d, k]
             if tol > 0.0 and delta < tol:
                 break
         if done > sweeps:
@@ -217,18 +246,22 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
 _mean_field_batch_nb_jit = njit(_mean_field_batch_nb)
 
 
-def _sweep_np(F, sizes, starts, alpha, lam, AH, PL, clamped):
-    """One sweep of the three updates over packed groups; the clamped rows
-    of PL stay as they are.  Returns the new (P, AH, PL)."""
-    P = softmax(F + np.repeat(digamma(AH), sizes, axis=0), axis=-1)
+def _sweep_np(F, sizes, starts, alpha, lam, AH, PL, clamped, psi):
+    """One sweep of the three updates over packed groups, from alpha_hat AH,
+    label beliefs PL and psi = digamma(AH); the clamped rows of PL stay as
+    they are.  Returns the new (P, AH, PL, psi), psi being digamma of the
+    new AH: the label update needs it, and the next sweep starts from it."""
+    P = softmax(F + np.repeat(psi, sizes, axis=0), axis=-1)
     AH = alpha + np.add.reduceat(P, starts, axis=0) + lam * PL
-    new_PL = softmax(lam * digamma(AH), axis=-1)
+    psi = digamma(AH)
+    new_PL = softmax(lam * psi, axis=-1)
     if clamped.any():
         new_PL[clamped] = PL[clamped]
-    return P, AH, new_PL
+    return P, AH, new_PL, psi
 
 
-def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0):
+def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
+                         tape_P, tape_A, tape_Q):
     sizes = np.diff(offsets)
     AH = AH0.copy()
     PL = PL0.copy()
@@ -236,19 +269,25 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     PL[clamped] = 0.0
     PL[clamped, labels[clamped]] = 1.0
     P = np.empty_like(F)
+    psi = digamma(AH)
     if tol <= 0.0:
-        for _ in range(max_sweeps):
-            P, AH, PL = _sweep_np(F, sizes, offsets[:-1], alpha, lam, AH, PL, clamped)
+        taped = tape_P.shape[0] > 0
+        if taped:
+            tape_A[:, 0], tape_Q[:, 0] = AH, PL
+        for t in range(1, max_sweeps + 1):
+            P, AH, PL, psi = _sweep_np(F, sizes, offsets[:-1], alpha, lam, AH, PL, clamped, psi)
+            if taped:
+                tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = P, AH, PL
         return P, PL, AH, max_sweeps
     # Groups never read one another's state, so each stops on its own change:
     # a group that stops keeps the state of its last sweep, and only the
     # groups still moving are re-packed and swept again.
     rows = np.arange(F.shape[0])  # corpus rows of the moving groups' items
     moving = np.arange(sizes.size)
-    Fm, sm, starts, AHm, PLm, cm = F, sizes, offsets[:-1], AH, PL, clamped
+    Fm, sm, starts, AHm, PLm, psim, cm = F, sizes, offsets[:-1], AH, PL, psi, clamped
     sweeps = 0
     while moving.size and sweeps < max_sweeps:
-        Pm, new_AH, PLm = _sweep_np(Fm, sm, starts, alpha, lam, AHm, PLm, cm)
+        Pm, new_AH, PLm, psim = _sweep_np(Fm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
         sweeps += 1
         stop = (_row_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
         AHm = new_AH
@@ -259,7 +298,8 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
             PL[moving[stop]] = PLm[stop]
             keep, item_keep = ~stop, ~item_stop
             Fm, rows = Fm[item_keep], rows[item_keep]
-            moving, sm, AHm, PLm, cm = moving[keep], sm[keep], AHm[keep], PLm[keep], cm[keep]
+            moving, sm, cm = moving[keep], sm[keep], cm[keep]
+            AHm, PLm, psim = AHm[keep], PLm[keep], psim[keep]
             starts = np.cumsum(sm) - sm
     return P, PL, AH, sweeps
 
@@ -311,4 +351,5 @@ def batch_mean_field(
         float(tol),
         alpha_hat0,
         p_label0,
+        NO_TAPE, NO_TAPE, NO_TAPE,
     )

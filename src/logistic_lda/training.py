@@ -7,7 +7,7 @@ where r_hat is the running topic-usage estimate.  Beliefs and r_hat are
 treated as constants inside the loss; only g(x, theta) carries gradient.
 
 Discriminative: unroll n_iter coordinate updates from uniform beliefs
-(the mean-field E-step kernel, one sweep at a time, taped), then
+(one call of the mean-field E-step kernel, which tapes every sweep), then
 backpropagate the label cross-entropy -c' ln p_label through every
 update (softmax Jacobians, the digamma bias via trigamma, and the
 alpha_hat accumulation) back into each use of the cached logits.
@@ -169,7 +169,7 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
     """E-step from the batch's warm-started beliefs, then the gradient of
     -sum (p_items + gamma * r_hat)' g(x, theta) with beliefs and r_hat held
     constant.  Updates `carry`; returns (grad, p_items, loss, floor_hits)."""
-    F = forward_logits_batch(mini.payload, theta)
+    F, hidden = forward_logits_batch(mini.payload, theta, keep_hidden=True)
     if np.any(np.isnan(F) | (F == np.inf)):
         # -inf is a legal logit (impossible token); nan and +inf are not
         raise TrainingDivergedError("non-finite logits in variational step")
@@ -185,7 +185,7 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite variational loss {loss!r}")
-    grad = backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(F, S))
+    grad = backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(F, S), hidden)
     carry.alpha_hat[batch_ids] = AH
     carry.p_label[batch_ids] = PL
     return grad, P, loss, 0
@@ -220,20 +220,16 @@ def _unroll_fwd(F, offsets, alpha, lam, n_iter):
     """n_iter unclamped E-step sweeps from alpha_hat = alpha and uniform
     label beliefs, taped for the adjoint: P[t-1] holds the item beliefs of
     sweep t, A[:, t] and Q[:, t] the alpha_hat and label beliefs after it
-    (index 0 is the start state)."""
+    (index 0 is the start state).  One kernel call runs and tapes them."""
     total, K = F.shape
     D = offsets.shape[0] - 1
     P = np.empty((n_iter, total, K))
     A = np.empty((D, n_iter + 1, K))
     Q = np.empty((D, n_iter + 1, K))
-    A[:, 0] = alpha
-    Q[:, 0] = 1.0 / K
-    unlabeled = np.full(D, -1, dtype=np.int64)
-    for t in range(1, n_iter + 1):
-        P[t - 1], Q[:, t], A[:, t], _ = _mean_field_batch(
-            F, offsets, alpha, lam, unlabeled, False, 1, 0.0,
-            np.ascontiguousarray(A[:, t - 1]), np.ascontiguousarray(Q[:, t - 1]),
-        )
+    _mean_field_batch(
+        F, offsets, alpha, lam, np.full(D, -1, dtype=np.int64), False, n_iter, 0.0,
+        np.tile(alpha, (D, 1)), np.full((D, K), 1.0 / K), P, A, Q,
+    )
     return P, A, Q
 
 
@@ -328,13 +324,14 @@ _unroll_bwd = pick(_unroll_bwd_nb_jit, _unroll_bwd_np)
 def _discriminative_batch_grad(payload, offsets, labels, theta, hyper):
     """(mean cross-entropy over the batch, its flat gradient, floor hits,
     item beliefs after the last iteration)."""
-    F = np.ascontiguousarray(forward_logits_batch(payload, theta))
+    F, hidden = forward_logits_batch(payload, theta, keep_hidden=True)
+    F = np.ascontiguousarray(F)
     P, A, Q = _unroll_fwd(F, offsets, hyper.alpha, float(hyper.lam), int(hyper.n_iter))
     dF, losses, floor_hits = _unroll_bwd(
         offsets, float(hyper.lam), P, A, Q, labels, int(hyper.n_iter), LOSS_FLOOR
     )
     D = offsets.shape[0] - 1
-    grad = backward_batch(payload, theta, dF / D)
+    grad = backward_batch(payload, theta, dF / D, hidden)
     return float(losses.mean()), grad, floor_hits, P[-1]
 
 

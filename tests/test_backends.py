@@ -28,14 +28,19 @@ from logistic_lda.lda_baseline import (
 )
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import (
+    NO_TAPE,
     FlatGroups,
     HyperParams,
+    _mean_field_batch_nb,
     _mean_field_batch_nb_jit,
     _mean_field_batch_np,
     batch_mean_field,
     flatten_groups,
 )
 from logistic_lda.training import _unroll_bwd_nb_jit, _unroll_bwd_np, _unroll_fwd
+
+UNTAPED = (NO_TAPE, NO_TAPE, NO_TAPE)
+
 
 def random_problem(seed, D=7, K=4, V=11):
     rng = SeededRng(seed)
@@ -61,7 +66,7 @@ class TestMeanFieldParity:
         AH0 = np.tile(hyper.alpha, (D, 1))
         PL0 = np.full((D, K), 1.0 / K)
         args = (F, flat.offsets, hyper.alpha, hyper.lam, flat.labels,
-                clamp, 6, 0.0, AH0, PL0)
+                clamp, 6, 0.0, AH0, PL0, *UNTAPED)
         P_nb, PL_nb, AH_nb, s_nb = _mean_field_batch_nb_jit(*args)
         P_np, PL_np, AH_np, s_np = _mean_field_batch_np(*args)
         np.testing.assert_allclose(P_nb, P_np, atol=1e-12)
@@ -73,7 +78,8 @@ class TestMeanFieldParity:
         flat, F, hyper = random_problem(99)
         D, K = flat.num_groups, hyper.num_topics
         args = (F, flat.offsets, hyper.alpha, hyper.lam, flat.labels,
-                False, 200, 1e-6, np.tile(hyper.alpha, (D, 1)), np.full((D, K), 1.0 / K))
+                False, 200, 1e-6, np.tile(hyper.alpha, (D, 1)), np.full((D, K), 1.0 / K),
+                *UNTAPED)
         _, _, AH_nb, s_nb = _mean_field_batch_nb_jit(*args)
         _, _, AH_np, s_np = _mean_field_batch_np(*args)
         assert s_nb == s_np
@@ -93,13 +99,14 @@ class TestMeanFieldParity:
         AH0 = hyper.alpha + rng.uniform(0.0, 4.0, size=(D, K))
         PL0 = rng.dirichlet(np.ones(K), size=D)
         P, PL, AH, done = kernel(F, flat.offsets, hyper.alpha, hyper.lam, flat.labels,
-                                 clamp, max_sweeps, 1e-6, AH0, PL0)
+                                 clamp, max_sweeps, 1e-6, AH0, PL0, *UNTAPED)
         counts = []
         for d in range(D):
             lo, hi = flat.offsets[d], flat.offsets[d + 1]
             P_d, PL_d, AH_d, s_d = kernel(
                 F[lo:hi], np.array([0, hi - lo]), hyper.alpha, hyper.lam,
-                flat.labels[d:d + 1], clamp, max_sweeps, 1e-6, AH0[d:d + 1], PL0[d:d + 1])
+                flat.labels[d:d + 1], clamp, max_sweeps, 1e-6, AH0[d:d + 1], PL0[d:d + 1],
+                *UNTAPED)
             np.testing.assert_array_equal(P[lo:hi], P_d)
             np.testing.assert_array_equal(PL[d], PL_d[0])
             np.testing.assert_array_equal(AH[d], AH_d[0])
@@ -120,6 +127,36 @@ class TestUnrollParity:
             np.testing.assert_array_equal(P[t - 1], P_t)
             np.testing.assert_array_equal(A[:, t], AH_t)
             np.testing.assert_array_equal(Q[:, t], PL_t)
+
+    # the loop source runs uncompiled, so its tape writes are checked
+    # whether or not numba is installed
+    KERNELS = [_mean_field_batch_nb, _mean_field_batch_np] + (
+        [_mean_field_batch_nb_jit] if HAS_NUMBA else [])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_tape_is_the_estep_sweep(self, seed, clamp, kernel):
+        # one taped call of n_iter sweeps writes, bit for bit, the state that
+        # the same kernel returns after t sweeps, for every t
+        flat, F, hyper = random_problem(seed)
+        D, K, n = flat.num_groups, hyper.num_topics, hyper.n_iter
+        rng = np.random.default_rng(seed)
+        AH0 = hyper.alpha + rng.uniform(0.0, 2.0, size=(D, K))
+        PL0 = rng.dirichlet(np.ones(K), size=D)
+        P = np.full((n, flat.num_items, K), np.nan)
+        A = np.full((D, n + 1, K), np.nan)
+        Q = np.full((D, n + 1, K), np.nan)
+        args = (F, flat.offsets, hyper.alpha, hyper.lam, flat.labels, clamp)
+        out = kernel(*args, n, 0.0, AH0, PL0, P, A, Q)
+        for t in range(n + 1):
+            P_t, PL_t, AH_t, _ = kernel(*args, t, 0.0, AH0, PL0, *UNTAPED)
+            if t:
+                np.testing.assert_array_equal(P[t - 1], P_t)
+            np.testing.assert_array_equal(A[:, t], AH_t)
+            np.testing.assert_array_equal(Q[:, t], PL_t)
+        for final, untaped in zip(out, kernel(*args, n, 0.0, AH0, PL0, *UNTAPED)):
+            np.testing.assert_array_equal(final, untaped)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_backward_agrees(self, seed):

@@ -203,6 +203,14 @@ class TestCorpusRoundtrip:
         with pytest.raises(ContractError, match="ids must be one non-empty string per group"):
             corpus_from_groups([Group(id=gid, items=[Item(token=0)])], 2)
 
+    @pytest.mark.parametrize("token", [2**63, 2**70])
+    def test_wrap_refuses_a_token_beyond_int64(self, token):
+        groups = [Group(id="a", items=[Item(token=0)]),
+                  Group(id="b", items=[Item(token=1), Item(token=token)])]
+        with pytest.raises(ContractError,
+                           match=rf"group 'b': token {token} outside the int64 range"):
+            corpus_from_groups(groups, 2)
+
 
 def _flat(payload, offsets, labels, ids):
     return FlatGroups(payload=np.asarray(payload), offsets=np.asarray(offsets, dtype=np.int64),
@@ -239,6 +247,14 @@ class TestCorpusContract:
         with pytest.raises(ContractError, match="must be a positive integer"):
             Corpus(num_topics=k, payload=PayloadSpec("token", size),
                    flat=_flat([0, 1], [0, 2], [0], ["a"]))
+
+    @pytest.mark.parametrize("vocab", [[1, "b", "c"], ["a", None, "c"], ["a", "b", b"c"]],
+                             ids=["number", "null", "bytes"])
+    def test_vocab_entries_must_be_strings(self, vocab):
+        # str() would save them as the words '1', 'None', "b'c'"
+        with pytest.raises(ContractError, match="vocab entries must be strings"):
+            Corpus(num_topics=2, payload=PayloadSpec("token", 3),
+                   flat=_flat([0, 1], [0, 2], [0], ["a"]), vocab=vocab)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())

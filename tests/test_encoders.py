@@ -233,6 +233,18 @@ class TestBackward:
         g12 = backward_one(x, theta, 2.0 * u1 - 3.0 * u2)
         np.testing.assert_allclose(g12, 2.0 * g1 - 3.0 * g2, atol=1e-12)
 
+    @pytest.mark.parametrize("activations", [("tanh", "linear"), ("relu", "tanh")])
+    def test_forward_hidden_gives_the_same_gradient_bits(self, activations):
+        # the training steps hand backward_batch the layer inputs their
+        # forward pass kept; the gradient is bitwise the one it computes alone
+        theta = init_params("mlp", (5, 4, 3), 1.0, SeededRng(25), activations=activations)
+        X = SeededRng(26).gen.normal(size=(7, 5))
+        U = SeededRng(27).gen.normal(size=(7, 3))
+        F, hidden = forward_logits_batch(X, theta, keep_hidden=True)
+        np.testing.assert_array_equal(F, forward_logits_batch(X, theta))
+        np.testing.assert_array_equal(backward_batch(X, theta, U, hidden),
+                                      backward_batch(X, theta, U))
+
     def test_batch_is_sum_of_items(self):
         theta = small_mlp(seed=22)
         X = SeededRng(23).gen.normal(size=(4, 5))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma as sp_digamma
 
-from logistic_lda import training
+from logistic_lda import encoders, mean_field, training
 from logistic_lda.encoders import (
     Item,
     forward_logits_batch,
@@ -259,6 +259,62 @@ class TestUnrolledBackwardTape:
                                 LOSS_FLOOR)
         # one call covers alpha_hat after every sweep of the tape
         assert calls == [(D, n_iter, K)]
+
+
+class TestCallsPerBatch:
+    """On the numpy kernels a batch computes each intermediate once: one
+    digamma per sweep plus one for the start state, and one mlp forward
+    pass per training step."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls, original = [], getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @staticmethod
+    def dense_problem():
+        rng = SeededRng(6)
+        K, E = 3, 4
+        groups = [Group(id=f"g{d}", label=d % K,
+                        items=[Item(dense=rng.gen.normal(size=E)) for _ in range(2 + d % 3)])
+                  for d in range(7)]
+        theta = init_params("mlp", (E, 5, K), 1.0, rng)
+        return flatten_groups(groups), theta, HyperParams(alpha=np.full(K, 0.7), lam=1.5, n_iter=4)
+
+    def test_unroll_runs_n_iter_plus_one_digammas(self, monkeypatch):
+        monkeypatch.setattr(training, "_mean_field_batch", mean_field._mean_field_batch_np)
+        flat, theta, h = self.dense_problem()
+        F = np.ascontiguousarray(forward_logits_batch(flat.payload, theta))
+        calls = self.counted(monkeypatch, mean_field, "digamma")
+        _unroll_fwd(F, flat.offsets, h.alpha, float(h.lam), int(h.n_iter))
+        assert len(calls) == h.n_iter + 1
+
+    def test_converged_estep_runs_sweeps_plus_one_digammas(self, monkeypatch):
+        monkeypatch.setattr(mean_field, "_mean_field_batch", mean_field._mean_field_batch_np)
+        flat, theta, h = self.dense_problem()
+        F = forward_logits_batch(flat.payload, theta)
+        calls = self.counted(monkeypatch, mean_field, "digamma")
+        _, _, _, sweeps = batch_mean_field(F, flat, h, False, 200, tol=1e-6)
+        assert 1 < sweeps < 200
+        assert len(calls) == sweeps + 1
+
+    @pytest.mark.parametrize("mode", ["discriminative", "variational"])
+    def test_training_step_runs_one_mlp_forward(self, monkeypatch, mode):
+        flat, theta, h = self.dense_problem()
+        config = TrainConfig(mode=mode, verbose=False)
+        if mode == "variational":
+            step, carry = _variational_step, _EStepCarry.start(flat, h)
+        else:
+            step, carry = training._discriminative_step, None
+        calls = self.counted(monkeypatch, encoders, "_mlp_forward")
+        grad, _, _, _ = step(flat, np.arange(flat.num_groups), theta, h, config, carry)
+        assert len(calls) == 1 and np.all(np.isfinite(grad))
 
 
 class TestCorpusElbo:
