@@ -262,8 +262,11 @@ def _cmd_train(args):
         seed=args.seed, clamp_labels=args.clamp, e_step_sweeps=args.e_step_sweeps,
         track_elbo=args.track_elbo, metrics_path=args.metrics, verbose=not args.quiet,
     )
-    eval_flat = load_corpus(args.eval_corpus).flat if args.eval_corpus else None
-    theta, report = train(corpus.flat, theta, hyper, config, eval_flat=eval_flat)
+    held = load_corpus(args.eval_corpus) if args.eval_corpus else None
+    if held and (held.num_topics, held.payload) != (K, corpus.payload):
+        raise ContractError(f"eval corpus has K={held.num_topics} and {held.payload}, "
+                            f"the training corpus K={K} and {corpus.payload}")
+    theta, report = train(corpus.flat, theta, hyper, config, eval_flat=held and held.flat)
     cp = Checkpoint(
         hyper=hyper, params=theta, reg_state=report.reg_state,
         provenance={"seed": args.seed, "epochs": args.epochs, "mode": args.mode,

@@ -1,11 +1,11 @@
 """Corpus files, binary checkpoints, and prediction output.
 
-Corpus format: UTF-8 lines, one JSON record per line.  The first line is a
-header {"format": "corpus", "version": 1, "k": K, "payload": {"token": V}}
-(or {"dense": E}), optionally with "vocab": [V strings].  Every following
-line is one group {"id": ..., "label": ..., "items": [...]} where items are
-token ids for token corpora and lists of E floats for dense ones.  Floats
-travel as JSON decimal text, which round-trips float64 exactly.
+Corpus, truth and predictions files: UTF-8 lines, one JSON object each.
+Line 1 is a header {"format", "version": 1, "k": K}; every later line is
+one group with a non-empty string "id".  A corpus header adds "payload":
+{"token": V} or {"dense": E} and optionally "vocab": [V strings]; its
+groups carry "items" (token ids, or lists of E floats) and an optional
+"label".  Floats travel as JSON decimal text, which round-trips exactly.
 
 Checkpoint format: magic "LLDA", little-endian uint32 version, uint32
 section count, then sections of (uint32 name length, name bytes, uint64
@@ -24,7 +24,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class PayloadSpec:
     kind: str   # "token" or "dense"
     size: int   # vocabulary size V, or embedding dimension E
 
-    def __post_init__(self):
-        if self.kind not in ("token", "dense"):
-            raise ContractError(f"payload kind must be token or dense, got {self.kind!r}")
-        if not _is_int(self.size) or self.size < 1:
-            raise ContractError("payload size must be a positive integer")
-
 
 @dataclass
 class Corpus:
@@ -87,16 +81,11 @@ class Corpus:
 
     def __post_init__(self):
         flat, k, spec = self.flat, self.num_topics, self.payload
-        offsets, labels = np.asarray(flat.offsets), np.asarray(flat.labels)
-        payload = np.asarray(flat.payload)
-        if offsets.ndim != 1 or offsets.size < 2:
-            raise ContractError("corpus must contain at least one group")
-        if not _is_int(k) or k < 1:
-            raise ContractError("num_topics must be a positive integer")
-        if (offsets.dtype.kind not in "iu" or payload.ndim < 1 or offsets[0] != 0
-                or offsets[-1] != payload.shape[0] or (np.diff(offsets) < 1).any()):
-            raise ContractError("offsets must split the payload rows into non-empty groups")
-        if labels.dtype.kind not in "iu" or labels.shape != (offsets.size - 1,):
+        self.vocab = None if self.vocab is None else tuple(self.vocab)
+        _check_header(k, spec.kind, spec.size, self.vocab)
+        flat.check_offsets()
+        labels, payload = np.asarray(flat.labels), np.asarray(flat.payload)
+        if labels.dtype.kind not in "iu" or labels.shape != (len(flat.offsets) - 1,):
             raise ContractError("labels must be one integer per group")
         if len(flat.ids) != labels.size or not all(isinstance(g, str) and g for g in flat.ids):
             raise ContractError("ids must be one non-empty string per group")
@@ -111,14 +100,6 @@ class Corpus:
         elif (payload.dtype.kind != "f" or payload.shape[1:] != (spec.size,)
               or not np.isfinite([payload.min(), payload.max()]).all()):
             raise ContractError(f"dense payload must be finite (N, {spec.size}) floats")
-        if self.vocab is not None:
-            if self.payload.kind != "token":
-                raise ContractError("vocab only applies to token corpora")
-            self.vocab = tuple(self.vocab)
-            if not all(isinstance(w, str) for w in self.vocab):
-                raise ContractError("vocab entries must be strings")
-            if len(self.vocab) != self.payload.size:
-                raise ContractError("vocab length must equal vocabulary size")
 
     @cached_property
     def groups(self):
@@ -179,23 +160,29 @@ def _group_records(flat):
     return zip(flat.ids, zip(bounds, bounds[1:]), flat.labels.tolist())
 
 
+_dumps = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=...)
+
+
+def _write_records(path, header, lines):
+    """Write the header object on line 1, then `lines`, one JSON text each."""
+    text = "\n".join(chain([_dumps(header)], lines)) + "\n"
+    _atomic_write(path, text.encode("utf-8"))
+
+
 def save_corpus(path, corpus: Corpus):
-    header = {
-        "format": "corpus",
-        "version": CORPUS_VERSION,
-        "k": corpus.num_topics,
-        "payload": {corpus.payload.kind: corpus.payload.size},
-    }
+    spec = corpus.payload
+    header = {"format": "corpus", "version": CORPUS_VERSION, "k": corpus.num_topics,
+              "payload": {spec.kind: spec.size}}
     if corpus.vocab is not None:
         header["vocab"] = list(corpus.vocab)
-    lines = [json.dumps(header, separators=(",", ":"))]
+    lines = []
     payload = corpus.flat.payload
     for gid, (lo, hi), label in _group_records(corpus.flat):
         rec = {"id": gid, "items": payload[lo:hi].tolist()}
         if label >= 0:
             rec["label"] = label
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        lines.append(_dumps(rec))
+    _write_records(path, header, lines)
 
 
 def _read_lines(path):
@@ -226,6 +213,11 @@ def _parse_json_line(raw, lineno):
 def _require(cond, lineno, msg):
     if not cond:
         raise CorpusFormatError(f"line {lineno}: {msg}")
+
+
+def _ensure(cond, msg):
+    if not cond:
+        raise ContractError(msg)
 
 
 def _is_int(value):
@@ -279,16 +271,51 @@ def _dense_rows(items_raw, size, lineno):
     return rows
 
 
-def _read_header(lines, expect_format):
+def _read_header(lines, fmt):
+    """Line 1 checked: an object with format `fmt`, the version and k >= 1."""
     _require(len(lines) >= 1 and lines[0].strip(), 1, "missing header record")
     header = _parse_json_line(lines[0], 1)
     _require(isinstance(header, dict), 1, "header must be an object")
-    _require(header.get("format") == expect_format, 1,
-             f"expected format {expect_format!r}, got {header.get('format')!r}")
+    _require(header.get("format") == fmt, 1,
+             f"expected format {fmt!r}, got {header.get('format')!r}")
     version = header.get("version")
     _require(_is_int(version) and version == CORPUS_VERSION, 1,
-             f"unsupported corpus version {version!r}")
+             f"unsupported {fmt} version {version!r}")
+    _require(_is_int(header.get("k")) and header["k"] >= 1, 1,
+             "header k must be a positive integer")
     return header
+
+
+def _read_records(path, fmt):
+    """The checked header of the file at `path`, and a generator of
+    (lineno, record) that parses and checks each group line when reached."""
+    lines = _read_lines(path)
+    return _read_header(lines, fmt), _group_lines(lines, fmt)
+
+
+def _group_lines(lines, fmt):
+    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
+        _require(raw.strip(), lineno, "blank line")
+        rec = _parse_json_line(raw, lineno)
+        _require(isinstance(rec, dict), lineno, "group record must be an object")
+        gid = rec.get("id")
+        _require(isinstance(gid, str) and gid, lineno, "group id must be a non-empty string")
+        yield lineno, rec
+    _require(len(lines) > 1, len(lines) + 1, f"{fmt} has no groups")
+
+
+def _check_header(k, kind, size, vocab):
+    """The corpus header rules, for a Corpus and for line 1 of its file."""
+    _ensure(_is_int(k) and k >= 1, "header k must be a positive integer")
+    _ensure(kind in ("token", "dense"), 'header payload must be {"token": V} or {"dense": E}')
+    _ensure(_is_int(size) and size >= 1, "payload size must be a positive integer")
+    _ensure(kind == "dense" or size <= _INT64_MAX,
+            f"vocabulary size {size} is beyond the int64 token ids")
+    if vocab is not None:
+        _ensure(kind == "token", "vocab only applies to token corpora")
+        _ensure(isinstance(vocab, (list, tuple)) and len(vocab) == size,
+                "vocab length must equal vocabulary size")
+        _ensure(all(isinstance(w, str) for w in vocab), "vocab entries must be strings")
 
 
 def _check_tokens(items_raw, size, lineno):
@@ -306,35 +333,17 @@ def load_corpus(path) -> Corpus:
     """Read a corpus file straight into FlatGroups arrays: token lines are
     checked as Python lists and converted once at the end, dense lines
     are parsed as one (n, E) array each."""
-    lines = _read_lines(path)
-    header = _read_header(lines, "corpus")
-    k = header.get("k")
-    _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")
-    payload = header.get("payload")
-    _require(
-        isinstance(payload, dict) and len(payload) == 1
-        and next(iter(payload)) in ("token", "dense"),
-        1, "header payload must be {\"token\": V} or {\"dense\": E}",
-    )
-    kind, size = next(iter(payload.items()))
-    _require(_is_int(size) and size >= 1, 1, "payload size must be a positive integer")
-    _require(kind == "dense" or size <= _INT64_MAX, 1,
-             f"vocabulary size {size} is beyond the int64 token ids")
-    vocab = header.get("vocab")
-    if vocab is not None:
-        _require(kind == "token", 1, "vocab only applies to token corpora")
-        _require(isinstance(vocab, list) and len(vocab) == size, 1,
-                 "vocab length must equal vocabulary size")
-        _require(all(isinstance(w, str) for w in vocab), 1, "vocab entries must be strings")
+    header, records = _read_records(path, "corpus")
+    k, payload, vocab = header["k"], header.get("payload"), header.get("vocab")
+    one_entry = isinstance(payload, dict) and len(payload) == 1
+    kind, size = next(iter(payload.items())) if one_entry else (None, None)
+    try:
+        _check_header(k, kind, size, vocab)
+    except ContractError as exc:
+        raise CorpusFormatError(f"line 1: {exc}") from None
 
-    ids, labels, sizes, chunks = [], [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            raise CorpusFormatError(f"line {lineno}: blank line")
-        rec = _parse_json_line(raw, lineno)
-        _require(isinstance(rec, dict), lineno, "group record must be an object")
-        gid = rec.get("id")
-        _require(isinstance(gid, str) and gid, lineno, "group id must be a non-empty string")
+    ids, labels, chunks = [], [], []
+    for lineno, rec in records:
         items_raw = rec.get("items")
         _require(isinstance(items_raw, list) and items_raw, lineno,
                  "items must be a non-empty list")
@@ -347,13 +356,10 @@ def load_corpus(path) -> Corpus:
             chunks.append(items_raw)
         else:
             chunks.append(_dense_rows(items_raw, size, lineno))
-        ids.append(gid)
+        ids.append(rec["id"])
         labels.append(-1 if label is None else label)
-        sizes.append(len(items_raw))
-    if not ids:
-        raise CorpusFormatError(f"line {len(lines) + 1}: corpus has no groups")
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in chunks], out=offsets[1:])
     if kind == "token":
         items = np.fromiter(chain.from_iterable(chunks), dtype=np.int64, count=offsets[-1])
     else:
@@ -368,29 +374,20 @@ def save_truth(path, corpus: Corpus, truth):
     """Ground-truth sidecar: per group the generating pi row and the true
     topic of each item, in corpus order."""
     flat = corpus.flat
-    if truth.pi.shape[0] != flat.num_groups:
-        raise ContractError("truth pi rows must match group count")
-    if truth.z.shape[0] != flat.num_items:
-        raise ContractError("truth z length must match total item count")
+    _ensure(truth.pi.shape[0] == flat.num_groups, "truth pi rows must match group count")
+    _ensure(truth.z.shape[0] == flat.num_items, "truth z length must match total item count")
     header = {"format": "corpus-truth", "version": CORPUS_VERSION, "k": corpus.num_topics}
-    lines = [json.dumps(header, separators=(",", ":"))]
-    for d, (gid, (lo, hi), _) in enumerate(_group_records(flat)):
-        rec = {"id": gid, "pi": truth.pi[d].tolist(), "z": truth.z[lo:hi].tolist()}
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    lines = [_dumps({"id": gid, "pi": truth.pi[d].tolist(), "z": truth.z[lo:hi].tolist()})
+             for d, (gid, (lo, hi), _) in enumerate(_group_records(flat))]
+    _write_records(path, header, lines)
 
 
 def load_truth(path):
     """Returns (ids, pi (D, K), z flat, labels) from a sidecar file."""
-    lines = _read_lines(path)
-    header = _read_header(lines, "corpus-truth")
-    k = header.get("k")
-    _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")
+    header, records = _read_records(path, "corpus-truth")
+    k = header["k"]
     ids, pis, zs = [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        rec = _parse_json_line(raw, lineno)
-        _require(isinstance(rec, dict), lineno, "truth record must be an object")
-        _require(isinstance(rec.get("id"), str), lineno, "missing group id")
+    for lineno, rec in records:
         pi = _finite_array(rec.get("pi"))
         _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
         z = rec.get("z")
@@ -400,7 +397,6 @@ def load_truth(path):
         ids.append(rec["id"])
         pis.append(pi)
         zs.extend(z)
-    _require(len(ids) > 0, 2, "truth file has no groups")
     pi = np.array(pis)
     return ids, pi, np.asarray(zs, dtype=np.int64), pi.argmax(axis=1)
 
@@ -624,14 +620,12 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     p_items = np.asarray(p_items, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
     D = len(ids)
-    if not (len(labels) == D and p_label.shape[0] == D and offsets.shape[0] == D + 1):
-        raise ContractError("ids, labels, p_label and offsets must agree on group count")
-    if offsets[-1] != p_items.shape[0]:
-        raise ContractError("offsets do not cover p_items")
-    k = p_label.shape[1] if D else 0
-    lines = [json.dumps({"format": "predictions", "version": CORPUS_VERSION, "k": k},
-                        separators=(",", ":"))]
+    _ensure(D and len(labels) == D and p_label.shape[0] == D and offsets.shape[0] == D + 1,
+            "ids, labels, p_label and offsets must agree on one or more groups")
+    _ensure(offsets[-1] == p_items.shape[0], "offsets do not cover p_items")
+    k = p_label.shape[1]
     fmt_label, fmt_item = _row_format(k), _row_format(p_items.shape[-1])
+    lines = []
     for d, gid in enumerate(ids):
         group = p_items[offsets[d] : offsets[d + 1]].tolist()
         rows = ",".join([fmt_item % tuple(r) for r in group])
@@ -639,26 +633,15 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
             f'{{"id":{json.dumps(str(gid))},"label":{int(labels[d])},'
             f'"p_label":{fmt_label % tuple(p_label[d].tolist())},"p_items":[{rows}]}}'
         )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_records(path, {"format": "predictions", "version": CORPUS_VERSION, "k": k}, lines)
 
 
 def read_predictions(path):
     """Returns (ids, labels, p_label, p_items list of per-group arrays)."""
-    lines = _read_lines(path)
-    _require(len(lines) >= 1, 1, "missing predictions header")
-    header = _parse_json_line(lines[0], 1)
-    _require(isinstance(header, dict) and header.get("format") == "predictions", 1,
-             "not a predictions file")
-    version = header.get("version")
-    _require(_is_int(version) and version == CORPUS_VERSION, 1,
-             f"unsupported predictions version {version!r}")
-    k = header.get("k")
-    _require(_is_int(k) and k >= 0, 1, "header k must be a non-negative integer")
+    header, records = _read_records(path, "predictions")
+    k = header["k"]
     ids, labels, p_label, p_items = [], [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        rec = _parse_json_line(raw, lineno)
-        _require(isinstance(rec, dict), lineno, "prediction record must be an object")
-        _require(isinstance(rec.get("id"), str), lineno, "missing group id")
+    for lineno, rec in records:
         label = rec.get("label")
         _require(_is_int(label), lineno, f"label {label!r} is not an integer")
         pl, pi = _finite_array(rec.get("p_label")), _finite_array(rec.get("p_items"))

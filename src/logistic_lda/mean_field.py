@@ -120,6 +120,15 @@ class FlatGroups:
     def sizes(self):
         return np.diff(self.offsets)
 
+    def check_offsets(self):
+        """Refuse offsets that do not split the payload rows into one or more
+        non-empty groups: np.add.reduceat gives an empty group the next row."""
+        offsets, payload = np.asarray(self.offsets), np.asarray(self.payload)
+        if (offsets.ndim != 1 or offsets.size < 2 or offsets.dtype.kind not in "iu"
+                or payload.ndim < 1 or offsets[0] != 0 or offsets[-1] != payload.shape[0]
+                or (np.diff(offsets) < 1).any()):
+            raise ContractError("offsets must split the payload rows into non-empty groups")
+
 
 def flatten_groups(groups) -> FlatGroups:
     if not groups:
@@ -326,6 +335,9 @@ def batch_mean_field(
     otherwise); clamped labels override p_label0.  Returns (p_items,
     p_label, alpha_hat, sweeps_done), sweeps_done being the largest
     per-group sweep count."""
+    flat.check_offsets()
+    if int(max_sweeps) < 1:
+        raise ContractError("max_sweeps must be a positive integer")
     F = np.ascontiguousarray(F, dtype=np.float64)
     D, K = flat.num_groups, hyper.num_topics
     if F.shape != (flat.num_items, K):

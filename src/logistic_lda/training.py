@@ -399,6 +399,7 @@ def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
     when given, is scored after every epoch.  Returns (theta, report): new
     parameters, stepped in place on one copy of the given ones, which stay
     as they were."""
+    flat.check_offsets()
     D, K = flat.num_groups, hyper.num_topics
     variational = config.mode == "variational"
     if variational:

@@ -119,6 +119,20 @@ class TestTrainInferEval:
         assert len(lines) == 3
         assert lines[0].startswith("topic 0:")
 
+    @pytest.mark.parametrize("k,v", [(5, 9), (3, 12)], ids=["other-k", "other-vocabulary"])
+    def test_eval_corpus_of_another_shape_is_data_error(self, tmp_path, tiny_corpus, capsys,
+                                                        k, v):
+        held = tmp_path / "held.jsonl"
+        run(capsys, "gen", "--k", str(k), "--v", str(v), "--docs", "4", "--len", "5",
+            "--labeled", "-o", str(held))
+        model, metrics = tmp_path / "m.ckpt", tmp_path / "metrics.jsonl"
+        code, _, err = run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+                           "--eval-corpus", str(held), "--metrics", str(metrics),
+                           "--epochs", "1", "--quiet")
+        assert code == 2
+        assert "eval corpus has" in err
+        assert not metrics.exists() and not model.exists()  # refused before the first epoch
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--corpus", str(tmp_path / "nope.jsonl"),
                            "-o", str(tmp_path / "m.ckpt"), "--quiet")

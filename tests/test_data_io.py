@@ -43,6 +43,7 @@ def write_lines(path, lines):
 
 HEADER = '{"format":"corpus","version":1,"k":3,"payload":{"token":5}}'
 PRED_HEADER = '{"format":"predictions","version":1,"k":2}'
+PRED_RECORD = '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'
 
 
 class TestCorpusLoad:
@@ -233,9 +234,11 @@ class TestCorpusContract:
         (("token", 3), _flat([0, 1], [0, 2], [-2], ["a"]), r"label -2 not in \[0, 2\)"),
         (("token", 3), _flat([0, 1], [0, 2], [0, 1], ["a"]), "one integer per group"),
         (("token", 3), _flat([0, 1], [0, 2], [0], ["a", "b"]), "one non-empty string per group"),
+        (("token", 2**63), _flat([0, 1], [0, 2], [0], ["a"]),
+         "vocabulary size 9223372036854775808 is beyond the int64 token ids"),
     ], ids=["token-beyond-vocab", "label-beyond-k", "dense-width", "tokens-under-dense",
             "short-offsets", "empty-group", "non-finite", "label-below-absent",
-            "labels-per-group", "ids-per-group"])
+            "labels-per-group", "ids-per-group", "vocabulary-beyond-int64"])
     def test_refuses(self, spec, flat, message):
         with pytest.raises(ContractError, match=message):
             Corpus(num_topics=2, payload=PayloadSpec(*spec), flat=flat)
@@ -473,6 +476,10 @@ class TestArrayLoaderMatchesReference:
                     assert ia.dense.tobytes() == ib.dense.tobytes()
 
 
+TRUTH_HEADER = '{"format":"corpus-truth","version":1,"k":2}'
+TRUTH_RECORD = '{"id":"a","pi":[0.5,0.5],"z":[0]}'
+
+
 class TestTruthSidecar:
     def test_roundtrip(self, tmp_path):
         rng = SeededRng(3)
@@ -498,6 +505,18 @@ class TestTruthSidecar:
                         '{"id":"a","pi":[0.2,0.3,0.5],"z":[0]}',
                         '{"id":"b","pi":' + pi + ',"z":[1]}'])
         with pytest.raises(CorpusFormatError, match="line 3: pi must be 3 numbers"):
+            load_truth(p)
+
+    @pytest.mark.parametrize("lines,message", [
+        ([TRUTH_HEADER, TRUTH_RECORD, "", TRUTH_RECORD], "line 3: blank line"),
+        ([TRUTH_HEADER, TRUTH_RECORD.replace('"a"', '""')],
+         "line 2: group id must be a non-empty string"),
+        ([TRUTH_HEADER], "line 2: corpus-truth has no groups"),
+    ], ids=["blank-line", "empty-id", "header-only"])
+    def test_malformed_is_format_error(self, tmp_path, lines, message):
+        p = tmp_path / "t.jsonl"
+        write_lines(p, lines)
+        with pytest.raises(CorpusFormatError, match=message):
             load_truth(p)
 
     def test_boolean_topics_rejected(self, tmp_path):
@@ -670,13 +689,18 @@ class TestCheckpoint:
 
 
 class TestPredictions:
-    def test_empty_corpus_header_only(self, tmp_path):
+    def test_zero_groups_refused(self, tmp_path):
+        # a header-only file would break the reader's rule of at least one
+        # group, so the writer refuses it and leaves the target as it was
         p = tmp_path / "pred.jsonl"
-        write_predictions(p, [], np.zeros(0, dtype=int), np.zeros((0, 2)),
-                          np.zeros((0, 2)), np.zeros(1, dtype=int))
-        lines = p.read_text().strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["format"] == "predictions"
+        write_predictions(p, ["a"], [1], np.array([[0.25, 0.75]]), np.array([[0.5, 0.5]]),
+                          [0, 1])
+        with pytest.raises(ContractError, match="one or more groups"):
+            write_predictions(p, [], np.zeros(0, dtype=int), np.zeros((0, 2)),
+                              np.zeros((0, 2)), np.zeros(1, dtype=int))
+        ids, labels, p_label, p_items = read_predictions(p)
+        assert ids == ["a"] and labels.tolist() == [1]
+        assert p_label.tolist() == [[0.25, 0.75]] and p_items[0].tolist() == [[0.5, 0.5]]
 
     def test_six_decimal_places_and_near_simplex(self, tmp_path):
         p = tmp_path / "pred.jsonl"
@@ -734,9 +758,9 @@ class TestPredictions:
         np.testing.assert_allclose(pi[0], p_items, atol=5e-7)
 
     @pytest.mark.parametrize("lines,message", [
-        (['["predictions"]'], "line 1: not a predictions file"),
+        (['["predictions"]'], "line 1: header must be an object"),
         ([PRED_HEADER, '{"label":0,"p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
-         "line 2: missing group id"),
+         "line 2: group id must be a non-empty string"),
         ([PRED_HEADER, '{"id":"a","label":"x","p_label":[0.5,0.5],"p_items":[[0.5,0.5]]}'],
          "line 2: label 'x' is not an integer"),
         ([PRED_HEADER, '{"id":"a","label":0,"p_items":[[0.5,0.5]]}'],
@@ -761,9 +785,14 @@ class TestPredictions:
          "line 2: p_items must be rows of 2 numbers"),
         ([PRED_HEADER, '{"id":"a","label":0,"p_label":[0.5,0.5],"p_items":[[-Infinity,1]]}'],
          "line 2: p_items must be rows of 2 numbers"),
+        ([PRED_HEADER, PRED_RECORD, "", PRED_RECORD], "line 3: blank line"),
+        ([PRED_HEADER, PRED_RECORD.replace('"a"', '""')],
+         "line 2: group id must be a non-empty string"),
+        ([PRED_HEADER], "line 2: predictions has no groups"),
     ], ids=["header-not-object", "no-id", "label-text", "no-p_label", "flat-p_items",
             "future-version", "boolean-version", "p_label-numeric-text", "p_label-boolean",
-            "p_label-nan", "p_items-numeric-text", "p_items-boolean", "p_items-infinity"])
+            "p_label-nan", "p_items-numeric-text", "p_items-boolean", "p_items-infinity",
+            "blank-line", "empty-id", "header-only"])
     def test_malformed_is_format_error(self, tmp_path, lines, message):
         p = tmp_path / "pred.jsonl"
         write_lines(p, lines)

@@ -8,8 +8,14 @@ from scipy.special import digamma as sp_digamma
 from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch, init_params
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import SeededRng, digamma, expected_log_pi, log_softmax, softmax
-from logistic_lda.mean_field import Group, HyperParams, batch_mean_field, flatten_groups
-from logistic_lda.training import _corpus_elbo
+from logistic_lda.mean_field import (
+    FlatGroups,
+    Group,
+    HyperParams,
+    batch_mean_field,
+    flatten_groups,
+)
+from logistic_lda.training import TrainConfig, _corpus_elbo, predict_corpus, train
 
 from oracles import (
     MeanFieldState,
@@ -479,3 +485,29 @@ class TestBatchLayer:
         flat = flatten_groups(groups)
         with pytest.raises(ContractError):
             batch_mean_field(np.zeros((3, h.num_topics)), flat, h, False, 2)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -3])
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_max_sweeps_below_one_rejected(self, max_sweeps, tol):
+        # no sweep would leave p_items as the kernel's uninitialised buffer
+        groups, theta, h = self.make_corpus(17)
+        flat = flatten_groups(groups)
+        F = forward_logits_batch(flat.payload, theta)
+        with pytest.raises(ContractError, match="max_sweeps must be a positive integer"):
+            batch_mean_field(F, flat, h, False, max_sweeps, tol=tol)
+
+    @pytest.mark.parametrize("run", ["batch_mean_field", "predict_corpus", "train"])
+    def test_hand_built_empty_group_rejected(self, run):
+        # np.add.reduceat gives an empty segment the next row, so group 0
+        # would get beliefs from group 1's first item
+        flat = FlatGroups(payload=np.array([0, 1, 2, 3]), offsets=np.array([0, 0, 2, 4]),
+                          labels=np.full(3, -1), ids=["a", "b", "c"])
+        h = HyperParams(alpha=np.full(3, 0.5), n_iter=3)
+        theta = init_params("table", (3, 4), 1.0, SeededRng(0))
+        with pytest.raises(ContractError, match="offsets must split the payload rows"):
+            if run == "batch_mean_field":
+                batch_mean_field(np.zeros((4, 3)), flat, h, False, 3)
+            elif run == "predict_corpus":
+                predict_corpus(flat, theta, h)
+            else:
+                train(flat, theta, h, TrainConfig(mode="variational", epochs=1, verbose=False))
