@@ -1,11 +1,15 @@
 """Corpus files, binary checkpoints, and prediction output.
 
 Corpus, truth and predictions files: UTF-8 lines, one JSON object each.
-Line 1 is a header {"format", "version": 1, "k": K}; every later line is
-one group with a non-empty string "id".  A corpus header adds "payload":
+Line 1 is a header {"format", "version", "k": K}; every later line is one
+group with a non-empty string "id".  A corpus header adds "payload":
 {"token": V} or {"dense": E} and optionally "vocab": [V strings]; its
-groups carry "items" (token ids, or lists of E floats) and an optional
-"label".  Floats travel as JSON decimal text, which round-trips exactly.
+groups carry "items" and an optional "label".  Token items are lists of
+ids under either corpus version.  Dense items are lists of E JSON numbers
+under version 1, and under version 2, which save_corpus writes, one
+base64 string of the group's little-endian float64 rows in C order, so
+the floats round-trip bit for bit without decimal text.  Truth and
+predictions files are version 1.
 
 Checkpoint format: magic "LLDA", little-endian uint32 version, uint32
 section count, then sections of (uint32 name length, name bytes, uint64
@@ -22,6 +26,7 @@ import json
 import os
 import struct
 import tempfile
+from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -57,7 +62,8 @@ __all__ = [
     "CORPUS_VERSION",
 ]
 
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2  # the newest corpus version, which save_corpus writes for dense payloads
+_READ_VERSIONS = {"corpus": (1, 2), "corpus-truth": (1,), "predictions": (1,)}
 CHECKPOINT_VERSION = 1
 _MAGIC = b"LLDA"
 
@@ -81,7 +87,11 @@ class Corpus:
 
     def __post_init__(self):
         flat, k, spec = self.flat, self.num_topics, self.payload
-        self.vocab = None if self.vocab is None else tuple(self.vocab)
+        if self.vocab is not None:
+            try:
+                self.vocab = tuple(self.vocab)
+            except TypeError:
+                raise ContractError("vocab must be an iterable of strings") from None
         _check_header(k, spec.kind, spec.size, self.vocab)
         flat.check_offsets()
         labels, payload = np.asarray(flat.labels), np.asarray(flat.payload)
@@ -170,15 +180,20 @@ def _write_records(path, header, lines):
 
 
 def save_corpus(path, corpus: Corpus):
+    """Token corpora as version 1, dense ones as version 2."""
     spec = corpus.payload
-    header = {"format": "corpus", "version": CORPUS_VERSION, "k": corpus.num_topics,
-              "payload": {spec.kind: spec.size}}
+    dense = spec.kind == "dense"
+    header = {"format": "corpus", "version": CORPUS_VERSION if dense else 1,
+              "k": corpus.num_topics, "payload": {spec.kind: spec.size}}
     if corpus.vocab is not None:
         header["vocab"] = list(corpus.vocab)
     lines = []
     payload = corpus.flat.payload
+    if dense:
+        payload = np.ascontiguousarray(payload, dtype="<f8")
     for gid, (lo, hi), label in _group_records(corpus.flat):
-        rec = {"id": gid, "items": payload[lo:hi].tolist()}
+        items = b64encode(payload[lo:hi]).decode("ascii") if dense else payload[lo:hi].tolist()
+        rec = {"id": gid, "items": items}
         if label >= 0:
             rec["label"] = label
         lines.append(_dumps(rec))
@@ -264,6 +279,22 @@ def _dense_rows(items_raw, size, lineno):
             vec = _float_array(entry)
             _require(vec is not None and vec.shape == (size,), lineno,
                      f"item {j}: expected {size} floats")
+    return _finite_rows(rows, lineno)
+
+
+def _binary_rows(items_raw, size, lineno):
+    """A version-2 dense group, base64 of little-endian float64 rows, as one
+    (n, size) array over the decoded bytes."""
+    try:
+        raw = b64decode(items_raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise CorpusFormatError(f"line {lineno}: items are not base64 ({exc})") from None
+    _require(raw and len(raw) % (8 * size) == 0, lineno,
+             f"items hold {len(raw)} bytes, not one or more rows of {size} float64")
+    return _finite_rows(np.frombuffer(raw, dtype="<f8").reshape(-1, size), lineno)
+
+
+def _finite_rows(rows, lineno):
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise CorpusFormatError(
@@ -279,7 +310,7 @@ def _read_header(lines, fmt):
     _require(header.get("format") == fmt, 1,
              f"expected format {fmt!r}, got {header.get('format')!r}")
     version = header.get("version")
-    _require(_is_int(version) and version == CORPUS_VERSION, 1,
+    _require(_is_int(version) and version in _READ_VERSIONS[fmt], 1,
              f"unsupported {fmt} version {version!r}")
     _require(_is_int(header.get("k")) and header["k"] >= 1, 1,
              "header k must be a positive integer")
@@ -332,7 +363,7 @@ def _check_tokens(items_raw, size, lineno):
 def load_corpus(path) -> Corpus:
     """Read a corpus file straight into FlatGroups arrays: token lines are
     checked as Python lists and converted once at the end, dense lines
-    are parsed as one (n, E) array each."""
+    are parsed (version 1) or decoded (version 2) as one (n, E) array each."""
     header, records = _read_records(path, "corpus")
     k, payload, vocab = header["k"], header.get("payload"), header.get("vocab")
     one_entry = isinstance(payload, dict) and len(payload) == 1
@@ -342,11 +373,15 @@ def load_corpus(path) -> Corpus:
     except ContractError as exc:
         raise CorpusFormatError(f"line 1: {exc}") from None
 
+    binary = kind == "dense" and header["version"] == 2
     ids, labels, chunks = [], [], []
     for lineno, rec in records:
         items_raw = rec.get("items")
-        _require(isinstance(items_raw, list) and items_raw, lineno,
-                 "items must be a non-empty list")
+        if binary:
+            _require(isinstance(items_raw, str), lineno, "items must be a base64 string")
+        else:
+            _require(isinstance(items_raw, list) and items_raw, lineno,
+                     "items must be a non-empty list")
         label = rec.get("label")
         if label is not None:
             _require(_is_int(label) and 0 <= label < k, lineno,
@@ -355,7 +390,7 @@ def load_corpus(path) -> Corpus:
             _check_tokens(items_raw, size, lineno)
             chunks.append(items_raw)
         else:
-            chunks.append(_dense_rows(items_raw, size, lineno))
+            chunks.append((_binary_rows if binary else _dense_rows)(items_raw, size, lineno))
         ids.append(rec["id"])
         labels.append(-1 if label is None else label)
     offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
@@ -363,7 +398,7 @@ def load_corpus(path) -> Corpus:
     if kind == "token":
         items = np.fromiter(chain.from_iterable(chunks), dtype=np.int64, count=offsets[-1])
     else:
-        items = np.concatenate(chunks)
+        items = np.concatenate(chunks, dtype=np.float64)
     flat = FlatGroups(payload=items, offsets=offsets,
                       labels=np.array(labels, dtype=np.int64), ids=ids)
     return Corpus(num_topics=k, payload=PayloadSpec(kind=kind, size=size), flat=flat,
@@ -376,7 +411,7 @@ def save_truth(path, corpus: Corpus, truth):
     flat = corpus.flat
     _ensure(truth.pi.shape[0] == flat.num_groups, "truth pi rows must match group count")
     _ensure(truth.z.shape[0] == flat.num_items, "truth z length must match total item count")
-    header = {"format": "corpus-truth", "version": CORPUS_VERSION, "k": corpus.num_topics}
+    header = {"format": "corpus-truth", "version": 1, "k": corpus.num_topics}
     lines = [_dumps({"id": gid, "pi": truth.pi[d].tolist(), "z": truth.z[lo:hi].tolist()})
              for d, (gid, (lo, hi), _) in enumerate(_group_records(flat))]
     _write_records(path, header, lines)
@@ -623,17 +658,19 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     _ensure(D and len(labels) == D and p_label.shape[0] == D and offsets.shape[0] == D + 1,
             "ids, labels, p_label and offsets must agree on one or more groups")
     _ensure(offsets[-1] == p_items.shape[0], "offsets do not cover p_items")
+    _ensure(p_label.ndim == 2 and p_items.ndim == 2 and p_items.shape[1] == p_label.shape[1],
+            "p_items must have one column per column of p_label")
     k = p_label.shape[1]
-    fmt_label, fmt_item = _row_format(k), _row_format(p_items.shape[-1])
+    fmt_row = _row_format(k)
     lines = []
     for d, gid in enumerate(ids):
         group = p_items[offsets[d] : offsets[d + 1]].tolist()
-        rows = ",".join([fmt_item % tuple(r) for r in group])
+        rows = ",".join([fmt_row % tuple(r) for r in group])
         lines.append(
             f'{{"id":{json.dumps(str(gid))},"label":{int(labels[d])},'
-            f'"p_label":{fmt_label % tuple(p_label[d].tolist())},"p_items":[{rows}]}}'
+            f'"p_label":{fmt_row % tuple(p_label[d].tolist())},"p_items":[{rows}]}}'
         )
-    _write_records(path, {"format": "predictions", "version": CORPUS_VERSION, "k": k}, lines)
+    _write_records(path, {"format": "predictions", "version": 1, "k": k}, lines)
 
 
 def read_predictions(path):

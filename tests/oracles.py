@@ -20,11 +20,14 @@ The reference_* kernels at the end are the earlier, plainer numpy forms
 of softmax, log_softmax, digamma, trigamma, the table encoder's backward
 scatter and the corpus ELBO; the shipped kernels must match them bit for
 bit.  reference_load_corpus is the earlier corpus loader, which validates
-and builds one Item per entry; the array loader must produce the same
-packed corpus from a valid file and the same error from a broken one.
+and builds one Item per entry (a version-2 dense row is unpacked on its
+own with struct); the array loader must produce the same packed corpus
+from a valid file and the same error from a broken one.
 """
 
+import base64
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -508,6 +511,7 @@ def reference_load_corpus(path):
                  "vocab length must equal vocabulary size")
         _require(all(isinstance(w, str) for w in vocab), 1, "vocab entries must be strings")
 
+    binary = kind == "dense" and header["version"] == 2
     groups = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -517,8 +521,11 @@ def reference_load_corpus(path):
         gid = rec.get("id")
         _require(isinstance(gid, str) and gid, lineno, "group id must be a non-empty string")
         items_raw = rec.get("items")
-        _require(isinstance(items_raw, list) and items_raw, lineno,
-                 "items must be a non-empty list")
+        if binary:
+            _require(isinstance(items_raw, str), lineno, "items must be a base64 string")
+        else:
+            _require(isinstance(items_raw, list) and items_raw, lineno,
+                     "items must be a non-empty list")
         label = rec.get("label")
         if label is not None:
             _require(_is_int(label) and 0 <= label < k, lineno,
@@ -530,6 +537,20 @@ def reference_load_corpus(path):
                 _require(0 <= entry < size, lineno,
                          f"item {j}: token {entry} not in [0, {size})")
                 items.append(Item(token=entry))
+        elif binary:
+            try:
+                data = base64.b64decode(items_raw, validate=True)
+            except ValueError as exc:
+                raise CorpusFormatError(f"line {lineno}: items are not base64 ({exc})") from None
+            width = 8 * size
+            _require(data and len(data) % width == 0, lineno,
+                     f"items hold {len(data)} bytes, not one or more rows of {size} float64")
+            items = []
+            for j in range(len(data) // width):
+                row = struct.unpack_from(f"<{size}d", data, j * width)
+                _require(all(map(math.isfinite, row)), lineno,
+                         f"item {j}: embedding has non-finite entries")
+                items.append(Item(dense=np.array(row)))
         else:
             items = [Item(dense=row) for row in _dense_rows(items_raw, size, lineno)]
         groups.append(Group(id=gid, items=items, label=label))

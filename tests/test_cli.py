@@ -147,6 +147,18 @@ class TestTrainInferEval:
         assert code == 2
         assert "line 2" in err
 
+    def test_bad_base64_in_version_2_corpus_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format":"corpus","version":2,"k":2,"payload":{"dense":2}}\n'
+                       '{"id":"a","items":"AAAAAAAAAAAAAAAAAAAAAA=="}\n'
+                       '{"id":"b","items":"AAAA*AAA"}\n')
+        model = tmp_path / "m.ckpt"
+        code, _, err = run(capsys, "train", "--corpus", str(bad), "-o", str(model), "--quiet")
+        assert code == 2
+        assert "line 3: items are not base64" in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_exit_code(self, tmp_path, capsys):
         # large dense inputs + tiny init + absurd lr overflow the weights

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -259,6 +260,19 @@ class TestCorpusContract:
             Corpus(num_topics=2, payload=PayloadSpec("token", 3),
                    flat=_flat([0, 1], [0, 2], [0], ["a"]), vocab=vocab)
 
+    @pytest.mark.parametrize("vocab", [5, 2.5, True])
+    def test_vocab_that_is_not_iterable_is_refused(self, vocab):
+        with pytest.raises(ContractError, match="vocab must be an iterable of strings"):
+            Corpus(num_topics=2, payload=PayloadSpec("token", 3),
+                   flat=_flat([0, 1], [0, 2], [0], ["a"]), vocab=vocab)
+
+    @pytest.mark.parametrize("make", [list, iter, dict.fromkeys, lambda w: (x for x in w)],
+                             ids=["list", "iterator", "dict", "generator"])
+    def test_vocab_from_any_iterable_constructs(self, make):
+        corpus = Corpus(num_topics=2, payload=PayloadSpec("token", 3),
+                        flat=_flat([0, 1], [0, 2], [0], ["a"]), vocab=make(["a", "b", "c"]))
+        assert corpus.vocab == ("a", "b", "c")
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_every_corpus_that_constructs_loads_back_bitwise(self, tmp_path_factory, data):
@@ -309,12 +323,19 @@ class TestCorpusContract:
             assert got.tobytes() == want.tobytes()
 
 
+def _b64(rows):
+    """Version-2 dense items: base64 of the rows as little-endian float64."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _random_corpus_lines(seed, kind, labels, vocab=False):
     """A header and ragged groups (one-item ones included) of random items;
-    labels is "all", "none" or "mixed"."""
+    kind is "token" or "dense", with "-v2" for a version-2 header (dense
+    rows then travel as base64), and labels is "all", "none" or "mixed"."""
     rng = np.random.default_rng(seed)
+    kind, v2 = kind.removesuffix("-v2"), kind.endswith("-v2")
     k, size = 3, (7 if kind == "token" else 3)
-    header = {"format": "corpus", "version": 1, "k": k, "payload": {kind: size}}
+    header = {"format": "corpus", "version": 2 if v2 else 1, "k": k, "payload": {kind: size}}
     if vocab:
         header["vocab"] = [f"w{v}" for v in range(size)]
     lines = [json.dumps(header)]
@@ -326,6 +347,8 @@ def _random_corpus_lines(seed, kind, labels, vocab=False):
             items = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=(n, size)).tolist()
             items[0][0] = int(rng.integers(-5, 5))  # JSON integers are numbers too
             items[-1][-1] = -0.0
+            if v2:
+                items = _b64(items)
         rec = {"id": f"g{d}", "items": items}
         if labels == "all" or (labels == "mixed" and rng.random() < 0.5):
             rec["label"] = int(rng.integers(0, k))
@@ -353,7 +376,38 @@ def _assert_same_corpus(got, ref):
 
 TOKEN_HEADER = '{"format":"corpus","version":1,"k":3,"payload":{"token":5}}'
 DENSE_HEADER = '{"format":"corpus","version":1,"k":2,"payload":{"dense":2}}'
+DENSE2_HEADER = '{"format":"corpus","version":2,"k":2,"payload":{"dense":2}}'
 HUGE = "1" + "0" * 400
+
+
+def _v2_line(items, label=None):
+    rec = {"id": "a", "items": items}
+    if label is not None:
+        rec["label"] = label
+    return json.dumps(rec, ensure_ascii=False)
+
+
+# version-2 dense group lines load_corpus refuses, each with the message it gives
+BROKEN_V2 = {
+    "list-items": (_v2_line([[0.5, 1.5]]), "items must be a base64 string"),
+    "number-items": (_v2_line(3), "items must be a base64 string"),
+    "no-items": ('{"id":"a"}', "items must be a base64 string"),
+    "bad-alphabet": (_v2_line("AAAA!AAA"), r"items are not base64 \(.*\)"),
+    "bad-padding": (_v2_line("AAAAA"), r"items are not base64 \(.*\)"),
+    "leading-padding": (_v2_line("=AAA"), r"items are not base64 \(.*\)"),
+    "whitespace": (_v2_line(_b64([[0.5, 1.5]])[:8] + " " + _b64([[0.5, 1.5]])[8:]),
+                   r"items are not base64 \(.*\)"),
+    "non-ascii": (_v2_line("AAAA\u00e9AAA"), r"items are not base64 \(.*ASCII.*\)"),
+    "zero-bytes": (_v2_line(""), "items hold 0 bytes, not one or more rows of 2 float64"),
+    "partial-row": (_v2_line(_b64([0.5, 1.5, 2.5])),
+                    "items hold 24 bytes, not one or more rows of 2 float64"),
+    "partial-float": (_v2_line(base64.b64encode(bytes(20)).decode()),
+                      "items hold 20 bytes, not one or more rows of 2 float64"),
+    "nan": (_v2_line(_b64([[0.5, 1.5], [np.nan, 1.0]])),
+            "item 1: embedding has non-finite entries"),
+    "infinity": (_v2_line(_b64([[-np.inf, 1.0]])), "item 0: embedding has non-finite entries"),
+    "label-beyond-k": (_v2_line(_b64([[0.5, 1.5]]), label=2), r"label 2 not in \[0, 2\)"),
+}
 
 # corpora both loaders refuse: (header, group lines)
 BROKEN = {
@@ -403,6 +457,7 @@ BROKEN = {
     "dense-overflow": (DENSE_HEADER, ['{"id":"a","items":[[1e400,1]]}']),
     "dense-huge-integer": (DENSE_HEADER, ['{"id":"a","items":[[' + HUGE + ',1]]}']),
     "token-in-dense": (DENSE_HEADER, ['{"id":"a","items":[3]}']),
+    **{f"v2-{case}": (DENSE2_HEADER, [line]) for case, (line, _) in BROKEN_V2.items()},
 }
 
 
@@ -411,12 +466,12 @@ class TestArrayLoaderMatchesReference:
     object loader (tests/oracles.py) followed by flatten_groups is the
     reference for both the arrays and the errors."""
 
-    @pytest.mark.parametrize("kind", ["token", "dense"])
+    @pytest.mark.parametrize("kind", ["token", "dense", "token-v2", "dense-v2"])
     @pytest.mark.parametrize("labels", ["all", "none", "mixed"])
     @pytest.mark.parametrize("seed", range(4))
     def test_same_arrays(self, tmp_path, kind, labels, seed):
         p = tmp_path / "c.jsonl"
-        write_lines(p, _random_corpus_lines(seed, kind, labels, vocab=kind == "token"))
+        write_lines(p, _random_corpus_lines(seed, kind, labels, vocab=kind.startswith("token")))
         _assert_same_corpus(load_corpus(p), reference_load_corpus(p))
 
     def test_same_arrays_on_generated_corpus(self, tmp_path, valid_files):
@@ -433,7 +488,7 @@ class TestArrayLoaderMatchesReference:
         assert want[0] is CorpusFormatError
         assert got == want
 
-    @pytest.mark.parametrize("kind", ["token", "dense"])
+    @pytest.mark.parametrize("kind", ["token", "dense", "dense-v2"])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_same_outcome_on_corrupt_bytes(self, tmp_path_factory, kind, data):
@@ -461,7 +516,7 @@ class TestArrayLoaderMatchesReference:
                         % (2**63 - 1), '{"id":"a","items":[%d]}' % (2**63 - 2)])
         assert load_corpus(p).flat.payload.tolist() == [2**63 - 2]
 
-    @pytest.mark.parametrize("kind", ["token", "dense"])
+    @pytest.mark.parametrize("kind", ["token", "dense", "dense-v2"])
     def test_groups_view_rebuilds_the_groups(self, tmp_path, kind):
         p = tmp_path / "c.jsonl"
         write_lines(p, _random_corpus_lines(3, kind, "mixed"))
@@ -804,6 +859,19 @@ class TestPredictions:
             write_predictions(tmp_path / "x", ["a"], [0], np.ones((1, 2)),
                               np.ones((3, 2)), [0, 2])
 
+    @pytest.mark.parametrize("p_label,p_items", [
+        (np.full((1, 2), 0.5), np.full((1, 3), 1 / 3)),
+        (np.full((1, 3), 1 / 3), np.full((1, 2), 0.5)),
+        (np.full((1, 2), 0.5), np.full(1, 0.5)),
+    ], ids=["wider-items", "narrower-items", "flat-items"])
+    def test_item_width_must_match_label_width(self, tmp_path, p_label, p_items):
+        # the header announces k = p_label's width, and the reader holds
+        # every p_items row to it
+        p = tmp_path / "pred.jsonl"
+        with pytest.raises(ContractError, match="one column per column of p_label"):
+            write_predictions(p, ["a"], [0], p_label, p_items, [0, 1])
+        assert not p.exists()
+
     def test_no_tmp_file_left_behind(self, tmp_path):
         p = tmp_path / "pred.jsonl"
         write_predictions(p, ["a"], [0], np.ones((1, 1)), np.ones((1, 1)), [0, 1])
@@ -830,10 +898,80 @@ class TestPredictions:
         assert p.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+class TestDenseVersion2:
+    """save_corpus writes dense corpora as version 2 (base64 rows) and token
+    corpora as version 1; load_corpus reads both versions."""
+
+    def test_save_writes_dense_rows_as_base64(self, tmp_path):
+        rows = np.array([[0.1, -0.0], [1e-310, -2.5], [3.0, 7e300]])
+        flat = _flat(rows, [0, 1, 3], [1, -1], ["a", "b"])
+        p = tmp_path / "d.jsonl"
+        save_corpus(p, Corpus(num_topics=2, payload=PayloadSpec("dense", 2), flat=flat))
+        header, *lines = p.read_text().splitlines()
+        assert header == '{"format":"corpus","version":2,"k":2,"payload":{"dense":2}}'
+        assert lines == ['{"id":"a","items":"%s","label":1}' % _b64(rows[:1]),
+                         '{"id":"b","items":"%s"}' % _b64(rows[1:])]
+
+    def test_token_corpus_stays_version_1(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        save_corpus(p, Corpus(num_topics=3, payload=PayloadSpec("token", 5),
+                              flat=_flat([0, 4, 2], [0, 2, 3], [0, -1], ["a", "b"])))
+        assert p.read_text().splitlines() == [TOKEN_HEADER, '{"id":"a","items":[0,4],"label":0}',
+                                              '{"id":"b","items":[2]}']
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saved_and_hand_written_version_1_load_bitwise_equal(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(scale=10.0 ** rng.integers(-300, 300, size=(13, 1)), size=(13, 3))
+        rows[0, 0], rows[-1, -1] = -0.0, 5e-324
+        flat = _flat(rows, [0, 1, 6, 13], [2, -1, 0], ["g0", "g1", "g2"])
+        v1 = tmp_path / "v1.jsonl"
+        write_lines(v1, [json.dumps({"format": "corpus", "version": 1, "k": 3,
+                                     "payload": {"dense": 3}})]
+                    + [json.dumps({"id": gid, "items": rows[lo:hi].tolist(),
+                                   **({"label": int(lab)} if lab >= 0 else {})})
+                       for gid, lo, hi, lab in zip(flat.ids, flat.offsets, flat.offsets[1:],
+                                                   flat.labels)])
+        v2 = tmp_path / "v2.jsonl"
+        save_corpus(v2, Corpus(num_topics=3, payload=PayloadSpec("dense", 3), flat=flat))
+        assert json.loads(v2.read_text().splitlines()[0])["version"] == 2
+        a, b = load_corpus(v1), load_corpus(v2)
+        assert (a.num_topics, a.payload, a.vocab) == (b.num_topics, b.payload, b.vocab)
+        assert a.flat.ids == b.flat.ids == flat.ids
+        for name in ("payload", "offsets", "labels"):
+            x, y = getattr(a.flat, name), getattr(b.flat, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert b.flat.payload.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_V2))
+    def test_malformed_line_is_format_error(self, tmp_path, case):
+        line, message = BROKEN_V2[case]
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [DENSE2_HEADER, '{"id":"ok","items":"%s"}' % _b64([[0.5, 1.5]]), line])
+        with pytest.raises(CorpusFormatError, match="^line 3: " + message + "$"):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("lines,loader,fmt", [
+        (['{"format":"corpus-truth","version":2,"k":2}', TRUTH_RECORD], load_truth,
+         "corpus-truth"),
+        (['{"format":"predictions","version":2,"k":2}', PRED_RECORD], read_predictions,
+         "predictions"),
+        (['{"format":"corpus","version":3,"k":2,"payload":{"dense":2}}',
+          '{"id":"a","items":"%s"}' % _b64([[0.5, 1.5]])], load_corpus, "corpus"),
+    ], ids=["truth", "predictions", "corpus-v3"])
+    def test_unsupported_versions_refused(self, tmp_path, lines, loader, fmt):
+        p = tmp_path / "x.jsonl"
+        write_lines(p, lines)
+        v = json.loads(lines[0])["version"]
+        with pytest.raises(CorpusFormatError, match=f"^line 1: unsupported {fmt} version {v}$"):
+            loader(p)
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A 20-group token corpus, its truth sidecar, predictions for it and a
-    checkpoint, each written by the package's own writers."""
+    """A 20-group token corpus, its truth sidecar, predictions for it, a
+    checkpoint and a dense corpus (version 2), each written by the
+    package's own writers."""
     d = tmp_path_factory.mktemp("valid")
     groups, truth = generate_corpus(3, 9, 20, 6, np.full(3, 0.5),
                                     np.full((3, 9), 1 / 9), SeededRng(4), labeled=True)
@@ -844,13 +982,19 @@ def valid_files(tmp_path_factory):
     write_predictions(d / "p.jsonl", [g.id for g in groups], truth.labels, truth.pi,
                       p_items, np.arange(0, 121, 6))
     save_checkpoint(d / "m.ckpt", make_checkpoint("table"))
-    return {name: (d / name).read_bytes() for name in ("c.jsonl", "c.truth", "p.jsonl", "m.ckpt")}
+    rows = SeededRng(5).gen.normal(size=(120, 3))
+    save_corpus(d / "d.jsonl", Corpus(num_topics=3, payload=PayloadSpec("dense", 3),
+                                      flat=_flat(rows, np.arange(0, 121, 6), truth.labels,
+                                                 [g.id for g in groups])))
+    return {name: (d / name).read_bytes()
+            for name in ("c.jsonl", "c.truth", "p.jsonl", "m.ckpt", "d.jsonl")}
 
 
 # each loader with the errors it may raise on bad bytes: the ones the CLI
 # reports as data errors, never a bare ValueError or RecursionError
 LOADERS = {
     "c.jsonl": (load_corpus, (CorpusFormatError,)),
+    "d.jsonl": (load_corpus, (CorpusFormatError,)),
     "c.truth": (load_truth, (CorpusFormatError,)),
     "p.jsonl": (read_predictions, (CorpusFormatError,)),
     "m.ckpt": (load_checkpoint, (CheckpointError, ContractError, DomainError)),
