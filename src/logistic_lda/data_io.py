@@ -33,7 +33,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .encoders import ACTIVATIONS, EncoderParams, Item, KINDS, _token_array, fixed_loglik_params
+from .encoders import EncoderParams, Item, _token_array
 from .errors import (
     CheckpointError,
     ContractError,
@@ -408,11 +408,13 @@ def load_corpus(path) -> Corpus:
 def save_truth(path, corpus: Corpus, truth):
     """Ground-truth sidecar: per group the generating pi row and the true
     topic of each item, in corpus order."""
-    flat = corpus.flat
-    _ensure(truth.pi.shape[0] == flat.num_groups, "truth pi rows must match group count")
-    _ensure(truth.z.shape[0] == flat.num_items, "truth z length must match total item count")
-    header = {"format": "corpus-truth", "version": 1, "k": corpus.num_topics}
-    lines = [_dumps({"id": gid, "pi": truth.pi[d].tolist(), "z": truth.z[lo:hi].tolist()})
+    flat, k, pi, z = corpus.flat, corpus.num_topics, truth.pi, truth.z
+    _ensure(pi.shape == (flat.num_groups, k) and np.all(np.isfinite(pi)),
+            f"truth pi must be one row of {k} finite numbers per group")
+    _ensure(z.shape == (flat.num_items,) and z.dtype.kind in "iu" and np.all((z >= 0) & (z < k)),
+            f"truth z must be one topic in [0, {k}) per item")
+    header = {"format": "corpus-truth", "version": 1, "k": k}
+    lines = [_dumps({"id": gid, "pi": pi[d].tolist(), "z": z[lo:hi].tolist()})
              for d, (gid, (lo, hi), _) in enumerate(_group_records(flat))]
     _write_records(path, header, lines)
 
@@ -438,13 +440,28 @@ def load_truth(path):
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or apply a trained model."""
+    """Everything needed to resume or apply a trained model.  However it was
+    built, a Checkpoint refuses what load_checkpoint would refuse in the
+    file save_checkpoint writes from it."""
 
     hyper: HyperParams
     params: EncoderParams
     reg_state: RegularizerState = None
     provenance: dict = field(default_factory=dict)
-    version: int = CHECKPOINT_VERSION
+
+    def __post_init__(self):
+        self.params.check()  # the rules again: with_flat builds without them
+        K, params, reg = self.hyper.num_topics, self.params, self.reg_state
+        if params.num_topics != K:
+            what = (f"the last MLP layer needs {K} outputs" if params.kind == "mlp"
+                    else f"table shape {params.table.shape} needs {K} rows")
+            raise ContractError(f"{what}, one per topic in alpha")
+        # a state that has seen no item has no average yet
+        if reg is not None and reg.log_ema_per_topic.shape != ((K,) if reg.items_seen else (0,)):
+            raise ContractError(f"reg_log_ema shape {reg.log_ema_per_topic.shape} "
+                                f"after {reg.items_seen} items, for {K} topics")
+        if reg is not None and not np.all(np.isfinite(reg.log_ema_per_topic)):
+            raise DomainError("reg_log_ema must be finite")
 
 
 def _array_bytes(arr):
@@ -484,7 +501,7 @@ def save_checkpoint(path, cp: Checkpoint):
     meta, arrays = _checkpoint_manifest(cp)
     sections = [("meta", json.dumps(meta, separators=(",", ":")).encode("utf-8"))]
     sections += [(name, _array_bytes(a)) for name, a in arrays]
-    out = [_MAGIC, struct.pack("<I", cp.version), struct.pack("<I", len(sections))]
+    out = [_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), struct.pack("<I", len(sections))]
     for name, payload in sections:
         nb = name.encode("utf-8")
         out.append(struct.pack("<I", len(nb)))
@@ -549,9 +566,11 @@ def load_checkpoint(path) -> Checkpoint:
     except (ValueError, RecursionError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
         raise IntegrityError(f"unreadable meta section: {exc}") from None
     try:
-        return _checkpoint_from_meta(meta, sections, version)
-    except (CheckpointError, ContractError, DomainError):
+        return _checkpoint_from_meta(meta, sections)
+    except (CheckpointError, DomainError):
         raise  # already typed
+    except ContractError as exc:  # a rule of the objects the meta section builds
+        raise _malformed(exc) from None
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         # a field the manifest lacks, or one of the wrong JSON type
         raise _malformed(repr(exc)) from None
@@ -573,7 +592,7 @@ def _meta_float(value, what):
     return float(value)
 
 
-def _checkpoint_from_meta(meta, sections, version):
+def _checkpoint_from_meta(meta, sections):
     arrays = {}
     for name, shape in meta["arrays"]:
         if name not in sections:
@@ -587,56 +606,23 @@ def _checkpoint_from_meta(meta, sections, version):
             )
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
-    h = meta["hyper"]
+    h, enc, r = meta["hyper"], meta["encoder"], meta.get("regularizer")
     hyper = HyperParams(alpha=arrays["alpha"], lam=_meta_float(h["lam"], "lam"),
                         gamma=_meta_float(h["gamma"], "gamma"),
                         n_iter=_meta_int(h["n_iter"], "n_iter"), rho=_meta_float(h["rho"], "rho"))
-    K = hyper.num_topics
-
-    enc = meta["encoder"]
-    kind = enc.get("kind")
-    if kind not in KINDS:
-        raise IntegrityError(f"unknown encoder kind {kind!r}")
+    kind, acts = enc.get("kind"), tuple(enc.get("activations", ()))
     if kind == "mlp":
-        acts = tuple(enc.get("activations", ()))
-        if any(a not in ACTIVATIONS for a in acts):
-            raise IntegrityError(f"unknown activation in {acts!r}")
-        weights, biases = [], []
-        for i in range(len(acts)):
-            if f"weights_{i}" not in arrays or f"biases_{i}" not in arrays:
-                raise IntegrityError(f"missing layer {i} arrays")
-            W, b = arrays[f"weights_{i}"], arrays[f"biases_{i}"]
-            # W is (out, in), b is (out,), and each in is the previous out
-            if W.ndim != 2 or b.shape != W.shape[:1] or (weights and W.shape[1] != len(biases[-1])):
-                raise _malformed(f"layer {i} weights {W.shape} and biases {b.shape} "
-                                 "do not chain")
-            weights.append(W)
-            biases.append(b)
-        if not biases or len(biases[-1]) != K:
-            raise _malformed(f"the last MLP layer needs {K} outputs, one per topic in alpha")
-        params = EncoderParams(kind="mlp", weights=tuple(weights), biases=tuple(biases),
+        layers = range(len(acts))
+        params = EncoderParams(kind=kind, weights=tuple(arrays[f"weights_{i}"] for i in layers),
+                               biases=tuple(arrays[f"biases_{i}"] for i in layers),
                                activations=acts)
     else:
-        if "table" not in arrays:
-            raise IntegrityError("missing table array")
-        table = arrays["table"]
-        if table.ndim != 2 or table.shape[0] != K:
-            raise _malformed(f"table shape {table.shape} needs {K} rows, one per topic in alpha")
-        params = (fixed_loglik_params(table) if kind == "fixed_loglik"
-                  else EncoderParams(kind=kind, table=table))
-
-    reg_state = None
-    if meta.get("regularizer") is not None:
-        r = meta["regularizer"]
-        reg_state = RegularizerState(rho=_meta_float(r["rho"], "regularizer rho"),
-                                     log_ema_per_topic=arrays["reg_log_ema"],
-                                     items_seen=_meta_int(r["items_seen"], "items_seen"))
-        # a state that has seen no item has no average yet
-        if reg_state.log_ema_per_topic.shape != ((K,) if reg_state.items_seen else (0,)):
-            raise _malformed(f"reg_log_ema shape {reg_state.log_ema_per_topic.shape} "
-                             f"after {reg_state.items_seen} items, for {K} topics")
+        params = EncoderParams(kind=kind, table=arrays["table"])
+    reg_state = None if r is None else RegularizerState(
+        rho=_meta_float(r["rho"], "regularizer rho"), log_ema_per_topic=arrays["reg_log_ema"],
+        items_seen=_meta_int(r["items_seen"], "items_seen"))
     return Checkpoint(hyper=hyper, params=params, reg_state=reg_state,
-                      provenance=meta.get("provenance", {}), version=version)
+                      provenance=meta.get("provenance", {}))
 
 
 def _row_format(width):
@@ -660,6 +646,9 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     _ensure(offsets[-1] == p_items.shape[0], "offsets do not cover p_items")
     _ensure(p_label.ndim == 2 and p_items.ndim == 2 and p_items.shape[1] == p_label.shape[1],
             "p_items must have one column per column of p_label")
+    _ensure(np.all(np.isfinite(p_label)) and np.all(np.isfinite(p_items)),
+            "p_label and p_items must be finite")
+    _ensure(all(isinstance(g, str) and g for g in ids), "ids must be non-empty strings")
     k = p_label.shape[1]
     fmt_row = _row_format(k)
     lines = []
@@ -667,7 +656,7 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
         group = p_items[offsets[d] : offsets[d + 1]].tolist()
         rows = ",".join([fmt_row % tuple(r) for r in group])
         lines.append(
-            f'{{"id":{json.dumps(str(gid))},"label":{int(labels[d])},'
+            f'{{"id":{json.dumps(gid)},"label":{int(labels[d])},'
             f'"p_label":{fmt_row % tuple(p_label[d].tolist())},"p_items":[{rows}]}}'
         )
     _write_records(path, {"format": "predictions", "version": 1, "k": k}, lines)

@@ -66,8 +66,42 @@ class EncoderParams:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.kind == "fixed_loglik":
+            self.table = np.asarray(self.table, dtype=np.float64)
+        self.check()
         arrays = [np.ravel(a) for a in self._trainable()] or [np.empty(0)]
         self._bind(np.concatenate(arrays, dtype=np.float64))
+
+    def check(self):
+        """The rules of a valid encoder, which load_checkpoint applies to the
+        file save_checkpoint writes: a known kind; an mlp of one or more
+        layers, each an (out, in) weight, an (out,) bias and a known
+        activation, whose `in` is the previous layer's `out`; a 2-D table;
+        finite parameters; and beta rows on the simplex."""
+        if self.kind not in KINDS:
+            raise ContractError(f"unknown encoder kind {self.kind!r}")
+        if self.kind == "mlp":
+            n = len(self.weights)
+            if not n or len(self.biases) != n or len(self.activations) != n or any(
+                    a not in ACTIVATIONS for a in self.activations):
+                raise ContractError("an mlp needs one or more layers, each with one weight, "
+                                    "one bias and one activation in %r" % (ACTIVATIONS,))
+            fan_in = np.shape(self.weights[0])[1:]
+            for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+                if np.ndim(W) != 2 or np.shape(b) != np.shape(W)[:1] or np.shape(W)[1:] != fan_in:
+                    raise ContractError(f"layer {i} weights {np.shape(W)} and biases "
+                                        f"{np.shape(b)} do not chain")
+                fan_in = np.shape(b)
+        elif np.ndim(self.table) != 2:
+            raise ContractError(f"{self.kind} encoder needs a (K, V) table, "
+                                f"got shape {np.shape(self.table)}")
+        if self.kind == "fixed_loglik":
+            if not (np.all(np.isfinite(self.table)) and np.all(self.table >= 0)):
+                raise DomainError("beta entries must be finite and non-negative")
+            if np.any(np.abs(self.table.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
+                raise DomainError("each beta row must sum to 1")
+        elif not all(np.all(np.isfinite(a)) for a in self._trainable()):
+            raise DomainError(f"{self.kind} parameters must be finite")
 
     def with_flat(self, flat) -> EncoderParams:
         """The same kind, shapes and activations over `flat`, not copied."""
@@ -100,12 +134,6 @@ class EncoderParams:
             return self.weights[-1].shape[0]
         return self.table.shape[0]
 
-    @property
-    def vocab_size(self) -> int:
-        if self.kind == "mlp":
-            raise ContractError("mlp encoder has no vocabulary")
-        return self.table.shape[1]
-
 
 def _token_array(payload, vocab_size):
     """payload as a 1-d integer array of ids in [0, vocab_size)."""
@@ -128,10 +156,8 @@ def _mlp_forward(theta, X, keep_hidden=False):
             h = np.tanh(a)
         elif act == "relu":
             h = np.maximum(a, 0.0)
-        elif act == "linear":
+        else:  # linear
             h = a
-        else:
-            raise ContractError(f"unknown activation {act!r}")
         hs.append(h)
     if keep_hidden:
         return h, hs
@@ -164,12 +190,9 @@ def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False):
     tokens = _token_array(payload, theta.table.shape[1])
     if theta.kind == "table":
         F = theta.table[:, tokens].T.copy()
-    elif theta.kind == "fixed_loglik":
-        # beta entries may be exactly zero; ln 0 = -inf is the intended value
+    else:  # fixed_loglik: beta entries may be exactly zero; ln 0 = -inf is intended
         with np.errstate(divide="ignore"):
             F = np.log(theta.table[:, tokens].T)
-    else:
-        raise ContractError(f"unknown encoder kind {theta.kind!r}")
     return (F, None) if keep_hidden else F
 
 
@@ -228,14 +251,9 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
     if not (np.isfinite(scale) and scale >= 0.0):
         raise DomainError("init scale must be finite and >= 0")
     if kind == "mlp":
-        if len(dims) < 2:
-            raise ContractError("mlp needs at least (input_dim, K)")
-        n_layers = len(dims) - 1
         if activations is None:
-            activations = ("tanh",) * (n_layers - 1) + ("linear",)
+            activations = ("tanh",) * (len(dims) - 2) + ("linear",)
         activations = tuple(activations)
-        if len(activations) != n_layers or any(a not in ACTIVATIONS for a in activations):
-            raise ContractError("one activation per layer, each in %r" % (ACTIVATIONS,))
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             std = scale / np.sqrt(fan_in)
@@ -245,8 +263,6 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
             kind="mlp", weights=tuple(weights), biases=tuple(biases), activations=activations
         )
     if kind == "table":
-        if len(dims) != 2:
-            raise ContractError("table needs dims (K, V)")
         return EncoderParams(kind="table", table=rng.gen.normal(0.0, scale, size=dims))
     if kind == "fixed_loglik":
         raise ContractError("fixed_loglik params come from fixed_loglik_params(beta)")
@@ -255,11 +271,4 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
 
 def fixed_loglik_params(beta) -> EncoderParams:
     """Wrap a row-stochastic (K, V) matrix beta as a frozen encoder."""
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2:
-        raise ContractError("beta must be a (K, V) matrix")
-    if np.any(beta < 0) or not np.all(np.isfinite(beta)):
-        raise DomainError("beta entries must be finite and non-negative")
-    if np.any(np.abs(beta.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
-        raise DomainError("each beta row must sum to 1")
     return EncoderParams(kind="fixed_loglik", table=beta)

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logistic_lda.data_io import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     Corpus,
     PayloadSpec,
@@ -549,6 +551,22 @@ class TestTruthSidecar:
         np.testing.assert_array_equal(labels, truth.labels)
         np.testing.assert_array_equal(pi, truth.pi)  # decimal text is exact
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.pi.__setitem__((0, 1), np.nan), "pi must be one row of 2 finite numbers"),
+        (lambda t: t.pi.__setitem__((1, 0), np.inf), "pi must be one row of 2 finite numbers"),
+        (lambda t: t.z.__setitem__(3, 2), r"z must be one topic in \[0, 2\) per item"),
+        (lambda t: t.z.__setitem__(0, -1), r"z must be one topic in \[0, 2\) per item"),
+    ], ids=["nan-pi", "infinite-pi", "z-beyond-k", "z-negative"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, edit, message):
+        rng = SeededRng(3)
+        groups, truth = generate_corpus(2, 6, 8, 4, np.ones(2), np.full((2, 6), 1 / 6), rng)
+        corpus = corpus_from_groups(groups, 2, vocab_size=6)
+        edit(truth)
+        p = tmp_path / "t.jsonl"
+        with pytest.raises(ContractError, match=message):
+            save_truth(p, corpus, truth)
+        assert not p.exists()
+
     @pytest.mark.parametrize("pi", ['["x", 0.5, 0.5]', "[[0.5], 0.25, 0.25]", '{"a": 1}', "null",
                                     '["0.2", 0.3, 0.5]', "[true, 0, 0]", "[NaN, 0.5, 0.5]",
                                     "[Infinity, 0, 0]"],
@@ -661,11 +679,14 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     def test_version_bump(self, tmp_path):
+        # bytes 4-8 hold the format version as a little-endian uint32
         p = tmp_path / "m.ckpt"
-        cp = make_checkpoint()
-        cp.version += 1
-        save_checkpoint(p, cp)
-        with pytest.raises(UnsupportedVersionError):
+        save_checkpoint(p, make_checkpoint())
+        data = bytearray(p.read_bytes())
+        assert data[4:8] == struct.pack("<I", CHECKPOINT_VERSION)
+        data[4:8] = struct.pack("<I", CHECKPOINT_VERSION + 1)
+        p.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedVersionError, match="checkpoint version 2"):
             load_checkpoint(p)
 
     def test_truncated_file(self, tmp_path):
@@ -723,14 +744,18 @@ class TestCheckpoint:
         with pytest.raises(DomainError, match="lam must be >= 0"):
             load_checkpoint(p)
 
-    def test_fixed_loglik_table_must_be_row_stochastic(self, tmp_path):
+    def test_fixed_loglik_table_must_be_row_stochastic(self, tmp_path, save_with_meta):
         p = tmp_path / "m.ckpt"
         hyper = HyperParams(alpha=np.ones(3))
         save_checkpoint(p, Checkpoint(hyper=hyper, params=EncoderParams(
             kind="fixed_loglik", table=np.full((3, 6), 1 / 6))))
         assert load_checkpoint(p).params.kind == "fixed_loglik"
-        save_checkpoint(p, Checkpoint(hyper=hyper, params=EncoderParams(
-            kind="fixed_loglik", table=np.full((3, 6), 0.2))))
+        with pytest.raises(DomainError, match="each beta row must sum to 1"):
+            EncoderParams(kind="fixed_loglik", table=np.full((3, 6), 0.2))
+        # the same table saved as a trainable one, relabelled in the manifest
+        save_with_meta(p, Checkpoint(hyper=hyper, params=EncoderParams(
+            kind="table", table=np.full((3, 6), 0.2))),
+            lambda m: m["encoder"].update(kind="fixed_loglik"))
         with pytest.raises(DomainError, match="each beta row must sum to 1"):
             load_checkpoint(p)
 
@@ -741,6 +766,179 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, cp)
         assert load_checkpoint(p).params.activations == ("relu", "tanh", "linear")
+
+
+class TestCheckpointContract:
+    """A Checkpoint refuses what load_checkpoint would refuse in the file
+    that save_checkpoint writes from it."""
+
+    @pytest.mark.parametrize("kind,edit,message,file_message", [
+        ("mlp", lambda cp: cp.hyper.__setattr__("alpha", np.ones(2)),
+         "the last MLP layer needs 2 outputs, one per topic in alpha", None),
+        ("table", lambda cp: cp.hyper.__setattr__("alpha", np.ones(2)),
+         r"table shape \(3, 6\) needs 2 rows, one per topic in alpha", None),
+        ("mlp", lambda cp: cp.reg_state.__setattr__("log_ema_per_topic", np.zeros(2)),
+         r"reg_log_ema shape \(2,\) after 128 items, for 3 topics", None),
+        ("mlp", lambda cp: cp.reg_state.__setattr__("items_seen", 0),
+         r"reg_log_ema shape \(3,\) after 0 items, for 3 topics", None),
+        # the file keeps one layer per activation, so it reads a 1-layer mlp
+        # with 5 outputs
+        ("mlp", lambda cp: cp.params.__setattr__("activations", ("tanh",)),
+         "one activation in", "the last MLP layer needs 3 outputs"),
+        ("mlp", lambda cp: cp.params.__setattr__("activations", ("tanh", "gelu")),
+         "one activation in", None),
+        ("table", lambda cp: cp.params.__setattr__("kind", "lstm"),
+         "unknown encoder kind 'lstm'", None),
+    ], ids=["mlp-outputs-not-K", "table-rows-not-K", "reg-ema-not-K", "reg-ema-before-any-item",
+            "fewer-activations", "unknown-activation", "unknown-kind"])
+    def test_refuses_structure(self, tmp_path, kind, edit, message, file_message):
+        # a fault edited into a built checkpoint is refused by the
+        # constructor in memory, and by load_checkpoint in the saved file
+        cp = make_checkpoint(kind)
+        edit(cp)
+        with pytest.raises(ContractError, match=message):
+            Checkpoint(hyper=cp.hyper, params=cp.params, reg_state=cp.reg_state)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, cp)
+        with pytest.raises(IntegrityError,
+                           match="malformed meta section: .*" + (file_message or message)):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("kind", ["mlp", "table"])
+    def test_nan_parameters_are_refused_in_memory_and_on_load(self, tmp_path, kind):
+        cp = make_checkpoint(kind)
+        nan = cp.params.flat.copy()
+        nan[-1] = np.nan
+        # with_flat builds without the rules, so the checkpoint runs them
+        with pytest.raises(DomainError, match=f"{kind} parameters must be finite"):
+            Checkpoint(hyper=cp.hyper, params=cp.params.with_flat(nan))
+        p = tmp_path / "m.ckpt"
+        cp.params.flat[-1] = np.nan  # the arrays are views of flat
+        save_checkpoint(p, cp)
+        with pytest.raises(DomainError, match=f"{kind} parameters must be finite"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regularizer_state_is_refused(self, tmp_path, bad):
+        cp = make_checkpoint()
+        ema = cp.reg_state.log_ema_per_topic.copy()
+        ema[1] = bad
+        with pytest.raises(DomainError, match="reg_log_ema must be finite"):
+            Checkpoint(hyper=cp.hyper, params=cp.params, reg_state=RegularizerState(
+                rho=0.9, log_ema_per_topic=ema, items_seen=128))
+        p = tmp_path / "m.ckpt"
+        cp.reg_state.log_ema_per_topic = ema
+        save_checkpoint(p, cp)
+        with pytest.raises(DomainError, match="reg_log_ema must be finite"):
+            load_checkpoint(p)
+
+    def test_no_version_field(self, tmp_path):
+        # save_checkpoint writes the one version this build reads
+        with pytest.raises(TypeError):
+            Checkpoint(hyper=HyperParams(alpha=np.ones(3)), params=make_checkpoint().params,
+                       version=2)
+        cp = make_checkpoint()
+        assert not hasattr(cp, "version")
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, cp)
+        assert p.read_bytes()[4:8] == struct.pack("<I", CHECKPOINT_VERSION)
+
+    @pytest.mark.parametrize("kind,fault", [
+        (kind, fault)
+        for kind, own in [("mlp", ["outputs", "chain", "bias", "activation", "activation-count",
+                                   "with-flat"]),
+                          ("table", ["rows", "1-D", "with-flat"]),
+                          ("fixed_loglik", ["rows", "1-D", "row-sum"])]  # beta has no flat
+        for fault in [None, *own, "kind", "entry", "reg-length", "reg-entry"]
+    ])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_checkpoint_that_constructs_loads_back_bitwise(self, tmp_path_factory, kind,
+                                                                 fault, data):
+        # each draw builds a random checkpoint with at most one spoiled part;
+        # a spoiled one raises its fault's typed error, and every other one
+        # saves a file that loads back to the same bytes
+        non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+        def pick(n):
+            return data.draw(st.integers(0, n - 1))
+
+        def floats(shape, lo=None, hi=None):
+            n = int(np.prod(shape))
+            cells = data.draw(st.lists(st.floats(lo, hi, allow_nan=False, allow_infinity=False),
+                                       min_size=n, max_size=n))
+            return np.array(cells, dtype=np.float64).reshape(shape)
+
+        k = data.draw(st.integers(1, 3))
+        if kind == "mlp":
+            n_layers = data.draw(st.integers(2 if fault == "chain" else 1, 3))
+            dims = [data.draw(st.integers(1, 3)) for _ in range(n_layers)]
+            dims.append(k + (fault == "outputs"))
+            weights = [floats((out, fan_in)) for fan_in, out in zip(dims, dims[1:])]
+            biases = [floats((out,)) for out in dims[1:]]
+            if fault == "chain":
+                weights[-1] = floats((dims[-1], dims[-2] + 1))
+            if fault == "bias":
+                layer = pick(n_layers)
+                biases[layer] = floats((dims[layer + 1] + 1,))
+            if fault == "entry":
+                spoiled = data.draw(st.sampled_from(weights + biases))
+                spoiled.flat[pick(spoiled.size)] = data.draw(non_finite)
+            acts = data.draw(st.lists(st.sampled_from(["tanh", "relu", "linear"]),
+                                      min_size=n_layers, max_size=n_layers))
+            if fault == "activation":
+                acts[pick(n_layers)] = "gelu"
+            if fault == "activation-count":
+                acts.pop()
+            arrays = dict(weights=tuple(weights), biases=tuple(biases), activations=tuple(acts))
+        else:
+            shape = (k + (fault == "rows"), data.draw(st.integers(1, 4)))
+            table = floats(shape) if kind == "table" else floats(shape, 0.01, 1.0)
+            if kind == "fixed_loglik":
+                table /= table.sum(axis=1, keepdims=True)
+            if fault == "row-sum":
+                table[pick(shape[0])] *= 2.0
+            if fault == "entry":
+                table.flat[pick(table.size)] = data.draw(non_finite | st.just(-0.25)
+                                                         if kind == "fixed_loglik" else non_finite)
+            arrays = dict(table=table.ravel() if fault == "1-D" else table)
+        reg = None
+        if fault in ("reg-length", "reg-entry") or data.draw(st.booleans()):
+            seen = 1000 if fault == "reg-entry" else data.draw(st.sampled_from([0, 64, 1000]))
+            ema = floats(((k if seen else 0) + (fault == "reg-length"),))
+            if fault == "reg-entry":
+                ema[pick(k)] = data.draw(non_finite)
+            reg = RegularizerState(rho=data.draw(st.floats(0.0, 0.99)), log_ema_per_topic=ema,
+                                   items_seen=seen)
+        hyper = HyperParams(alpha=floats((k,), 0.01, 10.0), lam=data.draw(st.floats(0.0, 5.0)),
+                            gamma=data.draw(st.floats(0.0, 100.0)),
+                            n_iter=data.draw(st.integers(1, 8)),
+                            rho=data.draw(st.floats(0.0, 0.99)))
+        domain = fault in ("entry", "reg-entry", "row-sum", "with-flat")
+        try:
+            params = EncoderParams(kind="lstm" if fault == "kind" else kind, **arrays)
+            if fault == "with-flat":
+                flat = params.flat.copy()
+                flat[pick(flat.size)] = np.nan
+                params = params.with_flat(flat)
+            cp = Checkpoint(hyper=hyper, params=params, reg_state=reg,
+                            provenance={"seed": data.draw(st.integers(0, 99))})
+        except (ContractError, DomainError) as exc:
+            assert fault is not None
+            assert type(exc) is (DomainError if domain else ContractError), (fault, exc)
+            return
+        assert fault is None
+        p = tmp_path_factory.getbasetemp() / "constructed.ckpt"
+        save_checkpoint(p, cp)
+        saved = p.read_bytes()
+        back = load_checkpoint(p)
+        assert (back.params.kind, back.params.activations) == (kind, params.activations)
+        assert back.params.flat.tobytes() == params.flat.tobytes()
+        if kind != "mlp":
+            assert back.params.table.tobytes() == params.table.tobytes()
+        assert back.hyper.alpha.tobytes() == hyper.alpha.tobytes()
+        save_checkpoint(p, back)
+        assert p.read_bytes() == saved
 
 
 class TestPredictions:
@@ -870,6 +1068,26 @@ class TestPredictions:
         p = tmp_path / "pred.jsonl"
         with pytest.raises(ContractError, match="one column per column of p_label"):
             write_predictions(p, ["a"], [0], p_label, p_items, [0, 1])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["p_label", "p_items"])
+    def test_non_finite_probabilities_refused(self, tmp_path, where, bad):
+        # NaN would be written as a bare NaN token, which the reader
+        # refuses as invalid JSON
+        probs = {"p_label": np.full((1, 2), 0.5), "p_items": np.full((2, 2), 0.5)}
+        probs[where][0, 1] = bad
+        p = tmp_path / "pred.jsonl"
+        with pytest.raises(ContractError, match="p_label and p_items must be finite"):
+            write_predictions(p, ["a"], [0], probs["p_label"], probs["p_items"], [0, 2])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("gid", ["", 5, None, b"a"], ids=["empty", "int", "none", "bytes"])
+    def test_ids_must_be_non_empty_strings(self, tmp_path, gid):
+        p = tmp_path / "pred.jsonl"
+        with pytest.raises(ContractError, match="ids must be non-empty strings"):
+            write_predictions(p, ["a", gid], [0, 1], np.full((2, 2), 0.5), np.full((2, 2), 0.5),
+                              [0, 1, 2])
         assert not p.exists()
 
     def test_no_tmp_file_left_behind(self, tmp_path):

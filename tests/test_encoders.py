@@ -302,6 +302,90 @@ class TestInit:
             fixed_loglik_params(np.array([[0.5, 0.6]]))
 
 
+def zeros_mlp(weights, biases, activations):
+    """An mlp of zero arrays with the given weight and bias shapes."""
+    return EncoderParams(kind="mlp", weights=tuple(np.zeros(w) for w in weights),
+                         biases=tuple(np.zeros(b) for b in biases), activations=activations)
+
+
+class TestEncoderContract:
+    """An EncoderParams refuses what load_checkpoint would refuse in the
+    file save_checkpoint writes from it."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: EncoderParams(kind="lstm", table=np.zeros((2, 3))),
+         "unknown encoder kind 'lstm'"),
+        (lambda: zeros_mlp([(2, 3)], [2], ("gelu",)), "one activation in"),
+        (lambda: zeros_mlp([(4, 3), (2, 4)], [4, 2], ("tanh",)),
+         "one activation in"),
+        (lambda: zeros_mlp([(4, 3), (2, 4)], [4], ("tanh", "linear")),
+         "one bias"),
+        (lambda: zeros_mlp([(4, 3), (2, 5)], [4, 2], ("tanh", "linear")),
+         r"layer 1 weights \(2, 5\) and biases \(2,\) do not chain"),
+        (lambda: zeros_mlp([(4, 3)], [(4, 1)], ("linear",)),
+         r"layer 0 weights \(4, 3\) and biases \(4, 1\) do not chain"),
+        (lambda: zeros_mlp([(3,)], [3], ("linear",)), "do not chain"),
+        (lambda: EncoderParams(kind="mlp"), "an mlp needs one or more layers"),
+        (lambda: EncoderParams(kind="table"), r"needs a \(K, V\) table, got shape \(\)"),
+        (lambda: EncoderParams(kind="table", table=np.zeros(3)), r"got shape \(3,\)"),
+        (lambda: EncoderParams(kind="fixed_loglik", table=np.full(4, 0.25)),
+         r"got shape \(4,\)"),
+    ], ids=["unknown-kind", "unknown-activation", "fewer-activations", "fewer-biases",
+            "layers-do-not-chain", "bias-not-vector", "weight-not-matrix", "mlp-no-layers",
+            "table-missing", "table-1d", "beta-1d"])
+    def test_refuses_structure(self, make, message):
+        with pytest.raises(ContractError, match=message):
+            make()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["mlp", "table"])
+    def test_refuses_non_finite_parameters(self, kind, bad):
+        theta = small_mlp() if kind == "mlp" else init_params("table", (3, 4), 1.0, SeededRng(0))
+        arrays = [a.copy() for a in theta.weights + theta.biases] or [theta.table.copy()]
+        arrays[-1].flat[0] = bad
+        with pytest.raises(DomainError, match=f"{kind} parameters must be finite"):
+            if kind == "mlp":
+                EncoderParams(kind="mlp", weights=tuple(arrays[:2]), biases=tuple(arrays[2:]),
+                              activations=theta.activations)
+            else:
+                EncoderParams(kind="table", table=arrays[0])
+
+    @pytest.mark.parametrize("beta,message", [
+        ([[0.5, 0.6]], "each beta row must sum to 1"),
+        ([[1.5, -0.5]], "beta entries must be finite and non-negative"),
+        ([[np.nan, 1.0]], "beta entries must be finite and non-negative"),
+    ], ids=["row-sum", "negative", "nan"])
+    def test_fixed_loglik_rules_in_the_constructor(self, beta, message):
+        with pytest.raises(DomainError, match=message):
+            EncoderParams(kind="fixed_loglik", table=np.array(beta))
+        with pytest.raises(DomainError, match=message):
+            fixed_loglik_params(beta)
+
+    def test_fixed_loglik_params_is_the_constructor(self):
+        beta = [[0.25, 0.75], [1.0, 0.0]]
+        theta = fixed_loglik_params(beta)
+        assert theta.kind == "fixed_loglik" and theta.flat.size == 0
+        assert theta.table.dtype == np.float64 and theta.table.tolist() == beta
+        assert theta.num_topics == 2
+
+    def test_init_params_refuses_activations_through_the_constructor(self):
+        with pytest.raises(ContractError, match="one activation in"):
+            init_params("mlp", (3, 4, 2), 1.0, SeededRng(0), activations=("tanh",))
+        with pytest.raises(ContractError, match="one activation in"):
+            init_params("mlp", (3, 2), 1.0, SeededRng(0), activations=("softplus",))
+
+    def test_encoder_has_no_vocab_size(self):
+        assert not hasattr(init_params("table", (3, 4), 1.0, SeededRng(0)), "vocab_size")
+
+    def test_check_sees_later_edits(self):
+        # check() runs the same rules on an encoder edited after it was built
+        theta = small_mlp()
+        theta.check()
+        theta.activations = ("tanh", "sigmoid")
+        with pytest.raises(ContractError, match="one activation in"):
+            theta.check()
+
+
 class TestFlatViews:
     def test_roundtrip_mlp(self):
         theta = small_mlp(seed=44)
