@@ -462,6 +462,10 @@ class Checkpoint:
                                 f"after {reg.items_seen} items, for {K} topics")
         if reg is not None and not np.all(np.isfinite(reg.log_ema_per_topic)):
             raise DomainError("reg_log_ema must be finite")
+        try:
+            json.dumps(self.provenance)
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ContractError(f"provenance must be JSON-encodable: {exc}") from None
 
 
 def _array_bytes(arr):
@@ -586,12 +590,6 @@ def _meta_int(value, what):
     return value
 
 
-def _meta_float(value, what):
-    if type(value) not in _NUMBER_TYPES:
-        raise _malformed(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _checkpoint_from_meta(meta, sections):
     arrays = {}
     for name, shape in meta["arrays"]:
@@ -607,9 +605,8 @@ def _checkpoint_from_meta(meta, sections):
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
     h, enc, r = meta["hyper"], meta["encoder"], meta.get("regularizer")
-    hyper = HyperParams(alpha=arrays["alpha"], lam=_meta_float(h["lam"], "lam"),
-                        gamma=_meta_float(h["gamma"], "gamma"),
-                        n_iter=_meta_int(h["n_iter"], "n_iter"), rho=_meta_float(h["rho"], "rho"))
+    hyper = HyperParams(alpha=arrays["alpha"], lam=h["lam"], gamma=h["gamma"],
+                        n_iter=h["n_iter"], rho=h["rho"])
     kind, acts = enc.get("kind"), tuple(enc.get("activations", ()))
     if kind == "mlp":
         layers = range(len(acts))
@@ -619,8 +616,7 @@ def _checkpoint_from_meta(meta, sections):
     else:
         params = EncoderParams(kind=kind, table=arrays["table"])
     reg_state = None if r is None else RegularizerState(
-        rho=_meta_float(r["rho"], "regularizer rho"), log_ema_per_topic=arrays["reg_log_ema"],
-        items_seen=_meta_int(r["items_seen"], "items_seen"))
+        rho=r["rho"], log_ema_per_topic=arrays["reg_log_ema"], items_seen=r["items_seen"])
     return Checkpoint(hyper=hyper, params=params, reg_state=reg_state,
                       provenance=meta.get("provenance", {}))
 

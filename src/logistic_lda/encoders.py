@@ -189,7 +189,7 @@ def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False):
         return _mlp_forward(theta, X, keep_hidden)
     tokens = _token_array(payload, theta.table.shape[1])
     if theta.kind == "table":
-        F = theta.table[:, tokens].T.copy()
+        F = np.take(np.ascontiguousarray(theta.table.T), tokens, axis=0)
     else:  # fixed_loglik: beta entries may be exactly zero; ln 0 = -inf is intended
         with np.errstate(divide="ignore"):
             F = np.log(theta.table[:, tokens].T)

@@ -19,6 +19,14 @@ and -0.0 tie for a row's max, and then that row's softmax and log_softmax
 bits are the same either way (each tied entry contributes exp(0) = 1).
 The row sums stay np.sum: a column-wise sum equals numpy's pairwise row
 sum bit for bit only below 8 columns.
+
+A column max (log_sum_exp over axis 0 of an (N, K) stack) has the same
+fixed cost per row, and the same cure: the max over axis 1 of a transposed
+contiguous copy.  There the copy's strided writes cost more as N grows:
+on the same host it is 2.5-8x faster at 5 columns for N from 1 000 to
+200 000 rows; at 8 columns it is faster up to 60 000 rows and 6 % slower
+at 200 000; at 16 columns it is up to 3.6x slower.  So only arrays of at
+most SHORT_COLUMNS = 8 columns take it.
 """
 
 import math
@@ -40,6 +48,8 @@ __all__ = [
     "sample_dirichlet",
     "check_simplex",
     "check_positive_vector",
+    "check_int",
+    "check_real",
 ]
 
 SIMPLEX_ATOL = 1e-12
@@ -91,6 +101,24 @@ def check_positive_vector(v):
     if not np.all(np.isfinite(v)) or np.any(v <= 0):
         raise DomainError("entries must be finite and strictly positive")
     return v
+
+
+def check_int(value, name):
+    """``value`` as an int: a Python or numpy integer, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name):
+    """``value`` as a float: a Python or numpy real number, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ContractError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ContractError(f"{name} {value} is beyond the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +258,18 @@ def trigamma(x):
 # ---------------------------------------------------------------------------
 
 SHORT_ROW = 32
+SHORT_COLUMNS = 8
 
 
-def _row_max(v, axis):
-    """np.max(v, axis=axis, keepdims=True); a 2-d array with rows of at most
-    SHORT_ROW entries is reduced as a transposed contiguous copy (see the
+def _max(v, axis):
+    """np.max(v, axis=axis, keepdims=True).  A 2-d array is reduced as a
+    transposed contiguous copy when it has at most SHORT_ROW columns for a
+    row max, or at most SHORT_COLUMNS columns for a column max (see the
     module docstring)."""
     if v.ndim == 2 and axis in (1, -1) and v.shape[1] <= SHORT_ROW:
         return np.ascontiguousarray(v.T).max(axis=0)[:, None]
+    if v.ndim == 2 and axis == 0 and v.shape[1] <= SHORT_COLUMNS:
+        return np.ascontiguousarray(v.T).max(axis=1)[None, :]
     return np.max(v, axis=axis, keepdims=True)
 
 
@@ -258,7 +290,7 @@ def _check_max(m, name):
 def _shift_by_max(v, axis, name):
     """v minus its max along `axis`, refusing NaN, +inf and all -inf rows."""
     v = _check_logits(v, name)
-    m = _row_max(v, axis)
+    m = _max(v, axis)
     _check_max(m, name)
     if np.any(m == -np.inf):
         raise DomainError(f"{name} of all -inf logits is undefined")
@@ -274,7 +306,7 @@ def log_sum_exp(v, axis=None):
         if m == -np.inf:
             return -np.inf
         return m + math.log(np.exp(v - m).sum())
-    m = np.max(v, axis=axis, keepdims=True)
+    m = _max(v, axis)
     _check_max(m, "log_sum_exp")
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):

@@ -37,7 +37,15 @@ import numpy as np
 
 from .backend import njit, pick
 from .errors import ContractError, DomainError
-from .math_kernels import _row_max, check_positive_vector, digamma, digamma_scalar_nb, softmax
+from .math_kernels import (
+    _max,
+    check_int,
+    check_positive_vector,
+    check_real,
+    digamma,
+    digamma_scalar_nb,
+    softmax,
+)
 
 
 @dataclass
@@ -73,6 +81,10 @@ class HyperParams:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         check_positive_vector(self.alpha)
+        self.lam = check_real(self.lam, "lam")
+        self.gamma = check_real(self.gamma, "gamma")
+        self.n_iter = check_int(self.n_iter, "n_iter")
+        self.rho = check_real(self.rho, "rho")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise DomainError("lam must be >= 0 and finite")
         if not (np.isfinite(self.gamma) and self.gamma >= 0):
@@ -298,7 +310,7 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     while moving.size and sweeps < max_sweeps:
         Pm, new_AH, PLm, psim = _sweep_np(Fm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
         sweeps += 1
-        stop = (_row_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
+        stop = (_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
         AHm = new_AH
         if stop.any():
             item_stop = np.repeat(stop, sm)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .math_kernels import log_sum_exp
+from .math_kernels import check_int, check_real, log_sum_exp
 
 
 def _as_g_matrix(g_all):
@@ -65,8 +65,12 @@ class RegularizerState:
     items_seen: int = 0
 
     def __post_init__(self):
+        self.rho = check_real(self.rho, "rho")
         if not 0.0 <= self.rho < 1.0:
             raise DomainError("rho must lie in [0, 1)")
+        self.items_seen = check_int(self.items_seen, "items_seen")
+        if self.items_seen < 0:
+            raise ContractError(f"items_seen must be >= 0, got {self.items_seen}")
         self.log_ema_per_topic = np.asarray(self.log_ema_per_topic, dtype=np.float64)
 
     @property

@@ -12,6 +12,13 @@ backpropagate the label cross-entropy -c' ln p_label through every
 update (softmax Jacobians, the digamma bias via trigamma, and the
 alpha_hat accumulation) back into each use of the cached logits.
 
+A table encoder's logit row depends only on the item's token, so the
+variational step's softmax and log_softmax, and the per-epoch ELBO's
+log_softmax, run once per vocabulary row of the (V, K) table.T and are
+gathered per item, whenever V is no more than the items they cover
+(`_per_item`); the bits are those of the per-item computation.  Larger
+vocabularies, mlp encoders and the discriminative regime stay per item.
+
 One epoch loop, `train`, runs both; they differ only in the batch step.
 It steps one copy of theta's flat parameter vector in place, so the given
 parameters stay as they were.  The adjoint sweep exists as twin kernels, a numba loop or vectorized
@@ -160,9 +167,28 @@ class _EStepCarry:
                    reg_state=RegularizerState(rho=hyper.rho), total_items=flat.num_items)
 
 
-def _soft_target_grad_wrt_logits(F, S):
-    # d/dF of -sum S * log_softmax(F):  softmax(F) * rowsum(S) - S
-    return softmax(F, axis=-1) * S.sum(axis=1, keepdims=True) - S
+def _by_vocab_row(theta, num_items):
+    """Whether row-wise functions of the logits of num_items items run once
+    per vocabulary row: a table encoder with no more columns than items."""
+    return theta.kind == "table" and theta.table.shape[1] <= num_items
+
+
+def _per_item(fn, payload, theta, F=None):
+    """fn(F, axis=-1) for the logits F of the items in `payload`.  A table
+    encoder's logit row is its token's table column, and a row-wise function
+    gives the same bits for a row whatever else is in the array, so where
+    `_by_vocab_row` holds fn runs on the (V, K) table.T and the rows are
+    gathered per item.  Otherwise F (computed when not given) takes fn."""
+    if _by_vocab_row(theta, len(payload)):
+        return np.take(fn(np.ascontiguousarray(theta.table.T), axis=-1), payload, axis=0)
+    if F is None:
+        F = forward_logits_batch(payload, theta)
+    return fn(F, axis=-1)
+
+
+def _soft_target_grad_wrt_logits(Q, S):
+    # d/dF of -sum S * log_softmax(F):  softmax(F) * rowsum(S) - S, for Q = softmax(F)
+    return Q * S.sum(axis=1, keepdims=True) - S
 
 
 def _variational_step(mini, batch_ids, theta, hyper, config, carry):
@@ -177,7 +203,7 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
         F, mini, hyper, config.clamp_labels, config.e_step_sweeps, tol=0.0,
         alpha_hat0=carry.alpha_hat[batch_ids], p_label0=carry.p_label[batch_ids],
     )
-    g = log_softmax(F, axis=-1)
+    g = _per_item(log_softmax, mini.payload, theta, F)
     S = P
     if hyper.gamma > 0.0:
         carry.reg_state, r_hat = update_running_estimate(carry.reg_state, g, carry.total_items)
@@ -185,7 +211,8 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite variational loss {loss!r}")
-    grad = backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(F, S), hidden)
+    Q = _per_item(softmax, mini.payload, theta, F)
+    grad = backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(Q, S), hidden)
     carry.alpha_hat[batch_ids] = AH
     carry.p_label[batch_ids] = PL
     return grad, P, loss, 0
@@ -448,7 +475,7 @@ def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
             "topic_usage": np.bincount(np.argmax(P_full, axis=1), minlength=K).tolist(),
         }
         if variational and config.track_elbo:
-            g = log_softmax(forward_logits_batch(flat.payload, theta), axis=-1)
+            g = _per_item(log_softmax, flat.payload, theta)
             record["elbo"] = _corpus_elbo(g, P_full, carry.p_label, carry.alpha_hat, flat, hyper)
         if not variational:
             record["floor_hits"] = floor_total

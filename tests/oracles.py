@@ -399,6 +399,19 @@ def reference_log_softmax(v, axis=-1):
         return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def reference_log_sum_exp(v, axis):
+    """log_sum_exp over one axis with np.max taking every max."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ContractError("log_sum_exp of an empty array")
+    m = np.max(v, axis=axis, keepdims=True)
+    if not np.all(m < np.inf):
+        raise DomainError("log_sum_exp requires entries in [-inf, +inf)")
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(m_safe, axis=axis) + np.log(np.exp(v - m_safe).sum(axis=axis))
+
+
 def _reference_psi(x, name, shift, finish):
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:

@@ -2,6 +2,7 @@ import base64
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -831,6 +832,52 @@ class TestCheckpointContract:
         save_checkpoint(p, cp)
         with pytest.raises(DomainError, match="reg_log_ema must be finite"):
             load_checkpoint(p)
+
+    def test_numpy_scalar_fields_save_and_load_back(self, tmp_path):
+        # np.float32 lam and np.int64 counts used to reach the JSON writer
+        # and escape save_checkpoint as an untyped TypeError
+        cp = make_checkpoint()
+        hyper = HyperParams(alpha=cp.hyper.alpha, lam=np.float32(1.5), gamma=np.float64(0.25),
+                            n_iter=np.int64(4), rho=np.float32(0.5))
+        reg = RegularizerState(rho=np.float32(0.75), log_ema_per_topic=np.zeros(3),
+                               items_seen=np.int64(128))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, Checkpoint(hyper=hyper, params=cp.params, reg_state=reg))
+        back = load_checkpoint(p)
+        assert (back.hyper.lam, back.hyper.gamma, back.hyper.n_iter, back.hyper.rho) == (
+            1.5, 0.25, 4, 0.5)
+        assert (back.reg_state.rho, back.reg_state.items_seen) == (0.75, 128)
+
+    @pytest.mark.parametrize("seen", [-3, 1.5])
+    def test_items_seen_that_would_not_load_back_is_refused(self, tmp_path, save_with_meta,
+                                                            seen):
+        # -3 used to load back as -3, and 1.5 as 1
+        with pytest.raises(ContractError, match="items_seen must be"):
+            RegularizerState(rho=0.9, log_ema_per_topic=np.zeros(3), items_seen=seen)
+        p = tmp_path / "m.ckpt"
+        save_with_meta(p, make_checkpoint(), lambda m: m["regularizer"].update(items_seen=seen))
+        with pytest.raises(IntegrityError, match="malformed meta section: items_seen must be"):
+            load_checkpoint(p)
+
+    def test_fractional_n_iter_is_refused_before_it_is_saved(self):
+        # HyperParams(n_iter=2.5) used to construct, save, and then not load
+        with pytest.raises(ContractError, match="n_iter must be an integer, got 2.5"):
+            Checkpoint(hyper=HyperParams(alpha=np.ones(3), n_iter=2.5),
+                       params=make_checkpoint().params)
+
+    @pytest.mark.parametrize("provenance", [{"seed": np.int64(1)}, {"tags": {1, 2}},
+                                            {"path": Path("x")}, {1j: 0}],
+                             ids=["numpy-int", "set", "path", "complex-key"])
+    def test_provenance_json_cannot_encode_is_refused(self, tmp_path, provenance):
+        cp = make_checkpoint()
+        with pytest.raises(ContractError, match="provenance must be JSON-encodable"):
+            Checkpoint(hyper=cp.hyper, params=cp.params, provenance=provenance)
+
+    def test_circular_provenance_is_refused(self):
+        cp, loop = make_checkpoint(), {}
+        loop["self"] = loop
+        with pytest.raises(ContractError, match="provenance must be JSON-encodable"):
+            Checkpoint(hyper=cp.hyper, params=cp.params, provenance=loop)
 
     def test_no_version_field(self, tmp_path):
         # save_checkpoint writes the one version this build reads

@@ -83,6 +83,19 @@ class TestForward:
         f = forward_logits_batch(np.arange(50), theta)  # (V, K)
         assert np.all(np.abs(log_sum_exp(f.T, axis=1)) < 1e-10)
 
+    @pytest.mark.parametrize("K,V,N", [(1, 4, 9), (5, 100, 6000), (10, 50, 3), (33, 7, 7),
+                                       (5, 100, 0)])
+    def test_table_gather_keeps_the_column_gather_bits(self, K, V, N):
+        rng = np.random.default_rng(K * V + N)
+        table = rng.normal(scale=1e3, size=(K, V))
+        table[:, ::3] = rng.choice([0.0, -0.0, 1e300, -1e300], size=table[:, ::3].shape)
+        theta = EncoderParams(kind="table", table=table)
+        for tokens in (rng.integers(V, size=N), rng.integers(V, size=N).astype(np.int32)):
+            F = forward_logits_batch(tokens, theta)
+            want = table[:, tokens].T.copy()
+            assert F.flags.c_contiguous and F.dtype == want.dtype and F.shape == want.shape
+            assert F.tobytes() == want.tobytes()
+
     def test_batch_matches_per_item(self):
         theta = small_mlp(seed=1)
         X = SeededRng(2).gen.normal(size=(7, 5))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import (
@@ -16,11 +18,12 @@ from logistic_lda.math_kernels import (
     sample_dirichlet,
     check_simplex,
 )
-from logistic_lda.math_kernels import _row_max
+from logistic_lda.math_kernels import _max
 
 from oracles import (
     psi_oracle,
     reference_digamma,
+    reference_log_sum_exp,
     reference_log_softmax,
     reference_softmax,
     reference_trigamma,
@@ -228,7 +231,45 @@ class TestTopicAxisKernelsKeepTheirBits:
         for n in ROWS:
             for k in TOPICS:
                 v = hard_logits(n, k, seed=k)
-                np.testing.assert_array_equal(_row_max(v, -1), np.max(v, axis=1, keepdims=True))
+                np.testing.assert_array_equal(_max(v, -1), np.max(v, axis=1, keepdims=True))
+
+    def test_column_max_is_the_max(self):
+        for n in ROWS:
+            for k in TOPICS:
+                v = hard_logits(n, k, seed=k)
+                np.testing.assert_array_equal(_max(v, 0), np.max(v, axis=0, keepdims=True))
+
+    @pytest.mark.parametrize("k", TOPICS)
+    @pytest.mark.parametrize("n", ROWS)
+    def test_log_sum_exp_columns(self, n, k):
+        v = hard_logits(n, k, seed=n * 1000 + k)
+        assert_same_bits(log_sum_exp(v, axis=0), reference_log_sum_exp(v, 0))
+        assert_same_bits(log_sum_exp(v.T, axis=1), reference_log_sum_exp(v.T, 1))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, -np.inf, 1e300, -1e300, 709.0, -745.0, 2.5, -2.5])
+                 | st.floats(-1e6, 1e6), min_size=k, max_size=k), min_size=1, max_size=40)))
+    def test_log_sum_exp_columns_hypothesis(self, rows):
+        # -inf entries, all -inf columns and columns whose max is a tie of
+        # 0.0 and -0.0, on both sides of SHORT_COLUMNS
+        v = np.array(rows)
+        assert_same_bits(log_sum_exp(v, axis=0), reference_log_sum_exp(v, 0))
+
+    @pytest.mark.parametrize("v", [
+        [[0.0, np.nan]], [[np.inf, 0.0]], [[np.inf, np.nan]],
+        [[0.0, 1.0], [np.nan, -np.inf], [-np.inf, -np.inf]], [[-np.inf, -np.inf], [np.inf, 0.0]],
+        np.empty((0, 3)), np.full((2, 50), np.nan), np.full((3, 5), np.inf),
+    ], ids=["nan", "inf", "inf-nan", "nan-beside-neg-inf", "inf-beside-neg-inf", "empty",
+            "wide-nan", "all-inf"])
+    def test_log_sum_exp_column_errors(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        assert_same_error(lambda a: log_sum_exp(a, axis=0), lambda a: reference_log_sum_exp(a, 0), v)
+
+    def test_log_sum_exp_all_neg_inf_column_is_neg_inf(self):
+        v = np.array([[-np.inf, 0.0], [-np.inf, -np.inf]])
+        assert_same_bits(log_sum_exp(v, axis=0), np.array([-np.inf, 0.0]))
+        assert_same_bits(log_sum_exp(v, axis=0), reference_log_sum_exp(v, 0))
 
     @pytest.mark.parametrize("v", [
         [[0.0, np.nan]], [[np.inf, 0.0]], [[np.inf, np.nan]], [[-np.inf, -np.inf], [0.0, 1.0]],

@@ -393,6 +393,39 @@ class TestHyperParams:
         with pytest.raises(DomainError):
             HyperParams(alpha=np.ones(2), **kw)
 
+    @pytest.mark.parametrize("n_iter", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3",
+                                        None])
+    def test_n_iter_must_be_an_integer(self, n_iter):
+        # 2.5 used to construct and run int(2.5) = 2 sweeps
+        with pytest.raises(ContractError, match="n_iter must be an integer"):
+            HyperParams(alpha=np.ones(2), n_iter=n_iter)
+
+    @pytest.mark.parametrize("n_iter", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_n_iter_is_stored_as_int(self, n_iter):
+        h = HyperParams(alpha=np.ones(2), n_iter=n_iter)
+        assert type(h.n_iter) is int and h.n_iter == 3
+
+    @pytest.mark.parametrize("field", ["lam", "gamma", "rho"])
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.float16(0.5), 0.5])
+    def test_reals_are_stored_as_float(self, field, value):
+        h = HyperParams(alpha=np.ones(2), **{field: value})
+        assert type(getattr(h, field)) is float and getattr(h, field) == 0.5
+
+    @pytest.mark.parametrize("field", ["lam", "gamma", "rho"])
+    def test_integer_reals_are_stored_as_float(self, field):
+        h = HyperParams(alpha=np.ones(2), **{field: np.int64(0) if field == "rho" else 2})
+        assert type(getattr(h, field)) is float
+
+    @pytest.mark.parametrize("field", ["lam", "gamma", "rho"])
+    @pytest.mark.parametrize("value", ["1", None, True, np.bool_(False), 1j, [0.5]])
+    def test_reals_must_be_numbers(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be a number"):
+            HyperParams(alpha=np.ones(2), **{field: value})
+
+    def test_int_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ContractError, match="lam .* is beyond the float range"):
+            HyperParams(alpha=np.ones(2), lam=10**400)
+
 
 class TestBatchLayer:
     def make_corpus(self, seed, D=6, token_items=True):

@@ -120,6 +120,29 @@ class TestBound:
         assert max_relative_error(analytic.ravel(), numeric) <= 1e-6
 
 
+class TestStateFields:
+    @pytest.mark.parametrize("seen", [-3, np.int64(-1)])
+    def test_negative_items_seen_refused(self, seen):
+        with pytest.raises(ContractError, match="items_seen must be >= 0"):
+            RegularizerState(rho=0.9, log_ema_per_topic=np.zeros(2), items_seen=seen)
+
+    @pytest.mark.parametrize("seen", [1.5, 4.0, True, np.bool_(True), "4", None])
+    def test_items_seen_must_be_an_integer(self, seen):
+        with pytest.raises(ContractError, match="items_seen must be an integer"):
+            RegularizerState(rho=0.9, log_ema_per_topic=np.zeros(2), items_seen=seen)
+
+    @pytest.mark.parametrize("seen", [np.int64(4), np.uint16(4), np.int8(4)])
+    def test_items_seen_is_stored_as_int(self, seen):
+        state = RegularizerState(rho=0.9, log_ema_per_topic=np.zeros(2), items_seen=seen)
+        assert type(state.items_seen) is int and state.items_seen == 4
+
+    def test_rho_is_stored_as_float(self):
+        state = RegularizerState(rho=np.float32(0.5))
+        assert type(state.rho) is float and state.rho == 0.5
+        with pytest.raises(ContractError, match="rho must be a number"):
+            RegularizerState(rho="0.5")
+
+
 class TestRunningEstimate:
     def test_degenerate_full_batch_rho_zero(self):
         rng = SeededRng(5)

@@ -1,12 +1,18 @@
 import json
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import digamma as sp_digamma
 
 from logistic_lda import encoders, mean_field, training
 from logistic_lda.encoders import (
+    EncoderParams,
     Item,
     forward_logits_batch,
     init_params,
@@ -179,7 +185,8 @@ class TestVariationalLoss:
         from logistic_lda.training import _soft_target_grad_wrt_logits
 
         F = forward_logits_batch(flat.payload, theta)
-        analytic = backward_batch(flat.payload, theta, _soft_target_grad_wrt_logits(F, S))
+        Q = softmax(F, axis=-1)
+        analytic = backward_batch(flat.payload, theta, _soft_target_grad_wrt_logits(Q, S))
         assert max_relative_error(analytic, numeric) <= 1e-6
 
     def test_shape_mismatch(self):
@@ -592,6 +599,66 @@ class TestVariationalStep:
                           e_step_sweeps=2, verbose=False, track_elbo=False)
         with pytest.raises(TrainingDivergedError):
             train(flatten_groups(groups), theta, h, cfg)
+
+
+class TestVocabularyRows:
+    """Row-wise functions of a table encoder's logits run once per vocabulary
+    row where V <= N, with the bits of the per-item computation."""
+
+    LOGITS = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e308, -1e308, 709.0, -745.0]) | \
+        st.floats(-1e6, 1e6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), K=st.sampled_from([1, 5, 10, 33]),
+           relation=st.sampled_from(["V<N", "V=N", "V>N"]))
+    def test_table_rows_keep_the_per_item_bits(self, data, K, relation):
+        V = data.draw(st.integers(2, 40))
+        N = {"V<N": data.draw(st.integers(V + 1, 90)), "V=N": V,
+             "V>N": data.draw(st.integers(1, V - 1))}[relation]
+        table = data.draw(hnp.arrays(np.float64, (K, V), elements=self.LOGITS))
+        tokens = data.draw(hnp.arrays(np.int64, N, elements=st.integers(0, V - 1)))
+        theta = EncoderParams(kind="table", table=table)
+        F = forward_logits_batch(tokens, theta)
+        assert training._by_vocab_row(theta, N) == (V <= N)
+        for fn in (log_softmax, softmax):
+            with np.errstate(over="ignore"):  # -1e308 minus a 1e308 max is -inf
+                want = fn(F, axis=-1).tobytes()
+                assert training._per_item(fn, tokens, theta, F).tobytes() == want
+                assert training._per_item(fn, tokens, theta).tobytes() == want
+                # the table path at every V, V > N included
+                with mock.patch.object(training, "_by_vocab_row", lambda theta, n: True):
+                    assert training._per_item(fn, tokens, theta, F).tobytes() == want
+
+    def test_other_encoders_stay_per_item(self):
+        theta = init_params("mlp", (4, 3), 1.0, SeededRng(1))
+        X = SeededRng(2).gen.normal(size=(50, 4))
+        F = forward_logits_batch(X, theta)
+        assert not training._by_vocab_row(theta, 50)
+        assert training._per_item(softmax, X, theta).tobytes() == softmax(F).tobytes()
+        beta = SeededRng(3).gen.dirichlet(np.ones(4), size=3)
+        assert not training._by_vocab_row(encoders.fixed_loglik_params(beta), 50)
+
+    def test_train_matches_the_per_item_run(self, monkeypatch):
+        rng = SeededRng(21)
+        K, V = 3, 10
+        groups = [token_group(rng.gen.integers(V, size=20), gid=f"d{d}",
+                              label=d % K if d % 4 == 0 else None) for d in range(16)]
+        flat = flatten_groups(groups)
+        h = HyperParams(alpha=np.full(K, 0.8), lam=1.0, gamma=5.0)
+        cfg = TrainConfig(mode="variational", epochs=4, batch_size=4, lr=0.05, verbose=False,
+                          seed=5, track_elbo=True)
+        rule, taken = training._by_vocab_row, []
+        monkeypatch.setattr(training, "_by_vocab_row",
+                            lambda theta, n: taken.append(rule(theta, n)) or taken[-1])
+        theta_rows, rows = train(flat, init_params("table", (K, V), 0.5, SeededRng(4)), h, cfg)
+        # two per batch (log_softmax and softmax) and one per epoch's ELBO
+        assert len(taken) == cfg.epochs * (2 * 4 + 1) and all(taken)
+        monkeypatch.setattr(training, "_by_vocab_row", lambda theta, n: False)
+        theta_items, items = train(flat, init_params("table", (K, V), 0.5, SeededRng(4)), h, cfg)
+        assert "elbo" in rows.records[-1] and rows.records == items.records
+        assert theta_rows.flat.tobytes() == theta_items.flat.tobytes()
+        assert (rows.reg_state.log_ema_per_topic.tobytes()
+                == items.reg_state.log_ema_per_topic.tobytes())
 
 
 class TestBatchSlices:
