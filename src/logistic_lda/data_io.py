@@ -42,6 +42,7 @@ from .errors import (
     IntegrityError,
     UnsupportedVersionError,
 )
+from .math_kernels import check_int
 from .mean_field import FlatGroups, Group, HyperParams, flatten_groups
 from .regularizer import RegularizerState
 
@@ -93,12 +94,10 @@ class Corpus:
             except TypeError:
                 raise ContractError("vocab must be an iterable of strings") from None
         _check_header(k, spec.kind, spec.size, self.vocab)
-        flat.check_offsets()
-        labels, payload = np.asarray(flat.labels), np.asarray(flat.payload)
-        if labels.dtype.kind not in "iu" or labels.shape != (len(flat.offsets) - 1,):
-            raise ContractError("labels must be one integer per group")
-        if len(flat.ids) != labels.size or not all(isinstance(g, str) and g for g in flat.ids):
+        flat.check()
+        if not flat.ids:
             raise ContractError("ids must be one non-empty string per group")
+        labels, payload = np.asarray(flat.labels), np.asarray(flat.payload)
         bad = np.flatnonzero((labels < -1) | (labels >= k))
         if bad.size:
             d = bad[0]
@@ -107,7 +106,7 @@ class Corpus:
         # some entry is, and they take no (N, E) temporary
         if spec.kind == "token":
             _token_array(payload, spec.size)
-        elif (payload.dtype.kind != "f" or payload.shape[1:] != (spec.size,)
+        elif (payload.shape[1:] != (spec.size,)
               or not np.isfinite([payload.min(), payload.max()]).all()):
             raise ContractError(f"dense payload must be finite (N, {spec.size}) floats")
 
@@ -463,9 +462,12 @@ class Checkpoint:
         if reg is not None and not np.all(np.isfinite(reg.log_ema_per_topic)):
             raise DomainError("reg_log_ema must be finite")
         try:
-            json.dumps(self.provenance)
+            back = json.loads(json.dumps(self.provenance))
         except (TypeError, ValueError, RecursionError) as exc:
             raise ContractError(f"provenance must be JSON-encodable: {exc}") from None
+        if back != self.provenance:
+            raise ContractError("provenance must load back from JSON unchanged (string keys, "
+                                f"lists, no NaN); {self.provenance!r} loads as {back!r}")
 
 
 def _array_bytes(arr):
@@ -550,7 +552,6 @@ def load_checkpoint(path) -> Checkpoint:
         )
     n_sections = cur.u32()
     sections = {}
-    order = []
     for _ in range(n_sections):
         try:
             name = cur.take(cur.u32()).decode("utf-8")
@@ -560,7 +561,6 @@ def load_checkpoint(path) -> Checkpoint:
         if name in sections:
             raise IntegrityError(f"duplicate checkpoint section {name!r}")
         sections[name] = payload
-        order.append(name)
     if cur.pos != len(data):
         raise IntegrityError(f"{len(data) - cur.pos} trailing bytes after last section")
     if "meta" not in sections:
@@ -584,18 +584,12 @@ def _malformed(msg):
     return IntegrityError(f"malformed meta section: {msg}")
 
 
-def _meta_int(value, what):
-    if not _is_int(value):
-        raise _malformed(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _checkpoint_from_meta(meta, sections):
     arrays = {}
     for name, shape in meta["arrays"]:
         if name not in sections:
             raise IntegrityError(f"manifest names missing section {name!r}")
-        shape = tuple(_meta_int(s, f"{name} shape") for s in shape)
+        shape = tuple(check_int(s, f"{name} shape") for s in shape)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = sections[name]
         if len(raw) != count * 8:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError, UnsupportedOperationError
-from .math_kernels import SIMPLEX_ATOL, SeededRng
+from .math_kernels import SIMPLEX_ATOL, SeededRng, check_int
 
 KINDS = ("mlp", "table", "fixed_loglik")
 ACTIVATIONS = ("tanh", "relu", "linear")
@@ -44,7 +44,7 @@ class Item:
                 raise DomainError("dense payload must be a finite 1-d vector")
             object.__setattr__(self, "dense", arr)
         else:
-            tok = int(self.token)
+            tok = check_int(self.token, "token")
             if tok < 0:
                 raise DomainError("token id must be non-negative")
             object.__setattr__(self, "token", tok)

@@ -118,30 +118,25 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
         raise ContractError("need at least one group and one item per group")
 
     pi = sample_dirichlet(np.broadcast_to(alpha, (D, K)), rng)
-
-    beta_cum = np.cumsum(beta, axis=1)
-    groups = []
-    z_all = np.empty(D * N_per_doc, dtype=np.int64)
     labels = pi.argmax(axis=1)
-    for d in range(D):
-        cum = np.cumsum(pi[d])
-        z_d = np.searchsorted(cum, rng.gen.random(N_per_doc), side="right")
-        np.clip(z_d, 0, K - 1, out=z_d)
-        toks = np.empty(N_per_doc, dtype=np.int64)
-        u = rng.gen.random(N_per_doc)
-        for k in np.unique(z_d):
-            mask = z_d == k
-            toks[mask] = np.searchsorted(beta_cum[k], u[mask], side="right")
-        np.clip(toks, 0, V - 1, out=toks)
-        z_all[d * N_per_doc : (d + 1) * N_per_doc] = z_d
-        groups.append(
-            Group(
-                id=f"d{d}",
-                items=[Item(token=int(t)) for t in toks],
-                label=int(labels[d]) if labeled else None,
-            )
-        )
-    return groups, CorpusTruth(pi=pi, z=z_all, labels=labels)
+    # per group, N topic uniforms and then N token uniforms, in one draw
+    u = rng.gen.random((D, 2, N_per_doc))
+    # searchsorted(cumsum(pi_d), u, side="right") clipped to K - 1 counts
+    # the first K - 1 cumulative sums <= u, as they never decrease
+    pi_cum = np.cumsum(pi, axis=1)
+    z = np.zeros((D, N_per_doc), dtype=np.int64)
+    for k in range(K - 1):
+        z += pi_cum[:, k, None] <= u[:, 0]
+    beta_cum = np.cumsum(beta, axis=1)
+    tokens = np.empty((D, N_per_doc), dtype=np.int64)
+    for k in range(K):
+        mask = z == k
+        tokens[mask] = np.searchsorted(beta_cum[k], u[:, 1][mask], side="right")
+    np.clip(tokens, 0, V - 1, out=tokens)
+    groups = [Group(id=f"d{d}", items=[Item(token=t) for t in row],
+                    label=int(labels[d]) if labeled else None)
+              for d, row in enumerate(tokens.tolist())]
+    return groups, CorpusTruth(pi=pi, z=z.ravel(), labels=labels)
 
 
 def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
@@ -155,6 +150,7 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
         raise ContractError("K must be >= 1")
     if not (np.isfinite(label_weight) and label_weight >= 0.0):
         raise DomainError("label_weight must be finite and >= 0")
+    flat.check()
     tokens = _token_array(flat.payload, np.inf if V is None else int(V))
     V = int(tokens.max()) + 1 if V is None else int(V)
     z = rng.gen.integers(0, K, size=tokens.shape[0], dtype=np.int64)

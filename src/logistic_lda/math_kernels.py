@@ -67,7 +67,7 @@ class SeededRng:
     """
 
     def __init__(self, seed):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = check_int(seed, "seed") & 0xFFFFFFFFFFFFFFFF
         self.gen = np.random.Generator(np.random.Philox(self.seed))
 
     def __repr__(self):
@@ -105,6 +105,8 @@ def check_positive_vector(v):
 
 def check_int(value, name):
     """``value`` as an int: a Python or numpy integer, not a bool."""
+    if type(value) is int:  # the common case (every Item's token); a bool's type is bool
+        return value
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ContractError(f"{name} must be an integer, got {value!r}")
     return int(value)

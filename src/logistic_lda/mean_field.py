@@ -60,7 +60,7 @@ class Group:
         if not self.items:
             raise ContractError(f"group {self.id!r} has no items")
         if self.label is not None:
-            self.label = int(self.label)
+            self.label = check_int(self.label, "label")
             if self.label < 0:
                 raise DomainError(f"group {self.id!r}: label must be a non-negative index")
 
@@ -132,14 +132,27 @@ class FlatGroups:
     def sizes(self):
         return np.diff(self.offsets)
 
-    def check_offsets(self):
-        """Refuse offsets that do not split the payload rows into one or more
-        non-empty groups: np.add.reduceat gives an empty group the next row."""
+    def check(self):
+        """Refuse a packing the kernels cannot read: offsets that do not split
+        the payload rows into one or more non-empty groups (np.add.reduceat
+        gives an empty group the next row), a payload that is neither 1-d
+        integer tokens nor 2-d float rows, labels that are not one integer
+        per group, and ids that are neither empty nor one non-empty string
+        per group."""
         offsets, payload = np.asarray(self.offsets), np.asarray(self.payload)
         if (offsets.ndim != 1 or offsets.size < 2 or offsets.dtype.kind not in "iu"
                 or payload.ndim < 1 or offsets[0] != 0 or offsets[-1] != payload.shape[0]
                 or (np.diff(offsets) < 1).any()):
             raise ContractError("offsets must split the payload rows into non-empty groups")
+        kind = payload.dtype.kind
+        if not ((payload.ndim == 1 and kind in "iu") or (payload.ndim == 2 and kind == "f")):
+            raise ContractError("payload must be 1-d integer tokens or 2-d float rows")
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu" or labels.shape != (offsets.size - 1,):
+            raise ContractError("labels must be one integer per group")
+        if self.ids and (len(self.ids) != labels.size
+                         or not all(isinstance(g, str) and g for g in self.ids)):
+            raise ContractError("ids must be one non-empty string per group, or none")
 
 
 def flatten_groups(groups) -> FlatGroups:
@@ -347,7 +360,7 @@ def batch_mean_field(
     otherwise); clamped labels override p_label0.  Returns (p_items,
     p_label, alpha_hat, sweeps_done), sweeps_done being the largest
     per-group sweep count."""
-    flat.check_offsets()
+    flat.check()
     if int(max_sweeps) < 1:
         raise ContractError("max_sweeps must be a positive integer")
     F = np.ascontiguousarray(F, dtype=np.float64)

@@ -38,6 +38,8 @@ from .encoders import backward_batch, forward_logits_batch
 from .errors import ContractError, DomainError, TrainingDivergedError
 from .math_kernels import (
     SeededRng,
+    check_int,
+    check_real,
     digamma,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
     expected_log_pi,
     ln_multivariate_beta,
@@ -85,6 +87,10 @@ class TrainConfig:
     verbose: bool = True
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "e_step_sweeps", "seed"):
+            setattr(self, name, check_int(getattr(self, name), name))
+        for name in ("lr", "lr_decay", "momentum"):
+            setattr(self, name, check_real(getattr(self, name), name))
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}")
         if self.optimizer not in OPTIMIZERS:
@@ -426,7 +432,7 @@ def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
     when given, is scored after every epoch.  Returns (theta, report): new
     parameters, stepped in place on one copy of the given ones, which stay
     as they were."""
-    flat.check_offsets()
+    flat.check()
     D, K = flat.num_groups, hyper.num_topics
     variational = config.mode == "variational"
     if variational:

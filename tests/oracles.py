@@ -23,6 +23,9 @@ bit.  reference_load_corpus is the earlier corpus loader, which validates
 and builds one Item per entry (a version-2 dense row is unpacked on its
 own with struct); the array loader must produce the same packed corpus
 from a valid file and the same error from a broken one.
+reference_generate_corpus is the earlier synthetic-corpus generator, one
+group at a time; the one-draw generator must give the same groups, latents
+and RNG state bit for bit.
 """
 
 import base64
@@ -572,3 +575,44 @@ def reference_load_corpus(path):
     return ReferenceCorpus(groups=groups, num_topics=k,
                            payload=PayloadSpec(kind=kind, size=size),
                            vocab=None if vocab is None else tuple(vocab))
+
+
+# ---------------------------------------------------------------------------
+# the earlier synthetic-corpus generator, kept as a reference for the one-draw form
+
+
+def reference_generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
+    """generate_corpus one group at a time, for valid arguments: per group,
+    N topic uniforms, then N token uniforms searched topic by topic."""
+    from logistic_lda.encoders import Item
+    from logistic_lda.lda_baseline import CorpusTruth
+    from logistic_lda.math_kernels import sample_dirichlet
+    from logistic_lda.mean_field import Group
+
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    pi = sample_dirichlet(np.broadcast_to(alpha, (D, K)), rng)
+
+    beta_cum = np.cumsum(beta, axis=1)
+    groups = []
+    z_all = np.empty(D * N_per_doc, dtype=np.int64)
+    labels = pi.argmax(axis=1)
+    for d in range(D):
+        cum = np.cumsum(pi[d])
+        z_d = np.searchsorted(cum, rng.gen.random(N_per_doc), side="right")
+        np.clip(z_d, 0, K - 1, out=z_d)
+        toks = np.empty(N_per_doc, dtype=np.int64)
+        u = rng.gen.random(N_per_doc)
+        for k in np.unique(z_d):
+            mask = z_d == k
+            toks[mask] = np.searchsorted(beta_cum[k], u[mask], side="right")
+        np.clip(toks, 0, V - 1, out=toks)
+        z_all[d * N_per_doc : (d + 1) * N_per_doc] = z_d
+        groups.append(
+            Group(
+                id=f"d{d}",
+                items=[Item(token=int(t)) for t in toks],
+                label=int(labels[d]) if labeled else None,
+            )
+        )
+    return groups, CorpusTruth(pi=pi, z=z_all, labels=labels)

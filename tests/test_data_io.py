@@ -745,6 +745,15 @@ class TestCheckpoint:
         with pytest.raises(DomainError, match="lam must be >= 0"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("entry", [6.0, True, "6"])
+    def test_shape_entry_that_is_not_an_integer_is_named(self, tmp_path, save_with_meta, entry):
+        p = tmp_path / "m.ckpt"
+        save_with_meta(p, make_checkpoint("table"),
+                       lambda m: m["arrays"][1].__setitem__(1, [3, entry]))
+        with pytest.raises(IntegrityError, match=r"^malformed meta section: table shape must be "
+                                                 rf"an integer, got {entry!r}$"):
+            load_checkpoint(p)
+
     def test_fixed_loglik_table_must_be_row_stochastic(self, tmp_path, save_with_meta):
         p = tmp_path / "m.ckpt"
         hyper = HyperParams(alpha=np.ones(3))
@@ -871,6 +880,15 @@ class TestCheckpointContract:
     def test_provenance_json_cannot_encode_is_refused(self, tmp_path, provenance):
         cp = make_checkpoint()
         with pytest.raises(ContractError, match="provenance must be JSON-encodable"):
+            Checkpoint(hyper=cp.hyper, params=cp.params, provenance=provenance)
+
+    @pytest.mark.parametrize("provenance", [{1: "x"}, {"t": (1, 2)}, {"x": float("nan")},
+                                            {"n": {None: 1}}],
+                             ids=["integer-key", "tuple", "nan", "none-key"])
+    def test_provenance_that_json_does_not_give_back_is_refused(self, provenance):
+        # {1: "x", "t": (1, 2)} used to save and load back as {"1": "x", "t": [1, 2]}
+        cp = make_checkpoint()
+        with pytest.raises(ContractError, match="provenance must load back from JSON unchanged"):
             Checkpoint(hyper=cp.hyper, params=cp.params, provenance=provenance)
 
     def test_circular_provenance_is_refused(self):

@@ -50,6 +50,16 @@ class TestItem:
         with pytest.raises(DomainError):
             Item(token=-1)
 
+    @pytest.mark.parametrize("token", [1.7, 2.0, "3", True, np.bool_(False)])
+    def test_token_must_be_an_integer(self, token):
+        # 1.7 used to become token 1, "3" token 3 and True token 1
+        with pytest.raises(ContractError, match="token must be an integer"):
+            Item(token=token)
+
+    @pytest.mark.parametrize("token", [3, np.int64(3), np.uint8(3)])
+    def test_token_is_stored_as_int(self, token):
+        assert type(Item(token=token).token) is int
+
 
 class TestForward:
     def test_zero_mlp_gives_zero_logits(self):

@@ -2,12 +2,15 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from logistic_lda.encoders import Item
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.lda_baseline import (
     GibbsState,
+    disjoint_topic_matrix,
     estimate_beta_theta,
     generate_corpus,
     gibbs_init,
@@ -18,7 +21,12 @@ from logistic_lda.lda_baseline import (
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import FlatGroups, flatten_groups
 
-from oracles import check_counts, gibbs_conditional, lda_collapsed_pair_posterior
+from oracles import (
+    check_counts,
+    gibbs_conditional,
+    lda_collapsed_pair_posterior,
+    reference_generate_corpus,
+)
 
 
 def disjoint_beta(K, V):
@@ -73,6 +81,67 @@ class TestGenerateCorpus:
         assert [g.label for g in groups] == truth.labels.tolist()
         groups2, _ = generate_corpus(K, V, 8, 5, np.ones(K), disjoint_beta(K, V), SeededRng(5))
         assert all(g.label is None for g in groups2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_draw_equals_the_per_group_loop(self, data):
+        # every group, latent and the RNG state after the call, bit for bit;
+        # small alphas put exact zeros in pi, and random betas put
+        # zero-probability tokens anywhere in a row, the last entry included
+        K = data.draw(st.integers(1, 6))
+        V = data.draw(st.integers(K, 12))
+        D, N = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        labeled = data.draw(st.booleans())
+        alpha = np.array(data.draw(st.lists(st.sampled_from([1e-3, 0.05, 0.5, 1.0, 3.0]),
+                                            min_size=K, max_size=K)))
+        alpha[data.draw(st.integers(0, K - 1))] = 1.0  # so no row of pi underflows to zero
+        if data.draw(st.booleans()):
+            beta = disjoint_topic_matrix(K, V)
+        else:
+            w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 1.0, 2.5]),
+                                            min_size=K * V, max_size=K * V))).reshape(K, V)
+            w[w.sum(axis=1) == 0.0, data.draw(st.integers(0, V - 1))] = 1.0
+            beta = w / w.sum(axis=1, keepdims=True)
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        rng, ref_rng = SeededRng(seed), SeededRng(seed)
+        groups, truth = generate_corpus(K, V, D, N, alpha, beta, rng, labeled=labeled)
+        want_groups, want = reference_generate_corpus(K, V, D, N, alpha, beta, ref_rng,
+                                                      labeled=labeled)
+        for name in ("pi", "z", "labels"):
+            got, ref = getattr(truth, name), getattr(want, name)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
+        assert groups == want_groups
+        np.testing.assert_equal(rng.gen.bit_generator.state, ref_rng.gen.bit_generator.state)
+
+    @pytest.mark.parametrize("gammas,beta,u", [
+        ([0.0, 0.0, 1.0, 0.0, 0.7], disjoint_topic_matrix(5, 10), 0.0),
+        (np.ones(10), np.full((10, 10), 0.1), np.nextafter(1.0, 0.0)),
+    ], ids=["zero-uniforms-on-ties", "uniforms-above-the-last-cumsum"])
+    def test_ties_and_clips_match_the_per_group_loop(self, gammas, beta, u):
+        # a uniform of 0.0 meets cumulative sums tied at 0.0, and the largest
+        # uniform exceeds the 0.9999999999999999 that ten sums of 0.1 reach,
+        # where only the clips keep topics and tokens in range
+        K, V = beta.shape
+        groups, truth = generate_corpus(K, V, 3, 4, np.ones(K), beta, _FixedDraws(gammas, u))
+        want_groups, want = reference_generate_corpus(K, V, 3, 4, np.ones(K), beta,
+                                                      _FixedDraws(gammas, u))
+        assert groups == want_groups
+        np.testing.assert_array_equal(truth.z, want.z)
+
+
+class _FixedDraws:
+    """Stands in for a SeededRng: fixed gamma variates and constant uniforms,
+    which reach the ties and clips that random uniforms almost never do."""
+
+    def __init__(self, gammas, u):
+        self.gen, self.gammas, self.u = self, np.asarray(gammas, dtype=np.float64), u
+
+    def standard_gamma(self, alpha):
+        return np.broadcast_to(self.gammas, np.shape(alpha)).copy()
+
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 class TestGibbsConditional:
@@ -180,6 +249,14 @@ class TestGibbsSweep:
         flat, _ = small_corpus(rng, V=12)
         with pytest.raises(ContractError):
             gibbs_init(flat, 3, 0.1, rng, V=5)
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 3], [0, 3, 2, 4]], ids=["short", "decreasing"])
+    def test_run_refuses_offsets_that_do_not_split_the_tokens(self, offsets):
+        # over 4 tokens these used to end in an IndexError and a ValueError
+        flat = FlatGroups(payload=np.array([0, 1, 2, 3]), offsets=np.array(offsets),
+                          labels=np.full(len(offsets) - 1, -1))
+        with pytest.raises(ContractError, match="offsets must split the payload rows"):
+            gibbs_run(flat, 2, np.ones(2), 0.1, SeededRng(0), burn_in=1, n_samples=1)
 
     @pytest.mark.parametrize("payload", [np.array([0, 1, -1, 2]), np.array([0.0, 1.0, 1.0, 2.0]),
                                          np.zeros((4, 2))], ids=["negative", "float", "dense"])

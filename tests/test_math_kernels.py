@@ -383,6 +383,18 @@ class TestLnMultivariateBeta:
         np.testing.assert_array_equal(ln_multivariate_beta(A), [ln_multivariate_beta(a) for a in A])
 
 
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "x", True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to become seed 1, and "x" raised an untyped ValueError
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            SeededRng(seed)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(7)])
+    def test_integer_seeds_give_one_stream(self, seed):
+        assert SeededRng(seed).gen.random() == SeededRng(7).gen.random()
+
+
 class TestSampling:
     def test_dirichlet_deterministic(self):
         a = np.array([0.5, 1.5, 3.0])

@@ -427,6 +427,62 @@ class TestHyperParams:
             HyperParams(alpha=np.ones(2), lam=10**400)
 
 
+class TestGroup:
+    @pytest.mark.parametrize("label", [1.5, 1.0, "1", True])
+    def test_label_must_be_an_integer(self, label):
+        # 1.5 used to become label 1
+        with pytest.raises(ContractError, match="label must be an integer"):
+            Group(id="a", items=[Item(token=0)], label=label)
+
+    def test_label_is_stored_as_int(self):
+        assert type(Group(id="a", items=[Item(token=0)], label=np.int64(2)).label) is int
+
+
+class TestFlatGroupsCheck:
+    @staticmethod
+    def flat(payload=(0, 1, 2), offsets=(0, 1, 3), labels=(0, -1), ids=("a", "b")):
+        return FlatGroups(payload=np.asarray(payload), offsets=np.asarray(offsets),
+                          labels=np.asarray(labels), ids=list(ids))
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"offsets": (0, 2, 1, 3)}, "offsets must split"),
+        ({"offsets": (0, 1, 2)}, "offsets must split"),
+        ({"offsets": (0.0, 1.0, 3.0)}, "offsets must split"),
+        ({"payload": (0.0, 1.0, 2.0)}, "payload must be 1-d integer tokens or 2-d float rows"),
+        ({"payload": np.zeros((3, 2), dtype=np.int64)}, "payload must be 1-d integer"),
+        ({"payload": np.zeros((3, 2, 1))}, "payload must be 1-d integer"),
+        ({"payload": ("a", "b", "c")}, "payload must be 1-d integer"),
+        ({"labels": (0.0, -1.0)}, "labels must be one integer per group"),
+        ({"labels": (0, -1, 1)}, "labels must be one integer per group"),
+        ({"labels": 0}, "labels must be one integer per group"),
+        ({"ids": ("a",)}, "ids must be one non-empty string per group, or none"),
+        ({"ids": ("a", "")}, "ids must be one non-empty string per group"),
+        ({"ids": ("a", 2)}, "ids must be one non-empty string per group"),
+    ], ids=["decreasing-offsets", "short-offsets", "float-offsets", "float-tokens",
+            "integer-rows", "3-d-payload", "string-payload", "float-labels", "labels-per-group",
+            "scalar-labels", "ids-per-group", "empty-id", "integer-id"])
+    def test_refuses(self, kw, message):
+        with pytest.raises(ContractError, match=message):
+            self.flat(**kw).check()
+
+    @pytest.mark.parametrize("kw", [{}, {"ids": ()}, {"payload": np.zeros((3, 2))},
+                                    {"payload": np.zeros((3, 2), dtype=np.float32)},
+                                    {"payload": np.array([0, 1, 2], dtype=np.uint16)}])
+    def test_accepts(self, kw):
+        self.flat(**kw).check()
+
+    @pytest.mark.parametrize("run", ["batch_mean_field", "predict_corpus"])
+    def test_callers_check(self, run):
+        flat = self.flat(labels=(0.0, 1.0))
+        h = HyperParams(alpha=np.full(3, 0.5), n_iter=3)
+        theta = init_params("table", (3, 4), 1.0, SeededRng(0))
+        with pytest.raises(ContractError, match="labels must be one integer per group"):
+            if run == "batch_mean_field":
+                batch_mean_field(np.zeros((3, 3)), flat, h, True, 3)
+            else:
+                predict_corpus(flat, theta, h)
+
+
 class TestBatchLayer:
     def make_corpus(self, seed, D=6, token_items=True):
         rng = SeededRng(seed)

@@ -140,6 +140,26 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "e_step_sweeps", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "a", True, None])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # epochs=1.5 and seed="a" used to construct and fail inside train
+        with pytest.raises(ContractError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lr", "lr_decay", "momentum"])
+    @pytest.mark.parametrize("value", ["x", None, True, 1j])
+    def test_real_fields_must_be_numbers(self, field, value):
+        # lr="x" used to raise an untyped TypeError
+        with pytest.raises(ContractError, match=f"{field} must be a number"):
+            TrainConfig(**{field: value})
+
+    def test_fields_are_stored_as_int_and_float(self):
+        c = TrainConfig(epochs=np.int64(3), seed=np.uint8(4), lr=1, lr_decay=np.float32(0.5))
+        assert (type(c.epochs), type(c.seed), type(c.lr), type(c.lr_decay)) == (int, int, float,
+                                                                               float)
+        assert (c.epochs, c.seed, c.lr, c.lr_decay) == (3, 4, 1.0, 0.5)
+
 
 class TestVariationalLoss:
     def step_loss(self, alpha_hat0):
@@ -774,6 +794,17 @@ class TestEpochLoops:
         cfg = TrainConfig(mode="discriminative", verbose=False)
         with pytest.raises(ContractError):
             train(flatten_groups(groups), theta, HyperParams(alpha=np.ones(2)), cfg)
+
+    @pytest.mark.parametrize("mode", ["variational", "discriminative"])
+    def test_float_labels_rejected(self, mode):
+        # they used to end in an IndexError
+        groups = [token_group([0, 1], label=0, gid="a"), token_group([2], label=1, gid="b")]
+        flat = flatten_groups(groups)
+        flat.labels = flat.labels.astype(np.float64)
+        theta = init_params("table", (2, 3), 1.0, SeededRng(0))
+        with pytest.raises(ContractError, match="labels must be one integer per group"):
+            train(flat, theta, HyperParams(alpha=np.ones(2)),
+                  TrainConfig(mode=mode, epochs=1, verbose=False))
 
     def test_predict_corpus_modes_agree_on_easy_data(self):
         rng = SeededRng(16)
