@@ -14,8 +14,9 @@ active backend is chosen once at import time from the
     numba  require numba; raise if it is missing
     numpy  always use the pure-numpy fallbacks
 
-``benchmarks/bench_backends.py`` times both paths side by side; the parity
-tests in ``tests/test_backends.py`` assert they agree to machine precision.
+The parity tests in ``tests/test_backends.py`` assert that both paths
+agree to machine precision.  ``perfbench/`` measures the numpy backend;
+its traced run times each kernel as a per-layer metric.
 """
 
 import os
@@ -52,7 +53,7 @@ def njit(func):
     """Compile ``func`` with numba when available, else return it unchanged.
 
     Used to build the numba side of each kernel pair regardless of which
-    backend is active, so tests and benchmarks can always reach both.
+    backend is active, so the parity tests can always reach both.
     """
     if HAS_NUMBA:
         return numba.njit(cache=True)(func)

@@ -53,6 +53,8 @@ log = logging.getLogger("logistic_lda")
 # flags that take no value; config-file lines like clamp=false map to the
 # generated --no-* form
 _BOOL_KEYS = {"labeled", "clamp", "converged", "track-elbo", "quiet"}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
 
 
 def _inject_config(argv):
@@ -85,8 +87,11 @@ def _inject_config(argv):
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("_", "-")
         if key in _BOOL_KEYS:
-            truthy = value.lower() in ("1", "true", "yes", "on")
-            expanded.append(f"--{key}" if truthy else f"--no-{key}")
+            on = _BOOL_VALUES.get(value.lower())
+            if on is None:
+                raise ContractError(f"{path}:{lineno}: {key} takes 1/0, true/false, "
+                                    f"yes/no or on/off, got {value!r}")
+            expanded.append(f"--{key}" if on else f"--no-{key}")
         else:
             expanded.extend([f"--{key}", value])
     # insert after the subcommand so explicit flags, which come later, win

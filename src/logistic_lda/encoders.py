@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError, UnsupportedOperationError
-from .math_kernels import SIMPLEX_ATOL, SeededRng, check_int
+from .math_kernels import SIMPLEX_ATOL, SeededRng, check_int, check_real
 
 KINDS = ("mlp", "table", "fixed_loglik")
 ACTIVATIONS = ("tanh", "relu", "linear")
@@ -244,10 +244,10 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
            point of the symmetric objective and gradient descent never
            leaves it.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(check_int(d, "dimension") for d in dims)
     if any(d <= 0 for d in dims):
         raise ContractError("all dimensions must be positive")
-    scale = float(scale)
+    scale = check_real(scale, "init scale")
     if not (np.isfinite(scale) and scale >= 0.0):
         raise DomainError("init scale must be finite and >= 0")
     if kind == "mlp":

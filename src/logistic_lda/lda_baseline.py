@@ -17,7 +17,13 @@ import numpy as np
 
 from .backend import njit, pick
 from .errors import ContractError, DomainError
-from .math_kernels import check_positive_vector, check_simplex, sample_dirichlet
+from .math_kernels import (
+    check_int,
+    check_positive_vector,
+    check_real,
+    check_simplex,
+    sample_dirichlet,
+)
 from .mean_field import FlatGroups, Group
 from .encoders import Item, _token_array
 
@@ -54,7 +60,7 @@ class GibbsState:
         self.n_dk = np.ascontiguousarray(self.n_dk, dtype=np.float64)
         self.n_kv = np.ascontiguousarray(self.n_kv, dtype=np.float64)
         self.n_k = np.ascontiguousarray(self.n_k, dtype=np.float64)
-        self.eta = float(self.eta)
+        self.eta = check_real(self.eta, "eta")
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError("eta must be finite and > 0")
         if self.label_bias is None:
@@ -106,6 +112,7 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     Returns (groups, CorpusTruth).  With labeled=True each group carries
     label argmax_k pi_dk.
     """
+    D, N_per_doc = check_int(D, "D"), check_int(N_per_doc, "N_per_doc")
     alpha = check_positive_vector(alpha)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (K, V):
@@ -146,6 +153,7 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     for each labeled group's observed topic (unlabeled groups get none).
     V defaults to the largest token id seen plus one.
     """
+    K, label_weight = check_int(K, "K"), check_real(label_weight, "label_weight")
     if K < 1:
         raise ContractError("K must be >= 1")
     if not (np.isfinite(label_weight) and label_weight >= 0.0):
@@ -234,7 +242,13 @@ _gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_lists)
 
 def gibbs_sweep(state, flat, alpha, rng):
     """Resample every assignment once, in corpus order, updating counts
-    incrementally.  Mutates state; one uniform is consumed per item."""
+    incrementally.  Mutates state; one uniform is consumed per item.
+    flat must have the groups and group sizes the state was built on."""
+    flat.check()
+    # array_equal is False for a different group count as well
+    if flat.num_items != state.z.size or not np.array_equal(state.n_dk.sum(axis=1),
+                                                            flat.sizes()):
+        raise ContractError("the corpus's groups and group sizes differ from the state's")
     tokens = _token_array(flat.payload, state.vocab_size)
     alpha = check_positive_vector(alpha)
     u = rng.gen.random(tokens.shape[0])
@@ -263,6 +277,7 @@ def gibbs_run(flat, K, alpha, eta, rng, burn_in=500, n_samples=500, label_weight
     fraction of sampling sweeps assigning item i to each topic and the
     parameter estimates are means of the per-sweep posterior means.
     """
+    burn_in, n_samples = check_int(burn_in, "burn_in"), check_int(n_samples, "n_samples")
     if burn_in < 0 or n_samples < 1:
         raise ContractError("burn_in must be >= 0 and n_samples >= 1")
     alpha = check_positive_vector(alpha)

@@ -57,6 +57,8 @@ class Group:
     label: int | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and self.id):
+            raise ContractError(f"ids must be one non-empty string per group, got {self.id!r}")
         if not self.items:
             raise ContractError(f"group {self.id!r} has no items")
         if self.label is not None:

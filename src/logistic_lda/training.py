@@ -29,6 +29,7 @@ lines and optionally to a metrics file.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ class TrainConfig:
     clamp_labels: bool = True
     e_step_sweeps: int = 1
     track_elbo: bool = True
-    metrics_path: str | None = None
+    metrics_path: str | os.PathLike | None = None
     verbose: bool = True
 
     def __post_init__(self):
@@ -91,6 +92,16 @@ class TrainConfig:
             setattr(self, name, check_int(getattr(self, name), name))
         for name in ("lr", "lr_decay", "momentum"):
             setattr(self, name, check_real(getattr(self, name), name))
+        for name in ("clamp_labels", "track_elbo", "verbose"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ContractError(f"{name} must be a bool, got {value!r}")
+            setattr(self, name, bool(value))
+        if self.metrics_path is not None and (
+                not isinstance(self.metrics_path, (str, os.PathLike))
+                or not os.fspath(self.metrics_path)):
+            raise ContractError(
+                f"metrics_path must be None or a non-empty path, got {self.metrics_path!r}")
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}")
         if self.optimizer not in OPTIMIZERS:

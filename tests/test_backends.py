@@ -10,7 +10,6 @@ vectorized ones and the Gibbs list runner."""
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,16 +285,3 @@ print("scipy" in sys.modules)
             )
             assert proc.returncode == 0, proc.stderr
 
-
-class TestBenchBackends:
-    def test_smoke_one_row_per_kernel(self):
-        root = Path(__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(root / "benchmarks" / "bench_backends.py"),
-             "--docs", "20", "--len", "5", "--repeats", "1"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        )
-        assert proc.returncode == 0, proc.stderr
-        rows = proc.stdout.splitlines()[2:]
-        assert [r.split(" (")[0] for r in rows] == [
-            "mean-field E-step", "converged E-step", "unroll backward", "gibbs sweep"]

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from logistic_lda.cli import run_cli
+from logistic_lda.cli import _BOOL_KEYS, _build_parser, _inject_config, run_cli
 from logistic_lda.data_io import load_checkpoint, load_corpus, read_predictions
 from logistic_lda.encoders import Item
 
@@ -267,6 +268,37 @@ class TestTrainInferEval:
         cfg.write_text("epochs=1\n")
         code, _, _ = run(capsys, "--config", str(cfg), "train")
         assert code == 1
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("value, flag", [
+        ("1", "--labeled"), ("true", "--labeled"), ("YES", "--labeled"), ("On", "--labeled"),
+        ("0", "--no-labeled"), ("False", "--no-labeled"), ("no", "--no-labeled"),
+        ("OFF", "--no-labeled")])
+    def test_boolean_words(self, tmp_path, value, flag):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"labeled = {value}\n")
+        assert _inject_config(["gen", "--config", str(cfg)]) == ["gen", flag]
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "y", "true false"])
+    def test_other_boolean_values_are_usage_errors(self, tmp_path, capsys, value):
+        # labeled=ture and labeled= used to become --no-labeled
+        cfg, out = tmp_path / "gen.cfg", tmp_path / "c.jsonl"
+        cfg.write_text(f"# labels\nlabeled={value}\n")
+        code, _, err = run(capsys, "gen", "--k", "2", "--v", "4", "--docs", "2", "--len", "2",
+                           "-o", str(out), "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}:2: labeled takes 1/0, true/false, yes/no or on/off" in err
+        assert not out.exists()
+
+    def test_boolean_keys_are_the_boolean_flags(self):
+        # every --x/--no-x flag of every subcommand, and nothing else
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt[2:] for p in sub.choices.values() for a in p._actions
+                 if isinstance(a, argparse.BooleanOptionalAction)
+                 for opt in a.option_strings if not opt.startswith("--no-")}
+        assert flags == _BOOL_KEYS
 
 
 class TestNoItemObjects:

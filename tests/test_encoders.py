@@ -320,6 +320,25 @@ class TestInit:
         with pytest.raises(DomainError):
             init_params(kind, dims, scale, SeededRng(0))
 
+    @pytest.mark.parametrize("kind, dims", [
+        ("table", (2.7, 6)), ("table", (2, "6")), ("table", (True, 6)),
+        ("mlp", (3.9, 4.5, 2)), ("mlp", (3, 4, None))])
+    def test_dims_must_be_integers(self, kind, dims):
+        # (2.7, 6) used to build a (2, 6) table, and (3.9, 4.5, 2) a 4x3 first layer
+        with pytest.raises(ContractError, match="dimension must be an integer"):
+            init_params(kind, dims, 0.1, SeededRng(0))
+
+    @pytest.mark.parametrize("scale", ["x", None, True, 1j])
+    def test_scale_must_be_a_number(self, scale):
+        # "x" used to raise an untyped ValueError, and True to act as 1.0
+        with pytest.raises(ContractError, match="init scale must be a number"):
+            init_params("table", (2, 6), scale, SeededRng(0))
+
+    def test_numpy_dims_and_scale_give_the_same_parameters(self):
+        a = init_params("mlp", (np.int64(3), np.uint8(4), 2), np.float32(0.5), SeededRng(0))
+        b = init_params("mlp", (3, 4, 2), 0.5, SeededRng(0))
+        np.testing.assert_array_equal(a.flat, b.flat)
+
     def test_fixed_loglik_row_sum_checked(self):
         with pytest.raises(DomainError):
             fixed_loglik_params(np.array([[0.5, 0.6]]))

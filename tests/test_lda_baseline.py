@@ -280,6 +280,76 @@ class TestGibbsSweep:
         with pytest.raises(DomainError):
             gibbs_init(flat, 3, kw.get("eta", 0.1), rng, label_weight=kw.get("label_weight", 0.0))
 
+    @pytest.mark.parametrize("offsets", [[0, 2, 3], [0, 3, 2, 4], [0, 1, 2, 4], [0, 1, 4]],
+                             ids=["short", "decreasing", "more-groups", "other-sizes"])
+    def test_sweep_refuses_a_corpus_laid_out_unlike_its_state(self, offsets):
+        # against a state built on [0, 2, 4], [0, 2, 3] used to leave n_dk at
+        # [[3, -1], [0, 2]], [0, 1, 4] to run silently, and the other two to
+        # end in an IndexError
+        tokens, rng = np.array([0, 1, 2, 3]), SeededRng(0)
+        flat = FlatGroups(payload=tokens, offsets=np.array([0, 2, 4]), labels=np.full(2, -1))
+        state = gibbs_init(flat, 2, 0.1, rng)
+        before = copy.deepcopy(state)
+        other = FlatGroups(payload=tokens, offsets=np.array(offsets),
+                           labels=np.full(len(offsets) - 1, -1))
+        with pytest.raises(ContractError):
+            gibbs_sweep(state, other, np.ones(2), rng)
+        for name in ("z", "n_dk", "n_kv", "n_k"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+        gibbs_sweep(state, flat, np.ones(2), rng)
+        check_counts(state, flat)
+
+
+def _tiny_flat():
+    return FlatGroups(payload=np.array([0, 1, 2, 3]), offsets=np.array([0, 2, 4]),
+                      labels=np.array([0, -1]))
+
+
+def _state(eta):
+    return GibbsState(z=np.zeros(4), n_dk=np.zeros((2, 2)), n_kv=np.zeros((2, 4)),
+                      n_k=np.zeros(2), eta=eta)
+
+
+def _generate(D=3, N=4):
+    return generate_corpus(2, 4, D, N, np.ones(2), disjoint_topic_matrix(2, 4), SeededRng(0))
+
+
+class TestArgumentTypes:
+    # each of these used to truncate, act on its truth value, or raise an
+    # untyped TypeError or ValueError
+    @pytest.mark.parametrize("name, call", [
+        ("K", lambda v: gibbs_init(_tiny_flat(), v, 0.1, SeededRng(0))),
+        ("burn_in", lambda v: gibbs_run(_tiny_flat(), 2, np.ones(2), 0.1, SeededRng(0),
+                                        burn_in=v)),
+        ("n_samples", lambda v: gibbs_run(_tiny_flat(), 2, np.ones(2), 0.1, SeededRng(0),
+                                          n_samples=v)),
+        ("D", lambda v: _generate(D=v)),
+        ("N_per_doc", lambda v: _generate(N=v)),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True])
+    def test_counts_must_be_integers(self, name, call, value):
+        with pytest.raises(ContractError, match=f"{name} must be an integer"):
+            call(value)
+
+    @pytest.mark.parametrize("name, call", [
+        ("eta", _state),
+        ("label_weight", lambda v: gibbs_init(_tiny_flat(), 2, 0.1, SeededRng(0),
+                                              label_weight=v)),
+    ])
+    @pytest.mark.parametrize("value", ["1", None, True, 1j])
+    def test_rates_must_be_numbers(self, name, call, value):
+        with pytest.raises(ContractError, match=f"{name} must be a number"):
+            call(value)
+
+    def test_numpy_scalars_give_the_same_run(self):
+        a = gibbs_run(_tiny_flat(), np.int64(2), np.ones(2), np.float32(0.5), SeededRng(3),
+                      burn_in=np.int32(2), n_samples=np.uint8(2), label_weight=np.float64(1.0))
+        b = gibbs_run(_tiny_flat(), 2, np.ones(2), 0.5, SeededRng(3), burn_in=2, n_samples=2,
+                      label_weight=1.0)
+        for x, y in zip(a[1:], b[1:]):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a[0].z, b[0].z)
+
 
 class TestSweepReplay:
     def test_each_draw_is_the_oracle_inverse_cdf(self):

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma as sp_digamma
+
+from logistic_lda.data_io import corpus_from_groups, load_corpus, save_corpus
 
 from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch, init_params
 from logistic_lda.errors import ContractError, DomainError
@@ -436,6 +440,45 @@ class TestGroup:
 
     def test_label_is_stored_as_int(self):
         assert type(Group(id="a", items=[Item(token=0)], label=np.int64(2)).label) is int
+
+    @pytest.mark.parametrize("gid", [5, "", None, b"a", ("a",)])
+    def test_id_must_be_a_non_empty_string(self, gid):
+        # Group(id=5) used to construct, and flatten_groups to pack it
+        with pytest.raises(ContractError, match="ids must be one non-empty string per group"):
+            Group(id=gid, items=[Item(token=0)])
+
+    @pytest.mark.parametrize("fault", [None, "id", "items", "label"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_group_that_constructs_saves_and_loads_back(self, tmp_path_factory, fault,
+                                                              data):
+        # each draw builds a group with at most one spoiled field; a spoiled
+        # one raises a typed error, and any other saves as a corpus that
+        # loads back to the same id, tokens and label
+        gid = data.draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
+        tokens = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=5))
+        label = data.draw(st.one_of(st.none(), st.integers(0, 2)))
+        items = [Item(token=t) for t in tokens]
+        error = ContractError
+        if fault == "id":
+            gid = data.draw(st.one_of(st.just(""), st.none(), st.integers(), st.binary(),
+                                      st.lists(st.text())))
+        if fault == "items":
+            items = []
+        if fault == "label":
+            label, error = data.draw(st.one_of(
+                st.tuples(st.one_of(st.floats(), st.text(), st.booleans()),
+                          st.just(ContractError)),
+                st.tuples(st.integers(max_value=-1), st.just(DomainError))))
+        if fault is not None:
+            with pytest.raises(error):
+                Group(id=gid, items=items, label=label)
+            return
+        path = tmp_path_factory.mktemp("group") / "c.jsonl"
+        save_corpus(path, corpus_from_groups([Group(id=gid, items=items, label=label)], 3,
+                                             vocab_size=10))
+        back = load_corpus(path).groups[0]
+        assert (back.id, [it.token for it in back.items], back.label) == (gid, tokens, label)
 
 
 class TestFlatGroupsCheck:

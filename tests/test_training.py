@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 from unittest import mock
 
@@ -28,6 +29,8 @@ from logistic_lda.mean_field import (
 )
 from logistic_lda.training import (
     LOSS_FLOOR,
+    MODES,
+    OPTIMIZERS,
     Optimizer,
     TrainConfig,
     _discriminative_batch_grad,
@@ -159,6 +162,68 @@ class TestTrainConfig:
         assert (type(c.epochs), type(c.seed), type(c.lr), type(c.lr_decay)) == (int, int, float,
                                                                                float)
         assert (c.epochs, c.seed, c.lr, c.lr_decay) == (3, 4, 1.0, 0.5)
+
+    @pytest.mark.parametrize("field", ["clamp_labels", "track_elbo", "verbose"])
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.int64(1)])
+    def test_flags_must_be_bools(self, field, value):
+        # clamp_labels="no" used to clamp
+        with pytest.raises(ContractError, match=f"{field} must be a bool"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_bools_are_stored_as_bool(self):
+        c = TrainConfig(clamp_labels=np.bool_(False), verbose=np.False_)
+        assert (type(c.clamp_labels), c.clamp_labels, type(c.verbose)) == (bool, False, bool)
+
+    @pytest.mark.parametrize("path", [1, 0, "", b"m.jsonl", 1.5, True])
+    def test_metrics_path_must_be_a_non_empty_path(self, path):
+        # 1 used to make train write its records to file descriptor 1 and close it
+        with pytest.raises(ContractError, match="metrics_path must be None or a non-empty path"):
+            TrainConfig(metrics_path=path)
+
+    FIELDS = {
+        "mode": st.sampled_from(MODES),
+        "epochs": st.integers(1, 2**40),
+        "batch_size": st.integers(1, 2**40),
+        "e_step_sweeps": st.integers(1, 2**40),
+        "seed": st.integers(0, 2**63),
+        "lr": st.floats(0.0, 1e6),
+        "lr_decay": st.floats(0.0, 1.0, exclude_min=True),
+        "momentum": st.floats(-1e6, 1e6),
+        "optimizer": st.sampled_from(OPTIMIZERS),
+        "clamp_labels": st.booleans(),
+        "track_elbo": st.booleans(),
+        "verbose": st.booleans(),
+        "metrics_path": st.one_of(st.none(), st.text(min_size=1),
+                                  st.text(min_size=1).map(Path)),
+    }
+    NOT_INT = st.one_of(st.floats(), st.booleans(), st.text(), st.none())
+    NOT_REAL = st.one_of(st.booleans(), st.text(), st.none(), st.complex_numbers())
+    SPOILERS = {
+        "mode": st.text().filter(lambda t: t not in MODES),
+        "epochs": NOT_INT, "batch_size": NOT_INT, "e_step_sweeps": NOT_INT, "seed": NOT_INT,
+        "lr": NOT_REAL, "lr_decay": NOT_REAL, "momentum": NOT_REAL,
+        "optimizer": st.text().filter(lambda t: t not in OPTIMIZERS),
+        "clamp_labels": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
+        "track_elbo": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
+        "verbose": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
+        "metrics_path": st.one_of(st.just(""), st.integers(), st.binary(), st.floats(),
+                                  st.booleans()),
+    }
+
+    @pytest.mark.parametrize("fault", [None, *FIELDS])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_config_that_constructs_keeps_its_fields(self, fault, data):
+        # each draw sets every field, with at most one spoiled; a spoiled one
+        # raises ContractError, and any other constructs with its values
+        fields = {name: data.draw(strategy) for name, strategy in self.FIELDS.items()}
+        if fault is not None:
+            fields[fault] = data.draw(self.SPOILERS[fault])
+            with pytest.raises(ContractError, match=fault):
+                TrainConfig(**fields)
+            return
+        config = TrainConfig(**fields)
+        assert {name: getattr(config, name) for name in fields} == fields
 
 
 class TestVariationalLoss:
