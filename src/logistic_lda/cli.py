@@ -12,7 +12,6 @@ variable LOGISTIC_LDA_LOG sets the log level (DEBUG/INFO/WARNING/ERROR).
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .evaluation import evaluation_report, top_items_per_topic
 from .lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_run
-from .math_kernels import SeededRng
+from .math_kernels import SeededRng, check_int, check_real
 from .mean_field import (
     HyperParams,
     flatten_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
@@ -110,12 +109,6 @@ def _hidden_arg(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integer widths, got {text!r}") from None
-
-
-def _check_positive_flag(flag, value):
-    """Reject a Dirichlet flag that is not finite and > 0, naming the flag."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{flag} must be finite and > 0, got {value}")
 
 
 def _add_hyper_flags(p):
@@ -217,14 +210,14 @@ def _build_parser():
 
 
 def _cmd_gen(args):
-    _check_positive_flag("--alpha", args.alpha)
+    check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
         beta = disjoint_topic_matrix(args.k, args.v)
     else:
-        _check_positive_flag("--beta-concentration", args.beta_concentration)
-        if args.k < 1 or args.v < 1:
-            raise ContractError("need K >= 1 and V >= 1")
+        check_real(args.beta_concentration, "--beta-concentration", "(0, inf)")
+        check_int(args.k, "--k", 1)
+        check_int(args.v, "--v", 1)
         beta = rng.gen.dirichlet(np.full(args.v, args.beta_concentration), size=args.k)
     groups, truth = generate_corpus(
         args.k, args.v, args.docs, args.doc_len,
@@ -247,7 +240,7 @@ def _make_hyper(args, K, num_items):
 
 
 def _cmd_train(args):
-    _check_positive_flag("--alpha", args.alpha)
+    check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
     K = corpus.num_topics
     hyper = _make_hyper(args, K, corpus.flat.num_items)
@@ -342,7 +335,7 @@ def _cmd_topics(args):
 
 
 def _cmd_gibbs(args):
-    _check_positive_flag("--alpha", args.alpha)
+    check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
     if corpus.payload.kind != "token":
         raise ContractError("the Gibbs baseline needs a token corpus")

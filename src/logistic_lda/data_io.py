@@ -133,7 +133,8 @@ def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
     plus one), or dense vectors of their one width."""
     flat = flatten_groups(groups)
     if flat.payload.ndim == 1:
-        size = int(flat.payload.max()) + 1 if vocab_size is None else int(vocab_size)
+        size = (int(flat.payload.max()) + 1 if vocab_size is None
+                else check_int(vocab_size, "vocab_size", 1))
         spec = PayloadSpec(kind="token", size=size)
     else:
         spec = PayloadSpec(kind="dense", size=flat.payload.shape[1])

@@ -244,12 +244,8 @@ def init_params(kind, dims, scale, rng: SeededRng, activations=None) -> EncoderP
            point of the symmetric objective and gradient descent never
            leaves it.
     """
-    dims = tuple(check_int(d, "dimension") for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ContractError("all dimensions must be positive")
-    scale = check_real(scale, "init scale")
-    if not (np.isfinite(scale) and scale >= 0.0):
-        raise DomainError("init scale must be finite and >= 0")
+    dims = tuple(check_int(d, "dimension", 1) for d in dims)
+    scale = check_real(scale, "init scale", "[0, inf)")
     if kind == "mlp":
         if activations is None:
             activations = ("tanh",) * (len(dims) - 2) + ("linear",)

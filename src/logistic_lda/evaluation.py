@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .math_kernels import check_bool, check_int
 from .mean_field import (
     flatten_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
 )
@@ -53,6 +54,7 @@ def accuracy(pred, true):
 
 def confusion_matrix(true, pred, K):
     """(K, K) counts, true topics as rows."""
+    K = check_int(K, "K", 1)
     true = np.asarray(true, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
     if true.shape != pred.shape:
@@ -133,8 +135,7 @@ def evaluation_report(pred_groups=None, true_groups=None, pred_items=None,
     first align topics to the truth with match_topics (the unsupervised
     reading of the same confusion matrix).
     """
-    if K is None or K < 1:
-        raise ContractError("K must be a positive integer")
+    K = check_int(K, "K", 1)
     rep = EvalReport()
     if pred_items is not None:
         rep.topic_usage = np.bincount(np.asarray(pred_items, dtype=np.int64), minlength=K)
@@ -162,8 +163,8 @@ def top_items_per_topic(corpus, theta, hyper, n, converged=True):
     vocabulary word when the corpus carries one, the token id for bare
     token corpora, and group_id[position] for dense corpora.
     """
-    if n < 0:
-        raise ContractError("n must be >= 0")
+    n = check_int(n, "n", 0)
+    converged = check_bool(converged, "converged")
     flat = corpus.flat
     _, _, P = predict_corpus(flat, theta, hyper, converged=converged)
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import njit, pick
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .math_kernels import (
+    check_bool,
     check_int,
     check_positive_vector,
     check_real,
@@ -60,9 +61,7 @@ class GibbsState:
         self.n_dk = np.ascontiguousarray(self.n_dk, dtype=np.float64)
         self.n_kv = np.ascontiguousarray(self.n_kv, dtype=np.float64)
         self.n_k = np.ascontiguousarray(self.n_k, dtype=np.float64)
-        self.eta = check_real(self.eta, "eta")
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError("eta must be finite and > 0")
+        self.eta = check_real(self.eta, "eta", "(0, inf)")
         if self.label_bias is None:
             self.label_bias = np.zeros_like(self.n_dk)
         self.label_bias = np.ascontiguousarray(self.label_bias, dtype=np.float64)
@@ -96,8 +95,8 @@ def disjoint_topic_matrix(K, V):
     """Row-stochastic (K, V) matrix with disjoint uniform supports: topic k
     owns a contiguous token block, so the true topic of every token is
     identifiable from the token id alone."""
-    if K < 1 or V < K:
-        raise ContractError("need V >= K >= 1 for disjoint supports")
+    K = check_int(K, "K", 1)
+    V = check_int(V, "V", K)
     edges = np.linspace(0, V, K + 1).astype(np.int64)
     beta = np.zeros((K, V))
     for k in range(K):
@@ -112,7 +111,8 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     Returns (groups, CorpusTruth).  With labeled=True each group carries
     label argmax_k pi_dk.
     """
-    D, N_per_doc = check_int(D, "D"), check_int(N_per_doc, "N_per_doc")
+    D, N_per_doc = check_int(D, "D", 1), check_int(N_per_doc, "N_per_doc", 1)
+    labeled = check_bool(labeled, "labeled")
     alpha = check_positive_vector(alpha)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (K, V):
@@ -121,8 +121,6 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
         raise ContractError(f"alpha must have length {K}")
     for row in beta:
         check_simplex(row)
-    if D < 1 or N_per_doc < 1:
-        raise ContractError("need at least one group and one item per group")
 
     pi = sample_dirichlet(np.broadcast_to(alpha, (D, K)), rng)
     labels = pi.argmax(axis=1)
@@ -153,14 +151,11 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     for each labeled group's observed topic (unlabeled groups get none).
     V defaults to the largest token id seen plus one.
     """
-    K, label_weight = check_int(K, "K"), check_real(label_weight, "label_weight")
-    if K < 1:
-        raise ContractError("K must be >= 1")
-    if not (np.isfinite(label_weight) and label_weight >= 0.0):
-        raise DomainError("label_weight must be finite and >= 0")
+    K, label_weight = check_int(K, "K", 1), check_real(label_weight, "label_weight", "[0, inf)")
+    V = None if V is None else check_int(V, "V", 1)
     flat.check()
-    tokens = _token_array(flat.payload, np.inf if V is None else int(V))
-    V = int(tokens.max()) + 1 if V is None else int(V)
+    tokens = _token_array(flat.payload, np.inf if V is None else V)
+    V = int(tokens.max()) + 1 if V is None else V
     z = rng.gen.integers(0, K, size=tokens.shape[0], dtype=np.int64)
     n_dk = np.zeros((flat.num_groups, K))
     n_kv = np.zeros((K, V))
@@ -277,9 +272,7 @@ def gibbs_run(flat, K, alpha, eta, rng, burn_in=500, n_samples=500, label_weight
     fraction of sampling sweeps assigning item i to each topic and the
     parameter estimates are means of the per-sweep posterior means.
     """
-    burn_in, n_samples = check_int(burn_in, "burn_in"), check_int(n_samples, "n_samples")
-    if burn_in < 0 or n_samples < 1:
-        raise ContractError("burn_in must be >= 0 and n_samples >= 1")
+    burn_in, n_samples = check_int(burn_in, "burn_in", 0), check_int(n_samples, "n_samples", 1)
     alpha = check_positive_vector(alpha)
     state = gibbs_init(flat, K, eta, rng, label_weight=label_weight, V=V)
     for _ in range(burn_in):

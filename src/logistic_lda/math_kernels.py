@@ -50,6 +50,7 @@ __all__ = [
     "check_positive_vector",
     "check_int",
     "check_real",
+    "check_bool",
 ]
 
 SIMPLEX_ATOL = 1e-12
@@ -103,24 +104,43 @@ def check_positive_vector(v):
     return v
 
 
-def check_int(value, name):
-    """``value`` as an int: a Python or numpy integer, not a bool."""
-    if type(value) is int:  # the common case (every Item's token); a bool's type is bool
-        return value
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_int(value, name, low=None):
+    """``value`` as an int: a Python or numpy integer, not a bool, and not
+    below ``low`` when one is given.  Either fault is a ContractError."""
+    if type(value) is not int:  # every Item's token skips this; a bool's type is bool
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ContractError(f"{name} must be an integer >= {low}, got {value}")
+    return value
 
 
-def check_real(value, name):
-    """``value`` as a float: a Python or numpy real number, not a bool."""
+def check_real(value, name, interval="(-inf, inf)"):
+    """``value`` as a float: a Python or numpy real number, not a bool, that
+    is finite and lies in ``interval``, written as in math: "[0, 1)" or
+    "(0, inf)".  A wrong type is a ContractError, a value outside a
+    DomainError."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ContractError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:  # an int beyond the float range
         raise ContractError(f"{name} {value} is beyond the float range") from None
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if not (math.isfinite(value)
+            and (low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high)):
+        raise DomainError(f"{name} must be finite and lie in {interval}, got {value}")
+    return value
+
+
+def check_bool(value, name):
+    """``value`` as a bool: a Python or numpy bool, nothing else."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ContractError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .backend import njit, pick
 from .errors import ContractError, DomainError
 from .math_kernels import (
     _max,
+    check_bool,
     check_int,
     check_positive_vector,
     check_real,
@@ -83,18 +84,10 @@ class HyperParams:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         check_positive_vector(self.alpha)
-        self.lam = check_real(self.lam, "lam")
-        self.gamma = check_real(self.gamma, "gamma")
-        self.n_iter = check_int(self.n_iter, "n_iter")
-        self.rho = check_real(self.rho, "rho")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise DomainError("lam must be >= 0 and finite")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise DomainError("gamma must be >= 0 and finite")
-        if self.n_iter < 1:
-            raise ContractError("n_iter must be a positive integer")
-        if not 0.0 <= self.rho < 1.0:
-            raise DomainError("rho must lie in [0, 1)")
+        self.lam = check_real(self.lam, "lam", "[0, inf)")
+        self.gamma = check_real(self.gamma, "gamma", "[0, inf)")
+        self.n_iter = check_int(self.n_iter, "n_iter", 1)
+        self.rho = check_real(self.rho, "rho", "[0, 1)")
 
     @property
     def num_topics(self) -> int:
@@ -363,8 +356,9 @@ def batch_mean_field(
     p_label, alpha_hat, sweeps_done), sweeps_done being the largest
     per-group sweep count."""
     flat.check()
-    if int(max_sweeps) < 1:
-        raise ContractError("max_sweeps must be a positive integer")
+    clamp_labels = check_bool(clamp_labels, "clamp_labels")
+    max_sweeps = check_int(max_sweeps, "max_sweeps", 1)
+    tol = check_real(tol, "tol", "[0, inf)")
     F = np.ascontiguousarray(F, dtype=np.float64)
     D, K = flat.num_groups, hyper.num_topics
     if F.shape != (flat.num_items, K):
@@ -385,9 +379,9 @@ def batch_mean_field(
         hyper.alpha,
         float(hyper.lam),
         flat.labels,
-        bool(clamp_labels),
-        int(max_sweeps),
-        float(tol),
+        clamp_labels,
+        max_sweeps,
+        tol,
         alpha_hat0,
         p_label0,
         NO_TAPE, NO_TAPE, NO_TAPE,

@@ -44,9 +44,7 @@ def default_gamma(num_items: int) -> float:
     enough to revive topics that an unlucky init left with no items, while
     leaving topic recovery on separable corpora intact.
     """
-    if num_items <= 0:
-        raise ContractError("num_items must be positive")
-    return 4.0 * num_items
+    return 4.0 * check_int(num_items, "num_items", 1)
 
 
 @dataclass
@@ -65,12 +63,8 @@ class RegularizerState:
     items_seen: int = 0
 
     def __post_init__(self):
-        self.rho = check_real(self.rho, "rho")
-        if not 0.0 <= self.rho < 1.0:
-            raise DomainError("rho must lie in [0, 1)")
-        self.items_seen = check_int(self.items_seen, "items_seen")
-        if self.items_seen < 0:
-            raise ContractError(f"items_seen must be >= 0, got {self.items_seen}")
+        self.rho = check_real(self.rho, "rho", "[0, 1)")
+        self.items_seen = check_int(self.items_seen, "items_seen", 0)
         self.log_ema_per_topic = np.asarray(self.log_ema_per_topic, dtype=np.float64)
 
     @property
@@ -83,8 +77,7 @@ def update_running_estimate(state: RegularizerState, g_batch, total_items: int):
     r_hat) where r_hat[n, k] = exp g_k(x_n) / (total_items * ema_k)."""
     g = _as_g_matrix(g_batch)
     batch_size = g.shape[0]
-    if total_items < batch_size:
-        raise ContractError("total_items must be at least the batch size")
+    total_items = check_int(total_items, "total_items", batch_size)
     # log of the batch mean of exp g_k, never leaving log space
     log_mean = log_sum_exp(g, axis=0) - np.log(batch_size)
     if state.items_seen and state.log_ema_per_topic.shape != log_mean.shape:
@@ -97,6 +90,6 @@ def update_running_estimate(state: RegularizerState, g_batch, total_items: int):
         )
         state.log_ema_per_topic = log_sum_exp(stacked, axis=0)
     state.items_seen += batch_size
-    log_denom = np.log(float(total_items)) + state.log_ema_per_topic
+    log_denom = np.log(total_items) + state.log_ema_per_topic
     r_hat = np.exp(g - log_denom)
     return state, r_hat

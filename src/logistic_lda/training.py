@@ -39,6 +39,7 @@ from .encoders import backward_batch, forward_logits_batch
 from .errors import ContractError, DomainError, TrainingDivergedError
 from .math_kernels import (
     SeededRng,
+    check_bool,
     check_int,
     check_real,
     digamma,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
@@ -88,15 +89,14 @@ class TrainConfig:
     verbose: bool = True
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "e_step_sweeps", "seed"):
-            setattr(self, name, check_int(getattr(self, name), name))
-        for name in ("lr", "lr_decay", "momentum"):
-            setattr(self, name, check_real(getattr(self, name), name))
+        for name in ("epochs", "batch_size", "e_step_sweeps"):
+            setattr(self, name, check_int(getattr(self, name), name, 1))
+        self.seed = check_int(self.seed, "seed")
+        self.lr = check_real(self.lr, "lr", "[0, inf)")
+        self.lr_decay = check_real(self.lr_decay, "lr_decay", "(0, 1]")
+        self.momentum = check_real(self.momentum, "momentum")
         for name in ("clamp_labels", "track_elbo", "verbose"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ContractError(f"{name} must be a bool, got {value!r}")
-            setattr(self, name, bool(value))
+            setattr(self, name, check_bool(getattr(self, name), name))
         if self.metrics_path is not None and (
                 not isinstance(self.metrics_path, (str, os.PathLike))
                 or not os.fspath(self.metrics_path)):
@@ -106,14 +106,6 @@ class TrainConfig:
             raise ContractError(f"mode must be one of {MODES}")
         if self.optimizer not in OPTIMIZERS:
             raise ContractError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.epochs < 1 or self.batch_size < 1 or self.e_step_sweeps < 1:
-            raise ContractError("epochs, batch_size and e_step_sweeps must be positive")
-        if self.lr < 0 or not np.isfinite(self.lr):
-            raise DomainError("lr must be finite and >= 0")
-        if not np.isfinite(self.momentum):
-            raise DomainError("momentum must be finite")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise DomainError("lr_decay must lie in (0, 1]")
 
 
 @dataclass
@@ -395,6 +387,7 @@ def predict_corpus(flat: FlatGroups, theta, hyper, converged=False):
     """Predictions for a packed corpus: exactly n_iter sweeps (the
     unrolled forward pass) or, with converged=True, sweeps to tolerance.
     Returns (labels, p_label, p_items)."""
+    converged = check_bool(converged, "converged")
     F = forward_logits_batch(flat.payload, theta)
     sweeps, tol = (PREDICT_MAX_SWEEPS, PREDICT_TOL) if converged else (hyper.n_iter, 0.0)
     P, PL, _, _ = batch_mean_field(F, flat, hyper, False, sweeps, tol=tol)

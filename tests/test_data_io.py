@@ -742,7 +742,7 @@ class TestCheckpoint:
     def test_out_of_domain_meta_keeps_its_error(self, tmp_path, save_with_meta):
         p = tmp_path / "m.ckpt"
         save_with_meta(p, make_checkpoint(), lambda m: m["hyper"].update(lam=-1.0))
-        with pytest.raises(DomainError, match="lam must be >= 0"):
+        with pytest.raises(DomainError, match=r"lam must be finite and lie in \[0, inf\)"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("entry", [6.0, True, "6"])

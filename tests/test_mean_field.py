@@ -625,7 +625,7 @@ class TestBatchLayer:
         groups, theta, h = self.make_corpus(17)
         flat = flatten_groups(groups)
         F = forward_logits_batch(flat.payload, theta)
-        with pytest.raises(ContractError, match="max_sweeps must be a positive integer"):
+        with pytest.raises(ContractError, match="max_sweeps must be an integer >= 1"):
             batch_mean_field(F, flat, h, False, max_sweeps, tol=tol)
 
     @pytest.mark.parametrize("run", ["batch_mean_field", "predict_corpus", "train"])

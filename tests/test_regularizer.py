@@ -123,7 +123,7 @@ class TestBound:
 class TestStateFields:
     @pytest.mark.parametrize("seen", [-3, np.int64(-1)])
     def test_negative_items_seen_refused(self, seen):
-        with pytest.raises(ContractError, match="items_seen must be >= 0"):
+        with pytest.raises(ContractError, match="items_seen must be an integer >= 0"):
             RegularizerState(rho=0.9, log_ema_per_topic=np.zeros(2), items_seen=seen)
 
     @pytest.mark.parametrize("seen", [1.5, 4.0, True, np.bool_(True), "4", None])
