@@ -52,15 +52,20 @@ def accuracy(pred, true):
     return float(np.mean(pred == true))
 
 
+def _check_labels(labels, K):
+    """labels as int64: every entry of an integer dtype and in [0, K)."""
+    a = np.asarray(labels)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= K):
+        raise ContractError(f"labels must lie in [0, {K})")
+    return a.astype(np.int64, copy=False)
+
+
 def confusion_matrix(true, pred, K):
     """(K, K) counts, true topics as rows."""
     K = check_int(K, "K", 1)
-    true = np.asarray(true, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
+    true, pred = _check_labels(true, K), _check_labels(pred, K)
     if true.shape != pred.shape:
         raise ContractError("label vectors must have equal length")
-    if true.size and (true.min() < 0 or true.max() >= K or pred.min() < 0 or pred.max() >= K):
-        raise ContractError(f"labels must lie in [0, {K})")
     C = np.zeros((K, K))
     np.add.at(C, (true, pred), 1.0)
     return C
@@ -138,7 +143,7 @@ def evaluation_report(pred_groups=None, true_groups=None, pred_items=None,
     K = check_int(K, "K", 1)
     rep = EvalReport()
     if pred_items is not None:
-        rep.topic_usage = np.bincount(np.asarray(pred_items, dtype=np.int64), minlength=K)
+        rep.topic_usage = np.bincount(_check_labels(pred_items, K), minlength=K)
     if pred_groups is not None and true_groups is not None:
         rep.confusion = confusion_matrix(true_groups, pred_groups, K)
         rep.group_accuracy = accuracy(pred_groups, true_groups)

@@ -104,6 +104,14 @@ def disjoint_topic_matrix(K, V):
     return beta
 
 
+def _check_alpha(alpha, K):
+    """alpha as a positive vector of one entry per topic."""
+    alpha = check_positive_vector(alpha)
+    if alpha.shape != (K,):
+        raise ContractError(f"alpha must have length {K}, got {alpha.size}")
+    return alpha
+
+
 def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     """Sample D groups of N_per_doc tokens each: pi_d ~ Dir(alpha), then
     per item k ~ Cat(pi_d) and token ~ Cat(beta_k).
@@ -113,12 +121,11 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     """
     D, N_per_doc = check_int(D, "D", 1), check_int(N_per_doc, "N_per_doc", 1)
     labeled = check_bool(labeled, "labeled")
-    alpha = check_positive_vector(alpha)
+    K, V = check_int(K, "K", 1), check_int(V, "V", 1)
+    alpha = _check_alpha(alpha, K)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (K, V):
         raise ContractError(f"beta must be {K}x{V}, got {beta.shape}")
-    if alpha.shape != (K,):
-        raise ContractError(f"alpha must have length {K}")
     for row in beta:
         check_simplex(row)
 
@@ -245,7 +252,7 @@ def gibbs_sweep(state, flat, alpha, rng):
                                                             flat.sizes()):
         raise ContractError("the corpus's groups and group sizes differ from the state's")
     tokens = _token_array(flat.payload, state.vocab_size)
-    alpha = check_positive_vector(alpha)
+    alpha = _check_alpha(alpha, state.n_k.size)
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(
         state.z, state.n_dk, state.n_kv, state.n_k,
@@ -258,7 +265,7 @@ def estimate_beta_theta(state, alpha):
     """Posterior-mean estimates from the current counts:
     beta_kv = (n_kv + eta)/(n_k + V eta), pi_dk = (n_dk + a_dk)/(N_d + sum a_d)
     with a_d = alpha + label_bias_d."""
-    alpha = check_positive_vector(alpha)
+    alpha = _check_alpha(alpha, state.n_k.size)
     beta = (state.n_kv + state.eta) / (state.n_k + state.vocab_size * state.eta)[:, None]
     a = alpha + state.label_bias
     pi = (state.n_dk + a) / (state.n_dk.sum(axis=1, keepdims=True) + a.sum(axis=1, keepdims=True))
@@ -273,7 +280,8 @@ def gibbs_run(flat, K, alpha, eta, rng, burn_in=500, n_samples=500, label_weight
     parameter estimates are means of the per-sweep posterior means.
     """
     burn_in, n_samples = check_int(burn_in, "burn_in", 0), check_int(n_samples, "n_samples", 1)
-    alpha = check_positive_vector(alpha)
+    K = check_int(K, "K", 1)
+    alpha = _check_alpha(alpha, K)
     state = gibbs_init(flat, K, eta, rng, label_weight=label_weight, V=V)
     for _ in range(burn_in):
         gibbs_sweep(state, flat, alpha, rng)

@@ -4,8 +4,10 @@ All accumulation is in float64. The digamma/trigamma pair is implemented
 with upward recurrence to shift the argument above 6 followed by an
 asymptotic series, which keeps both functions branch-free to test and
 accurate to ~1e-12 over [1e-4, 1e6] relative to scale.  The array forms
-shift with masked in-place ufuncs (`where=`), so each element sees the
-same operations as the scalar loop, without boolean fancy indexing.
+take all six shifts of every element at once, with no mask: a (7, n)
+table of the scalar loop's additions, a 0/1 table of the rows it shifts,
+and one sum of the steps, so each element keeps its own shift count and
+the scalar loop's bits.
 
 softmax and log_softmax run over K topics per row, and K is short (5-10 in
 the paper's settings).  numpy reduces a short contiguous row with a fixed
@@ -217,35 +219,40 @@ digamma_scalar_nb = njit(_digamma_scalar)
 trigamma_scalar_nb = njit(_trigamma_scalar)
 
 
+def _shifts(flat, square):
+    """The scalar loop's shifts for every element at once: the sum of its
+    steps, 1/x (1/x^2 when square) at each x below 6, and the x it stops at.
+
+    Row j of X is x after j of the loop's own additions (six take any
+    positive x to 6 or more), and F is 1.0 in the rows where the loop adds,
+    X < 6, a prefix of each column, and 0.0 elsewhere.  A step F/X or F/X^2
+    is the loop's where it adds and an exact 0.0, which adds nothing, where
+    it does not, and numpy sums six rows in order (its pairwise blocks start
+    at 8 terms): the sum has the loop's bits.  Raising the rows below 6 to
+    8 makes the first row >= 6, which is at most 7, the least."""
+    X = np.empty((7, flat.size))
+    X[0] = flat
+    for j in range(6):
+        np.add(X[j], 1.0, out=X[j + 1])
+    F = np.less(X[:6], 6.0, out=np.empty((6, flat.size)))
+    steps = np.divide(F, X[:6] * X[:6] if square else X[:6]).sum(axis=0)
+    F *= 8.0
+    np.maximum(X[:6], F, out=X[:6])
+    return steps, X.min(axis=0)
+
+
 def _digamma_arr(flat, out):
-    x = flat.copy()
-    acc = np.zeros_like(x)
-    step = np.empty_like(x)
-    # at most six unit shifts are needed to move any positive x above 6
-    for _ in range(6):
-        m = x < 6.0
-        if not m.any():
-            break
-        np.divide(1.0, x, out=step, where=m)
-        np.subtract(acc, step, out=acc, where=m)
-        np.add(x, 1.0, out=x, where=m)
+    steps, x = _shifts(flat, square=False)
+    # the loop's acc -= step: fl(-a - b) = -fl(a + b) under round-to-nearest,
+    # and 0.0 - 0.0 keeps an unshifted x's acc +0.0
+    acc = 0.0 - steps
     z = 1.0 / (x * x)
     out[:] = acc + np.log(x) - 0.5 / x - _digamma_tail(z)
     return out
 
 
 def _trigamma_arr(flat, out):
-    x = flat.copy()
-    acc = np.zeros_like(x)
-    step = np.empty_like(x)
-    for _ in range(6):
-        m = x < 6.0
-        if not m.any():
-            break
-        np.multiply(x, x, out=step, where=m)
-        np.divide(1.0, step, out=step, where=m)
-        np.add(acc, step, out=acc, where=m)
-        np.add(x, 1.0, out=x, where=m)
+    acc, x = _shifts(flat, square=True)
     z = 1.0 / (x * x)
     out[:] = acc + 1.0 / x + 0.5 * z + _trigamma_tail(z) / x
     return out

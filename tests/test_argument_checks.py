@@ -111,6 +111,14 @@ ARGS = {
         "total_items", lambda v: update_running_estimate(RegularizerState(), np.zeros((4, 2)), v),
         (4.5, *NOT_INT, None), ((3, ContractError),), (4, np.int64(4))),
     "generate_corpus:labeled": Arg("labeled", _generate, NOT_BOOL, (), BOOLS),
+    "generate_corpus:K": Arg(
+        "K", lambda v: generate_corpus(v, 4, 3, 5, np.ones(2), disjoint_topic_matrix(2, 4),
+                                       SeededRng(0)),
+        (2.0, *NOT_INT, None), ((0, ContractError), (-2, ContractError)), (np.int64(2),)),
+    "generate_corpus:V": Arg(
+        "V", lambda v: generate_corpus(2, v, 3, 5, np.ones(2), disjoint_topic_matrix(2, 4),
+                                       SeededRng(0)),
+        (4.0, *NOT_INT, None), ((0, ContractError),), (np.uint8(4),)),
 }
 
 

@@ -134,6 +134,36 @@ class TestEvaluationReport:
         assert rep.group_accuracy is None and rep.item_accuracy is None
         np.testing.assert_array_equal(rep.topic_usage, [1, 0, 2])
 
+    # a float label used to be truncated, one beyond K to widen topic_usage,
+    # and a negative one to raise numpy's untyped ValueError
+    BAD_LABELS = [[0.5, 1], [5, 1], [-1, 1], [1.0, 1.0], [True, False], ["0", "1"]]
+
+    @pytest.mark.parametrize("bad", BAD_LABELS)
+    def test_every_label_vector_is_checked(self, bad):
+        calls = [
+            lambda: evaluation_report(pred_items=bad, K=2),
+            lambda: evaluation_report(pred_items=bad, true_items=[0, 1], K=2),
+            lambda: evaluation_report(pred_items=[0, 1], true_items=bad, K=2),
+            lambda: evaluation_report(pred_groups=bad, true_groups=[0, 1], K=2),
+            lambda: evaluation_report(pred_groups=[0, 1], true_groups=bad, K=2),
+            lambda: confusion_matrix(bad, [0, 1], 2),
+            lambda: confusion_matrix([0, 1], bad, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ContractError, match=r"^labels must lie in \[0, 2\)$"):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_integer_dtypes_are_accepted(self, dtype):
+        labels = np.array([0, 1, 1], dtype=dtype)
+        rep = evaluation_report(pred_items=labels, true_items=labels, K=2)
+        np.testing.assert_array_equal(rep.topic_usage, [1, 2])
+        assert rep.matched_item_accuracy == 1.0
+        np.testing.assert_array_equal(confusion_matrix(labels, labels, 2), [[1, 0], [0, 2]])
+
+    def test_no_items_give_an_empty_usage(self):
+        np.testing.assert_array_equal(evaluation_report(pred_items=[], K=3).topic_usage, [0, 0, 0])
+
     def test_matched_beats_raw_on_relabeled_predictions(self):
         true = np.array([0, 0, 1, 1, 2, 2])
         pred = np.array([1, 1, 2, 2, 0, 0])  # perfect up to relabeling

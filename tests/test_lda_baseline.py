@@ -341,6 +341,23 @@ class TestArgumentTypes:
         with pytest.raises(ContractError, match=f"{name} must be a number"):
             call(value)
 
+    @pytest.mark.parametrize("alpha", [np.ones(3), np.ones(1)])
+    def test_alpha_must_have_one_entry_per_topic(self, alpha):
+        # a length other than K used to run into the sweep (an untyped
+        # IndexError or ValueError) or into estimate_beta_theta's broadcast
+        state = gibbs_init(_tiny_flat(), 2, 0.1, SeededRng(0))
+        for call in (lambda: gibbs_run(_tiny_flat(), 2, alpha, 0.1, SeededRng(0)),
+                     lambda: gibbs_sweep(state, _tiny_flat(), alpha, SeededRng(0)),
+                     lambda: estimate_beta_theta(state, alpha)):
+            with pytest.raises(ContractError, match=rf"^alpha must have length 2, got {alpha.size}$"):
+                call()
+
+    def test_gibbs_run_refuses_alpha_before_drawing(self):
+        rng = SeededRng(0)
+        with pytest.raises(ContractError, match=r"^alpha must have length 5, got 3$"):
+            gibbs_run(_tiny_flat(), 5, np.ones(3), 0.1, rng)
+        assert rng.gen.random() == SeededRng(0).gen.random()
+
     def test_numpy_scalars_give_the_same_run(self):
         a = gibbs_run(_tiny_flat(), np.int64(2), np.ones(2), np.float32(0.5), SeededRng(3),
                       burn_in=np.int32(2), n_samples=np.uint8(2), label_weight=np.float64(1.0))

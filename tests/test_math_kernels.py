@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import (
@@ -306,6 +307,38 @@ class TestTopicAxisKernelsKeepTheirBits:
             with np.errstate(over="ignore", divide="ignore"):  # trigamma(5e-324) is inf
                 assert_same_bits(fn(x), ref(x))
         assert isinstance(fn(2.5), float) and fn(2.5) == ref(2.5)
+
+    @pytest.mark.parametrize("fn,ref", [(digamma, reference_digamma),
+                                        (trigamma, reference_trigamma)])
+    def test_psi_bits_near_two_three_four(self, fn, ref):
+        # the shift count changes at every integer up to 6; psi_arguments
+        # holds 1, 5 and 6, this the three ulps either side of 2, 3 and 4
+        x = np.array([2.0, 3.0, 4.0])[:, None].view(np.int64) + np.arange(-3, 4)
+        x = x.view(np.float64)
+        assert np.all(np.abs(x - np.round(x)) < 4 * np.spacing(x))
+        assert_same_bits(fn(x), ref(x))
+        for v in x.ravel():
+            assert_same_bits(fn(v), ref(v))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=9),
+                      elements=st.floats(5e-324, 1.7e308)),
+           st.sampled_from(["as drawn", "transposed", "reversed", "every other column"]))
+    def test_psi_bits_hypothesis(self, x, layout):
+        if x.ndim:
+            x = {"as drawn": x, "transposed": x.T, "reversed": x[::-1],
+                 "every other column": x[..., ::2]}[layout]
+        for fn, ref in ((digamma, reference_digamma), (trigamma, reference_trigamma)):
+            with np.errstate(over="ignore", divide="ignore"):  # trigamma(5e-324) is inf
+                assert_same_bits(fn(x), ref(x))
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_no_floating_point_warning_from_1e_minus_100_to_1e100(self, fn):
+        x = np.geomspace(1e-100, 1e100, 4001)
+        near = (np.arange(1.0, 8.0)[:, None].view(np.int64) + np.arange(-3, 4)).view(np.float64)
+        with np.errstate(all="raise"):
+            for arg in (x, x[:4000].reshape(-1, 8)[:, ::3], near, 1e-100, 1e100, 6.0):
+                fn(arg)
 
     @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, [],
                                    [1.0, np.nan], [2.0, np.inf], [3.0, 0.0], [[1.0], [-1e-300]]])

@@ -1,7 +1,9 @@
 """README.md names the recorded benchmark file behind each performance
-figure it quotes; each file it names must be in the repository.  Every
-```python block of README.md runs as printed."""
+figure it quotes; each file it names must be in the repository, and each
+end-to-end median it quotes at seed 42 is that file's, at the printed
+precision.  Every ```python block of README.md runs as printed."""
 
+import json
 import re
 from pathlib import Path
 
@@ -21,3 +23,72 @@ def test_every_python_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # whatever a block writes lands here
     for i, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})
+
+
+WORKLOADS = ("pipeline-token", "dense-mlp", "gibbs-token")
+FIGURE = re.compile(
+    r"(?P<workload>" + "|".join(WORKLOADS) + r")"
+    r"|at seed (?P<seed>\d+)"
+    r"|(?P<pairs>\d+) pairs"
+    r"|`(?P<metric>[\w.]+)`(?: \([^)]*\))? (?P<parent>[\d.]+) → (?P<change>[\d.]+)")
+
+
+def measured_speed_bullets():
+    section = README.split("### Measured speed", 1)[1].split("\n#", 1)[0]
+    return [" ".join(b.split()) for b in re.split(r"^- ", section, flags=re.MULTILINE)[1:]]
+
+
+def quoted_medians(bullet):
+    """(workload, metric, parent, change, pairs) for each `metric` a → b of
+    the bullet at seed 42: the workload and pair count are the last named
+    before the figure, and the figures after "at seed N", N not 42, are
+    left out."""
+    workload = pairs = None
+    seed = 42
+    for m in FIGURE.finditer(bullet):
+        if m["workload"]:
+            workload = m["workload"]
+        elif m["seed"]:
+            seed = int(m["seed"])
+        elif m["pairs"]:
+            pairs = int(m["pairs"])
+        elif seed == 42:
+            yield workload, m["metric"], m["parent"], m["change"], pairs
+
+
+def same_at_printed_precision(value, printed):
+    decimals = len(printed.partition(".")[2])
+    return f"{value:.{decimals}f}" == printed
+
+
+def test_quoted_medians_are_the_files_medians():
+    checked = 0
+    for bullet in measured_speed_bullets():
+        name = re.match(r"`(BENCH_pr\d+\.json)`", bullet)[1]
+        bench = json.loads((ROOT / name).read_text(encoding="utf-8"))
+        if not all("summary" in w for w in bench["workloads"].values()):
+            continue  # a file from before the summary block
+        for workload, metric, parent, change, pairs in quoted_medians(bullet):
+            summary = bench["workloads"][workload]["summary"]
+            if metric not in summary:
+                assert "." in metric, f"{name}: {metric} is neither in its summary nor traced"
+                continue  # a per-layer metric of the file's traced run
+            quoted = f"{name} {workload} {metric} {parent} → {change}"
+            assert same_at_printed_precision(summary[metric]["parent_median"], parent), quoted
+            assert same_at_printed_precision(summary[metric]["change_median"], change), quoted
+            assert pairs == summary[metric]["pairs"], f"{quoted}: {pairs} pairs"
+            checked += 1
+    assert checked >= 12
+
+
+def test_quoted_medians_parse_as_printed():
+    bullet = ("`BENCH_prX.json` (a change), pipeline-token, 10 pairs: `total_s` 3.09 → 2.64 s "
+              "and `setup_s` (writing the inputs) 2.35 → 1.10 s; dense-mlp, 5 pairs: "
+              "`fit_s` 2.4 → 2.0 s; at seed 7, `fit_s` 1.69 → 1.32 s")
+    assert list(quoted_medians(bullet)) == [
+        ("pipeline-token", "total_s", "3.09", "2.64", 10),
+        ("pipeline-token", "setup_s", "2.35", "1.10", 10),
+        ("dense-mlp", "fit_s", "2.4", "2.0", 5),
+    ]
+    assert same_at_printed_precision(2.8804, "2.88")
+    assert not same_at_printed_precision(2.8854, "2.88")
