@@ -19,7 +19,9 @@ import numpy as np
 
 from .data_io import (
     Checkpoint,
-    corpus_from_groups,
+    Corpus,
+    PayloadSpec,
+    corpus_from_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
     load_checkpoint,
     load_corpus,
     load_truth,
@@ -38,7 +40,12 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .evaluation import evaluation_report, top_items_per_topic
-from .lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_run
+from .lda_baseline import (
+    disjoint_topic_matrix,
+    generate_corpus,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
+    gibbs_run,
+    sample_corpus,
+)
 from .math_kernels import SeededRng, check_int, check_real
 from .mean_field import (
     HyperParams,
@@ -219,17 +226,17 @@ def _cmd_gen(args):
         check_int(args.k, "--k", 1)
         check_int(args.v, "--v", 1)
         beta = rng.gen.dirichlet(np.full(args.v, args.beta_concentration), size=args.k)
-    groups, truth = generate_corpus(
+    flat, truth = sample_corpus(
         args.k, args.v, args.docs, args.doc_len,
         np.full(args.k, args.alpha), beta, rng, labeled=args.labeled,
     )
-    corpus = corpus_from_groups(groups, args.k, vocab_size=args.v)
+    corpus = Corpus(num_topics=args.k, payload=PayloadSpec("token", args.v), flat=flat)
     save_corpus(args.out, corpus)
     truth_path = args.truth or f"{args.out}.truth"
     save_truth(truth_path, corpus, truth)
     log.info("wrote %s and %s", args.out, truth_path)
     print(json.dumps({"corpus": args.out, "truth": truth_path,
-                      "groups": len(groups), "items": len(groups) * args.doc_len}))
+                      "groups": flat.num_groups, "items": flat.num_items}))
     return 0
 
 

@@ -429,7 +429,7 @@ def load_truth(path):
         _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
         z = rec.get("z")
         _require(isinstance(z, list) and z, lineno, "z must be a non-empty list")
-        _require(all(_is_int(t) and 0 <= t < k for t in z), lineno,
+        _require(_INT_TYPE.issuperset(map(type, z)) and 0 <= min(z) and max(z) < k, lineno,
                  "z entries must be topics in range")
         ids.append(rec["id"])
         pis.append(pi)

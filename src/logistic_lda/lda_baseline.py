@@ -25,13 +25,15 @@ from .math_kernels import (
     check_simplex,
     sample_dirichlet,
 )
-from .mean_field import FlatGroups, Group
-from .encoders import Item, _token_array
+from .data_io import Corpus, PayloadSpec
+from .mean_field import FlatGroups
+from .encoders import _token_array
 
 __all__ = [
     "GibbsState",
     "CorpusTruth",
     "disjoint_topic_matrix",
+    "sample_corpus",
     "generate_corpus",
     "gibbs_init",
     "gibbs_sweep",
@@ -112,12 +114,13 @@ def _check_alpha(alpha, K):
     return alpha
 
 
-def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
+def sample_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
     """Sample D groups of N_per_doc tokens each: pi_d ~ Dir(alpha), then
     per item k ~ Cat(pi_d) and token ~ Cat(beta_k).
 
-    Returns (groups, CorpusTruth).  With labeled=True each group carries
-    label argmax_k pi_dk.
+    Returns (FlatGroups, CorpusTruth): the tokens in group order, groups
+    with ids d0, d1, ...  With labeled=True each group carries label
+    argmax_k pi_dk, and -1 otherwise.
     """
     D, N_per_doc = check_int(D, "D", 1), check_int(N_per_doc, "N_per_doc", 1)
     labeled = check_bool(labeled, "labeled")
@@ -145,10 +148,22 @@ def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
         mask = z == k
         tokens[mask] = np.searchsorted(beta_cum[k], u[:, 1][mask], side="right")
     np.clip(tokens, 0, V - 1, out=tokens)
-    groups = [Group(id=f"d{d}", items=[Item(token=t) for t in row],
-                    label=int(labels[d]) if labeled else None)
-              for d, row in enumerate(tokens.tolist())]
-    return groups, CorpusTruth(pi=pi, z=z.ravel(), labels=labels)
+    flat = FlatGroups(payload=tokens.ravel(),
+                      offsets=np.arange(D + 1, dtype=np.int64) * N_per_doc,
+                      labels=labels.copy() if labeled else np.full(D, -1, dtype=np.int64),
+                      ids=[f"d{d}" for d in range(D)])
+    return flat, CorpusTruth(pi=pi, z=z.ravel(), labels=labels)
+
+
+def generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=False):
+    """sample_corpus, with the groups as a list of Group/Item objects:
+    (groups, CorpusTruth).  Kept for perfbench/dense.py, which reads
+    g.items, g.id and g.label; ROADMAP item 1's benchmark revision moves
+    it to sample_corpus and deletes this adapter."""
+    flat, truth = sample_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=labeled)
+    K, V = check_int(K, "K", 1), check_int(V, "V", 1)  # numpy integers as int, for the header
+    corpus = Corpus(num_topics=K, payload=PayloadSpec("token", V), flat=flat)
+    return list(corpus.groups), truth
 
 
 def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):

@@ -17,7 +17,12 @@ from logistic_lda.data_io import corpus_from_groups
 from logistic_lda.encoders import Item, forward_logits_batch, init_params
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.evaluation import confusion_matrix, evaluation_report, top_items_per_topic
-from logistic_lda.lda_baseline import disjoint_topic_matrix, generate_corpus, gibbs_init
+from logistic_lda.lda_baseline import (
+    disjoint_topic_matrix,
+    generate_corpus,
+    gibbs_init,
+    sample_corpus,
+)
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import Group, HyperParams, batch_mean_field, flatten_groups
 from logistic_lda.regularizer import RegularizerState, default_gamma, update_running_estimate
@@ -52,6 +57,11 @@ def _top_items(**kw):
 def _generate(labeled):
     return generate_corpus(2, 4, 3, 5, np.ones(2), disjoint_topic_matrix(2, 4), SeededRng(0),
                            labeled=labeled)
+
+
+def _sample(K=2, V=4, D=3, N_per_doc=5, labeled=False):
+    return sample_corpus(K, V, D, N_per_doc, np.ones(2), disjoint_topic_matrix(2, 4),
+                         SeededRng(0), labeled=labeled)
 
 
 class Arg(NamedTuple):
@@ -119,6 +129,20 @@ ARGS = {
         "V", lambda v: generate_corpus(2, v, 3, 5, np.ones(2), disjoint_topic_matrix(2, 4),
                                        SeededRng(0)),
         (4.0, *NOT_INT, None), ((0, ContractError),), (np.uint8(4),)),
+    "sample_corpus:K": Arg(
+        "K", lambda v: _sample(K=v), (2.0, *NOT_INT, None),
+        ((0, ContractError), (-2, ContractError)), (np.int64(2),)),
+    "sample_corpus:V": Arg(
+        "V", lambda v: _sample(V=v), (4.0, *NOT_INT, None), ((0, ContractError),),
+        (np.uint8(4),)),
+    "sample_corpus:D": Arg(
+        "D", lambda v: _sample(D=v), (*NOT_INT, None), ((0, ContractError),),
+        (1, np.int32(3))),
+    "sample_corpus:N_per_doc": Arg(
+        "N_per_doc", lambda v: _sample(N_per_doc=v), (*NOT_INT, None),
+        ((0, ContractError),), (1, np.int64(5))),
+    "sample_corpus:labeled": Arg(
+        "labeled", lambda v: _sample(labeled=v), NOT_BOOL, (), BOOLS),
 }
 
 

@@ -601,6 +601,18 @@ class TestTruthSidecar:
         with pytest.raises(CorpusFormatError, match="line 3: z entries must be topics"):
             load_truth(p)
 
+    @pytest.mark.parametrize("entry", ["true", "1.0", "-1", "2", "[1]", '"1"'],
+                             ids=["bool", "float", "negative", "k", "nested-list", "string"])
+    def test_each_bad_topic_is_refused_after_good_ones(self, tmp_path, entry):
+        # z is checked as a whole list, so the bad entry sits behind good ones
+        p = tmp_path / "t.jsonl"
+        write_lines(p, ['{"format":"corpus-truth","version":1,"k":2}',
+                        '{"id":"a","pi":[0.5,0.5],"z":[0]}',
+                        '{"id":"b","pi":[0.5,0.5],"z":[0,1,' + entry + ',1]}'])
+        with pytest.raises(CorpusFormatError,
+                           match=r"^line 3: z entries must be topics in range$"):
+            load_truth(p)
+
 
 def make_checkpoint(kind="mlp", with_reg=True):
     rng = SeededRng(7)

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from logistic_lda.cli import run_cli
+from logistic_lda.data_io import corpus_from_groups, save_corpus, save_truth
 from logistic_lda.encoders import Item
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.lda_baseline import (
@@ -17,6 +20,7 @@ from logistic_lda.lda_baseline import (
     gibbs_run,
     gibbs_sweep,
     item_groups,
+    sample_corpus,
 )
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import FlatGroups, flatten_groups
@@ -142,6 +146,81 @@ class _FixedDraws:
 
     def random(self, size):
         return np.full(size, self.u)
+
+
+def _sampler_args(K, V, seed, beta):
+    """sample_corpus's arguments past the sizes; `beta` "dirichlet" draws it
+    from the run's own stream first, as `gen --beta random` does."""
+    rng = SeededRng(seed)
+    if beta == "dirichlet":
+        beta = rng.gen.dirichlet(np.full(V, 0.1), size=K)
+    else:
+        beta = disjoint_topic_matrix(K, V)
+    return np.full(K, 0.3), beta, rng
+
+
+SAMPLER_CASES = {
+    "seed0": (3, 9, 7, 5, 0, "disjoint", False),
+    "seed1-labeled": (3, 9, 7, 5, 1, "disjoint", True),
+    "seed42-readme-sizes": (5, 100, 40, 60, 42, "disjoint", True),
+    "big-seed-dirichlet": (4, 11, 6, 8, 2**64 - 1, "dirichlet", False),
+    "dirichlet-labeled": (4, 11, 6, 8, 7, "dirichlet", True),
+    "one-topic": (1, 3, 5, 4, 3, "disjoint", True),
+    "one-item-per-group": (3, 6, 9, 1, 4, "dirichlet", True),
+}
+
+
+class TestSampleCorpus:
+    @pytest.mark.parametrize("case", SAMPLER_CASES.values(), ids=SAMPLER_CASES.keys())
+    def test_arrays_equal_the_per_group_loop(self, case):
+        K, V, D, N, seed, beta, labeled = case
+        flat, truth = sample_corpus(K, V, D, N, *_sampler_args(K, V, seed, beta),
+                                    labeled=labeled)
+        want_groups, want = reference_generate_corpus(K, V, D, N,
+                                                      *_sampler_args(K, V, seed, beta),
+                                                      labeled=labeled)
+        want_flat = flatten_groups(want_groups)
+        for got, ref in [(flat.payload, want_flat.payload), (flat.offsets, want_flat.offsets),
+                         (flat.labels, want_flat.labels), (truth.pi, want.pi),
+                         (truth.z, want.z), (truth.labels, want.labels)]:
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
+        assert flat.ids == want_flat.ids == [f"d{d}" for d in range(D)]
+        groups, _ = generate_corpus(K, V, D, N, *_sampler_args(K, V, seed, beta),
+                                    labeled=labeled)
+        assert groups == want_groups
+
+    @pytest.mark.parametrize("extra", [[], ["--labeled"], ["--beta", "random"],
+                                       ["--beta", "random", "--labeled"]],
+                             ids=["plain", "labeled", "random-beta", "random-beta-labeled"])
+    def test_gen_writes_what_the_object_path_writes(self, tmp_path, capsys, extra):
+        K, V, D, N, seed = 4, 30, 25, 12, 42
+        out = str(tmp_path / "gen.jsonl")
+        assert run_cli(["gen", "--k", str(K), "--v", str(V), "--docs", str(D), "--len", str(N),
+                        "--seed", str(seed), "-o", out, *extra]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "corpus": out, "truth": f"{out}.truth", "groups": D, "items": D * N}
+        rng = SeededRng(seed)
+        beta = (rng.gen.dirichlet(np.full(V, 0.1), size=K) if "random" in extra
+                else disjoint_topic_matrix(K, V))
+        groups, truth = generate_corpus(K, V, D, N, np.full(K, 0.1), beta, rng,
+                                        labeled="--labeled" in extra)
+        corpus = corpus_from_groups(groups, K, vocab_size=V)
+        save_corpus(tmp_path / "obj.jsonl", corpus)
+        save_truth(tmp_path / "obj.jsonl.truth", corpus, truth)
+        for suffix in ("", ".truth"):
+            assert ((tmp_path / f"gen.jsonl{suffix}").read_bytes()
+                    == (tmp_path / f"obj.jsonl{suffix}").read_bytes())
+
+    def test_gen_builds_no_item(self, tmp_path, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("gen built an Item")
+
+        monkeypatch.setattr(Item, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            Item(token=0)
+        assert run_cli(["gen", "--k", "3", "--v", "9", "--docs", "4", "--len", "5",
+                        "--labeled", "-o", str(tmp_path / "c.jsonl")]) == 0
 
 
 class TestGibbsConditional:

@@ -5,6 +5,7 @@ precision.  Every ```python block of README.md runs as printed."""
 
 import json
 import re
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,15 +62,27 @@ def same_at_printed_precision(value, printed):
     return f"{value:.{decimals}f}" == printed
 
 
+def file_medians(workload):
+    """{metric: {"parent_median", "change_median", "pairs"}} of one workload
+    of a BENCH file: its summary block, or, in a file from before the
+    summary block, the medians of the runs each side lists, in pairs."""
+    if "summary" in workload:
+        return workload["summary"]
+    parent, change = workload["parent"]["runs"], workload["change"]["runs"]
+    assert len(parent) == len(change), "runs must come in parent/change pairs"
+    return {metric: {"parent_median": statistics.median(r[metric] for r in parent),
+                     "change_median": statistics.median(r[metric] for r in change),
+                     "pairs": len(parent)}
+            for metric in parent[0]}
+
+
 def test_quoted_medians_are_the_files_medians():
     checked = 0
     for bullet in measured_speed_bullets():
         name = re.match(r"`(BENCH_pr\d+\.json)`", bullet)[1]
         bench = json.loads((ROOT / name).read_text(encoding="utf-8"))
-        if not all("summary" in w for w in bench["workloads"].values()):
-            continue  # a file from before the summary block
         for workload, metric, parent, change, pairs in quoted_medians(bullet):
-            summary = bench["workloads"][workload]["summary"]
+            summary = file_medians(bench["workloads"][workload])
             if metric not in summary:
                 assert "." in metric, f"{name}: {metric} is neither in its summary nor traced"
                 continue  # a per-layer metric of the file's traced run
@@ -79,6 +92,15 @@ def test_quoted_medians_are_the_files_medians():
             assert pairs == summary[metric]["pairs"], f"{quoted}: {pairs} pairs"
             checked += 1
     assert checked >= 12
+
+
+def test_runs_give_the_medians_of_a_file_without_a_summary():
+    bench = json.loads((ROOT / "BENCH_pr9.json").read_text(encoding="utf-8"))
+    assert all("summary" not in w for w in bench["workloads"].values())
+    medians = file_medians(bench["workloads"]["pipeline-token"])
+    assert [round(medians[m][side], 3) for m in ("total_s", "fit_s")
+            for side in ("parent_median", "change_median")] == [4.923, 3.914, 2.502, 1.936]
+    assert medians["total_s"]["pairs"] == 10
 
 
 def test_quoted_medians_parse_as_printed():
