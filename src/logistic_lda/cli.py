@@ -10,6 +10,7 @@ variable LOGISTIC_LDA_LOG sets the log level (DEBUG/INFO/WARNING/ERROR).
 """
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -217,6 +218,11 @@ def _build_parser():
 
 
 def _cmd_gen(args):
+    truth_path = args.truth or f"{args.out}.truth"
+    if os.path.realpath(truth_path) == os.path.realpath(args.out):
+        print(f"error: --truth {truth_path} and -o {args.out} name the same file",
+              file=sys.stderr)
+        return 1
     check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
@@ -232,7 +238,6 @@ def _cmd_gen(args):
     )
     corpus = Corpus(num_topics=args.k, payload=PayloadSpec("token", args.v), flat=flat)
     save_corpus(args.out, corpus)
-    truth_path = args.truth or f"{args.out}.truth"
     save_truth(truth_path, corpus, truth)
     log.info("wrote %s and %s", args.out, truth_path)
     print(json.dumps({"corpus": args.out, "truth": truth_path,
@@ -246,7 +251,29 @@ def _make_hyper(args, K, num_items):
                        n_iter=args.n_iter, rho=args.rho)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+
+
+def _keep_freed_memory():
+    """Let the epoch loop reuse the memory it frees: glibc serves blocks
+    below 32 MiB from its heap, not from fresh mmaps, and gives the heap
+    back only past 64 MiB free.  That is where glibc's own thresholds end
+    up once a process has freed one large block; fixing them saves the
+    page faults of every batch and epoch allocating its arrays anew.
+    Returns False, and changes nothing, where the C library has no
+    mallopt or cannot be opened by the name None (Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    set_mmap = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    set_trim = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return bool(set_mmap and set_trim)
+
+
 def _cmd_train(args):
+    _keep_freed_memory()
     check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
     K = corpus.num_topics

@@ -9,7 +9,9 @@ ids under either corpus version.  Dense items are lists of E JSON numbers
 under version 1, and under version 2, which save_corpus writes, one
 base64 string of the group's little-endian float64 rows in C order, so
 the floats round-trip bit for bit without decimal text.  Truth and
-predictions files are version 1.
+predictions files are version 1.  The readers stream: they decode and
+check one line at a time, and a dense corpus's rows go straight into one
+buffer that becomes its payload, so a file is never held whole.
 
 Checkpoint format: magic "LLDA", little-endian uint32 version, uint32
 section count, then sections of (uint32 name length, name bytes, uint64
@@ -27,6 +29,7 @@ import os
 import struct
 import tempfile
 from base64 import b64decode, b64encode
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -200,18 +203,21 @@ def save_corpus(path, corpus: Corpus):
     _write_records(path, header, lines)
 
 
-def _read_lines(path):
-    """The file's lines as text; bytes that are not UTF-8 are a format
-    error on the line that holds them."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode(piece, lineno):
     try:
-        text = data.decode("utf-8")
+        return piece.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
-    del data  # a large corpus should not hold its bytes, text and lines at once
-    return text.splitlines()
+
+
+def _read_lines(pieces):
+    """The text lines of `pieces`, the (lineno, bytes) pairs of a file's
+    \\n-terminated pieces.  No UTF-8 sequence and no str.splitlines
+    boundary spans a \\n, so decoding and splitting each piece on its own
+    gives the lines of the whole text.  Bytes that are not UTF-8 are a
+    format error on the line, counted in \\n, that holds them."""
+    for lineno, piece in pieces:
+        yield from _decode(piece, lineno).splitlines()
 
 
 def _parse_json_line(raw, lineno):
@@ -317,22 +323,35 @@ def _read_header(lines, fmt):
     return header
 
 
+@contextmanager
 def _read_records(path, fmt):
     """The checked header of the file at `path`, and a generator of
-    (lineno, record) that parses and checks each group line when reached."""
-    lines = _read_lines(path)
-    return _read_header(lines, fmt), _group_lines(lines, fmt)
+    (lineno, record) that reads, parses and checks each group line when
+    reached.  A UTF-8 fault anywhere in the file beats every other fault,
+    as when the file was decoded whole: a format error raised while the
+    file is open stands only once the rest of the file has decoded."""
+    with open(path, "rb") as fh:
+        pieces = enumerate(fh, start=1)
+        lines = _read_lines(pieces)
+        try:
+            yield _read_header(list(islice(lines, 1)), fmt), _group_lines(lines, fmt)
+        except CorpusFormatError:
+            if lines.gi_frame is not None:  # not the reader's own fault, which ends it
+                for lineno, piece in pieces:
+                    _decode(piece, lineno)
+            raise
 
 
 def _group_lines(lines, fmt):
-    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
+    lineno = 1
+    for lineno, raw in enumerate(lines, start=2):
         _require(raw.strip(), lineno, "blank line")
         rec = _parse_json_line(raw, lineno)
         _require(isinstance(rec, dict), lineno, "group record must be an object")
         gid = rec.get("id")
         _require(isinstance(gid, str) and gid, lineno, "group id must be a non-empty string")
         yield lineno, rec
-    _require(len(lines) > 1, len(lines) + 1, f"{fmt} has no groups")
+    _require(lineno > 1, 2, f"{fmt} has no groups")
 
 
 def _check_header(k, kind, size, vocab):
@@ -361,44 +380,49 @@ def _check_tokens(items_raw, size, lineno):
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus file straight into FlatGroups arrays: token lines are
-    checked as Python lists and converted once at the end, dense lines
-    are parsed (version 1) or decoded (version 2) as one (n, E) array each."""
-    header, records = _read_records(path, "corpus")
-    k, payload, vocab = header["k"], header.get("payload"), header.get("vocab")
-    one_entry = isinstance(payload, dict) and len(payload) == 1
-    kind, size = next(iter(payload.items())) if one_entry else (None, None)
-    try:
-        _check_header(k, kind, size, vocab)
-    except ContractError as exc:
-        raise CorpusFormatError(f"line 1: {exc}") from None
+    """Read a corpus file straight into FlatGroups arrays, one line at a
+    time: token lines are checked as Python lists and converted once at
+    the end; dense lines are parsed (version 1) or decoded (version 2) as
+    one (n, E) array each, and their rows appended to one buffer that
+    becomes the payload."""
+    with _read_records(path, "corpus") as (header, records):
+        k, payload, vocab = header["k"], header.get("payload"), header.get("vocab")
+        one_entry = isinstance(payload, dict) and len(payload) == 1
+        kind, size = next(iter(payload.items())) if one_entry else (None, None)
+        try:
+            _check_header(k, kind, size, vocab)
+        except ContractError as exc:
+            raise CorpusFormatError(f"line 1: {exc}") from None
 
-    binary = kind == "dense" and header["version"] == 2
-    ids, labels, chunks = [], [], []
-    for lineno, rec in records:
-        items_raw = rec.get("items")
-        if binary:
-            _require(isinstance(items_raw, str), lineno, "items must be a base64 string")
-        else:
-            _require(isinstance(items_raw, list) and items_raw, lineno,
-                     "items must be a non-empty list")
-        label = rec.get("label")
-        if label is not None:
-            _require(_is_int(label) and 0 <= label < k, lineno,
-                     f"label {label!r} not in [0, {k})")
-        if kind == "token":
-            _check_tokens(items_raw, size, lineno)
-            chunks.append(items_raw)
-        else:
-            chunks.append((_binary_rows if binary else _dense_rows)(items_raw, size, lineno))
-        ids.append(rec["id"])
-        labels.append(-1 if label is None else label)
-    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in chunks], out=offsets[1:])
+        binary = kind == "dense" and header["version"] == 2
+        ids, labels, sizes, tokens, rows = [], [], [], [], bytearray()
+        for lineno, rec in records:
+            items_raw = rec.get("items")
+            if binary:
+                _require(isinstance(items_raw, str), lineno, "items must be a base64 string")
+            else:
+                _require(isinstance(items_raw, list) and items_raw, lineno,
+                         "items must be a non-empty list")
+            label = rec.get("label")
+            if label is not None:
+                _require(_is_int(label) and 0 <= label < k, lineno,
+                         f"label {label!r} not in [0, {k})")
+            if kind == "token":
+                _check_tokens(items_raw, size, lineno)
+                tokens.append(items_raw)
+                sizes.append(len(items_raw))
+            else:
+                group = (_binary_rows if binary else _dense_rows)(items_raw, size, lineno)
+                rows += group.astype("<f8", copy=False).data
+                sizes.append(len(group))
+            ids.append(rec["id"])
+            labels.append(-1 if label is None else label)
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     if kind == "token":
-        items = np.fromiter(chain.from_iterable(chunks), dtype=np.int64, count=offsets[-1])
+        items = np.fromiter(chain.from_iterable(tokens), dtype=np.int64, count=offsets[-1])
     else:
-        items = np.concatenate(chunks, dtype=np.float64)
+        items = np.frombuffer(rows, dtype="<f8").astype(np.float64, copy=False).reshape(-1, size)
     flat = FlatGroups(payload=items, offsets=offsets,
                       labels=np.array(labels, dtype=np.int64), ids=ids)
     return Corpus(num_topics=k, payload=PayloadSpec(kind=kind, size=size), flat=flat,
@@ -421,19 +445,19 @@ def save_truth(path, corpus: Corpus, truth):
 
 def load_truth(path):
     """Returns (ids, pi (D, K), z flat, labels) from a sidecar file."""
-    header, records = _read_records(path, "corpus-truth")
-    k = header["k"]
-    ids, pis, zs = [], [], []
-    for lineno, rec in records:
-        pi = _finite_array(rec.get("pi"))
-        _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
-        z = rec.get("z")
-        _require(isinstance(z, list) and z, lineno, "z must be a non-empty list")
-        _require(_INT_TYPE.issuperset(map(type, z)) and 0 <= min(z) and max(z) < k, lineno,
-                 "z entries must be topics in range")
-        ids.append(rec["id"])
-        pis.append(pi)
-        zs.extend(z)
+    with _read_records(path, "corpus-truth") as (header, records):
+        k = header["k"]
+        ids, pis, zs = [], [], []
+        for lineno, rec in records:
+            pi = _finite_array(rec.get("pi"))
+            _require(pi is not None and pi.shape == (k,), lineno, f"pi must be {k} numbers")
+            z = rec.get("z")
+            _require(isinstance(z, list) and z, lineno, "z must be a non-empty list")
+            _require(_INT_TYPE.issuperset(map(type, z)) and 0 <= min(z) and max(z) < k,
+                     lineno, "z entries must be topics in range")
+            ids.append(rec["id"])
+            pis.append(pi)
+            zs.extend(z)
     pi = np.array(pis)
     return ids, pi, np.asarray(zs, dtype=np.int64), pi.argmax(axis=1)
 
@@ -655,18 +679,18 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
 
 def read_predictions(path):
     """Returns (ids, labels, p_label, p_items list of per-group arrays)."""
-    header, records = _read_records(path, "predictions")
-    k = header["k"]
-    ids, labels, p_label, p_items = [], [], [], []
-    for lineno, rec in records:
-        label = rec.get("label")
-        _require(_is_int(label), lineno, f"label {label!r} is not an integer")
-        pl, pi = _finite_array(rec.get("p_label")), _finite_array(rec.get("p_items"))
-        _require(pl is not None and pl.shape == (k,), lineno, f"p_label must be {k} numbers")
-        _require(pi is not None and pi.ndim == 2 and pi.shape[1] == k, lineno,
-                 f"p_items must be rows of {k} numbers")
-        ids.append(rec["id"])
-        labels.append(label)
-        p_label.append(pl)
-        p_items.append(pi)
+    with _read_records(path, "predictions") as (header, records):
+        k = header["k"]
+        ids, labels, p_label, p_items = [], [], [], []
+        for lineno, rec in records:
+            label = rec.get("label")
+            _require(_is_int(label), lineno, f"label {label!r} is not an integer")
+            pl, pi = _finite_array(rec.get("p_label")), _finite_array(rec.get("p_items"))
+            _require(pl is not None and pl.shape == (k,), lineno, f"p_label must be {k} numbers")
+            _require(pi is not None and pi.ndim == 2 and pi.shape[1] == k, lineno,
+                     f"p_items must be rows of {k} numbers")
+            ids.append(rec["id"])
+            labels.append(label)
+            p_label.append(pl)
+            p_items.append(pi)
     return ids, np.asarray(labels, dtype=np.int64), np.asarray(p_label, dtype=np.float64), p_items

@@ -19,9 +19,10 @@ so it checks the packed batch kernels that training and inference run.
 The reference_* kernels at the end are the earlier, plainer numpy forms
 of softmax, log_softmax, digamma, trigamma, the table encoder's backward
 scatter and the corpus ELBO; the shipped kernels must match them bit for
-bit.  reference_load_corpus is the earlier corpus loader, which validates
-and builds one Item per entry (a version-2 dense row is unpacked on its
-own with struct); the array loader must produce the same packed corpus
+bit.  reference_load_corpus is the earlier corpus loader, which decodes
+the whole file at once (reference_read_lines), then validates and builds
+one Item per entry (a version-2 dense row is unpacked on its own with
+struct); the streaming array loader must produce the same packed corpus
 from a valid file and the same error from a broken one.
 reference_generate_corpus is the earlier synthetic-corpus generator, one
 group at a time; the one-draw generator must give the same groups, latents
@@ -493,6 +494,21 @@ class ReferenceCorpus:
     vocab: tuple = None
 
 
+def reference_read_lines(path):
+    """The file's lines as text, decoded whole; bytes that are not UTF-8
+    are a format error on the line that holds them."""
+    from logistic_lda.errors import CorpusFormatError
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    return text.splitlines()
+
+
 def reference_load_corpus(path):
     """The corpus file as Group/Item objects, each entry checked on its own."""
     from logistic_lda.data_io import (
@@ -501,14 +517,13 @@ def reference_load_corpus(path):
         _is_int,
         _parse_json_line,
         _read_header,
-        _read_lines,
         _require,
     )
     from logistic_lda.encoders import Item
     from logistic_lda.errors import CorpusFormatError
     from logistic_lda.mean_field import Group
 
-    lines = _read_lines(path)
+    lines = reference_read_lines(path)
     header = _read_header(lines, "corpus")
     k = header.get("k")
     _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")

@@ -1,9 +1,14 @@
 import argparse
+import ctypes
 import json
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from logistic_lda import cli
 from logistic_lda.cli import _BOOL_KEYS, _build_parser, _inject_config, run_cli
 from logistic_lda.data_io import load_checkpoint, load_corpus, read_predictions
 from logistic_lda.encoders import Item
@@ -54,6 +59,19 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--zebra", "1")
         assert code == 1
         assert "usage" in err
+
+    @pytest.mark.parametrize("truth", ["c.jsonl", "./sub/../c.jsonl", "link.jsonl"])
+    def test_truth_at_the_corpus_path_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     truth):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "c.jsonl")
+        code, out, err = run(capsys, "gen", "--k", "2", "--v", "4", "--docs", "3", "--len", "2",
+                             "-o", "c.jsonl", "--truth", truth)
+        assert code == 1
+        assert out == ""
+        assert f"--truth {truth} and -o c.jsonl" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "sub"]
 
 
 class TestHelp:
@@ -384,3 +402,53 @@ class TestFlagDomains:
         for flag in ("--alpha", "--beta-concentration"):
             if flag in argv:
                 assert flag in err
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_sets_the_thresholds_on_glibc(self):
+        assert cli._keep_freed_memory() is True
+
+    def test_no_c_library_changes_nothing(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert cli._keep_freed_memory() is False
+
+    def test_no_mallopt_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_memory() is False
+
+    def test_only_train_sets_it(self, tmp_path, tiny_corpus, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+        c, model = str(tiny_corpus), str(tmp_path / "m.ckpt")
+        for argv in (
+            ["train", "--corpus", c, "-o", model, "--epochs", "1", "--quiet"],
+            ["eval", "--corpus", c, "--model", model],
+            ["infer", "--corpus", c, "--model", model, "-o", str(tmp_path / "p.jsonl")],
+            ["topics", "--corpus", c, "--model", model, "-n", "3"],
+            ["gibbs", "--corpus", c, "--burn-in", "1", "--samples", "1"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+            assert calls == [1], argv[0]  # train's one call, and none after it
+
+    def test_checkpoint_does_not_depend_on_it(self, tmp_path, tiny_corpus):
+        """A train process with the policy and one without write the same bytes."""
+        script = """
+import sys
+from logistic_lda import cli
+if sys.argv[1] == "off":
+    cli._keep_freed_memory = lambda: False
+sys.exit(cli.run_cli(sys.argv[2:]))
+"""
+        for policy in ("on", "off"):
+            subprocess.run(
+                [sys.executable, "-c", script, policy, "train", "--corpus", str(tiny_corpus),
+                 "-o", str(tmp_path / f"{policy}.ckpt"), "--epochs", "3", "--lr", "0.05",
+                 "--gamma", "auto", "--quiet"],
+                capture_output=True, text=True, check=True,
+            )
+        assert (tmp_path / "on.ckpt").read_bytes() == (tmp_path / "off.ckpt").read_bytes()

@@ -2,6 +2,7 @@ import base64
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from logistic_lda.data_io import (
     Checkpoint,
     Corpus,
     PayloadSpec,
+    _read_lines,
     corpus_from_groups,
     load_checkpoint,
     load_corpus,
@@ -38,7 +40,7 @@ from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import FlatGroups, Group, HyperParams, flatten_groups
 from logistic_lda.regularizer import RegularizerState
 
-from oracles import reference_load_corpus
+from oracles import reference_load_corpus, reference_read_lines
 
 
 def write_lines(path, lines):
@@ -1349,3 +1351,89 @@ class TestCorruptInput:
         path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError, match="not UTF-8"):
             load_checkpoint(path)
+
+
+# byte pieces the streaming reader must split, or refuse, exactly as the
+# whole-file decode does: every str.splitlines separator, characters of
+# each UTF-8 length, sequences cut short, and bytes that start none
+LINE_PIECES = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+               "\x85".encode(), "\u2028".encode(), "\u2029".encode(),
+               b"a", b" ", "\u00e9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
+               b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\x85", b"\xff"]
+
+
+def _streamed_lines(path):
+    with open(path, "rb") as fh:
+        return list(_read_lines(enumerate(fh, start=1)))
+
+
+class TestStreamingReader:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(pieces=st.lists(st.sampled_from(LINE_PIECES) | st.binary(max_size=3), max_size=40))
+    def test_same_lines_as_the_whole_file(self, tmp_path_factory, pieces):
+        path = tmp_path_factory.getbasetemp() / "lines.txt"
+        path.write_bytes(b"".join(pieces))
+        assert _outcome(_streamed_lines, path) == _outcome(reference_read_lines, path)
+
+    @pytest.mark.parametrize("cut", [b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"])
+    @pytest.mark.parametrize("tail", [b"\nmore\n", b"\r\n", b""],
+                             ids=["line-end", "crlf", "eof"])
+    def test_character_cut_short(self, tmp_path, cut, tail):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"ok\r\n\x85x" + cut + tail)
+        got = _outcome(_streamed_lines, path)
+        assert got == _outcome(reference_read_lines, path)
+        assert got[0] is CorpusFormatError and got[1].startswith("line 2: not UTF-8 text")
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "d.jsonl", "c.truth", "p.jsonl"])
+    @pytest.mark.parametrize("fault", ["header", "json", "record"])
+    def test_later_utf8_fault_beats_earlier_fault(self, tmp_path, valid_files, name, fault):
+        lines = valid_files[name].split(b"\n")
+        if fault == "header":
+            lines[0] = b'{"format":"nothing","version":1,"k":2}'
+        elif fault == "json":
+            lines[1] = b"{" + lines[1]
+        else:
+            lines[2] = b'{"id":""}'
+        lines[4] = lines[4][:5] + b"\xff" + lines[4][6:]
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusFormatError, match="^line 5: not UTF-8 text"):
+            LOADERS[name][0](path)
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "d.jsonl", "c.truth", "p.jsonl"])
+    def test_first_utf8_fault_is_named(self, tmp_path, valid_files, name):
+        lines = valid_files[name].split(b"\n")
+        for i in (2, 4):
+            lines[i] = lines[i][:5] + b"\xff" + lines[i][6:]
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusFormatError, match="^line 3: not UTF-8 text"):
+            LOADERS[name][0](path)
+
+
+class TestLoadMemory:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_loading_holds_one_copy_of_the_floats(self, tmp_path, version):
+        """The loader's traced peak, the corpus it returns included, stays
+        within half a payload of the payload itself."""
+        rows = SeededRng(6).gen.normal(size=(4000, 16))
+        offsets = np.arange(0, 4001, 20)
+        ids = [f"g{d}" for d in range(200)]
+        path = tmp_path / "d.jsonl"
+        if version == 2:
+            save_corpus(path, Corpus(num_topics=3, payload=PayloadSpec("dense", 16),
+                                     flat=_flat(rows, offsets, np.full(200, -1), ids)))
+        else:
+            write_lines(path, ['{"format":"corpus","version":1,"k":3,"payload":{"dense":16}}']
+                        + [json.dumps({"id": gid, "items": rows[lo:hi].tolist()})
+                           for gid, lo, hi in zip(ids, offsets, offsets[1:])])
+        load_corpus(path)  # the first load fills the parser's one-time caches
+        tracemalloc.start()
+        try:
+            payload = load_corpus(path).flat.payload
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload.tobytes() == rows.tobytes()
+        assert peak <= 1.5 * payload.nbytes, peak / payload.nbytes
