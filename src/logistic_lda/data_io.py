@@ -144,7 +144,10 @@ def corpus_from_groups(groups, num_topics, vocab=None, vocab_size=None):
     return Corpus(num_topics=num_topics, payload=spec, flat=flat, vocab=vocab)
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, chunks):
+    """Write the bytes objects of `chunks` to `path` one after another, through
+    a temp file in the same directory that replaces `path` once it is whole
+    and synced; on any failure the temp file goes and `path` is untouched."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
@@ -154,7 +157,8 @@ def _atomic_write(path, data: bytes):
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -177,9 +181,10 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separ
 
 
 def _write_records(path, header, lines):
-    """Write the header object on line 1, then `lines`, one JSON text each."""
-    text = "\n".join(chain([_dumps(header)], lines)) + "\n"
-    _atomic_write(path, text.encode("utf-8"))
+    """Write the header object on line 1, then `lines`, one JSON text each,
+    encoding one line at a time as the iterable `lines` yields it."""
+    lines = chain([_dumps(header)], lines)
+    _atomic_write(path, ((line + "\n").encode("utf-8") for line in lines))
 
 
 def save_corpus(path, corpus: Corpus):
@@ -190,17 +195,19 @@ def save_corpus(path, corpus: Corpus):
               "k": corpus.num_topics, "payload": {spec.kind: spec.size}}
     if corpus.vocab is not None:
         header["vocab"] = list(corpus.vocab)
-    lines = []
     payload = corpus.flat.payload
     if dense:
         payload = np.ascontiguousarray(payload, dtype="<f8")
-    for gid, (lo, hi), label in _group_records(corpus.flat):
-        items = b64encode(payload[lo:hi]).decode("ascii") if dense else payload[lo:hi].tolist()
-        rec = {"id": gid, "items": items}
-        if label >= 0:
-            rec["label"] = label
-        lines.append(_dumps(rec))
-    _write_records(path, header, lines)
+
+    def lines():
+        for gid, (lo, hi), label in _group_records(corpus.flat):
+            items = b64encode(payload[lo:hi]).decode("ascii") if dense else payload[lo:hi].tolist()
+            rec = {"id": gid, "items": items}
+            if label >= 0:
+                rec["label"] = label
+            yield _dumps(rec)
+
+    _write_records(path, header, lines())
 
 
 def _decode(piece, lineno):
@@ -438,8 +445,8 @@ def save_truth(path, corpus: Corpus, truth):
     _ensure(z.shape == (flat.num_items,) and z.dtype.kind in "iu" and np.all((z >= 0) & (z < k)),
             f"truth z must be one topic in [0, {k}) per item")
     header = {"format": "corpus-truth", "version": 1, "k": k}
-    lines = [_dumps({"id": gid, "pi": pi[d].tolist(), "z": z[lo:hi].tolist()})
-             for d, (gid, (lo, hi), _) in enumerate(_group_records(flat))]
+    lines = (_dumps({"id": gid, "pi": pi[d].tolist(), "z": z[lo:hi].tolist()})
+             for d, (gid, (lo, hi), _) in enumerate(_group_records(flat)))
     _write_records(path, header, lines)
 
 
@@ -539,7 +546,7 @@ def save_checkpoint(path, cp: Checkpoint):
         out.append(nb)
         out.append(struct.pack("<Q", len(payload)))
         out.append(payload)
-    _atomic_write(path, b"".join(out))
+    _atomic_write(path, out)
 
 
 class _Cursor:
@@ -666,15 +673,15 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     _ensure(all(isinstance(g, str) and g for g in ids), "ids must be non-empty strings")
     k = p_label.shape[1]
     fmt_row = _row_format(k)
-    lines = []
-    for d, gid in enumerate(ids):
-        group = p_items[offsets[d] : offsets[d + 1]].tolist()
-        rows = ",".join([fmt_row % tuple(r) for r in group])
-        lines.append(
-            f'{{"id":{json.dumps(gid)},"label":{int(labels[d])},'
-            f'"p_label":{fmt_row % tuple(p_label[d].tolist())},"p_items":[{rows}]}}'
-        )
-    _write_records(path, {"format": "predictions", "version": 1, "k": k}, lines)
+
+    def lines():
+        for d, gid in enumerate(ids):
+            group = p_items[offsets[d] : offsets[d + 1]].tolist()
+            rows = ",".join([fmt_row % tuple(r) for r in group])
+            yield (f'{{"id":{json.dumps(gid)},"label":{int(labels[d])},'
+                   f'"p_label":{fmt_row % tuple(p_label[d].tolist())},"p_items":[{rows}]}}')
+
+    _write_records(path, {"format": "predictions", "version": 1, "k": k}, lines())
 
 
 def read_predictions(path):

@@ -180,8 +180,14 @@ def top_items_per_topic(corpus, theta, hyper, n, converged=True):
         d = int(np.searchsorted(flat.offsets, i, side="right")) - 1
         return f"{flat.ids[d]}[{i - int(flat.offsets[d])}]"
 
+    N = P.shape[0]
     out = []
-    for k in range(P.shape[1]):
-        order = np.argsort(-P[:, k], kind="stable")[:n].tolist()
+    for k, col in enumerate(np.ascontiguousarray(P.T)):
+        # a full stable sort's first n items are the items that score at least
+        # the n-th largest score, in the order that sorting only those gives
+        cand = np.arange(N)
+        if 0 < n < N:
+            cand = np.flatnonzero(col >= np.partition(col, N - n)[N - n])
+        order = cand[np.argsort(-col[cand], kind="stable")[:n]].tolist()
         out.append([(i, float(P[i, k]), text(i)) for i in order])
     return out

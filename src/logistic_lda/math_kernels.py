@@ -19,8 +19,19 @@ most SHORT_ROW = 32 entries take the transposed path.  A max is exact in
 any order: the two paths can differ only in the sign of a zero when +0.0
 and -0.0 tie for a row's max, and then that row's softmax and log_softmax
 bits are the same either way (each tied entry contributes exp(0) = 1).
-The row sums stay np.sum: a column-wise sum equals numpy's pairwise row
-sum bit for bit only below 8 columns.
+
+numpy sums a row of n entries from 0.0 in a fixed order: one after
+another below 8 entries; from 8 to 128 entries in 8 accumulators (entry
+i goes to accumulator i mod 8, and the tail past the last full block of
+8 is added one at a time after the accumulators are combined pairwise);
+above 128 by halving the row.  `_topic_sum` reduces the K rows of a
+topic-major (K, N) array in that order, one elementwise operation over N
+per step, so it equals np.sum(axis=1) of the (N, K) array bit for bit up
+to 128 topics; above 128 it takes np.sum on a transposed copy.  Over K
+contiguous rows of N its cost is that of K vector additions, where the
+row-major sum pays numpy's fixed cost on each of the N short rows.  The
+mean-field sweep's item softmax (`_softmax_topics`) and training's
+soft-target gradient sum through it; softmax and log_softmax keep np.sum.
 
 A column max (log_sum_exp over axis 0 of an (N, K) stack) has the same
 fixed cost per row, and the same cure: the max over axis 1 of a transposed
@@ -316,14 +327,58 @@ def _check_max(m, name):
         raise DomainError(f"{name} requires entries in [-inf, +inf)")
 
 
+def _check_shift(m, name):
+    """Refuse the maxima m of softmax rows holding NaN, +inf or only -inf."""
+    _check_max(m, name)
+    if np.any(m == -np.inf):
+        raise DomainError(f"{name} of all -inf logits is undefined")
+
+
 def _shift_by_max(v, axis, name):
     """v minus its max along `axis`, refusing NaN, +inf and all -inf rows."""
     v = _check_logits(v, name)
     m = _max(v, axis)
-    _check_max(m, name)
-    if np.any(m == -np.inf):
-        raise DomainError(f"{name} of all -inf logits is undefined")
+    _check_shift(m, name)
     return v - m
+
+
+PAIRWISE_BLOCK = 128  # numpy sums a row of at most this many entries in one block
+
+
+def _topic_sum(E):
+    """np.sum(E.T, axis=1) bit for bit, for E of shape (K, N) in any layout:
+    the sum over its K rows in numpy's own order for a row of K entries (see
+    the module docstring)."""
+    K = E.shape[0]
+    if K > PAIRWISE_BLOCK:
+        return np.ascontiguousarray(E.T).sum(axis=1)
+    if K < 8:
+        s = E[0] + 0.0  # numpy's sum starts from 0.0
+        for k in range(1, K):
+            s += E[k]
+        return s
+    r = E[:8].copy()
+    tail = K - K % 8
+    for i in range(8, tail, 8):
+        r += E[i:i + 8]
+    a = r[0::2] + r[1::2]
+    s = (a[0] + a[1]) + (a[2] + a[3])  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for k in range(tail, K):
+        s += E[k]
+    s += 0.0  # numpy adds the row's sum to its 0.0 start, which turns -0.0 into 0.0
+    return s
+
+
+def _softmax_topics(V):
+    """softmax over axis 0 of a topic-major (K, N) array, in place: the bits
+    of softmax(V.T, axis=-1).T, with its refusals.  The column max is
+    exact in any order, and the sum is `_topic_sum`."""
+    m = V.max(axis=0)
+    _check_shift(m, "softmax")
+    V -= m
+    np.exp(V, out=V)
+    V /= _topic_sum(V)
+    return V
 
 
 def log_sum_exp(v, axis=None):

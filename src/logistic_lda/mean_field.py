@@ -27,6 +27,18 @@ group's updates read another group's state, so a convergence tolerance
 is a per-group rule: each group stops once its own alpha_hat settles,
 exactly as it would in a corpus of its own.  A readable single-group
 copy lives with the tests as their oracle.
+
+The numpy kernel is topic-major.  It takes one (K, N) copy of the logits
+on entry and keeps each sweep's item beliefs as K contiguous rows of N
+items, because numpy pays a fixed cost on every short row of an (N, K)
+array and K is 5-10.  It gives the bits of the row-major form, which the
+tests keep as their oracle: the logit sum, the shift and the exp are
+elementwise; a max is exact in any order; `_topic_sum` adds the K
+entries of each item in numpy's own row order; and np.add.reduceat over
+the (N, K) view of the beliefs adds each group's rows in the order it
+adds them in a row-major array.  Only the outputs are (N, K): the
+beliefs that callers get and the taped ones are written through a
+transposed view.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ from .backend import njit, pick
 from .errors import ContractError, DomainError
 from .math_kernels import (
     _max,
+    _softmax_topics,
     check_bool,
     check_int,
     check_positive_vector,
@@ -275,18 +288,22 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
 _mean_field_batch_nb_jit = njit(_mean_field_batch_nb)
 
 
-def _sweep_np(F, sizes, starts, alpha, lam, AH, PL, clamped, psi):
-    """One sweep of the three updates over packed groups, from alpha_hat AH,
-    label beliefs PL and psi = digamma(AH); the clamped rows of PL stay as
-    they are.  Returns the new (P, AH, PL, psi), psi being digamma of the
-    new AH: the label update needs it, and the next sweep starts from it."""
-    P = softmax(F + np.repeat(psi, sizes, axis=0), axis=-1)
-    AH = alpha + np.add.reduceat(P, starts, axis=0) + lam * PL
+def _sweep_np(FT, sizes, starts, alpha, lam, AH, PL, clamped, psi):
+    """One sweep of the three updates over packed groups, topic-major: FT is
+    the (K, N) transpose of the logits, AH the alpha_hat, PL the label
+    beliefs (the clamped rows stay as they are) and psi = digamma(AH).
+    Returns the new (PT, AH, PL, psi): PT the (K, N) item beliefs, psi
+    digamma of the new AH, which the label update needs and the next sweep
+    starts from."""
+    PT = np.repeat(psi.T, sizes, axis=1)
+    PT += FT
+    _softmax_topics(PT)
+    AH = alpha + np.add.reduceat(PT.T, starts, axis=0) + lam * PL
     psi = digamma(AH)
     new_PL = softmax(lam * psi, axis=-1)
     if clamped.any():
         new_PL[clamped] = PL[clamped]
-    return P, AH, new_PL, psi
+    return PT, AH, new_PL, psi
 
 
 def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
@@ -297,36 +314,40 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     clamped = labels >= 0 if clamp else np.zeros(labels.shape, dtype=bool)
     PL[clamped] = 0.0
     PL[clamped, labels[clamped]] = 1.0
-    P = np.empty_like(F)
+    FT = np.ascontiguousarray(F.T)
     psi = digamma(AH)
     if tol <= 0.0:
         taped = tape_P.shape[0] > 0
         if taped:
             tape_A[:, 0], tape_Q[:, 0] = AH, PL
+        PT = np.empty_like(FT)  # what a call of no sweeps returns
         for t in range(1, max_sweeps + 1):
-            P, AH, PL, psi = _sweep_np(F, sizes, offsets[:-1], alpha, lam, AH, PL, clamped, psi)
+            PT, AH, PL, psi = _sweep_np(FT, sizes, offsets[:-1], alpha, lam, AH, PL, clamped, psi)
             if taped:
-                tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = P, AH, PL
+                tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = PT.T, AH, PL
+        P = tape_P[max_sweeps - 1] if taped else np.ascontiguousarray(PT.T)
         return P, PL, AH, max_sweeps
     # Groups never read one another's state, so each stops on its own change:
     # a group that stops keeps the state of its last sweep, and only the
     # groups still moving are re-packed and swept again.
+    P = np.empty_like(F)
     rows = np.arange(F.shape[0])  # corpus rows of the moving groups' items
     moving = np.arange(sizes.size)
-    Fm, sm, starts, AHm, PLm, psim, cm = F, sizes, offsets[:-1], AH, PL, psi, clamped
+    FTm, sm, starts, AHm, PLm, psim, cm = FT, sizes, offsets[:-1], AH, PL, psi, clamped
     sweeps = 0
     while moving.size and sweeps < max_sweeps:
-        Pm, new_AH, PLm, psim = _sweep_np(Fm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
+        PTm, new_AH, PLm, psim = _sweep_np(FTm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
         sweeps += 1
         stop = (_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
         AHm = new_AH
         if stop.any():
             item_stop = np.repeat(stop, sm)
-            P[rows[item_stop]] = Pm[item_stop]
+            # np.compress selects along axis 1 at a third of a boolean index's cost
+            P.T[:, rows[item_stop]] = np.compress(item_stop, PTm, axis=1)
             AH[moving[stop]] = AHm[stop]
             PL[moving[stop]] = PLm[stop]
             keep, item_keep = ~stop, ~item_stop
-            Fm, rows = Fm[item_keep], rows[item_keep]
+            FTm, rows = np.compress(item_keep, FTm, axis=1), rows[item_keep]
             moving, sm, cm = moving[keep], sm[keep], cm[keep]
             AHm, PLm, psim = AHm[keep], PLm[keep], psim[keep]
             starts = np.cumsum(sm) - sm

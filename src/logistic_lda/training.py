@@ -39,6 +39,7 @@ from .encoders import backward_batch, forward_logits_batch
 from .errors import ContractError, DomainError, TrainingDivergedError
 from .math_kernels import (
     SeededRng,
+    _topic_sum,
     check_bool,
     check_int,
     check_real,
@@ -196,8 +197,9 @@ def _per_item(fn, payload, theta, F=None):
 
 
 def _soft_target_grad_wrt_logits(Q, S):
-    # d/dF of -sum S * log_softmax(F):  softmax(F) * rowsum(S) - S, for Q = softmax(F)
-    return Q * S.sum(axis=1, keepdims=True) - S
+    # d/dF of -sum S * log_softmax(F):  softmax(F) * rowsum(S) - S, for Q = softmax(F);
+    # the row sums are S.sum(axis=1) bit for bit, taken over S's K columns
+    return Q * _topic_sum(S.T)[:, None] - S
 
 
 def _variational_step(mini, batch_ids, theta, hyper, config, carry):

@@ -19,8 +19,11 @@ so it checks the packed batch kernels that training and inference run.
 The reference_* kernels at the end are the earlier, plainer numpy forms
 of softmax, log_softmax, digamma, trigamma, the table encoder's backward
 scatter and the corpus ELBO; the shipped kernels must match them bit for
-bit.  reference_load_corpus is the earlier corpus loader, which decodes
-the whole file at once (reference_read_lines), then validates and builds
+bit.  reference_mean_field_batch is the earlier numpy mean-field batch
+kernel, which keeps the item beliefs as (N, K) rows; the topic-major
+kernel must give the same beliefs, alpha_hat, sweep counts and tapes.
+reference_load_corpus is the earlier corpus loader, which decodes the
+whole file at once (reference_read_lines), then validates and builds
 one Item per entry (a version-2 dense row is unpacked on its own with
 struct); the streaming array loader must produce the same packed corpus
 from a valid file and the same error from a broken one.
@@ -39,6 +42,7 @@ import numpy as np
 from logistic_lda.encoders import forward_logits_batch
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import (
+    _max,
     check_positive_vector,
     digamma,
     log_sum_exp,
@@ -480,6 +484,60 @@ def reference_corpus_elbo(g, P, PL, AH, flat, hyper):
     total += hyper.lam * float((PL * eln).sum()) + float(label_ent)
     total += float(ln_multivariate_beta(AH).sum()) - float(((AH - 1.0) * eln).sum())
     return total
+
+
+def _reference_sweep(F, sizes, starts, alpha, lam, AH, PL, clamped, psi):
+    P = softmax(F + np.repeat(psi, sizes, axis=0), axis=-1)
+    AH = alpha + np.add.reduceat(P, starts, axis=0) + lam * PL
+    psi = digamma(AH)
+    new_PL = softmax(lam * psi, axis=-1)
+    if clamped.any():
+        new_PL[clamped] = PL[clamped]
+    return P, AH, new_PL, psi
+
+
+def reference_mean_field_batch(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0,
+                               PL0, tape_P, tape_A, tape_Q):
+    """The earlier numpy batch kernel, with the shipped kernels' signature:
+    item beliefs as (N, K) rows, one softmax over them per sweep."""
+    sizes = np.diff(offsets)
+    AH = AH0.copy()
+    PL = PL0.copy()
+    clamped = labels >= 0 if clamp else np.zeros(labels.shape, dtype=bool)
+    PL[clamped] = 0.0
+    PL[clamped, labels[clamped]] = 1.0
+    P = np.empty_like(F)
+    psi = digamma(AH)
+    if tol <= 0.0:
+        taped = tape_P.shape[0] > 0
+        if taped:
+            tape_A[:, 0], tape_Q[:, 0] = AH, PL
+        for t in range(1, max_sweeps + 1):
+            P, AH, PL, psi = _reference_sweep(F, sizes, offsets[:-1], alpha, lam, AH, PL,
+                                              clamped, psi)
+            if taped:
+                tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = P, AH, PL
+        return P, PL, AH, max_sweeps
+    rows = np.arange(F.shape[0])
+    moving = np.arange(sizes.size)
+    Fm, sm, starts, AHm, PLm, psim, cm = F, sizes, offsets[:-1], AH, PL, psi, clamped
+    sweeps = 0
+    while moving.size and sweeps < max_sweeps:
+        Pm, new_AH, PLm, psim = _reference_sweep(Fm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
+        sweeps += 1
+        stop = (_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
+        AHm = new_AH
+        if stop.any():
+            item_stop = np.repeat(stop, sm)
+            P[rows[item_stop]] = Pm[item_stop]
+            AH[moving[stop]] = AHm[stop]
+            PL[moving[stop]] = PLm[stop]
+            keep, item_keep = ~stop, ~item_stop
+            Fm, rows = Fm[item_keep], rows[item_keep]
+            moving, sm, cm = moving[keep], sm[keep], cm[keep]
+            AHm, PLm, psim = AHm[keep], PLm[keep], psim[keep]
+            starts = np.cumsum(sm) - sm
+    return P, PL, AH, sweeps
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,21 @@ import sys
 import numpy as np
 import pytest
 
-from logistic_lda import cli
+from logistic_lda import cli, mean_field, training
 from logistic_lda.cli import _BOOL_KEYS, _build_parser, _inject_config, run_cli
-from logistic_lda.data_io import load_checkpoint, load_corpus, read_predictions
+from logistic_lda.data_io import (
+    Corpus,
+    PayloadSpec,
+    load_checkpoint,
+    load_corpus,
+    read_predictions,
+    save_corpus,
+)
 from logistic_lda.encoders import Item
+from logistic_lda.math_kernels import SeededRng
+from logistic_lda.mean_field import FlatGroups
+
+from oracles import reference_mean_field_batch
 
 
 def run(capsys, *argv):
@@ -452,3 +463,66 @@ sys.exit(cli.run_cli(sys.argv[2:]))
                 capture_output=True, text=True, check=True,
             )
         assert (tmp_path / "on.ckpt").read_bytes() == (tmp_path / "off.ckpt").read_bytes()
+
+
+
+class TestKernelKeepsTheBits:
+    """Every command writes the same bytes, files and stdout, with the shipped
+    mean-field kernel as with the row-major reference kernel it replaced
+    (tests/oracles.py), patched in wherever the package calls the kernel."""
+
+    TOKEN_RUN = [
+        ("gen", "--k", "3", "--v", "30", "--docs", "40", "--len", "15", "--seed", "5",
+         "--labeled", "-o", "c.jsonl"),
+        ("train", "--corpus", "c.jsonl", "-o", "m.ckpt", "--epochs", "3", "--lr", "0.05",
+         "--e-step-sweeps", "2", "--gamma", "0.02", "--metrics", "m.jsonl"),
+        ("eval", "--corpus", "c.jsonl", "--model", "m.ckpt", "--truth", "c.jsonl.truth"),
+        ("eval", "--corpus", "c.jsonl", "--model", "m.ckpt", "--no-converged"),
+        ("infer", "--corpus", "c.jsonl", "--model", "m.ckpt", "-o", "p.jsonl"),
+        ("topics", "--corpus", "c.jsonl", "--model", "m.ckpt", "-n", "4"),
+    ]
+    DENSE_RUN = [
+        ("train", "--corpus", "d.jsonl", "-o", "d.ckpt", "--mode", "discriminative",
+         "--encoder", "mlp", "--hidden", "8", "--epochs", "2", "--batch-size", "8",
+         "--lr", "0.01", "--n-iter", "3", "--metrics", "d.metrics.jsonl"),
+        ("eval", "--corpus", "d.jsonl", "--model", "d.ckpt", "--no-converged"),
+        ("eval", "--corpus", "d.jsonl", "--model", "d.ckpt"),
+        ("infer", "--corpus", "d.jsonl", "--model", "d.ckpt", "-o", "dp.jsonl",
+         "--no-converged"),
+    ]
+
+    @staticmethod
+    def write_dense_corpus(path):
+        rng = SeededRng(11).gen
+        offsets = np.zeros(31, dtype=np.int64)
+        np.cumsum(rng.integers(1, 9, size=30), out=offsets[1:])
+        flat = FlatGroups(payload=rng.normal(size=(int(offsets[-1]), 6)), offsets=offsets,
+                          labels=rng.integers(0, 4, size=30), ids=[f"u{d}" for d in range(30)])
+        save_corpus(path, Corpus(num_topics=4, payload=PayloadSpec("dense", 6), flat=flat))
+
+    def outputs(self, root, capsys, monkeypatch, runs):
+        root.mkdir()
+        monkeypatch.chdir(root)
+        self.write_dense_corpus(root / "d.jsonl")
+        stdout = []
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            stdout.append(out)
+        return stdout, {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+    @pytest.mark.parametrize("runs", ["TOKEN_RUN", "DENSE_RUN"])
+    def test_same_bytes_as_the_reference_kernel(self, tmp_path, capsys, monkeypatch, runs):
+        runs = getattr(self, runs)
+        shipped = self.outputs(tmp_path / "shipped", capsys, monkeypatch, runs)
+        calls = []
+
+        def reference(*args):
+            calls.append(args[6])
+            return reference_mean_field_batch(*args)
+
+        monkeypatch.setattr(mean_field, "_mean_field_batch", reference)
+        monkeypatch.setattr(training, "_mean_field_batch", reference)
+        assert self.outputs(tmp_path / "reference", capsys, monkeypatch, runs) == shipped
+        assert calls  # the patched kernel ran
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from logistic_lda import evaluation
 from logistic_lda.data_io import corpus_from_groups
 from logistic_lda.encoders import Item, init_params
 from logistic_lda.errors import ContractError
@@ -225,3 +226,29 @@ class TestTopItems:
         for entries in top_items_per_topic(corpus, theta, HyperParams(alpha=np.ones(2)), 15):
             assert len(entries) == 15
             assert [text for _, _, text in entries] == [names[i] for i, _, _ in entries]
+
+
+class TestTopItemsSelection:
+    """The selection keeps exactly the lists of one full stable sort per
+    topic: scores descending, ties in corpus order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 49, 50, 51, 500])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_lists_as_a_full_stable_sort(self, monkeypatch, seed, n):
+        rng = np.random.default_rng(seed)
+        groups = [Group(id=f"g{d}", items=[Item(token=int(t)) for t in rng.integers(0, 7, 10)])
+                  for d in range(5)]
+        corpus = corpus_from_groups(groups, 5, vocab_size=7)
+        # few distinct scores, so most scores tie, and the n-th largest
+        # score is shared by items inside and outside the top n
+        P = rng.choice([0.0, 0.125, 0.25, 0.5, 1.0, float(rng.random())], size=(50, 5))
+        P[:, 3] = 0.25
+        P[::3, 4] = 1.0
+        monkeypatch.setattr(evaluation, "predict_corpus", lambda *args, **kw: (None, None, P))
+        tops = top_items_per_topic(corpus, None, HyperParams(alpha=np.ones(5)), n)
+        for k, entries in enumerate(tops):
+            order = np.argsort(-P[:, k], kind="stable")[:n]
+            assert [i for i, _, _ in entries] == order.tolist()
+            assert [s for _, s, _ in entries] == P[order, k].tolist()
+            assert [t for _, _, t in entries] == [str(corpus.flat.payload[i]) for i in order]
+

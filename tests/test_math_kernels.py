@@ -19,7 +19,7 @@ from logistic_lda.math_kernels import (
     sample_dirichlet,
     check_simplex,
 )
-from logistic_lda.math_kernels import _max
+from logistic_lda.math_kernels import _max, _softmax_topics, _topic_sum
 
 from oracles import (
     psi_oracle,
@@ -345,6 +345,63 @@ class TestTopicAxisKernelsKeepTheirBits:
     def test_psi_errors(self, x):
         assert_same_error(digamma, reference_digamma, x)
         assert_same_error(trigamma, reference_trigamma, x)
+
+
+SUM_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1.0, -1.0,
+               1e300, -1e300, 1e-300, 0.1, 3.0]
+
+
+def topic_major_layouts(v):
+    """(K, N) arrays holding v.T: a contiguous copy, the transposed view, and
+    every other row of a (2K, N) array, which is every other column of v."""
+    wide = np.repeat(v, 2, axis=1)
+    return np.ascontiguousarray(v.T), v.T, np.ascontiguousarray(wide.T)[::2], wide[:, ::2].T
+
+
+class TestTopicMajorKernels:
+    """_topic_sum and _softmax_topics on a (K, N) array against numpy's sum
+    and the row-major softmax on its (N, K) transpose: the same bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_topic_sum_is_the_row_sum(self, data):
+        k = data.draw(st.integers(1, 300) | st.sampled_from([7, 8, 9, 15, 16, 17, 128, 129]))
+        n = data.draw(st.integers(1, 6))
+        v = data.draw(hnp.arrays(np.float64, (n, k), elements=st.sampled_from(SUM_ENTRIES)
+                                 | st.floats(allow_nan=False, allow_subnormal=True)))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+            want = v.sum(axis=1)
+            for E in topic_major_layouts(v):
+                assert_same_bits(_topic_sum(E), want)
+
+    def test_topic_sum_every_topic_count(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 301):
+            v = rng.normal(size=(50, k)) * 10.0 ** rng.integers(-300, 300, size=(50, k))
+            v[::7] = -0.0  # rows of -0.0 only sum to 0.0
+            v[3::7] = rng.choice(SUM_ENTRIES, size=v[3::7].shape)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = v.sum(axis=1)
+                for E in topic_major_layouts(v):
+                    assert_same_bits(_topic_sum(E), want)
+
+    @pytest.mark.parametrize("k", TOPICS + [8, 128, 129])
+    @pytest.mark.parametrize("n", ROWS)
+    def test_softmax_topics_is_the_row_softmax(self, n, k):
+        v = hard_logits(n, k, seed=n * 1000 + k)
+        got = _softmax_topics(v.T.copy())
+        assert_same_bits(np.ascontiguousarray(got.T), reference_softmax(v))
+
+    @pytest.mark.parametrize("v", [
+        [[0.0, np.nan]], [[np.inf, 0.0]], [[-np.inf, -np.inf], [0.0, 1.0]],
+        [[0.0, 1.0], [np.nan, -np.inf], [-np.inf, -np.inf]], [[-np.inf, -np.inf], [np.inf, 0.0]],
+        np.full((2, 50), np.nan), np.full((2, 50), -np.inf),
+    ], ids=["nan", "inf", "all-neg-inf", "nan-before-all-neg-inf", "all-neg-inf-before-inf",
+            "wide-nan", "wide-neg-inf"])
+    def test_softmax_topics_refuses_as_softmax_does(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        assert_same_error(lambda a: _softmax_topics(a.T.copy()),
+                          reference_softmax, v)
 
 
 class TestExpectedLogPi:

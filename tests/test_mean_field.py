@@ -13,9 +13,11 @@ from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batc
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import SeededRng, digamma, expected_log_pi, log_softmax, softmax
 from logistic_lda.mean_field import (
+    NO_TAPE,
     FlatGroups,
     Group,
     HyperParams,
+    _mean_field_batch_np,
     batch_mean_field,
     flatten_groups,
 )
@@ -25,6 +27,7 @@ from oracles import (
     MeanFieldState,
     init_state,
     reference_group_elbo,
+    reference_mean_field_batch,
     run_sweeps,
     sweep,
     update_alpha,
@@ -643,3 +646,83 @@ class TestBatchLayer:
                 predict_corpus(flat, theta, h)
             else:
                 train(flat, theta, h, TrainConfig(mode="variational", epochs=1, verbose=False))
+
+
+def ragged_problem(K, seed):
+    """Logits of a ragged packed corpus with -inf entries (one finite entry
+    per item), labels on some groups, and a warm start."""
+    rng = np.random.default_rng(seed)
+    D = int(rng.integers(1, 25))
+    offsets = np.zeros(D + 1, dtype=np.int64)
+    np.cumsum(rng.integers(1, 13, size=D), out=offsets[1:])
+    N = int(offsets[-1])
+    F = rng.normal(scale=3.0, size=(N, K))
+    F[rng.random((N, K)) < 0.1] = -np.inf
+    F[np.arange(N), rng.integers(K, size=N)] = rng.normal(size=N)
+    alpha = rng.uniform(0.1, 2.0, size=K)
+    AH0 = alpha + rng.uniform(0.0, 2.0, size=(D, K))
+    PL0 = rng.dirichlet(np.ones(K), size=D)
+    return (F, offsets, alpha, float(rng.uniform(0.0, 3.0)), rng.integers(-1, K, size=D), AH0,
+            PL0)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# sweeps and tol: unrolled, taped, converged, and stopped at max_sweeps
+KERNEL_RUNS = {"fixed": (4, 0.0), "taped": (4, 0.0), "converged": (100, 1e-6),
+               "loose": (100, 1e-2), "capped": (3, 1e-9)}
+
+
+class TestTopicMajorKernel:
+    """The topic-major numpy kernel against the row-major kernel it replaced
+    (tests/oracles.py): the same bits in every output and tape."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("run", list(KERNEL_RUNS))
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 5, 7, 8, 10, 17, 130])
+    def test_same_bits_as_row_major(self, K, clamp, run, seed):
+        F, offsets, alpha, lam, labels, AH0, PL0 = ragged_problem(K, seed)
+        inputs = [a.copy() for a in (F, AH0, PL0)]
+        sweeps, tol = KERNEL_RUNS[run]
+        N, D = F.shape[0], offsets.size - 1
+        outs = []
+        for kernel in (_mean_field_batch_np, reference_mean_field_batch):
+            tapes = (NO_TAPE,) * 3
+            if run == "taped":
+                tapes = (np.full((sweeps, N, K), np.nan), np.full((D, sweeps + 1, K), np.nan),
+                         np.full((D, sweeps + 1, K), np.nan))
+            out = kernel(F, offsets, alpha, lam, labels, clamp, sweeps, tol, AH0, PL0, *tapes)
+            outs.append((*out, *tapes))
+        got, want = outs
+        assert got[3] == want[3]
+        for name, a, b in zip(["P", "PL", "AH", "sweeps", "tape_P", "tape_A", "tape_Q"],
+                              got, want):
+            assert same_bits(a, b), name
+        assert all(same_bits(a, b) for a, b in zip(inputs, (F, AH0, PL0)))
+
+    @pytest.mark.parametrize("run", ["fixed", "converged"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_inf_logits_are_refused(self, bad, run):
+        F, offsets, alpha, lam, labels, AH0, PL0 = ragged_problem(5, 4)
+        F[F.shape[0] // 2, 1] = bad
+        sweeps, tol = KERNEL_RUNS[run]
+        for kernel in (_mean_field_batch_np, reference_mean_field_batch):
+            with pytest.raises(DomainError) as err:
+                kernel(F, offsets, alpha, lam, labels, False, sweeps, tol, AH0, PL0,
+                       NO_TAPE, NO_TAPE, NO_TAPE)
+            assert str(err.value) == "softmax requires entries in [-inf, +inf)"
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_a_token_no_topic_can_emit_is_refused(self, tol):
+        # a fixed_loglik zero column: every logit of token 2 is ln 0 = -inf
+        beta = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
+        flat = flatten_groups([token_group([0, 1]), token_group([1, 2, 0], gid="h")])
+        F = forward_logits_batch(flat.payload, fixed_loglik_params(beta))
+        with pytest.raises(DomainError) as err:
+            batch_mean_field(F, flat, hp(2), False, 10, tol=tol)
+        assert str(err.value) == "softmax of all -inf logits is undefined"
+
