@@ -32,14 +32,7 @@ from .data_io import (
     write_predictions,
 )
 from .encoders import init_params
-from .errors import (
-    CheckpointError,
-    ContractError,
-    CorpusFormatError,
-    DomainError,
-    TrainingDivergedError,
-    UnsupportedOperationError,
-)
+from .errors import ContractError, LogisticLDAError, TrainingDivergedError, UsageError
 from .evaluation import evaluation_report, top_items_per_topic
 from .lda_baseline import (
     disjoint_topic_matrix,
@@ -53,7 +46,7 @@ from .mean_field import (
     flatten_groups,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
 )
 from .regularizer import default_gamma
-from .training import TrainConfig, predict_corpus, train
+from .training import MODES, OPTIMIZERS, TrainConfig, predict_corpus, train
 
 log = logging.getLogger("logistic_lda")
 
@@ -71,33 +64,33 @@ def _inject_config(argv):
     for i, a in enumerate(argv):
         if a == "--config":
             if i + 1 >= len(argv):
-                raise ContractError("--config needs a file path")
+                raise UsageError("--config needs a file path")
             path, span = argv[i + 1], 2
             break
         if a.startswith("--config="):
             path, span = a.split("=", 1)[1], 1
             break
     if i == 0:
-        raise ContractError("--config must follow a subcommand")
+        raise UsageError("--config must follow a subcommand")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise ContractError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     expanded = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ContractError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("_", "-")
         if key in _BOOL_KEYS:
             on = _BOOL_VALUES.get(value.lower())
             if on is None:
-                raise ContractError(f"{path}:{lineno}: {key} takes 1/0, true/false, "
-                                    f"yes/no or on/off, got {value!r}")
+                raise UsageError(f"{path}:{lineno}: {key} takes 1/0, true/false, "
+                                 f"yes/no or on/off, got {value!r}")
             expanded.append(f"--{key}" if on else f"--no-{key}")
         else:
             expanded.extend([f"--{key}", value])
@@ -106,9 +99,7 @@ def _inject_config(argv):
 
 
 def _gamma_arg(text):
-    if text == "auto":
-        return text
-    return float(text)
+    return text if text == "auto" else float(text)
 
 
 def _hidden_arg(text):
@@ -117,17 +108,6 @@ def _hidden_arg(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integer widths, got {text!r}") from None
-
-
-def _add_hyper_flags(p):
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="symmetric Dirichlet prior weight per topic")
-    p.add_argument("--lam", type=float, default=1.0, help="label coupling strength")
-    p.add_argument("--gamma", type=_gamma_arg, default=0.0,
-                   help="topic-usage regularizer weight, or 'auto' for 4x the item count")
-    p.add_argument("--n-iter", type=int, default=5, help="unrolled update iterations")
-    p.add_argument("--rho", type=float, default=0.99,
-                   help="decay of the running topic-usage average")
 
 
 def _add_model_flags(p):
@@ -162,27 +142,39 @@ def _build_parser():
     t = sub.add_parser("train", help="fit the encoder on a corpus")
     t.add_argument("--corpus", required=True)
     t.add_argument("-o", "--out", required=True, help="checkpoint path")
-    t.add_argument("--mode", choices=("variational", "discriminative"), default="variational")
+    t.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
     t.add_argument("--encoder", choices=("table", "mlp"), default=None,
                    help="default: table for token corpora, mlp for dense")
     t.add_argument("--hidden", type=_hidden_arg, default="128",
                    help="comma-separated mlp hidden widths, empty for none")
     t.add_argument("--init-scale", type=float, default=0.1)
-    _add_hyper_flags(t)
-    t.add_argument("--epochs", type=int, default=20)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--lr-decay", type=float, default=1.0)
-    t.add_argument("--optimizer", choices=("sgd", "momentum", "adam"), default="adam")
-    t.add_argument("--momentum", type=float, default=0.9)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--clamp", action=argparse.BooleanOptionalAction, default=True,
+    t.add_argument("--alpha", type=float, default=0.1,
+                   help="symmetric Dirichlet prior weight per topic")
+    t.add_argument("--lam", type=float, default=HyperParams.lam, help="label coupling strength")
+    t.add_argument("--gamma", type=_gamma_arg, default=HyperParams.gamma,
+                   help="topic-usage regularizer weight, or 'auto' for 4x the item count")
+    t.add_argument("--n-iter", type=int, default=HyperParams.n_iter,
+                   help="unrolled update iterations")
+    t.add_argument("--rho", type=float, default=HyperParams.rho,
+                   help="decay of the running topic-usage average")
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--lr", type=float, default=TrainConfig.lr)
+    t.add_argument("--lr-decay", type=float, default=TrainConfig.lr_decay)
+    t.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
+    t.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
+    t.add_argument("--clamp", action=argparse.BooleanOptionalAction,
+                   default=TrainConfig.clamp_labels,
                    help="pin label beliefs of labeled groups during the E-step")
-    t.add_argument("--e-step-sweeps", type=int, default=1)
-    t.add_argument("--track-elbo", action=argparse.BooleanOptionalAction, default=True)
+    t.add_argument("--e-step-sweeps", type=int, default=TrainConfig.e_step_sweeps)
+    t.add_argument("--track-elbo", action=argparse.BooleanOptionalAction,
+                   default=TrainConfig.track_elbo)
     t.add_argument("--eval-corpus", default=None)
-    t.add_argument("--metrics", default=None, help="write one JSON record per epoch here")
-    t.add_argument("--quiet", action=argparse.BooleanOptionalAction, default=False)
+    t.add_argument("--metrics", default=TrainConfig.metrics_path,
+                   help="write one JSON record per epoch here")
+    t.add_argument("--quiet", action=argparse.BooleanOptionalAction,
+                   default=not TrainConfig.verbose)
     t.set_defaults(func=_cmd_train)
 
     i = sub.add_parser("infer", help="write per-group and per-item beliefs")
@@ -218,11 +210,9 @@ def _build_parser():
 
 
 def _cmd_gen(args):
-    truth_path = args.truth or f"{args.out}.truth"
-    if os.path.realpath(truth_path) == os.path.realpath(args.out):
-        print(f"error: --truth {truth_path} and -o {args.out} name the same file",
-              file=sys.stderr)
-        return 1
+    args.truth = args.truth or f"{args.out}.truth"
+    if os.path.realpath(args.truth) == os.path.realpath(args.out):
+        raise UsageError(f"--truth {args.truth} and -o {args.out} name the same file")
     check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
@@ -238,11 +228,10 @@ def _cmd_gen(args):
     )
     corpus = Corpus(num_topics=args.k, payload=PayloadSpec("token", args.v), flat=flat)
     save_corpus(args.out, corpus)
-    save_truth(truth_path, corpus, truth)
-    log.info("wrote %s and %s", args.out, truth_path)
-    print(json.dumps({"corpus": args.out, "truth": truth_path,
+    save_truth(args.truth, corpus, truth)
+    log.info("wrote %s and %s", args.out, args.truth)
+    print(json.dumps({"corpus": args.out, "truth": args.truth,
                       "groups": flat.num_groups, "items": flat.num_items}))
-    return 0
 
 
 def _make_hyper(args, K, num_items):
@@ -307,7 +296,6 @@ def _cmd_train(args):
     save_checkpoint(args.out, cp)
     print(json.dumps({"checkpoint": args.out, "mode": args.mode,
                       "final_loss": report.final_loss}))
-    return 0
 
 
 def _load_pair(args):
@@ -326,7 +314,6 @@ def _cmd_infer(args):
     labels, PL, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
     write_predictions(args.out, flat.ids, labels, PL, P, flat.offsets)
     print(json.dumps({"predictions": args.out, "groups": int(labels.shape[0])}))
-    return 0
 
 
 def _print_report(flat, truth_path, pred_groups, pred_items, K):
@@ -352,7 +339,6 @@ def _cmd_eval(args):
     flat = corpus.flat
     pred_groups, _, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
     _print_report(flat, args.truth, pred_groups, P.argmax(axis=1), corpus.num_topics)
-    return 0
 
 
 def _cmd_topics(args):
@@ -365,7 +351,6 @@ def _cmd_topics(args):
                 seen.add(text)
                 texts.append(text)
         print(f"topic {k}: " + " ".join(texts))
-    return 0
 
 
 def _cmd_gibbs(args):
@@ -382,7 +367,6 @@ def _cmd_gibbs(args):
         label_weight=args.label_weight, V=corpus.payload.size,
     )
     _print_report(flat, args.truth, pi_hat.argmax(axis=1), item_post.argmax(axis=1), K)
-    return 0
 
 
 def run_cli(argv=None) -> int:
@@ -391,24 +375,15 @@ def run_cli(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        argv = _inject_config(argv)
-    except (ContractError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, OSError) else 1
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(_inject_config(argv))
+        args.func(args)
+        return 0
+    except SystemExit as exc:  # argparse's refusal, or its --help
         return 0 if (exc.code or 0) == 0 else 1
-    try:
-        return args.func(args)
-    except TrainingDivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
-    except (CorpusFormatError, CheckpointError, ContractError, DomainError,
-            UnsupportedOperationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (LogisticLDAError, OSError) as exc:
+        kind = "training diverged" if isinstance(exc, TrainingDivergedError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", LogisticLDAError.exit_code)
 
 
 def main():
