@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen (synthetic corpus), train, infer, eval, topics, gibbs.
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 training divergence.
+Exit codes: 0 success, else the `exit_code` of the error type (errors.py):
+1 usage error, 2 data or validation error, 3 training divergence.
 
 Flags can come from a plain-text config file (`--config FILE`, lines of
 key=value, # comments); explicit flags override it.  The environment
@@ -209,10 +209,23 @@ def _build_parser():
     return p
 
 
+def _refuse_shared_paths(args, *outputs):
+    """Refuse, before any file is read or written, an output path that names
+    the same file (by realpath) as another path of the command.  Inputs may
+    coincide: --eval-corpus may be --corpus."""
+    dests = ("out", "truth", "metrics", "corpus", "eval_corpus", "model")
+    named = {d: getattr(args, d) for d in dests if getattr(args, d, None)}
+    flag = {d: "-o" if d == "out" else "--" + d.replace("_", "-") for d in named}
+    for out in (o for o in outputs if o in named):
+        for dest, path in named.items():
+            if dest != out and os.path.realpath(path) == os.path.realpath(named[out]):
+                raise UsageError(f"{flag[out]} {named[out]} and {flag[dest]} {path} "
+                                 "name the same file")
+
+
 def _cmd_gen(args):
     args.truth = args.truth or f"{args.out}.truth"
-    if os.path.realpath(args.truth) == os.path.realpath(args.out):
-        raise UsageError(f"--truth {args.truth} and -o {args.out} name the same file")
+    _refuse_shared_paths(args, "truth", "out")
     check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
@@ -262,6 +275,7 @@ def _keep_freed_memory():
 
 
 def _cmd_train(args):
+    _refuse_shared_paths(args, "out", "metrics")
     _keep_freed_memory()
     check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
@@ -309,6 +323,7 @@ def _load_pair(args):
 
 
 def _cmd_infer(args):
+    _refuse_shared_paths(args, "out")
     corpus, cp = _load_pair(args)
     flat = corpus.flat
     labels, PL, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)

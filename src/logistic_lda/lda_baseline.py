@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import njit, pick
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .math_kernels import (
     check_bool,
     check_int,
@@ -176,6 +176,8 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
     K, label_weight = check_int(K, "K", 1), check_real(label_weight, "label_weight", "[0, inf)")
     V = None if V is None else check_int(V, "V", 1)
     flat.check()
+    if label_weight != 0.0 and np.any(flat.labels >= K):
+        raise DomainError("label outside [0, K)")
     tokens = _token_array(flat.payload, np.inf if V is None else V)
     V = int(tokens.max()) + 1 if V is None else V
     z = rng.gen.integers(0, K, size=tokens.shape[0], dtype=np.int64)
@@ -260,7 +262,7 @@ _gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_lists)
 def gibbs_sweep(state, flat, alpha, rng):
     """Resample every assignment once, in corpus order, updating counts
     incrementally.  Mutates state; one uniform is consumed per item.
-    flat must have the groups and group sizes the state was built on."""
+    flat must have the groups, group sizes and tokens the state was built on."""
     flat.check()
     # array_equal is False for a different group count as well
     if flat.num_items != state.z.size or not np.array_equal(state.n_dk.sum(axis=1),
@@ -268,6 +270,11 @@ def gibbs_sweep(state, flat, alpha, rng):
         raise ContractError("the corpus's groups and group sizes differ from the state's")
     tokens = _token_array(flat.payload, state.vocab_size)
     alpha = _check_alpha(alpha, state.n_k.size)
+    # the same sizes with other tokens would drive the counts negative
+    K, V = state.n_kv.shape
+    if state.z.min() < 0 or state.z.max() >= K or not np.array_equal(
+            np.bincount(state.z * V + tokens, minlength=K * V), state.n_kv.ravel()):
+        raise ContractError("the state's counts do not match its assignments on this corpus")
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(
         state.z, state.n_dk, state.n_kv, state.n_k,

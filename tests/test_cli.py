@@ -2,6 +2,8 @@ import argparse
 import ctypes
 import json
 import platform
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -413,6 +415,114 @@ class TestFlagDomains:
         for flag in ("--alpha", "--beta-concentration"):
             if flag in argv:
                 assert flag in err
+
+
+DIVERGING_CORPUS = (
+    '{"format":"corpus","version":1,"k":2,"payload":{"dense":3}}\n'
+    '{"id":"a","items":[[61.0,88.5,70.2],[93.1,55.7,64.9],[77.3,82.0,58.4]]}\n'
+)
+
+
+@pytest.fixture(scope="module")
+def failure_files(tmp_path_factory):
+    """What the failure cases name: a labeled token corpus c.jsonl and a
+    model m.ckpt trained on it, a held-out corpus h.jsonl of its shape, an
+    earlier metrics file x.jsonl, a link to the model, and broken inputs."""
+    root = tmp_path_factory.mktemp("failures")
+    for name, seed in (("c.jsonl", "7"), ("h.jsonl", "8")):
+        assert run_cli(["gen", "--k", "3", "--v", "9", "--docs", "12", "--len", "8",
+                        "--seed", seed, "--labeled", "-o", str(root / name)]) == 0
+    assert run_cli(["train", "--corpus", str(root / "c.jsonl"), "-o", str(root / "m.ckpt"),
+                    "--epochs", "1", "--quiet"]) == 0
+    model = (root / "m.ckpt").read_bytes()
+    (root / "corrupt.ckpt").write_bytes(b"XXXX" + model[4:])
+    (root / "v2.ckpt").write_bytes(model[:4] + struct.pack("<I", 2) + model[8:])
+    (root / "link.ckpt").symlink_to("m.ckpt")
+    (root / "x.jsonl").write_text('{"epoch": 0}\n')
+    (root / "bad.jsonl").write_text(
+        '{"format":"corpus","version":1,"k":2,"payload":{"token":3}}\nnot json\n')
+    (root / "bad.cfg").write_text("epochs=1\noops\n")
+    (root / "d.jsonl").write_text(DIVERGING_CORPUS)
+    (root / "sub").mkdir()
+    return root
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+TRAIN = ("train", "--corpus", "c.jsonl", "--quiet")
+INFER = ("infer", "--corpus", "c.jsonl", "--model", "m.ckpt")
+
+
+class TestFailureExits:
+    """Each kind of failure: its exit code and the first line on stderr.  A
+    refused command writes nothing, and leaves every file as it was."""
+
+    CASES = [
+        ("argparse", ("gen", "--k", "2"), 1,
+         "usage: logistic-lda gen [-h] --k K --v V --docs DOCS --len DOC_LEN"),
+        ("config-file", (*TRAIN, "-o", "n.ckpt", "--config", "bad.cfg"), 1,
+         "error: bad.cfg:2: expected key=value, got 'oops'"),
+        ("gen-same-path", ("gen", "--k", "2", "--v", "4", "--docs", "3", "--len", "2",
+                           "-o", "g.jsonl", "--truth", "g.jsonl"), 1,
+         "error: --truth g.jsonl and -o g.jsonl name the same file"),
+        ("malformed-corpus", ("train", "--corpus", "bad.jsonl", "-o", "n.ckpt"), 2,
+         "error: line 2: invalid JSON (Expecting value)"),
+        ("corrupt-checkpoint", ("eval", "--corpus", "c.jsonl", "--model", "corrupt.ckpt"), 2,
+         "error: bad magic bytes; not a checkpoint file"),
+        ("checkpoint-version", ("eval", "--corpus", "c.jsonl", "--model", "v2.ckpt"), 2,
+         "error: checkpoint version 2; this build reads 1"),
+        ("contract", ("gibbs", "--corpus", "d.jsonl"), 2,
+         "error: the Gibbs baseline needs a token corpus"),
+        ("domain", (*TRAIN, "-o", "n.ckpt", "--alpha", "-1"), 2,
+         "error: --alpha must be finite and lie in (0, inf), got -1.0"),
+        ("missing-input", ("infer", "--corpus", "nope.jsonl", "--model", "m.ckpt",
+                           "-o", "p.jsonl"), 2,
+         "error: [Errno 2] No such file or directory: 'nope.jsonl'"),
+        ("divergence", ("train", "--corpus", "d.jsonl", "-o", "n.ckpt", "--epochs", "5",
+                        "--optimizer", "sgd", "--lr", "1e308", "--init-scale", "0.01",
+                        "--e-step-sweeps", "2", "--hidden", "", "--quiet"), 3,
+         "training diverged: epoch 0, groups 0..1: parameters overflowed after update"),
+        # an output path that names another file of its command
+        ("train-out-corpus", (*TRAIN, "-o", "c.jsonl"), 1,
+         "error: -o c.jsonl and --corpus c.jsonl name the same file"),
+        ("train-out-metrics", (*TRAIN, "-o", "x.jsonl", "--metrics", "x.jsonl"), 1,
+         "error: -o x.jsonl and --metrics x.jsonl name the same file"),
+        ("train-out-eval-corpus", (*TRAIN, "--eval-corpus", "h.jsonl", "-o", "h.jsonl"), 1,
+         "error: -o h.jsonl and --eval-corpus h.jsonl name the same file"),
+        ("train-metrics-corpus", (*TRAIN, "-o", "n.ckpt", "--metrics", "c.jsonl"), 1,
+         "error: --metrics c.jsonl and --corpus c.jsonl name the same file"),
+        ("train-metrics-eval-corpus", (*TRAIN, "--eval-corpus", "h.jsonl", "-o", "n.ckpt",
+                                       "--metrics", "./sub/../h.jsonl"), 1,
+         "error: --metrics ./sub/../h.jsonl and --eval-corpus h.jsonl name the same file"),
+        ("infer-out-corpus", (*INFER, "-o", "c.jsonl"), 1,
+         "error: -o c.jsonl and --corpus c.jsonl name the same file"),
+        ("infer-out-model", (*INFER, "-o", "m.ckpt"), 1,
+         "error: -o m.ckpt and --model m.ckpt name the same file"),
+        ("infer-out-model-link", (*INFER, "-o", "link.ckpt"), 1,
+         "error: -o link.ckpt and --model m.ckpt name the same file"),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("argv, code, first_line", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_exit_code_and_first_stderr_line(self, failure_files, tmp_path, capsys,
+                                             monkeypatch, argv, code, first_line):
+        root = tmp_path / "w"
+        shutil.copytree(failure_files, root, symlinks=True)
+        monkeypatch.chdir(root)
+        before = _snapshot(root)
+        got, out, err = run(capsys, *argv)
+        assert (got, err.splitlines()[0]) == (code, first_line)
+        assert out == ""
+        assert _snapshot(root) == before
+
+    def test_eval_corpus_may_be_the_corpus(self, failure_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(failure_files)
+        code, _, err = run(capsys, *TRAIN, "--eval-corpus", "./c.jsonl", "--epochs", "1",
+                           "-o", str(tmp_path / "n.ckpt"))
+        assert code == 0, err
 
 
 class TestAllocatorPolicy:

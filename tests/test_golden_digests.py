@@ -3,8 +3,9 @@
 A small seeded pipeline runs every command through `run_cli` and the
 SHA-256 of every file it writes and of every stdout is compared with the
 table in golden_digests.json.  The bits depend on numpy's internals (row-sum
-order, BLAS), so the table records the versions it was taken on, and on
-another numpy the test fails and says so rather than reporting every digest.
+order, BLAS) and on the backend, so the table records the versions and the
+backend it was taken on, and on another numpy or backend the test fails and
+says so rather than reporting every digest.
 
 A change that alters an output on purpose rewrites the table with
 
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from logistic_lda import BACKEND
 from logistic_lda.cli import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -61,7 +63,7 @@ DENSE_RUN = [
 def environment():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "blas": f"{blas['name']} {blas.get('version', '?')}"}
+            "blas": f"{blas['name']} {blas.get('version', '?')}", "backend": BACKEND}
 
 
 def _sha(data):
@@ -106,9 +108,10 @@ def digests(tmp):
 def test_seeded_outputs_match_the_table(tmp_path):
     table = json.loads(TABLE.read_text())
     here = environment()
-    assert here["numpy"] == table["environment"]["numpy"], (
+    assert [here[k] for k in ("numpy", "backend")] == [
+        table["environment"][k] for k in ("numpy", "backend")], (
         f"the table was taken on {table['environment']}, this is {here}: "
-        "rewrite it on this numpy (see the module docstring) and check every change")
+        "rewrite it here (see the module docstring) and check every change")
     got, want = digests(tmp_path), table["digests"]
     differ = sorted(k for k in want.keys() | got.keys() if got.get(k) != want.get(k))
     assert not differ, (f"outputs that differ from the table "

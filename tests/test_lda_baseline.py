@@ -378,6 +378,43 @@ class TestGibbsSweep:
         gibbs_sweep(state, flat, np.ones(2), rng)
         check_counts(state, flat)
 
+    def test_sweep_refuses_other_tokens_in_the_same_sizes(self):
+        # three sweeps over [3, 3, 3, 3] against a state built on [0, 1, 2, 3]
+        # used to leave n_kv[1, 3] at -1, and estimate_beta_theta to return
+        # -2.25 as a probability
+        rng = SeededRng(0)
+        flat = FlatGroups(payload=np.array([0, 1, 2, 3]), offsets=np.array([0, 2, 4]),
+                          labels=np.full(2, -1))
+        state = gibbs_init(flat, 2, 0.1, rng, V=4)
+        before = copy.deepcopy(state)
+        other = FlatGroups(payload=np.array([3, 3, 3, 3]), offsets=flat.offsets,
+                           labels=flat.labels)
+        for _ in range(3):
+            with pytest.raises(ContractError, match="counts do not match its assignments"):
+                gibbs_sweep(state, other, np.ones(2), rng)
+        for name in ("z", "n_dk", "n_kv", "n_k"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+        gibbs_sweep(state, flat, np.ones(2), rng)
+        check_counts(state, flat)
+
+    @pytest.mark.parametrize("topic", [-1, 2])
+    def test_sweep_refuses_an_assignment_outside_the_topics(self, topic):
+        flat = _tiny_flat()
+        state = gibbs_init(flat, 2, 0.1, SeededRng(0))
+        state.z[0] = topic
+        with pytest.raises(ContractError, match="counts do not match its assignments"):
+            gibbs_sweep(state, flat, np.ones(2), SeededRng(0))
+
+    def test_init_refuses_a_label_outside_the_topics(self):
+        # used to end in an untyped IndexError when label_weight > 0
+        flat = FlatGroups(payload=np.array([0, 1, 2, 3]), offsets=np.array([0, 2, 4]),
+                          labels=np.array([5, -1]))
+        rng = SeededRng(0)
+        with pytest.raises(DomainError, match=r"^label outside \[0, K\)$"):
+            gibbs_init(flat, 2, 0.1, rng, label_weight=1.0)
+        assert rng.gen.random() == SeededRng(0).gen.random()  # refused before drawing
+        gibbs_init(flat, 2, 0.1, rng)  # labels are not read without a label weight
+
 
 def _tiny_flat():
     return FlatGroups(payload=np.array([0, 1, 2, 3]), offsets=np.array([0, 2, 4]),
