@@ -99,7 +99,9 @@ def _inject_config(argv):
 
 
 def _gamma_arg(text):
-    return text if text == "auto" else float(text)
+    if text == "auto":
+        return text
+    return float(text)
 
 
 def _hidden_arg(text):

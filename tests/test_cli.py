@@ -518,12 +518,6 @@ class TestFailureExits:
         assert out == ""
         assert _snapshot(root) == before
 
-    def test_eval_corpus_may_be_the_corpus(self, failure_files, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(failure_files)
-        code, _, err = run(capsys, *TRAIN, "--eval-corpus", "./c.jsonl", "--epochs", "1",
-                           "-o", str(tmp_path / "n.ckpt"))
-        assert code == 0, err
-
 
 class TestAllocatorPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
