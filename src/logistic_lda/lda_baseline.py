@@ -272,8 +272,10 @@ def gibbs_sweep(state, flat, alpha, rng):
     alpha = _check_alpha(alpha, state.n_k.size)
     # the same sizes with other tokens would drive the counts negative
     K, V = state.n_kv.shape
+    cells = state.z * V
+    cells += tokens  # in place: one temporary per item, not two, keeps gibbs's peak memory
     if state.z.min() < 0 or state.z.max() >= K or not np.array_equal(
-            np.bincount(state.z * V + tokens, minlength=K * V), state.n_kv.ravel()):
+            np.bincount(cells, minlength=K * V), state.n_kv.ravel()):
         raise ContractError("the state's counts do not match its assignments on this corpus")
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(
