@@ -417,12 +417,6 @@ class TestFlagDomains:
                 assert flag in err
 
 
-DIVERGING_CORPUS = (
-    '{"format":"corpus","version":1,"k":2,"payload":{"dense":3}}\n'
-    '{"id":"a","items":[[61.0,88.5,70.2],[93.1,55.7,64.9],[77.3,82.0,58.4]]}\n'
-)
-
-
 @pytest.fixture(scope="module")
 def failure_files(tmp_path_factory):
     """What the failure cases name: a labeled token corpus c.jsonl and a
@@ -442,7 +436,9 @@ def failure_files(tmp_path_factory):
     (root / "bad.jsonl").write_text(
         '{"format":"corpus","version":1,"k":2,"payload":{"token":3}}\nnot json\n')
     (root / "bad.cfg").write_text("epochs=1\noops\n")
-    (root / "d.jsonl").write_text(DIVERGING_CORPUS)
+    (root / "d.jsonl").write_text(  # diverges as in test_divergence_exit_code
+        '{"format":"corpus","version":1,"k":2,"payload":{"dense":3}}\n'
+        '{"id":"a","items":[[61.0,88.5,70.2],[93.1,55.7,64.9],[77.3,82.0,58.4]]}\n')
     (root / "sub").mkdir()
     return root
 
