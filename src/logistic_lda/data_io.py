@@ -21,13 +21,14 @@ order.  Length prefixes make truncation detectable.
 
 All writers go through a private temp file beside the target, flushed to
 disk and then renamed over it, so partial output never lands at the target
-path and concurrent writers never share a temp file.
+path.  The temp file is made with O_EXCL, so concurrent writers never share
+one, and with mode 0o666, less the umask as the kernel applies it (the mode
+open() gives a new file); no writer reads or sets the process's umask.
 """
 
 import json
 import os
 import struct
-import tempfile
 from base64 import b64decode, b64encode
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -149,14 +150,10 @@ def _atomic_write(path, chunks):
     a temp file in the same directory that replaces `path` once it is whole
     and synced; on any failure the temp file goes and `path` is untouched."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             for chunk in chunks:
                 fh.write(chunk)
             fh.flush()
