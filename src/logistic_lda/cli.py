@@ -57,19 +57,23 @@ _BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                 "0": False, "false": False, "no": False, "off": False}
 
 
-def _inject_config(argv):
-    if "--config" not in argv and not any(a.startswith("--config=") for a in argv):
-        return argv
-    argv = list(argv)
+def _find_config(argv):
+    """(path, i, j) where argv[i:j] is the --config flag with its path, or
+    (None, 0, 0) when argv has none."""
     for i, a in enumerate(argv):
         if a == "--config":
             if i + 1 >= len(argv):
                 raise UsageError("--config needs a file path")
-            path, span = argv[i + 1], 2
-            break
+            return argv[i + 1], i, i + 2
         if a.startswith("--config="):
-            path, span = a.split("=", 1)[1], 1
-            break
+            return a.split("=", 1)[1], i, i + 1
+    return None, 0, 0
+
+
+def _inject_config(argv):
+    path, i, j = _find_config(argv)
+    if path is None:
+        return argv
     if i == 0:
         raise UsageError("--config must follow a subcommand")
     try:
@@ -95,7 +99,7 @@ def _inject_config(argv):
         else:
             expanded.extend([f"--{key}", value])
     # insert after the subcommand so explicit flags, which come later, win
-    return argv[:1] + expanded + argv[1:i] + argv[i + span :]
+    return argv[:1] + expanded + argv[1:i] + argv[j:]
 
 
 def _gamma_arg(text):
@@ -211,13 +215,20 @@ def _build_parser():
     return p
 
 
-def _refuse_shared_paths(args, *outputs):
-    """Refuse, before any file is read or written, an output path that names
-    the same file (by realpath) as another path of the command.  Inputs may
+def _check_output_paths(args, *outputs):
+    """Refuse, before any input is read, an output path that names a
+    directory or lies in one that does not exist (OSError, exit 2), and
+    one that names the same file (by realpath) as another path of the
+    command, --config included (UsageError, exit 1).  Inputs may
     coincide: --eval-corpus may be --corpus."""
-    dests = ("out", "truth", "metrics", "corpus", "eval_corpus", "model")
+    dests = ("out", "truth", "metrics", "corpus", "eval_corpus", "model", "config")
     named = {d: getattr(args, d) for d in dests if getattr(args, d, None)}
     flag = {d: "-o" if d == "out" else "--" + d.replace("_", "-") for d in named}
+    for out in (d for d in named if d in outputs):
+        if os.path.isdir(named[out]):
+            raise IsADirectoryError(f"{flag[out]} {named[out]}: is a directory")
+        if not os.path.isdir(os.path.dirname(named[out]) or "."):
+            raise FileNotFoundError(f"{flag[out]} {named[out]}: its directory does not exist")
     for out in (o for o in outputs if o in named):
         for dest, path in named.items():
             if dest != out and os.path.realpath(path) == os.path.realpath(named[out]):
@@ -227,7 +238,7 @@ def _refuse_shared_paths(args, *outputs):
 
 def _cmd_gen(args):
     args.truth = args.truth or f"{args.out}.truth"
-    _refuse_shared_paths(args, "truth", "out")
+    _check_output_paths(args, "truth", "out")
     check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
@@ -277,7 +288,7 @@ def _keep_freed_memory():
 
 
 def _cmd_train(args):
-    _refuse_shared_paths(args, "out", "metrics")
+    _check_output_paths(args, "out", "metrics")
     _keep_freed_memory()
     check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
@@ -325,7 +336,7 @@ def _load_pair(args):
 
 
 def _cmd_infer(args):
-    _refuse_shared_paths(args, "out")
+    _check_output_paths(args, "out")
     corpus, cp = _load_pair(args)
     flat = corpus.flat
     labels, PL, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
@@ -393,6 +404,7 @@ def run_cli(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(_inject_config(argv))
+        args.config = _find_config(argv)[0]
         args.func(args)
         return 0
     except SystemExit as exc:  # argparse's refusal, or its --help

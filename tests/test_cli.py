@@ -421,7 +421,8 @@ class TestFlagDomains:
 def failure_files(tmp_path_factory):
     """What the failure cases name: a labeled token corpus c.jsonl and a
     model m.ckpt trained on it, a held-out corpus h.jsonl of its shape, an
-    earlier metrics file x.jsonl, a link to the model, and broken inputs."""
+    earlier metrics file x.jsonl, a link to the model, a config file t.cfg,
+    a directory sub, and broken inputs."""
     root = tmp_path_factory.mktemp("failures")
     for name, seed in (("c.jsonl", "7"), ("h.jsonl", "8")):
         assert run_cli(["gen", "--k", "3", "--v", "9", "--docs", "12", "--len", "8",
@@ -436,6 +437,7 @@ def failure_files(tmp_path_factory):
     (root / "bad.jsonl").write_text(
         '{"format":"corpus","version":1,"k":2,"payload":{"token":3}}\nnot json\n')
     (root / "bad.cfg").write_text("epochs=1\noops\n")
+    (root / "t.cfg").write_text("epochs=1\n")
     (root / "d.jsonl").write_text(  # diverges as in test_divergence_exit_code
         '{"format":"corpus","version":1,"k":2,"payload":{"dense":3}}\n'
         '{"id":"a","items":[[61.0,88.5,70.2],[93.1,55.7,64.9],[77.3,82.0,58.4]]}\n')
@@ -449,6 +451,7 @@ def _snapshot(root):
 
 TRAIN = ("train", "--corpus", "c.jsonl", "--quiet")
 INFER = ("infer", "--corpus", "c.jsonl", "--model", "m.ckpt")
+GEN = ("gen", "--k", "2", "--v", "4", "--docs", "3", "--len", "2")
 
 
 class TestFailureExits:
@@ -498,6 +501,28 @@ class TestFailureExits:
          "error: -o m.ckpt and --model m.ckpt name the same file"),
         ("infer-out-model-link", (*INFER, "-o", "link.ckpt"), 1,
          "error: -o link.ckpt and --model m.ckpt name the same file"),
+        ("train-out-config", (*TRAIN, "-o", "t.cfg", "--config", "t.cfg"), 1,
+         "error: -o t.cfg and --config t.cfg name the same file"),
+        ("train-metrics-config", (*TRAIN, "-o", "n.ckpt", "--metrics", "./sub/../t.cfg",
+                                  "--config=t.cfg"), 1,
+         "error: --metrics ./sub/../t.cfg and --config t.cfg name the same file"),
+        # an output path with no directory to land in, or that is a directory
+        ("gen-out-missing-dir", (*GEN, "-o", "nodir/g.jsonl"), 2,
+         "error: -o nodir/g.jsonl: its directory does not exist"),
+        ("gen-truth-missing-dir", (*GEN, "-o", "g.jsonl", "--truth", "nodir/t"), 2,
+         "error: --truth nodir/t: its directory does not exist"),
+        ("gen-out-directory", (*GEN, "-o", "sub"), 2,
+         "error: -o sub: is a directory"),
+        ("train-out-missing-dir", (*TRAIN, "-o", "nodir/m.ckpt"), 2,
+         "error: -o nodir/m.ckpt: its directory does not exist"),
+        ("train-metrics-missing-dir", (*TRAIN, "-o", "n.ckpt", "--metrics", "nodir/x.jsonl"), 2,
+         "error: --metrics nodir/x.jsonl: its directory does not exist"),
+        ("train-metrics-directory", (*TRAIN, "-o", "n.ckpt", "--metrics", "sub/"), 2,
+         "error: --metrics sub/: is a directory"),
+        ("infer-out-missing-dir", (*INFER, "-o", "nodir/p.jsonl"), 2,
+         "error: -o nodir/p.jsonl: its directory does not exist"),
+        ("infer-out-directory", (*INFER, "-o", "sub"), 2,
+         "error: -o sub: is a directory"),
     ]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
