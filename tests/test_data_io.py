@@ -35,7 +35,7 @@ from logistic_lda.errors import (
     IntegrityError,
     UnsupportedVersionError,
 )
-from logistic_lda.lda_baseline import generate_corpus
+from logistic_lda.lda_baseline import CorpusTruth, generate_corpus
 from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import FlatGroups, Group, HyperParams, flatten_groups
 from logistic_lda.regularizer import RegularizerState
@@ -1296,6 +1296,44 @@ LOADERS = {
     "p.jsonl": (read_predictions, (CorpusFormatError,)),
     "m.ckpt": (load_checkpoint, (CheckpointError, ContractError, DomainError)),
 }
+
+
+class TestWritersLeaveTheUmask:
+    def test_rewrites_are_the_same_bytes_without_umask_or_chmod(self, tmp_path, monkeypatch,
+                                                               valid_files):
+        """Each writer, given what its reader took from a file the writers
+        made, writes that file's bytes again, with the mode open() gives,
+        while os.umask and os.chmod raise: the kernel applies the umask."""
+        umask = os.umask(0)
+        os.umask(umask)
+        for name, data in valid_files.items():
+            (tmp_path / name).write_bytes(data)
+        corpus, dense = load_corpus(tmp_path / "c.jsonl"), load_corpus(tmp_path / "d.jsonl")
+        _, pi, z, labels = load_truth(tmp_path / "c.truth")
+        ids, pred_labels, p_label, p_items = read_predictions(tmp_path / "p.jsonl")
+        offsets = np.cumsum([0] + [len(p) for p in p_items])
+        cp = load_checkpoint(tmp_path / "m.ckpt")
+        writes = {
+            "c.jsonl": lambda p: save_corpus(p, corpus),
+            "d.jsonl": lambda p: save_corpus(p, dense),
+            "c.truth": lambda p: save_truth(p, corpus, CorpusTruth(pi=pi, z=z, labels=labels)),
+            "p.jsonl": lambda p: write_predictions(p, ids, pred_labels, p_label,
+                                                   np.concatenate(p_items), offsets),
+            "m.ckpt": lambda p: save_checkpoint(p, cp),
+        }
+
+        def refuse(*args):
+            raise AssertionError("a writer called os.umask or os.chmod")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        monkeypatch.setattr(os, "chmod", refuse)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, write in writes.items():
+            write(out / name)
+            assert (out / name).read_bytes() == valid_files[name], name
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+        assert sorted(f.name for f in out.iterdir()) == sorted(valid_files)
 
 
 class TestCorruptInput:
