@@ -1,12 +1,17 @@
 """README.md names the recorded benchmark file behind each performance
 figure it quotes; each file it names must be in the repository, and each
 end-to-end median it quotes at seed 42 is that file's, at the printed
-precision.  Every ```python block of README.md runs as printed."""
+precision.  Every ```python block of README.md runs as printed, and every
+`logistic-lda` command line of its fenced blocks parses."""
 
+import argparse
 import json
 import re
+import shlex
 import statistics
 from pathlib import Path
+
+from logistic_lda.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -24,6 +29,18 @@ def test_every_python_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # whatever a block writes lands here
     for i, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})
+
+
+def test_every_command_line_parses():
+    """The CLI's parser takes each `logistic-lda` line of a fenced block,
+    with its backslash continuations joined; no command runs."""
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    parser = _build_parser()
+    commands = [parser.parse_args(shlex.split(line, comments=True)[1:]).command
+                for line in lines if line.startswith("logistic-lda ")]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(sub.choices)
 
 
 WORKLOADS = ("pipeline-token", "dense-mlp", "gibbs-token")
