@@ -117,8 +117,9 @@ class Corpus:
     @cached_property
     def groups(self):
         """The groups as Group/Item objects, built from `flat` on first use.
-        A read-only view for code written against the object API; nothing
-        in the package reads it."""
+        A read-only view for code written against the object API; in the
+        package lda_baseline.generate_corpus reads it, and perfbench's
+        tracer counts its items."""
         flat, token = self.flat, self.payload.kind == "token"
         rows = flat.payload.tolist() if token else flat.payload
         bounds, labels = flat.offsets.tolist(), flat.labels.tolist()
