@@ -224,7 +224,7 @@ def _check_output_paths(args, *outputs):
     dests = ("out", "truth", "metrics", "corpus", "eval_corpus", "model", "config")
     named = {d: getattr(args, d) for d in dests if getattr(args, d, None)}
     flag = {d: "-o" if d == "out" else "--" + d.replace("_", "-") for d in named}
-    for out in (d for d in named if d in outputs):
+    for out in (d for d in named if d in outputs):  # -o first: gen's --truth may derive from it
         if os.path.isdir(named[out]):
             raise IsADirectoryError(f"{flag[out]} {named[out]}: is a directory")
         if not os.path.isdir(os.path.dirname(named[out]) or "."):
