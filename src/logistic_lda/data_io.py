@@ -1,17 +1,19 @@
 """Corpus files, binary checkpoints, and prediction output.
 
-Corpus, truth and predictions files: UTF-8 lines, one JSON object each.
-Line 1 is a header {"format", "version", "k": K}; every later line is one
-group with a non-empty string "id".  A corpus header adds "payload":
-{"token": V} or {"dense": E} and optionally "vocab": [V strings]; its
-groups carry "items" and an optional "label".  Token items are lists of
-ids under either corpus version.  Dense items are lists of E JSON numbers
-under version 1, and under version 2, which save_corpus writes, one
-base64 string of the group's little-endian float64 rows in C order, so
-the floats round-trip bit for bit without decimal text.  Truth and
+Corpus, truth and predictions files: UTF-8 lines, one JSON object each;
+a line ends at \\n, and a \\r before it is JSON whitespace.  Line 1 is a
+header {"format", "version", "k": K}; every later line is one group with
+a non-empty string "id".  A corpus header adds "payload": {"token": V} or
+{"dense": E} and optionally "vocab": [V strings]; its groups carry
+"items" and an optional "label".  Token items are lists of ids under
+either corpus version.  Dense items are lists of E JSON numbers under
+version 1, and under version 2, which save_corpus writes, one base64
+string of the group's little-endian float64 rows in C order, so the
+floats round-trip bit for bit without decimal text.  Truth and
 predictions files are version 1.  The readers stream: they decode and
 check one line at a time, and a dense corpus's rows go straight into one
-buffer that becomes its payload, so a file is never held whole.
+buffer that becomes its payload, so a file is never held whole.  The
+first faulty line is the error, and no line after it is read.
 
 Checkpoint format: magic "LLDA", little-endian uint32 version, uint32
 section count, then sections of (uint32 name length, name bytes, uint64
@@ -33,7 +35,7 @@ from base64 import b64decode, b64encode
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -208,21 +210,16 @@ def save_corpus(path, corpus: Corpus):
     _write_records(path, header, lines())
 
 
-def _decode(piece, lineno):
-    try:
-        return piece.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
-
-
-def _read_lines(pieces):
-    """The text lines of `pieces`, the (lineno, bytes) pairs of a file's
-    \\n-terminated pieces.  No UTF-8 sequence and no str.splitlines
-    boundary spans a \\n, so decoding and splitting each piece on its own
-    gives the lines of the whole text.  Bytes that are not UTF-8 are a
-    format error on the line, counted in \\n, that holds them."""
-    for lineno, piece in pieces:
-        yield from _decode(piece, lineno).splitlines()
+def _read_lines(fh):
+    """The lines of the binary file `fh` as text: each \\n-terminated
+    piece, its \\n dropped, decoded on its own.  Bytes that are not UTF-8
+    are a format error on their line."""
+    for lineno, piece in enumerate(fh, start=1):
+        try:
+            line = piece.removesuffix(b"\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+        yield line
 
 
 def _parse_json_line(raw, lineno):
@@ -313,10 +310,10 @@ def _finite_rows(rows, lineno):
     return rows
 
 
-def _read_header(lines, fmt):
+def _read_header(line, fmt):
     """Line 1 checked: an object with format `fmt`, the version and k >= 1."""
-    _require(len(lines) >= 1 and lines[0].strip(), 1, "missing header record")
-    header = _parse_json_line(lines[0], 1)
+    _require(line.strip(), 1, "missing header record")
+    header = _parse_json_line(line, 1)
     _require(isinstance(header, dict), 1, "header must be an object")
     _require(header.get("format") == fmt, 1,
              f"expected format {fmt!r}, got {header.get('format')!r}")
@@ -332,19 +329,10 @@ def _read_header(lines, fmt):
 def _read_records(path, fmt):
     """The checked header of the file at `path`, and a generator of
     (lineno, record) that reads, parses and checks each group line when
-    reached.  A UTF-8 fault anywhere in the file beats every other fault,
-    as when the file was decoded whole: a format error raised while the
-    file is open stands only once the rest of the file has decoded."""
+    reached, so the first faulty line is the error the caller sees."""
     with open(path, "rb") as fh:
-        pieces = enumerate(fh, start=1)
-        lines = _read_lines(pieces)
-        try:
-            yield _read_header(list(islice(lines, 1)), fmt), _group_lines(lines, fmt)
-        except CorpusFormatError:
-            if lines.gi_frame is not None:  # not the reader's own fault, which ends it
-                for lineno, piece in pieces:
-                    _decode(piece, lineno)
-            raise
+        lines = _read_lines(fh)
+        yield _read_header(next(lines, ""), fmt), _group_lines(lines, fmt)
 
 
 def _group_lines(lines, fmt):

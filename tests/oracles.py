@@ -22,11 +22,12 @@ scatter and the corpus ELBO; the shipped kernels must match them bit for
 bit.  reference_mean_field_batch is the earlier numpy mean-field batch
 kernel, which keeps the item beliefs as (N, K) rows; the topic-major
 kernel must give the same beliefs, alpha_hat, sweep counts and tapes.
-reference_load_corpus is the earlier corpus loader, which decodes the
-whole file at once (reference_read_lines), then validates and builds
-one Item per entry (a version-2 dense row is unpacked on its own with
-struct); the streaming array loader must produce the same packed corpus
-from a valid file and the same error from a broken one.
+reference_load_corpus is the earlier corpus loader, which reads the
+whole file at once (reference_read_lines), then decodes and validates it
+line by line and builds one Item per entry (a version-2 dense row is
+unpacked on its own with struct); the streaming array loader must produce
+the same packed corpus from a valid file and the same error from a
+broken one.
 reference_generate_corpus is the earlier synthetic-corpus generator, one
 group at a time; the one-draw generator must give the same groups, latents
 and RNG state bit for bit.
@@ -553,18 +554,21 @@ class ReferenceCorpus:
 
 
 def reference_read_lines(path):
-    """The file's lines as text, decoded whole; bytes that are not UTF-8
-    are a format error on the line that holds them."""
+    """The file's lines as text: the whole file is read, split at \\n, and
+    each line decoded when it is reached; bytes that are not UTF-8 are a
+    format error on the line that holds them."""
     from logistic_lda.errors import CorpusFormatError
 
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
-    return text.splitlines()
+        pieces = fh.read().split(b"\n")
+    if pieces[-1] == b"":  # the file ends with \\n, or is empty
+        pieces.pop()
+    for lineno, piece in enumerate(pieces, start=1):
+        try:
+            line = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+        yield line
 
 
 def reference_load_corpus(path):
@@ -582,7 +586,7 @@ def reference_load_corpus(path):
     from logistic_lda.mean_field import Group
 
     lines = reference_read_lines(path)
-    header = _read_header(lines, "corpus")
+    header = _read_header(next(lines, ""), "corpus")
     k = header.get("k")
     _require(_is_int(k) and k >= 1, 1, "header k must be a positive integer")
     payload = header.get("payload")
@@ -602,7 +606,7 @@ def reference_load_corpus(path):
 
     binary = kind == "dense" and header["version"] == 2
     groups = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=2):
         if not raw.strip():
             raise CorpusFormatError(f"line {lineno}: blank line")
         rec = _parse_json_line(raw, lineno)
@@ -644,7 +648,7 @@ def reference_load_corpus(path):
             items = [Item(dense=row) for row in _dense_rows(items_raw, size, lineno)]
         groups.append(Group(id=gid, items=items, label=label))
     if not groups:
-        raise CorpusFormatError(f"line {len(lines) + 1}: corpus has no groups")
+        raise CorpusFormatError("line 2: corpus has no groups")
     return ReferenceCorpus(groups=groups, num_topics=k,
                            payload=PayloadSpec(kind=kind, size=size),
                            vocab=None if vocab is None else tuple(vocab))

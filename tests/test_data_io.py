@@ -1391,9 +1391,10 @@ class TestCorruptInput:
             load_checkpoint(path)
 
 
-# byte pieces the streaming reader must split, or refuse, exactly as the
-# whole-file decode does: every str.splitlines separator, characters of
-# each UTF-8 length, sequences cut short, and bytes that start none
+# byte pieces the streaming reader must split at \n, or refuse, exactly as
+# the whole-file read does: \n, \r\n and every other str.splitlines
+# separator (which split nothing), characters of each UTF-8 length,
+# sequences cut short, and bytes that start none
 LINE_PIECES = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
                "\x85".encode(), "\u2028".encode(), "\u2029".encode(),
                b"a", b" ", "\u00e9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
@@ -1402,7 +1403,11 @@ LINE_PIECES = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e
 
 def _streamed_lines(path):
     with open(path, "rb") as fh:
-        return list(_read_lines(enumerate(fh, start=1)))
+        return list(_read_lines(fh))
+
+
+def _whole_file_lines(path):
+    return list(reference_read_lines(path))
 
 
 class TestStreamingReader:
@@ -1411,7 +1416,7 @@ class TestStreamingReader:
     def test_same_lines_as_the_whole_file(self, tmp_path_factory, pieces):
         path = tmp_path_factory.getbasetemp() / "lines.txt"
         path.write_bytes(b"".join(pieces))
-        assert _outcome(_streamed_lines, path) == _outcome(reference_read_lines, path)
+        assert _outcome(_streamed_lines, path) == _outcome(_whole_file_lines, path)
 
     @pytest.mark.parametrize("cut", [b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"])
     @pytest.mark.parametrize("tail", [b"\nmore\n", b"\r\n", b""],
@@ -1420,23 +1425,26 @@ class TestStreamingReader:
         path = tmp_path / "lines.txt"
         path.write_bytes(b"ok\r\n\x85x" + cut + tail)
         got = _outcome(_streamed_lines, path)
-        assert got == _outcome(reference_read_lines, path)
+        assert got == _outcome(_whole_file_lines, path)
         assert got[0] is CorpusFormatError and got[1].startswith("line 2: not UTF-8 text")
 
     @pytest.mark.parametrize("name", ["c.jsonl", "d.jsonl", "c.truth", "p.jsonl"])
     @pytest.mark.parametrize("fault", ["header", "json", "record"])
-    def test_later_utf8_fault_beats_earlier_fault(self, tmp_path, valid_files, name, fault):
+    def test_earlier_fault_beats_later_utf8_fault(self, tmp_path, valid_files, name, fault):
         lines = valid_files[name].split(b"\n")
         if fault == "header":
             lines[0] = b'{"format":"nothing","version":1,"k":2}'
+            want = "^line 1: expected format"
         elif fault == "json":
             lines[1] = b"{" + lines[1]
+            want = "^line 2: invalid JSON"
         else:
             lines[2] = b'{"id":""}'
+            want = "^line 3: group id must be a non-empty string"
         lines[4] = lines[4][:5] + b"\xff" + lines[4][6:]
         path = tmp_path / name
         path.write_bytes(b"\n".join(lines))
-        with pytest.raises(CorpusFormatError, match="^line 5: not UTF-8 text"):
+        with pytest.raises(CorpusFormatError, match=want):
             LOADERS[name][0](path)
 
     @pytest.mark.parametrize("name", ["c.jsonl", "d.jsonl", "c.truth", "p.jsonl"])
@@ -1449,6 +1457,78 @@ class TestStreamingReader:
         with pytest.raises(CorpusFormatError, match="^line 3: not UTF-8 text"):
             LOADERS[name][0](path)
 
+
+
+def _as_plain(loaded):
+    """A loader's result as nested lists of plain values and array bytes."""
+    if isinstance(loaded, Corpus):
+        flat = loaded.flat
+        loaded = (loaded.num_topics, loaded.payload, loaded.vocab, flat.ids, flat.payload,
+                  flat.offsets, flat.labels)
+    if isinstance(loaded, np.ndarray):
+        return loaded.dtype.str, loaded.shape, loaded.tobytes()
+    if isinstance(loaded, (list, tuple)):
+        return [_as_plain(x) for x in loaded]
+    return loaded
+
+
+# str.splitlines separators that JSON Lines leaves inside a line
+SEPARATORS = {"u2028": "\u2028", "u2029": "\u2029", "u0085": "\x85"}
+
+
+class TestLineEnds:
+    """A line ends at \n and nothing else, as in JSON Lines, so every kind
+    of fault on a line is reported with the same line number."""
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "c.truth", "p.jsonl"])
+    @pytest.mark.parametrize("sep", sorted(SEPARATORS))
+    def test_raw_separator_in_a_string_stays_in_it(self, tmp_path, valid_files, name, sep):
+        """A file written with ensure_ascii=False, the separator raw in every
+        id (and in a corpus's every vocab word), loads to what its
+        ensure_ascii=True twin loads to."""
+        ch = SEPARATORS[sep]
+        header, *records = map(json.loads, valid_files[name].splitlines())
+        if name == "c.jsonl":
+            header["vocab"] = [f"w{ch}{v}" for v in range(header["payload"]["token"])]
+        for rec in records:
+            rec["id"] += ch + "x"
+        loaded = []
+        for ascii_only in (True, False):
+            path = tmp_path / f"{ascii_only}-{name}"
+            path.write_text("".join(json.dumps(rec, ensure_ascii=ascii_only) + "\n"
+                                    for rec in (header, *records)), encoding="utf-8")
+            loaded.append(LOADERS[name][0](path))
+        assert ch.encode("utf-8") in path.read_bytes()
+        ids = loaded[1].flat.ids if name == "c.jsonl" else loaded[1][0]
+        assert ids == [rec["id"] for rec in records]
+        assert _as_plain(loaded[1]) == _as_plain(loaded[0])
+
+    @pytest.mark.parametrize("sep", sorted(SEPARATORS))
+    def test_records_joined_by_a_separator_are_one_bad_line(self, tmp_path, sep):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [HEADER, '{"id":"a","items":[0]}' + SEPARATORS[sep]
+                        + '{"id":"b","items":[1]}'])
+        with pytest.raises(CorpusFormatError, match=r"^line 2: invalid JSON \(Extra data\)"):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("fault,want", [
+        (b'{"id":"c","items":[9]}', "item 0: token 9 not in"),
+        (b'{"id":"\xff","items":[0]}', "not UTF-8 text"),
+    ], ids=["range", "utf8"])
+    def test_fault_kinds_agree_on_the_line(self, tmp_path, fault, want):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b"\n".join([HEADER.encode(), '{"id":"a\x85b","items":[0]}'.encode(),
+                                  fault, b""]))
+        with pytest.raises(CorpusFormatError, match=f"^line 3: {want}"):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "d.jsonl", "c.truth", "p.jsonl"])
+    def test_crlf_copy_loads_as_the_lf_file(self, tmp_path, valid_files, name):
+        lf, crlf = tmp_path / f"lf-{name}", tmp_path / f"crlf-{name}"
+        lf.write_bytes(valid_files[name])
+        crlf.write_bytes(valid_files[name].replace(b"\n", b"\r\n"))
+        loader = LOADERS[name][0]
+        assert _as_plain(loader(crlf)) == _as_plain(loader(lf))
 
 class TestLoadMemory:
     @pytest.mark.parametrize("version", [1, 2])
