@@ -2,17 +2,16 @@
 
 Subcommands: gen (synthetic corpus), train, infer, eval, topics, gibbs.
 Exit codes: 0 success, else the `exit_code` of the error type (errors.py):
-1 usage error, 2 data or validation error, 3 training divergence.
+1 usage error, 2 data or validation error, 3 training divergence.  An
+OSError or MemoryError exits 2.
 
 Flags can come from a plain-text config file (`--config FILE`, lines of
-key=value, # comments); explicit flags override it.  The environment
-variable LOGISTIC_LDA_LOG sets the log level (DEBUG/INFO/WARNING/ERROR).
+key=value, # comments); explicit flags override it.
 """
 
 import argparse
 import ctypes
 import json
-import logging
 import os
 import sys
 
@@ -47,8 +46,6 @@ from .mean_field import (
 )
 from .regularizer import default_gamma
 from .training import MODES, OPTIMIZERS, TrainConfig, predict_corpus, train
-
-log = logging.getLogger("logistic_lda")
 
 # flags that take no value; config-file lines like clamp=false map to the
 # generated --no-* form
@@ -216,15 +213,17 @@ def _build_parser():
 
 
 def _check_output_paths(args, *outputs):
-    """Refuse, before any input is read, an output path that names a
-    directory or lies in one that does not exist (OSError, exit 2), and
-    one that names the same file (by realpath) as another path of the
-    command, --config included (UsageError, exit 1).  Inputs may
+    """Refuse, before any input is read, an output path that is empty,
+    names a directory or lies in one that does not exist (OSError, exit
+    2), and one that names the same file (by realpath) as another path of
+    the command, --config included (UsageError, exit 1).  Inputs may
     coincide: --eval-corpus may be --corpus."""
     dests = ("out", "truth", "metrics", "corpus", "eval_corpus", "model", "config")
-    named = {d: getattr(args, d) for d in dests if getattr(args, d, None)}
+    named = {d: getattr(args, d) for d in dests if getattr(args, d, None) is not None}
     flag = {d: "-o" if d == "out" else "--" + d.replace("_", "-") for d in named}
     for out in (d for d in named if d in outputs):  # -o first: gen's --truth may derive from it
+        if not named[out]:
+            raise FileNotFoundError(f"{flag[out]}: the path is empty")
         if os.path.isdir(named[out]):
             raise IsADirectoryError(f"{flag[out]} {named[out]}: is a directory")
         if not os.path.isdir(os.path.dirname(named[out]) or "."):
@@ -237,7 +236,8 @@ def _check_output_paths(args, *outputs):
 
 
 def _cmd_gen(args):
-    args.truth = args.truth or f"{args.out}.truth"
+    if args.truth is None:
+        args.truth = f"{args.out}.truth"
     _check_output_paths(args, "truth", "out")
     check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
@@ -255,7 +255,6 @@ def _cmd_gen(args):
     corpus = Corpus(num_topics=args.k, payload=PayloadSpec("token", args.v), flat=flat)
     save_corpus(args.out, corpus)
     save_truth(args.truth, corpus, truth)
-    log.info("wrote %s and %s", args.out, args.truth)
     print(json.dumps({"corpus": args.out, "truth": args.truth,
                       "groups": flat.num_groups, "items": flat.num_items}))
 
@@ -399,9 +398,6 @@ def _cmd_gibbs(args):
 
 def run_cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    level = os.environ.get("LOGISTIC_LDA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(_inject_config(argv))
         args.config = _find_config(argv)[0]
@@ -409,9 +405,9 @@ def run_cli(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse's refusal, or its --help
         return 0 if (exc.code or 0) == 0 else 1
-    except (LogisticLDAError, OSError) as exc:
+    except (LogisticLDAError, OSError, MemoryError) as exc:
         kind = "training diverged" if isinstance(exc, TrainingDivergedError) else "error"
-        print(f"{kind}: {exc}", file=sys.stderr)
+        print(f"{kind}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return getattr(exc, "exit_code", LogisticLDAError.exit_code)
 
 

@@ -523,6 +523,17 @@ class TestFailureExits:
          "error: -o nodir/p.jsonl: its directory does not exist"),
         ("infer-out-directory", (*INFER, "-o", "sub"), 2,
          "error: -o sub: is a directory"),
+        # an empty output path, refused before any input is read
+        ("gen-out-empty", (*GEN, "-o", ""), 2, "error: -o: the path is empty"),
+        ("gen-truth-empty", (*GEN, "-o", "g.jsonl", "--truth", ""), 2,
+         "error: --truth: the path is empty"),
+        ("train-out-empty", ("train", "--corpus", "nope.jsonl", "-o", ""), 2,
+         "error: -o: the path is empty"),
+        ("train-metrics-empty", ("train", "--corpus", "nope.jsonl", "-o", "n.ckpt",
+                                 "--metrics", ""), 2,
+         "error: --metrics: the path is empty"),
+        ("infer-out-empty", ("infer", "--corpus", "nope.jsonl", "--model", "m.ckpt", "-o", ""), 2,
+         "error: -o: the path is empty"),
     ]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -538,6 +549,24 @@ class TestFailureExits:
         assert (got, err.splitlines()[0]) == (code, first_line)
         assert out == ""
         assert _snapshot(root) == before
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 215. GiB for an array"),
+         "error: Unable to allocate 215. GiB for an array"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_line(self, tiny_corpus, tmp_path, capsys, monkeypatch,
+                                       exc, line):
+        def no_memory(*args):
+            raise exc
+
+        monkeypatch.setattr(training, "_unroll_fwd", no_memory)
+        model = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+                             "--mode", "discriminative", "--quiet")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [line]
+        assert not model.exists()
 
 
 class TestAllocatorPolicy:

@@ -2,7 +2,8 @@
 figure it quotes; each file it names must be in the repository, and each
 end-to-end median it quotes at seed 42 is that file's, at the printed
 precision.  Every ```python block of README.md runs as printed, and every
-`logistic-lda` command line of its fenced blocks parses."""
+`logistic-lda` command line of its fenced blocks parses, and the
+environment variables the package reads are the ones it documents."""
 
 import argparse
 import json
@@ -42,6 +43,17 @@ def test_every_command_line_parses():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(commands) == sorted(sub.choices)
 
+
+ENV_READ = re.compile(r"""os\.(?:environ\.get\(|environ\[|getenv\()\s*["']([^"']+)""")
+
+
+def test_environment_variables_read_are_the_documented_ones():
+    """Each name in a literal os.environ.get("..."), os.environ["..."] or
+    os.getenv("...") under src/ is a LOGISTIC_LDA_* name of the README,
+    and the README names no other."""
+    read = {name for path in (ROOT / "src").rglob("*.py")
+            for name in ENV_READ.findall(path.read_text(encoding="utf-8"))}
+    assert read == set(re.findall(r"LOGISTIC_LDA_\w+", README)) == {"LOGISTIC_LDA_BACKEND"}
 
 WORKLOADS = ("pipeline-token", "dense-mlp", "gibbs-token")
 FIGURE = re.compile(
