@@ -1458,7 +1458,6 @@ class TestStreamingReader:
             LOADERS[name][0](path)
 
 
-
 def _as_plain(loaded):
     """A loader's result as nested lists of plain values and array bytes."""
     if isinstance(loaded, Corpus):
