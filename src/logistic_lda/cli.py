@@ -212,22 +212,25 @@ def _build_parser():
     return p
 
 
-def _check_output_paths(args, *outputs):
-    """Refuse, before any input is read, an output path that is empty,
-    names a directory or lies in one that does not exist (OSError, exit
-    2), and one that names the same file (by realpath) as another path of
-    the command, --config included (UsageError, exit 1).  Inputs may
-    coincide: --eval-corpus may be --corpus."""
+def _check_paths(args, *outputs):
+    """Refuse, before any input is read, a path that is empty (for an
+    optional input such as --truth, "" is not "not given") and an output
+    that names a directory or lies in one that does not exist (OSError,
+    exit 2), and an output that names the same file (by realpath) as
+    another path of the command, --config included (UsageError, exit 1).
+    Inputs may coincide: --eval-corpus may be --corpus."""
     dests = ("out", "truth", "metrics", "corpus", "eval_corpus", "model", "config")
     named = {d: getattr(args, d) for d in dests if getattr(args, d, None) is not None}
     flag = {d: "-o" if d == "out" else "--" + d.replace("_", "-") for d in named}
-    for out in (d for d in named if d in outputs):  # -o first: gen's --truth may derive from it
-        if not named[out]:
-            raise FileNotFoundError(f"{flag[out]}: the path is empty")
-        if os.path.isdir(named[out]):
-            raise IsADirectoryError(f"{flag[out]} {named[out]}: is a directory")
-        if not os.path.isdir(os.path.dirname(named[out]) or "."):
-            raise FileNotFoundError(f"{flag[out]} {named[out]}: its directory does not exist")
+    for dest, path in named.items():  # -o first: gen's --truth may derive from it
+        if not path:
+            raise FileNotFoundError(f"{flag[dest]}: the path is empty")
+        if dest not in outputs:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{flag[dest]} {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{flag[dest]} {path}: its directory does not exist")
     for out in (o for o in outputs if o in named):
         for dest, path in named.items():
             if dest != out and os.path.realpath(path) == os.path.realpath(named[out]):
@@ -238,7 +241,7 @@ def _check_output_paths(args, *outputs):
 def _cmd_gen(args):
     if args.truth is None:
         args.truth = f"{args.out}.truth"
-    _check_output_paths(args, "truth", "out")
+    _check_paths(args, "truth", "out")
     check_real(args.alpha, "--alpha", "(0, inf)")
     rng = SeededRng(args.seed)
     if args.beta == "disjoint":
@@ -287,7 +290,7 @@ def _keep_freed_memory():
 
 
 def _cmd_train(args):
-    _check_output_paths(args, "out", "metrics")
+    _check_paths(args, "out", "metrics")
     _keep_freed_memory()
     check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
@@ -309,7 +312,7 @@ def _cmd_train(args):
         seed=args.seed, clamp_labels=args.clamp, e_step_sweeps=args.e_step_sweeps,
         track_elbo=args.track_elbo, metrics_path=args.metrics, verbose=not args.quiet,
     )
-    held = load_corpus(args.eval_corpus) if args.eval_corpus else None
+    held = None if args.eval_corpus is None else load_corpus(args.eval_corpus)
     if held and (held.num_topics, held.payload) != (K, corpus.payload):
         raise ContractError(f"eval corpus has K={held.num_topics} and {held.payload}, "
                             f"the training corpus K={K} and {corpus.payload}")
@@ -335,7 +338,7 @@ def _load_pair(args):
 
 
 def _cmd_infer(args):
-    _check_output_paths(args, "out")
+    _check_paths(args, "out")
     corpus, cp = _load_pair(args)
     flat = corpus.flat
     labels, PL, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
@@ -343,17 +346,25 @@ def _cmd_infer(args):
     print(json.dumps({"predictions": args.out, "groups": int(labels.shape[0])}))
 
 
-def _print_report(flat, truth_path, pred_groups, pred_items, K):
+def _load_truth(path, flat):
+    """The truth sidecar's (item topics, group labels), checked against the
+    corpus; None when no path is given."""
+    if path is None:
+        return None
+    ids, _, z, labels = load_truth(path)
+    if ids != flat.ids or z.shape[0] != flat.num_items:
+        raise ContractError("truth sidecar does not match the corpus")
+    return z, labels
+
+
+def _print_report(flat, truth, pred_groups, pred_items, K):
     """Score predictions against the corpus labels and, when given, the
-    truth sidecar (item topics, and group labels where the corpus has
+    loaded truth (item topics, and group labels where the corpus has
     none); print the report as one JSON line."""
     true_groups = flat.labels if np.all(flat.labels >= 0) else None
     true_items = None
-    if truth_path:
-        ids, _, z, truth_labels = load_truth(truth_path)
-        if ids != flat.ids or z.shape[0] != flat.num_items:
-            raise ContractError("truth sidecar does not match the corpus")
-        true_items = z
+    if truth is not None:
+        true_items, truth_labels = truth
         if true_groups is None:
             true_groups = truth_labels
     report = evaluation_report(pred_groups=pred_groups, true_groups=true_groups,
@@ -362,13 +373,16 @@ def _print_report(flat, truth_path, pred_groups, pred_items, K):
 
 
 def _cmd_eval(args):
+    _check_paths(args)
     corpus, cp = _load_pair(args)
     flat = corpus.flat
+    truth = _load_truth(args.truth, flat)  # before inference: a bad sidecar wastes none
     pred_groups, _, P = predict_corpus(flat, cp.params, cp.hyper, converged=args.converged)
-    _print_report(flat, args.truth, pred_groups, P.argmax(axis=1), corpus.num_topics)
+    _print_report(flat, truth, pred_groups, P.argmax(axis=1), corpus.num_topics)
 
 
 def _cmd_topics(args):
+    _check_paths(args)
     corpus, cp = _load_pair(args)
     tops = top_items_per_topic(corpus, cp.params, cp.hyper, args.n, converged=args.converged)
     for k, entries in enumerate(tops):
@@ -381,11 +395,13 @@ def _cmd_topics(args):
 
 
 def _cmd_gibbs(args):
+    _check_paths(args)
     check_real(args.alpha, "--alpha", "(0, inf)")
     corpus = load_corpus(args.corpus)
     if corpus.payload.kind != "token":
         raise ContractError("the Gibbs baseline needs a token corpus")
     flat = corpus.flat
+    truth = _load_truth(args.truth, flat)  # before the sweeps: a bad sidecar wastes none
     K = corpus.num_topics
     rng = SeededRng(args.seed)
     state, item_post, beta_hat, pi_hat = gibbs_run(
@@ -393,7 +409,7 @@ def _cmd_gibbs(args):
         burn_in=args.burn_in, n_samples=args.samples,
         label_weight=args.label_weight, V=corpus.payload.size,
     )
-    _print_report(flat, args.truth, pi_hat.argmax(axis=1), item_post.argmax(axis=1), K)
+    _print_report(flat, truth, pi_hat.argmax(axis=1), item_post.argmax(axis=1), K)
 
 
 def run_cli(argv=None) -> int:

@@ -12,6 +12,7 @@ over Python lists.  Both walk the same sample path from the same uniforms.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -235,19 +236,71 @@ def _gibbs_sweep_nb(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
                          n_kv, n_k, alpha, eta, v_eta, probs)
 
 
+_UNROLLED_GROUP = """\
+def gibbs_group(zd, toks, ud, dk, b, kv, nk, a, eta, v_eta):
+    {kv_rows}, = kv
+    {a_entries}, = a
+    {b_entries}, = b
+    for i in range(len(zd)):
+        v = toks[i]
+        k = zd[i]
+        dk[k] -= 1.0
+        kv[k][v] -= 1.0
+        nk[k] -= 1.0
+{sums}
+        r = ud[i] * c{last}
+{choice}
+        zd[i] = knew
+        dk[knew] += 1.0
+        kv[knew][v] += 1.0
+        nk[knew] += 1.0
+"""
+# CPython's compiler refuses a conditional expression nested some thousands
+# deep (at K = 3000 on 3.11), so the topic choice nests at most 64 deep
+_CHOICE_SPAN = 64
+
+
+@lru_cache(maxsize=8)  # a process sweeps at one K, or a few
+def _unrolled_gibbs_group(K):
+    """_gibbs_group with its loops over the K topics written out, built once
+    per K from source, as namedtuple builds its methods.  The running sums
+    c0, c1, ... are its total and acc, added in the same order, and knew is
+    the first k with r < c{k}, or K - 1, as its loop picks: the same topic
+    from the same uniform, bit for bit.  Past 65 topics the choice is one
+    conditional per span of 64, run from the last span to the first, so a
+    lower span's pick overwrites a higher one's."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{k}" for k in range(K))
+
+    sums = "\n".join(
+        f"        c{k} = {f'c{k - 1}' if k else '0.0'} + "
+        f"(dk[{k}] + a{k} + b{k}) * (kv{k}[v] + eta) / (nk[{k}] + v_eta)"
+        for k in range(K))
+    spans = [range(K - 1)[lo:lo + _CHOICE_SPAN] for lo in range(0, max(K - 1, 1), _CHOICE_SPAN)]
+    choice = "\n".join(
+        "        knew = " + "".join(f"{k} if r < c{k} else " for k in span)
+        + (str(K - 1) if span is spans[-1] else "knew")
+        for span in reversed(spans))
+    source = _UNROLLED_GROUP.format(kv_rows=names("kv"), a_entries=names("a"),
+                                    b_entries=names("b"), sums=sums, last=K - 1, choice=choice)
+    namespace = {}
+    exec(compile(source, f"<gibbs_group K={K}>", "exec"), namespace)
+    return namespace["gibbs_group"]
+
+
 def _gibbs_sweep_lists(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
-    """_gibbs_group over Python lists, which CPython indexes far faster than
-    arrays: one group's lists at a time, kv and nk for the whole sweep, all
-    written back into the arrays."""
+    """_gibbs_group, unrolled over the topics, on Python lists, which CPython
+    indexes far faster than arrays: one group's lists at a time, kv and nk
+    for the whole sweep, all written back into the arrays."""
     v_eta = n_kv.shape[1] * eta
     kv, nk, a = n_kv.tolist(), n_k.tolist(), alpha.tolist()
-    probs = [0.0] * n_dk.shape[1]
+    gibbs_group = _unrolled_gibbs_group(n_dk.shape[1])
     for d in range(offsets.shape[0] - 1):
         lo, hi = offsets[d], offsets[d + 1]
         zd = z[lo:hi].tolist()
         dk = n_dk[d].tolist()
-        _gibbs_group(zd, tokens[lo:hi].tolist(), u[lo:hi].tolist(), dk, bias[d].tolist(),
-                     kv, nk, a, eta, v_eta, probs)
+        gibbs_group(zd, tokens[lo:hi].tolist(), u[lo:hi].tolist(), dk, bias[d].tolist(),
+                    kv, nk, a, eta, v_eta)
         z[lo:hi] = zd
         n_dk[d] = dk
     n_kv[:] = kv
@@ -264,9 +317,9 @@ def gibbs_sweep(state, flat, alpha, rng):
     incrementally.  Mutates state; one uniform is consumed per item.
     flat must have the groups, group sizes and tokens the state was built on."""
     flat.check()
-    # array_equal is False for a different group count as well
-    if flat.num_items != state.z.size or not np.array_equal(state.n_dk.sum(axis=1),
-                                                            flat.sizes()):
+    sizes = flat.sizes()
+    if (flat.num_items != state.z.size or state.n_dk.shape[0] != sizes.size
+            or (state.n_dk.sum(axis=1) != sizes).any()):
         raise ContractError("the corpus's groups and group sizes differ from the state's")
     tokens = _token_array(flat.payload, state.vocab_size)
     alpha = _check_alpha(alpha, state.n_k.size)
@@ -274,8 +327,9 @@ def gibbs_sweep(state, flat, alpha, rng):
     K, V = state.n_kv.shape
     cells = state.z * V
     cells += tokens  # in place: one temporary per item, not two, keeps gibbs's peak memory
-    if state.z.min() < 0 or state.z.max() >= K or not np.array_equal(
-            np.bincount(cells, minlength=K * V), state.n_kv.ravel()):
+    # with every assignment in [0, K), bincount has exactly K * V entries
+    if state.z.min() < 0 or state.z.max() >= K or (
+            np.bincount(cells, minlength=K * V) != state.n_kv.ravel()).any():
         raise ContractError("the state's counts do not match its assignments on this corpus")
     u = rng.gen.random(tokens.shape[0])
     _gibbs_sweep_kernel(

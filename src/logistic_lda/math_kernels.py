@@ -112,7 +112,7 @@ def check_positive_vector(v):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise DomainError(f"expected a non-empty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+    if not np.isfinite(v).all() or (v <= 0).any():
         raise DomainError("entries must be finite and strictly positive")
     return v
 

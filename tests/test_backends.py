@@ -173,19 +173,21 @@ class TestUnrollParity:
 
 class TestGibbsParity:
     # same pre-drawn uniforms, same arithmetic order: the loop source, the
-    # list runner and (with numba) the compiled loop must produce
-    # bit-identical assignment trajectories
+    # list runner (which runs it unrolled over the topics) and, with numba,
+    # the compiled loop must produce bit-identical assignment trajectories
+    KS = [1, 2, 5, 8, 9, 17, 64]
+
     @staticmethod
-    def assert_runners_agree(flat, K, V, alpha, sweeps=30):
+    def assert_runners_agree(flat, K, V, alpha, uniforms, bias=None, eta=0.1):
         kernels = [_gibbs_sweep_nb, _gibbs_sweep_lists]
         if HAS_NUMBA:
             kernels.append(_gibbs_sweep_nb_jit)
         states = []
         for kernel in kernels:
-            st = gibbs_init(flat, K, 0.1, SeededRng(77), label_weight=0.7, V=V)
-            u_rng = SeededRng(123)
-            for _ in range(sweeps):
-                u = u_rng.gen.random(flat.num_items)
+            st = gibbs_init(flat, K, eta, SeededRng(77), label_weight=0.7, V=V)
+            if bias is not None:
+                st.label_bias[:] = bias
+            for u in uniforms:
                 kernel(st.z, st.n_dk, st.n_kv, st.n_k, flat.payload, flat.offsets,
                        alpha, st.label_bias, st.eta, u)
             states.append(st)
@@ -202,24 +204,74 @@ class TestGibbsParity:
         np.testing.assert_array_equal(st.n_dk, n_dk)
         np.testing.assert_array_equal(st.n_kv, n_kv)
         np.testing.assert_array_equal(st.n_k, n_kv.sum(axis=1))
+        return st
 
-    def test_identical_sample_paths(self):
-        rng = SeededRng(5)
-        K, V = 3, 9
-        groups, _ = generate_corpus(K, V, 15, 10, np.full(K, 0.4),
-                                    disjoint_topic_matrix(K, V), rng, labeled=True)
-        self.assert_runners_agree(flatten_groups(groups), K, V, np.full(K, 0.4))
+    @staticmethod
+    def uniforms(n, sweeps=30):
+        u_rng = SeededRng(123)
+        return [u_rng.gen.random(n) for _ in range(sweeps)]
 
-    def test_identical_sample_paths_on_ragged_groups(self):
+    @staticmethod
+    def ragged_corpus(K, V):
         # one-item groups, groups of unequal length, and unlabeled groups
         # between labeled ones
-        K, V = 4, 7
         sizes = [1, 9, 3, 1, 14, 2]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         tokens = np.random.default_rng(8).integers(0, V, size=offsets[-1]).astype(np.int64)
-        flat = FlatGroups(payload=tokens, offsets=offsets,
-                          labels=np.array([2, -1, 0, -1, 3, 1], dtype=np.int64))
-        self.assert_runners_agree(flat, K, V, np.array([0.3, 0.5, 0.2, 0.9]))
+        labels = np.array([2, -1, 0, -1, 3, 1], dtype=np.int64)
+        return FlatGroups(payload=tokens, offsets=offsets,
+                          labels=np.where(labels >= 0, labels % K, -1))
+
+    @pytest.mark.parametrize("K", KS)
+    def test_identical_sample_paths(self, K):
+        rng = SeededRng(5)
+        V = K + 6
+        groups, _ = generate_corpus(K, V, 15, 10, np.full(K, 0.4),
+                                    disjoint_topic_matrix(K, V), rng, labeled=True)
+        flat = flatten_groups(groups)
+        self.assert_runners_agree(flat, K, V, np.full(K, 0.4), self.uniforms(flat.num_items))
+
+    @pytest.mark.parametrize("K", KS)
+    def test_identical_sample_paths_on_ragged_groups(self, K):
+        V = 7
+        flat = self.ragged_corpus(K, V)
+        alpha = np.random.default_rng(K).uniform(0.2, 1.0, size=K)
+        self.assert_runners_agree(flat, K, V, alpha, self.uniforms(flat.num_items))
+
+    @pytest.mark.parametrize("K", [2, 5, 66])
+    def test_uniforms_at_the_ends_of_their_range(self, K):
+        # u = 0 picks the first topic with a positive conditional; the
+        # largest double below 1 can make r round up to the total
+        V = 7
+        flat = self.ragged_corpus(K, V)
+        ends = np.resize([0.0, 1.0 - 2.0**-53], flat.num_items)
+        uniforms = [ends, *self.uniforms(flat.num_items, 5), ends[::-1].copy()]
+        self.assert_runners_agree(flat, K, V, np.full(K, 0.4), uniforms)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("K", [2, 5, 66])
+    def test_conditional_that_overflows(self, K):
+        # (count + 1.7e308) * (count + eta) is inf for every even topic, so
+        # the total is inf and r is inf, or nan where u = 0: no comparison
+        # holds, and every item goes to the last topic
+        V = 7
+        flat = self.ragged_corpus(K, V)
+        alpha = np.where(np.arange(K) % 2 == 0, 1.7e308, 0.3)
+        uniforms = [np.resize([0.0, 0.5], flat.num_items), *self.uniforms(flat.num_items, 5)]
+        st = self.assert_runners_agree(flat, K, V, alpha, uniforms, eta=2.0)
+        np.testing.assert_array_equal(st.z, K - 1)
+
+    @pytest.mark.parametrize("K", [65, 66, 150])
+    def test_topic_choice_past_one_span(self, K):
+        # the unrolled choice runs in spans of 64 topics; a negative label
+        # bias makes some conditionals negative, so the running sums do not
+        # rise monotonically and a later span can hold no pick while an
+        # earlier one does
+        V = 7
+        flat = self.ragged_corpus(K, V)
+        bias = np.random.default_rng(K).uniform(-1.5, 1.0, size=(flat.num_groups, K))
+        self.assert_runners_agree(flat, K, V, np.full(K, 0.4), self.uniforms(flat.num_items, 10),
+                                  bias=bias)
 
 
 class TestBackendFlag:

@@ -420,12 +420,13 @@ class TestFlagDomains:
 @pytest.fixture(scope="module")
 def failure_files(tmp_path_factory):
     """What the failure cases name: a labeled token corpus c.jsonl and a
-    model m.ckpt trained on it, a held-out corpus h.jsonl of its shape, an
-    earlier metrics file x.jsonl, a link to the model, a config file t.cfg,
-    a directory sub, and broken inputs."""
+    model m.ckpt trained on it, a held-out corpus h.jsonl of its shape, a
+    smaller corpus s.jsonl (each with its truth sidecar), an earlier
+    metrics file x.jsonl, a link to the model, a config file t.cfg, a
+    directory sub, and broken inputs."""
     root = tmp_path_factory.mktemp("failures")
-    for name, seed in (("c.jsonl", "7"), ("h.jsonl", "8")):
-        assert run_cli(["gen", "--k", "3", "--v", "9", "--docs", "12", "--len", "8",
+    for name, seed, docs in (("c.jsonl", "7", "12"), ("h.jsonl", "8", "12"), ("s.jsonl", "9", "5")):
+        assert run_cli(["gen", "--k", "3", "--v", "9", "--docs", docs, "--len", "8",
                         "--seed", seed, "--labeled", "-o", str(root / name)]) == 0
     assert run_cli(["train", "--corpus", str(root / "c.jsonl"), "-o", str(root / "m.ckpt"),
                     "--epochs", "1", "--quiet"]) == 0
@@ -534,6 +535,14 @@ class TestFailureExits:
          "error: --metrics: the path is empty"),
         ("infer-out-empty", ("infer", "--corpus", "nope.jsonl", "--model", "m.ckpt", "-o", ""), 2,
          "error: -o: the path is empty"),
+        # an empty optional input is not an input left out
+        ("eval-truth-empty", ("eval", "--corpus", "nope.jsonl", "--model", "m.ckpt",
+                              "--truth", ""), 2, "error: --truth: the path is empty"),
+        ("train-eval-corpus-empty", ("train", "--corpus", "nope.jsonl", "-o", "n.ckpt",
+                                     "--eval-corpus", ""), 2,
+         "error: --eval-corpus: the path is empty"),
+        ("gibbs-truth-empty", ("gibbs", "--corpus", "nope.jsonl", "--truth", ""), 2,
+         "error: --truth: the path is empty"),
     ]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -549,6 +558,24 @@ class TestFailureExits:
         assert (got, err.splitlines()[0]) == (code, first_line)
         assert out == ""
         assert _snapshot(root) == before
+
+    @pytest.mark.parametrize("truth, first_line", [
+        ("nope.truth", "error: [Errno 2] No such file or directory: 'nope.truth'"),
+        ("s.jsonl.truth", "error: truth sidecar does not match the corpus"),
+    ], ids=["missing", "mismatched"])
+    @pytest.mark.parametrize("argv", [("gibbs", "--corpus", "c.jsonl"),
+                                      ("eval", "--corpus", "c.jsonl", "--model", "m.ckpt")],
+                             ids=["gibbs", "eval"])
+    def test_truth_is_read_before_the_work(self, failure_files, capsys, monkeypatch,
+                                           argv, truth, first_line):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweeps or the inference ran before the truth was read")
+
+        monkeypatch.setattr(cli, "gibbs_run", no_work)
+        monkeypatch.setattr(cli, "predict_corpus", no_work)
+        monkeypatch.chdir(failure_files)
+        code, out, err = run(capsys, *argv, "--truth", truth)
+        assert (code, out, err.splitlines()) == (2, "", [first_line])
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 215. GiB for an array"),
