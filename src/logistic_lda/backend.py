@@ -4,8 +4,9 @@ Two hot kernels have two interchangeable implementations, a loop-style
 one compiled with ``numba.njit`` and a vectorized pure-numpy one: the
 mean-field sweep and the unrolled adjoint sweep. The Gibbs sweep is
 sequential per item, so it is one loop source with two runners: numba
-compiles the per-group loop over array views, and without numba CPython
-runs the same function over Python lists. Array digamma/trigamma are
+compiles the per-group loop, ``_gibbs_group``, over array views, and
+without numba CPython runs a copy of it unrolled over the K topics over
+Python lists, which the parity tests hold to it bit for bit. Array digamma/trigamma are
 numpy only; the compiled kernels call the scalar series directly. The
 active backend is chosen once at import time from the
 ``LOGISTIC_LDA_BACKEND`` environment variable:

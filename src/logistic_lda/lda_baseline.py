@@ -7,8 +7,11 @@ of n_kv.  Counts live in float64 (they stay integer-valued, exactly) so the
 sampling kernel runs in one dtype.
 
 The sampler's update has one source, `_gibbs_group`, with two runners:
-numba compiles it over array views, and without numba it runs in CPython
-over Python lists.  Both walk the same sample path from the same uniforms.
+numba compiles it over array views, and without numba CPython runs a copy
+of it unrolled over the K topics (`_unrolled_gibbs_group`) over Python
+lists.  The copy adds the same terms in the same order and picks topics
+by the same comparisons, so both walk the same sample path from the same
+uniforms, bit for bit; the parity tests hold it to `_gibbs_group`.
 """
 
 from dataclasses import dataclass, field

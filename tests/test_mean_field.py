@@ -492,6 +492,8 @@ class TestFlatGroupsCheck:
 
     @pytest.mark.parametrize("kw,message", [
         ({"offsets": (0, 2, 1, 3)}, "offsets must split"),
+        # np.diff of unsigned offsets wraps a decrease round to a large size
+        ({"offsets": np.array([0, 2, 1, 3], dtype=np.uint64)}, "offsets must split"),
         ({"offsets": (0, 1, 2)}, "offsets must split"),
         ({"offsets": (0.0, 1.0, 3.0)}, "offsets must split"),
         ({"payload": (0.0, 1.0, 2.0)}, "payload must be 1-d integer tokens or 2-d float rows"),
@@ -504,7 +506,7 @@ class TestFlatGroupsCheck:
         ({"ids": ("a",)}, "ids must be one non-empty string per group, or none"),
         ({"ids": ("a", "")}, "ids must be one non-empty string per group"),
         ({"ids": ("a", 2)}, "ids must be one non-empty string per group"),
-    ], ids=["decreasing-offsets", "short-offsets", "float-offsets", "float-tokens",
+    ], ids=["decreasing-offsets", "decreasing-unsigned-offsets", "short-offsets", "float-offsets", "float-tokens",
             "integer-rows", "3-d-payload", "string-payload", "float-labels", "labels-per-group",
             "scalar-labels", "ids-per-group", "empty-id", "integer-id"])
     def test_refuses(self, kw, message):
