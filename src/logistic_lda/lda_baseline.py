@@ -53,6 +53,7 @@ class GibbsState:
 
     label_bias is added to alpha in the assignment conditional; it carries
     the optional label offset for supervised corpora and is zero otherwise.
+    Its entries must be finite and non-negative.
     """
 
     z: np.ndarray
@@ -73,6 +74,10 @@ class GibbsState:
         self.label_bias = np.ascontiguousarray(self.label_bias, dtype=np.float64)
         if self.label_bias.shape != self.n_dk.shape:
             raise ContractError("label_bias must have the same shape as n_dk")
+        # a negative or non-finite bias would leave the conditional's weights
+        # no distribution to draw from
+        if not (np.isfinite(self.label_bias).all() and (self.label_bias >= 0.0).all()):
+            raise DomainError("label_bias entries must be finite and >= 0")
 
     @property
     def num_topics(self):

@@ -22,16 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .math_kernels import check_int, check_real, log_sum_exp
-
-
-def _as_g_matrix(g_all):
-    g = np.asarray(g_all, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] == 0:
-        raise ContractError("need a non-empty (num_items, K) array of log-probabilities")
-    if np.any(np.isnan(g)) or np.any(g == np.inf):
-        raise DomainError("log-probabilities must be < inf and not NaN")
-    return g
+from .math_kernels import _max, check_int, check_real, log_sum_exp
 
 
 def default_gamma(num_items: int) -> float:
@@ -72,14 +63,34 @@ class RegularizerState:
         return np.exp(self.log_ema_per_topic)
 
 
-def update_running_estimate(state: RegularizerState, g_batch, total_items: int):
+def update_running_estimate(state: RegularizerState, g_batch, total_items: int, index=None):
     """Fold one minibatch into the running average and return (state,
-    r_hat) where r_hat[n, k] = exp g_k(x_n) / (total_items * ema_k)."""
-    g = _as_g_matrix(g_batch)
+    r_hat) where r_hat[n, k] = exp g_k(x_n) / (total_items * ema_k).
+
+    With `index`, g_batch holds one row per vocabulary entry and item n's
+    row is g_batch[index[n]] (a table encoder's log_softmax).  The two exps
+    then run once per row and are gathered, while the column max, the
+    refusal of NaN and +inf and the sum over items run on the gathered
+    rows: the bits of the per-item call on g_batch[index]."""
+    rows = np.asarray(g_batch, dtype=np.float64)
+
+    def gather(a):
+        return a if index is None else np.take(a, index, axis=0)
+
+    g = gather(rows)
+    if g.ndim != 2 or g.size == 0:
+        raise ContractError("need a non-empty (num_items, K) array of log-probabilities")
+    # log of the batch mean of exp g_k, never leaving log space: log_sum_exp
+    # over items, whose column max also carries any NaN or +inf entry
+    m = _max(g, axis=0)
+    if not np.all(m < np.inf):
+        raise DomainError("log-probabilities must be < inf and not NaN")
     batch_size = g.shape[0]
     total_items = check_int(total_items, "total_items", batch_size)
-    # log of the batch mean of exp g_k, never leaving log space
-    log_mean = log_sum_exp(g, axis=0) - np.log(batch_size)
+    m_safe = np.where(np.isfinite(m), m, 0.0)  # an all -inf column has no mass
+    with np.errstate(divide="ignore"):
+        log_sum = m_safe[0] + np.log(gather(np.exp(rows - m_safe)).sum(axis=0))
+    log_mean = log_sum - np.log(batch_size)
     if state.items_seen and state.log_ema_per_topic.shape != log_mean.shape:
         raise ContractError("batch K does not match regularizer state")
     if state.items_seen == 0 or state.rho == 0.0:
@@ -91,5 +102,5 @@ def update_running_estimate(state: RegularizerState, g_batch, total_items: int):
         state.log_ema_per_topic = log_sum_exp(stacked, axis=0)
     state.items_seen += batch_size
     log_denom = np.log(total_items) + state.log_ema_per_topic
-    r_hat = np.exp(g - log_denom)
+    r_hat = gather(np.exp(rows - log_denom))
     return state, r_hat

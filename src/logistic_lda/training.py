@@ -13,11 +13,12 @@ update (softmax Jacobians, the digamma bias via trigamma, and the
 alpha_hat accumulation) back into each use of the cached logits.
 
 A table encoder's logit row depends only on the item's token, so the
-variational step's softmax and log_softmax, and the per-epoch ELBO's
-log_softmax, run once per vocabulary row of the (V, K) table.T and are
-gathered per item, whenever V is no more than the items they cover
-(`_per_item`); the bits are those of the per-item computation.  Larger
-vocabularies, mlp encoders and the discriminative regime stay per item.
+variational step's softmax and log_softmax, the regularizer's two exps
+and the per-epoch ELBO's log_softmax run once per vocabulary row of the
+(V, K) table.T and are gathered per item, whenever V is no more than the
+items they cover (`_rows_and_index`); the bits are those of the per-item
+computation.  Larger vocabularies, mlp encoders and the discriminative
+regime stay per item.
 
 One epoch loop, `train`, runs both; they differ only in the batch step.
 It steps one copy of theta's flat parameter vector in place, so the given
@@ -183,17 +184,28 @@ def _by_vocab_row(theta, num_items):
     return theta.kind == "table" and theta.table.shape[1] <= num_items
 
 
-def _per_item(fn, payload, theta, F=None):
-    """fn(F, axis=-1) for the logits F of the items in `payload`.  A table
+def _rows_and_index(fn, payload, theta, F=None):
+    """(rows, index) such that item n's row of fn(F, axis=-1), for the
+    logits F of the items in `payload`, is rows[index[n]].  A table
     encoder's logit row is its token's table column, and a row-wise function
     gives the same bits for a row whatever else is in the array, so where
-    `_by_vocab_row` holds fn runs on the (V, K) table.T and the rows are
-    gathered per item.  Otherwise F (computed when not given) takes fn."""
+    `_by_vocab_row` holds fn runs on the (V, K) table.T and index is the
+    payload.  Otherwise F (computed when not given) takes fn, and index is
+    None: the rows are the items'."""
     if _by_vocab_row(theta, len(payload)):
-        return np.take(fn(np.ascontiguousarray(theta.table.T), axis=-1), payload, axis=0)
+        return fn(np.ascontiguousarray(theta.table.T), axis=-1), payload
     if F is None:
         F = forward_logits_batch(payload, theta)
-    return fn(F, axis=-1)
+    return fn(F, axis=-1), None
+
+
+def _gather(rows, index):
+    return rows if index is None else np.take(rows, index, axis=0)
+
+
+def _per_item(fn, payload, theta, F=None):
+    """fn(F, axis=-1) for the logits F of the items in `payload` (`_rows_and_index`)."""
+    return _gather(*_rows_and_index(fn, payload, theta, F))
 
 
 def _soft_target_grad_wrt_logits(Q, S):
@@ -214,10 +226,12 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
         F, mini, hyper, config.clamp_labels, config.e_step_sweeps, tol=0.0,
         alpha_hat0=carry.alpha_hat[batch_ids], p_label0=carry.p_label[batch_ids],
     )
-    g = _per_item(log_softmax, mini.payload, theta, F)
+    rows, index = _rows_and_index(log_softmax, mini.payload, theta, F)
+    g = _gather(rows, index)
     S = P
     if hyper.gamma > 0.0:
-        carry.reg_state, r_hat = update_running_estimate(carry.reg_state, g, carry.total_items)
+        carry.reg_state, r_hat = update_running_estimate(carry.reg_state, rows, carry.total_items,
+                                                         index=index)
         S = P + hyper.gamma * r_hat
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):

@@ -51,7 +51,6 @@ from logistic_lda.math_kernels import (
     trigamma,
 )
 from logistic_lda.mean_field import group_payload
-from logistic_lda.regularizer import _as_g_matrix
 
 DEFAULT_ORDER = ("items", "alpha", "label")
 LOSS_FLOOR = 1e-30
@@ -296,6 +295,16 @@ def unrolled_backward(tape, label, hyper):
 
 # ---------------------------------------------------------------------------
 # exact topic-usage regularizer
+
+
+def _as_g_matrix(g_all):
+    # the refusals of regularizer.update_running_estimate
+    g = np.asarray(g_all, dtype=np.float64)
+    if g.ndim != 2 or g.shape[0] == 0:
+        raise ContractError("need a non-empty (num_items, K) array of log-probabilities")
+    if np.any(np.isnan(g)) or np.any(g == np.inf):
+        raise DomainError("log-probabilities must be < inf and not NaN")
+    return g
 
 
 def regularizer_value(g_all, gamma: float) -> float:

@@ -171,6 +171,17 @@ class TestUnrollParity:
         assert hits_nb == hits_np
 
 
+def doubles_around(x, n=3):
+    """x and the n doubles on each side of it."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(n):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
 class TestGibbsParity:
     # same pre-drawn uniforms, same arithmetic order: the loop source, the
     # list runner (which runs it unrolled over the topics) and, with numba,
@@ -272,6 +283,66 @@ class TestGibbsParity:
         bias = np.random.default_rng(K).uniform(-1.5, 1.0, size=(flat.num_groups, K))
         self.assert_runners_agree(flat, K, V, np.full(K, 0.4), self.uniforms(flat.num_items, 10),
                                   bias=bias)
+
+    @staticmethod
+    def uniforms_on_the_running_sums(flat, K, V, alpha, bias, eta, sweeps):
+        """Per sweep, uniforms that put r = u * total exactly on one of the
+        reference's running sums, or one ulp below it, item after item, and
+        how many items got such a u.  The sums are recomputed here in
+        `_gibbs_group`'s expression order on the state that
+        `assert_runners_agree` builds, and the counts follow the picks made
+        from them, so a running sum that rounds one ulp the other way flips
+        a pick.  Also returns the assignments the reference reaches."""
+        st = gibbs_init(flat, K, eta, SeededRng(77), label_weight=0.7, V=V)
+        z, dk_all, b_all = st.z.tolist(), st.n_dk.tolist(), np.asarray(bias, float).tolist()
+        kv, nk, a, toks = st.n_kv.tolist(), st.n_k.tolist(), alpha.tolist(), flat.payload.tolist()
+        v_eta = V * eta
+        uniforms, hits = [], 0
+        for sweep in range(sweeps):
+            u = np.empty(flat.num_items)
+            for d in range(flat.num_groups):
+                dk, b = dk_all[d], b_all[d]
+                for i in range(flat.offsets[d], flat.offsets[d + 1]):
+                    v, k = toks[i], z[i]
+                    dk[k] -= 1.0
+                    kv[k][v] -= 1.0
+                    nk[k] -= 1.0
+                    sums, total = [], 0.0
+                    for kk in range(K):
+                        total += (dk[kk] + a[kk] + b[kk]) * (kv[kk][v] + eta) / (nk[kk] + v_eta)
+                        sums.append(total)
+                    u[i] = 0.5
+                    for j in np.roll(np.arange(K - 1), -(i + sweep)):
+                        target = sums[j] if (i + sweep) % 2 else np.nextafter(sums[j], -np.inf)
+                        exact = [c for c in doubles_around(target / total)
+                                 if 0.0 <= c < 1.0 and c * total == target]
+                        if exact:
+                            u[i] = exact[0]
+                            hits += 1
+                            break
+                    r = u[i] * total
+                    knew = next((kk for kk in range(K) if r < sums[kk]), K - 1)
+                    z[i] = knew
+                    dk[knew] += 1.0
+                    kv[knew][v] += 1.0
+                    nk[knew] += 1.0
+            uniforms.append(u)
+        return uniforms, hits, np.array(z)
+
+    @pytest.mark.parametrize("K", [2, 5, 17, 66])
+    def test_uniforms_on_the_running_sums(self, K):
+        # r lands on a running sum (the reference goes past that topic) or
+        # one ulp below it (the reference picks it), so every pick rests on
+        # the exact rounding of the sums in _gibbs_group's order
+        V, sweeps = 7, 6
+        flat = self.ragged_corpus(K, V)
+        alpha = np.random.default_rng(K).uniform(0.2, 1.0, size=K)
+        bias = np.random.default_rng(K + 1).uniform(0.0, 1.5, size=(flat.num_groups, K))
+        uniforms, hits, z = self.uniforms_on_the_running_sums(flat, K, V, alpha, bias, 0.1,
+                                                              sweeps)
+        assert hits >= 0.9 * sweeps * flat.num_items
+        st = self.assert_runners_agree(flat, K, V, alpha, uniforms, bias=bias)
+        np.testing.assert_array_equal(st.z, z)
 
 
 class TestBackendFlag:

@@ -301,6 +301,58 @@ class TestTrainInferEval:
         assert code == 1
 
 
+class TestTrainComputesWhatItWrites:
+    """The per-epoch ELBO and held-out score run only where the epoch records
+    are written: to stdout without --quiet, or to --metrics."""
+
+    EPOCHS = 3
+
+    def train_counting(self, tmp_path, tiny_corpus, capsys, monkeypatch, *flags):
+        calls = {"elbo": 0, "eval": 0}
+        for key, name in (("elbo", "_corpus_elbo"), ("eval", "_eval_accuracy")):
+            def counted(*args, _key=key, _fn=getattr(training, name), **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(training, name, counted)
+        model = tmp_path / "m.ckpt"
+        code, stdout, err = run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+                                "--eval-corpus", str(tiny_corpus), "--epochs", str(self.EPOCHS),
+                                "--gamma", "auto", "--seed", "3", *flags)
+        assert code == 0, err
+        monkeypatch.undo()
+        return calls, model.read_bytes(), stdout.splitlines()
+
+    def test_records_nobody_reads_cost_nothing(self, tmp_path, tiny_corpus, capsys,
+                                               monkeypatch):
+        metrics = tmp_path / "metrics.jsonl"
+        runs = {flags: self.train_counting(tmp_path, tiny_corpus, capsys, monkeypatch, *flags)
+                for flags in [("--quiet",), ("--quiet", "--metrics", str(metrics)), ()]}
+        quiet, written, printed = runs.values()
+        assert quiet[0] == {"elbo": 0, "eval": 0}
+        assert written[0] == printed[0] == {"elbo": self.EPOCHS, "eval": self.EPOCHS}
+        # the same checkpoint bytes and summary line in all three runs
+        assert quiet[1] == written[1] == printed[1]
+        assert quiet[2] == written[2] == printed[2][-1:]
+        records = [json.loads(line) for line in metrics.read_text().splitlines()]
+        assert records == [json.loads(line) for line in printed[2][:-1]]
+        assert all("elbo" in r and "eval_accuracy" in r for r in records)
+
+    @pytest.mark.parametrize("quiet", [("--quiet",), ()], ids=["quiet", "verbose"])
+    def test_mismatched_eval_corpus_refused_under_quiet(self, tmp_path, tiny_corpus, capsys,
+                                                        quiet):
+        held = tmp_path / "held.jsonl"
+        run(capsys, "gen", "--k", "5", "--v", "9", "--docs", "4", "--len", "5",
+            "--labeled", "-o", str(held))
+        model = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", "--corpus", str(tiny_corpus), "-o", str(model),
+                             "--eval-corpus", str(held), "--epochs", "1", *quiet)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: eval corpus has K=5 and PayloadSpec(kind='token', size=9), the training "
+            "corpus K=3 and PayloadSpec(kind='token', size=9)"]
+        assert not model.exists()
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("value, flag", [
         ("1", "--labeled"), ("true", "--labeled"), ("YES", "--labeled"), ("On", "--labeled"),

@@ -278,6 +278,14 @@ class TestGibbsConditional:
         with pytest.raises(ContractError):
             gibbs_conditional(st, 0, 0, np.ones(2))
 
+    @pytest.mark.parametrize("entry", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_bias_that_is_no_weight_refused(self, entry):
+        bias = np.zeros((2, 3))
+        bias[1, 2] = entry
+        with pytest.raises(DomainError, match=r"^label_bias entries must be finite and >= 0$"):
+            GibbsState(z=np.zeros(0, dtype=np.int64), n_dk=np.zeros((2, 3)),
+                       n_kv=np.zeros((3, 4)), n_k=np.zeros(3), eta=0.1, label_bias=bias)
+
     def test_label_bias_shifts_conditional(self):
         st = self.empty_state(2, 3)
         st.label_bias[0, 1] = 5.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logistic_lda.errors import ContractError, DomainError
-from logistic_lda.math_kernels import SeededRng, log_softmax
+from logistic_lda.math_kernels import SeededRng, log_softmax, log_sum_exp
 from logistic_lda.regularizer import RegularizerState, update_running_estimate
 
 from oracles import (
@@ -215,3 +215,67 @@ class TestRunningEstimate:
         state, r_hat = update_running_estimate(state, g, 5)
         # the estimate still reproduces exact responsibilities: 1/5 each
         np.testing.assert_allclose(r_hat, 0.2, atol=1e-12)
+
+
+class TestVocabularyRowPath:
+    """With `index`, g holds one row per vocabulary entry and the exps run on
+    those rows: the bits of the per-item call on the gathered rows."""
+
+    V, K = 24, 5
+
+    def rows(self):
+        table = SeededRng(11).gen.normal(size=(self.V, self.K)) * 3.0
+        table[::4, 0] = -np.inf  # topic 0 is impossible for every 4th token
+        table[1, 1:] = -np.inf  # token 1 can only be topic 0
+        return log_softmax(table, axis=-1)
+
+    def batches(self):
+        rng = SeededRng(12)
+        # sizes above and below V, one item, and a batch whose topic-0
+        # column is all -inf
+        sizes = (40, 7, 1, 60)
+        batches = [rng.gen.integers(self.V, size=n) for n in sizes]
+        batches.insert(2, rng.gen.choice(np.arange(0, self.V, 4), size=9))
+        return batches
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
+    def test_same_bits_as_per_item(self, rho):
+        rows = self.rows()
+        items, by_row = RegularizerState(rho=rho), RegularizerState(rho=rho)
+        with np.errstate(invalid="ignore"):  # -inf minus an all -inf column's -inf
+            for b, index in enumerate(self.batches()):
+                items, r_items = update_running_estimate(items, rows[index], 500)
+                by_row, r_rows = update_running_estimate(by_row, rows, 500, index=index)
+                assert r_rows.tobytes() == r_items.tobytes()
+                assert by_row.log_ema_per_topic.tobytes() == items.log_ema_per_topic.tobytes()
+                assert by_row.items_seen == items.items_seen
+                if b == 0 or rho == 0.0:
+                    # the batch's own log mean, as log_sum_exp over its items
+                    want = log_sum_exp(rows[index], axis=0) - np.log(len(index))
+                    assert items.log_ema_per_topic.tobytes() == want.tobytes()
+        assert items.items_seen == sum(len(i) for i in self.batches())
+        assert np.isneginf(rows[self.batches()[2]][:, 0]).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("by_row", [False, True], ids=["items", "rows"])
+    def test_nan_and_inf_refused_on_either_path(self, bad, by_row):
+        rows = self.rows()
+        rows[5, 3] = bad
+        index = np.array([0, 5, 2, 5])
+        state = RegularizerState()
+        with pytest.raises(DomainError, match=r"^log-probabilities must be < inf and not NaN$"):
+            if by_row:
+                update_running_estimate(state, rows, 10, index=index)
+            else:
+                update_running_estimate(state, rows[index], 10)
+        assert state.items_seen == 0 and state.log_ema_per_topic.size == 0
+        # a row no item gathers is not read
+        kept = np.array([0, 2, 2, 7])
+        update_running_estimate(RegularizerState(), rows, 10, index=kept)
+
+    @pytest.mark.parametrize("g", [np.zeros((4, 0)), np.zeros((0, 3)), np.zeros(4)],
+                             ids=["no-topics", "no-items", "one-dimensional"])
+    def test_empty_or_flat_batch_refused(self, g):
+        with pytest.raises(ContractError, match=r"^need a non-empty \(num_items, K\) array"):
+            update_running_estimate(RegularizerState(), g, 10)
+
