@@ -306,22 +306,20 @@ def _cmd_train(args):
         if corpus.payload.kind != "dense":
             raise ContractError("mlp encoder needs a dense corpus")
         theta = init_params("mlp", (corpus.payload.size, *args.hidden, K), args.init_scale, rng)
-    # the epoch records' ELBO and held-out score are computed only when the
-    # records are written somewhere: the summary line reads neither
-    records_read = args.metrics is not None or not args.quiet
+    # the summary line reads only final_loss: the records need diagnostics
+    # only where they are printed or written
     config = TrainConfig(
         mode=args.mode, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         lr_decay=args.lr_decay, optimizer=args.optimizer, momentum=args.momentum,
         seed=args.seed, clamp_labels=args.clamp, e_step_sweeps=args.e_step_sweeps,
-        track_elbo=args.track_elbo and records_read, metrics_path=args.metrics,
-        verbose=not args.quiet,
+        track_elbo=args.track_elbo, metrics_path=args.metrics, verbose=not args.quiet,
+        keep_diagnostics=False,
     )
     held = None if args.eval_corpus is None else load_corpus(args.eval_corpus)
     if held and (held.num_topics, held.payload) != (K, corpus.payload):
         raise ContractError(f"eval corpus has K={held.num_topics} and {held.payload}, "
                             f"the training corpus K={K} and {corpus.payload}")
-    theta, report = train(corpus.flat, theta, hyper, config,
-                          eval_flat=held.flat if held and records_read else None)
+    theta, report = train(corpus.flat, theta, hyper, config, eval_flat=held and held.flat)
     cp = Checkpoint(
         hyper=hyper, params=theta, reg_state=report.reg_state,
         provenance={"seed": args.seed, "epochs": args.epochs, "mode": args.mode,

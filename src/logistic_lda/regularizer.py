@@ -63,21 +63,38 @@ class RegularizerState:
         return np.exp(self.log_ema_per_topic)
 
 
-def update_running_estimate(state: RegularizerState, g_batch, total_items: int, index=None):
+def update_running_estimate(state: RegularizerState, g_batch, total_items: int, index=None,
+                            gathered=None):
     """Fold one minibatch into the running average and return (state,
     r_hat) where r_hat[n, k] = exp g_k(x_n) / (total_items * ema_k).
 
     With `index`, g_batch holds one row per vocabulary entry and item n's
-    row is g_batch[index[n]] (a table encoder's log_softmax).  The two exps
-    then run once per row and are gathered, while the column max, the
-    refusal of NaN and +inf and the sum over items run on the gathered
-    rows: the bits of the per-item call on g_batch[index]."""
+    row is g_batch[index[n]] (a table encoder's log_softmax); `gathered`,
+    when given, is that g_batch[index], already taken by the caller, and is
+    used as it is.  The two exps then run once per row and are gathered,
+    while the column max, the refusal of NaN and +inf and the sum over
+    items run on the gathered rows: the bits of the per-item call on
+    g_batch[index]."""
     rows = np.asarray(g_batch, dtype=np.float64)
+    if index is None:
+        if gathered is not None:
+            raise ContractError("gathered rows need the index they were gathered with")
+        g = rows
+    else:
+        index = np.asarray(index)
+        if (index.ndim != 1 or index.dtype.kind not in "iu" or rows.ndim < 1
+                or (index.size and not 0 <= index.min() <= index.max() < rows.shape[0])):
+            raise ContractError("index must be a 1-d integer array in [0, len(g_batch))")
+        if gathered is None:
+            g = np.take(rows, index, axis=0)
+        else:
+            g = np.asarray(gathered, dtype=np.float64)
+            if g.shape != index.shape + rows.shape[1:]:
+                raise ContractError("gathered must be g_batch[index], of shape (len(index), K)")
 
     def gather(a):
         return a if index is None else np.take(a, index, axis=0)
 
-    g = gather(rows)
     if g.ndim != 2 or g.size == 0:
         raise ContractError("need a non-empty (num_items, K) array of log-probabilities")
     # log of the batch mean of exp g_k, never leaving log space: log_sum_exp

@@ -17,14 +17,19 @@ variational step's softmax and log_softmax, the regularizer's two exps
 and the per-epoch ELBO's log_softmax run once per vocabulary row of the
 (V, K) table.T and are gathered per item, whenever V is no more than the
 items they cover (`_rows_and_index`); the bits are those of the per-item
-computation.  Larger vocabularies, mlp encoders and the discriminative
-regime stay per item.
+computation.  The step gathers the log_softmax rows once and hands them
+to the loss and the regularizer alike.  Larger vocabularies, mlp encoders
+and the discriminative regime stay per item.
 
 One epoch loop, `train`, runs both; they differ only in the batch step.
 It steps one copy of theta's flat parameter vector in place, so the given
-parameters stay as they were.  The adjoint sweep exists as twin kernels, a numba loop or vectorized
-numpy, selected by the backend flag.  Epoch records go to stdout as JSON
-lines and optionally to a metrics file.
+parameters stay as they were.  The adjoint sweep exists as twin kernels, a
+numba loop or vectorized numpy, selected by the backend flag.  Epoch
+records go to stdout as JSON lines and optionally to a metrics file.  A
+record's diagnostics (topic usage, ELBO, held-out score) and the
+full-corpus beliefs they read are built only where the records are
+printed, written or kept (`TrainConfig.keep_diagnostics`); the loss,
+theta and the regularizer state are the same bits either way.
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ class TrainConfig:
     track_elbo: bool = True
     metrics_path: str | os.PathLike | None = None
     verbose: bool = True
+    # build each record's diagnostics even when the records are neither
+    # printed nor written, for callers that read `TrainReport.records`
+    keep_diagnostics: bool = True
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "e_step_sweeps"):
@@ -97,7 +105,7 @@ class TrainConfig:
         self.lr = check_real(self.lr, "lr", "[0, inf)")
         self.lr_decay = check_real(self.lr_decay, "lr_decay", "(0, 1]")
         self.momentum = check_real(self.momentum, "momentum")
-        for name in ("clamp_labels", "track_elbo", "verbose"):
+        for name in ("clamp_labels", "track_elbo", "verbose", "keep_diagnostics"):
             setattr(self, name, check_bool(getattr(self, name), name))
         if self.metrics_path is not None and (
                 not isinstance(self.metrics_path, (str, os.PathLike))
@@ -112,9 +120,13 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """One record per epoch; see `records` keys: epoch, loss (mean per
-    item in variational mode, mean per group in discriminative mode),
-    elbo, eval_accuracy, topic_usage, floor_hits."""
+    """One record per epoch.  Every record holds mode, epoch and loss (mean
+    per item in variational mode, mean per group in discriminative mode),
+    and floor_hits in discriminative mode.  Where the records have
+    diagnostics (the config prints them, writes them to metrics_path or
+    sets keep_diagnostics), each also holds topic_usage (items per argmax
+    topic of the latest beliefs), elbo in variational mode with
+    track_elbo, and eval_accuracy when an eval corpus was given."""
 
     mode: str
     records: list = field(default_factory=list)
@@ -230,8 +242,9 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
     g = _gather(rows, index)
     S = P
     if hyper.gamma > 0.0:
-        carry.reg_state, r_hat = update_running_estimate(carry.reg_state, rows, carry.total_items,
-                                                         index=index)
+        carry.reg_state, r_hat = update_running_estimate(
+            carry.reg_state, rows, carry.total_items, index=index,
+            gathered=None if index is None else g)
         S = P + hyper.gamma * r_hat
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):
@@ -449,7 +462,9 @@ def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
     Variational: per-group alpha_hat and label beliefs persist across
     epochs (warm starts) and the regularizer running average across
     batches.  Discriminative: every group must be labeled.  eval_flat,
-    when given, is scored after every epoch.  Returns (theta, report): new
+    when given, is scored after every epoch.  The diagnostics of a record
+    (`TrainReport`) are built only where the records are printed, written or
+    kept (`TrainConfig.keep_diagnostics`).  Returns (theta, report): new
     parameters, stepped in place on one copy of the given ones, which stay
     as they were."""
     flat.check()
@@ -468,7 +483,9 @@ def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
     rng = SeededRng(config.seed)
     opt = Optimizer(kind=config.optimizer, momentum=config.momentum)
     theta = theta.with_flat(theta.flat.copy())
-    P_full = np.full((flat.num_items, K), 1.0 / K)
+    diagnostics = config.verbose or config.metrics_path is not None or config.keep_diagnostics
+    # every item's latest beliefs, for the records' topic usage and ELBO
+    P_full = np.full((flat.num_items, K), 1.0 / K) if diagnostics else None
     report = TrainReport(mode=config.mode)
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay**epoch
@@ -491,22 +508,22 @@ def train(flat: FlatGroups, theta, hyper, config: TrainConfig, eval_flat=None):
                 raise TrainingDivergedError(
                     f"epoch {epoch}, groups {start}..{start + len(batch_ids)}: {exc}"
                 ) from exc
-            P_full[idx] = P_b
+            if diagnostics:
+                P_full[idx] = P_b
             loss_sum += loss
             floor_total += floor_hits
-        record = {
-            "mode": config.mode,
-            "epoch": epoch,
-            "loss": loss_sum / loss_per,
-            "topic_usage": np.bincount(np.argmax(P_full, axis=1), minlength=K).tolist(),
-        }
-        if variational and config.track_elbo:
-            g = _per_item(log_softmax, flat.payload, theta)
-            record["elbo"] = _corpus_elbo(g, P_full, carry.p_label, carry.alpha_hat, flat, hyper)
+        record = {"mode": config.mode, "epoch": epoch, "loss": loss_sum / loss_per}
         if not variational:
             record["floor_hits"] = floor_total
-        if eval_flat is not None:
-            record["eval_accuracy"] = _eval_accuracy(eval_flat, theta, hyper, converged=variational)
+        if diagnostics:
+            record["topic_usage"] = np.bincount(np.argmax(P_full, axis=1), minlength=K).tolist()
+            if variational and config.track_elbo:
+                g = _per_item(log_softmax, flat.payload, theta)
+                record["elbo"] = _corpus_elbo(g, P_full, carry.p_label, carry.alpha_hat, flat,
+                                              hyper)
+            if eval_flat is not None:
+                record["eval_accuracy"] = _eval_accuracy(eval_flat, theta, hyper,
+                                                         converged=variational)
         report.records.append(record)
         _emit(record, config)
     if variational and hyper.gamma > 0.0:

@@ -47,6 +47,9 @@ TOKEN_RUN = [
     ("topics", "--corpus", "c.jsonl", "--model", "m.ckpt", "-n", "4"),
     ("gibbs", "--corpus", "c.jsonl", "--burn-in", "2", "--samples", "2", "--seed", "1",
      "--truth", "c.jsonl.truth"),
+    # records that nobody reads: no diagnostics are built
+    ("train", "--corpus", "c.jsonl", "-o", "q.ckpt", "--mode", "variational",
+     "--epochs", "3", "--lr", "0.05", "--gamma", "auto", "--quiet"),
 ]
 DENSE_SIZES = dict(k=3, v=12, dim=4, groups=12, heldout=4, length=5)
 DENSE_RUN = [
@@ -57,6 +60,9 @@ DENSE_RUN = [
      "--truth", "heldout.jsonl.truth"),
     ("infer", "--corpus", "heldout.jsonl", "--model", "d.ckpt", "-o", "dp.jsonl",
      "--no-converged"),
+    ("train", "--corpus", "train.jsonl", "-o", "dq.ckpt", "--mode", "discriminative",
+     "--encoder", "mlp", "--hidden", "6", "--epochs", "2", "--batch-size", "4",
+     "--lr", "0.01", "--n-iter", "3", "--quiet"),
 ]
 
 

@@ -279,3 +279,45 @@ class TestVocabularyRowPath:
         with pytest.raises(ContractError, match=r"^need a non-empty \(num_items, K\) array"):
             update_running_estimate(RegularizerState(), g, 10)
 
+
+    @pytest.mark.parametrize("rho", [0.0, 0.99])
+    def test_handed_in_gathered_rows_keep_the_bits(self, rho):
+        # the caller's own g_batch[index] is used as it is, with the same bits
+        rows = self.rows()
+        items, handed = RegularizerState(rho=rho), RegularizerState(rho=rho)
+        with np.errstate(invalid="ignore"):
+            for index in self.batches():
+                items, r_items = update_running_estimate(items, rows[index], 500)
+                handed, r_handed = update_running_estimate(handed, rows, 500, index=index,
+                                                           gathered=np.take(rows, index, axis=0))
+                assert r_handed.tobytes() == r_items.tobytes()
+                assert handed.log_ema_per_topic.tobytes() == items.log_ema_per_topic.tobytes()
+                assert handed.items_seen == items.items_seen
+
+    @pytest.mark.parametrize("index", [
+        [-1, 0], [0, 24], [0, 5, 99], np.array([[0, 1]]), np.array([0.0, 1.0]),
+        np.array([True, False]), np.array(3)],
+        ids=["negative", "past-the-rows", "far-past", "two-d", "float", "bool", "zero-d"])
+    @pytest.mark.parametrize("handed", [False, True], ids=["taken", "handed-in"])
+    def test_index_outside_the_rows_refused(self, index, handed):
+        # [-1, 0] used to gather the last row, [0, 24] to raise a bare IndexError
+        rows, state = self.rows(), RegularizerState()
+        gathered = np.zeros((np.size(index), self.K)) if handed else None
+        with pytest.raises(ContractError, match=r"^index must be a 1-d integer array in "
+                                                r"\[0, len\(g_batch\)\)$"):
+            update_running_estimate(state, rows, 10, index=index, gathered=gathered)
+        assert state.items_seen == 0 and state.log_ema_per_topic.size == 0
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (4,), (4, 5, 1), (0, 5)])
+    def test_gathered_of_another_shape_refused(self, shape):
+        rows, state = self.rows(), RegularizerState()
+        with pytest.raises(ContractError, match=r"^gathered must be g_batch\[index\], of shape "
+                                                r"\(len\(index\), K\)$"):
+            update_running_estimate(state, rows, 10, index=np.array([0, 2, 2, 7]),
+                                    gathered=np.zeros(shape))
+        assert state.items_seen == 0
+
+    def test_gathered_without_index_refused(self):
+        rows = self.rows()
+        with pytest.raises(ContractError, match="^gathered rows need the index"):
+            update_running_estimate(RegularizerState(), rows, 100, gathered=rows)

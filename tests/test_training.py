@@ -163,7 +163,8 @@ class TestTrainConfig:
                                                                                float)
         assert (c.epochs, c.seed, c.lr, c.lr_decay) == (3, 4, 1.0, 0.5)
 
-    @pytest.mark.parametrize("field", ["clamp_labels", "track_elbo", "verbose"])
+    @pytest.mark.parametrize("field", ["clamp_labels", "track_elbo", "verbose",
+                                       "keep_diagnostics"])
     @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.int64(1)])
     def test_flags_must_be_bools(self, field, value):
         # clamp_labels="no" used to clamp
@@ -193,6 +194,7 @@ class TestTrainConfig:
         "clamp_labels": st.booleans(),
         "track_elbo": st.booleans(),
         "verbose": st.booleans(),
+        "keep_diagnostics": st.booleans(),
         "metrics_path": st.one_of(st.none(), st.text(min_size=1),
                                   st.text(min_size=1).map(Path)),
     }
@@ -206,6 +208,7 @@ class TestTrainConfig:
         "clamp_labels": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
         "track_elbo": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
         "verbose": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
+        "keep_diagnostics": st.one_of(st.integers(), st.text(), st.none(), st.floats()),
         "metrics_path": st.one_of(st.just(""), st.integers(), st.binary(), st.floats(),
                                   st.booleans()),
     }
@@ -883,3 +886,61 @@ class TestEpochLoops:
         pred_c, _, _ = predict_corpus(flat, theta, h, converged=True)
         np.testing.assert_array_equal(pred_u, flat.labels)
         np.testing.assert_array_equal(pred_c, flat.labels)
+
+
+class TestDiagnosticsOnlyWhereRead:
+    """A record's topic_usage, elbo and eval_accuracy, and the full-corpus
+    beliefs they read, are built only where the records are printed,
+    written or kept; theta, the loss and the regularizer state are the
+    same bits either way."""
+
+    BASE = {"variational": {"mode", "epoch", "loss"},
+            "discriminative": {"mode", "epoch", "loss", "floor_hits"}}
+
+    def run(self, monkeypatch, mode, **config):
+        calls = {"_corpus_elbo": 0, "_eval_accuracy": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(training, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(training, name, counted)
+        groups = TestEpochLoops().make_supervised(SeededRng(19), D=10)
+        flat = flatten_groups(groups)
+        h = HyperParams(alpha=np.ones(2), lam=1.0, gamma=0.5, n_iter=3)
+        cfg = TrainConfig(mode=mode, epochs=3, batch_size=4, lr=0.05, seed=2, **config)
+        theta, report = train(flat, init_params("table", (2, 6), 0.1, SeededRng(5)), h, cfg,
+                              eval_flat=flat)
+        monkeypatch.undo()
+        return theta, report, calls
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unread_records_hold_no_diagnostics(self, monkeypatch, mode):
+        theta, report, calls = self.run(monkeypatch, mode, verbose=False,
+                                        keep_diagnostics=False)
+        want_theta, want, want_calls = self.run(monkeypatch, mode, verbose=False)
+        assert calls == {"_corpus_elbo": 0, "_eval_accuracy": 0}
+        assert all(set(r) == self.BASE[mode] for r in report.records)
+        assert theta.flat.tobytes() == want_theta.flat.tobytes()
+        assert report.final_loss.hex() == want.final_loss.hex()
+        assert [{k: r[k] for k in self.BASE[mode]} for r in want.records] == report.records
+        if mode == "variational":
+            assert (report.reg_state.log_ema_per_topic.tobytes()
+                    == want.reg_state.log_ema_per_topic.tobytes())
+        else:
+            assert report.reg_state is None is want.reg_state
+        # the default config keeps them
+        assert want_calls == {"_corpus_elbo": 3 if mode == "variational" else 0,
+                              "_eval_accuracy": 3}
+        for r in want.records:
+            assert sum(r["topic_usage"]) == 50 and "eval_accuracy" in r
+            assert ("elbo" in r) == (mode == "variational")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_printed_or_written_records_hold_them(self, monkeypatch, capsys, tmp_path, mode):
+        metrics = tmp_path / "m.jsonl"
+        for config in ({"verbose": True}, {"verbose": False, "metrics_path": metrics}):
+            _, report, _ = self.run(monkeypatch, mode, keep_diagnostics=False, **config)
+            assert all({"topic_usage", "eval_accuracy"} <= set(r) for r in report.records)
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed == [json.loads(line) for line in metrics.read_text().splitlines()]
+        assert printed == report.records
