@@ -319,7 +319,8 @@ def _cmd_train(args):
     if held and (held.num_topics, held.payload) != (K, corpus.payload):
         raise ContractError(f"eval corpus has K={held.num_topics} and {held.payload}, "
                             f"the training corpus K={K} and {corpus.payload}")
-    theta, report = train(corpus.flat, theta, hyper, config, eval_flat=held and held.flat)
+    theta, report = train(corpus.flat, theta, hyper, config,
+                          eval_flat=None if held is None else held.flat)
     cp = Checkpoint(
         hyper=hyper, params=theta, reg_state=report.reg_state,
         provenance={"seed": args.seed, "epochs": args.epochs, "mode": args.mode,
