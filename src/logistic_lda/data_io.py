@@ -34,7 +34,7 @@ import struct
 from base64 import b64decode, b64encode
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -639,11 +639,71 @@ def _row_format(width):
     return "[" + ",".join(["%.6f"] * width) + "]"
 
 
+@cache
+def _digit_words():
+    """Tables of the text "%.6f" % x gives for x in [0, 1]: with n = x * 10**6
+    rounded to the nearest integer and q, r = divmod(n, 1000), that text is
+    "q // 1000 . q % 1000" and the three digits of r.  Returns (head, tail),
+    little-endian uint64 words such that head[q] | tail[r] holds its 8 bytes.
+    Built on first use, so that no other command pays for it."""
+    words = np.zeros((2001, 8), np.uint8)
+    words[:1001, :5] = np.frombuffer(
+        b"".join([b"%d.%03d" % divmod(q, 1000) for q in range(1001)]), np.uint8).reshape(-1, 5)
+    words[1001:, 5:] = np.frombuffer(
+        b"".join([b"%03d" % r for r in range(1000)]), np.uint8).reshape(-1, 3)
+    words = words.view("<u8")[:, 0]
+    return words[:1001], words[1001:]
+
+
+_CELL = np.dtype([("text", "<u8"), ("sep", "u1")])  # a value's 8 bytes and the byte after
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+_BLOCK_VALUES = 1024  # values per block of write_predictions: bounds its temporaries
+
+
+def _fixed_rows(rows):
+    """The (R, K) float rows as R pieces of fixed-width text, "[x,...,x],"
+    with each x as "%.6f" % x, in one (R, 9K + 2) uint8 array.  A value above
+    1, or with its sign bit set (-0.0 included), has another width: the
+    second result masks the rows that hold one, whose text the caller
+    formats itself, or is None when there are none."""
+    R, K = rows.shape
+    # the bits of a float with its sign bit clear order as the float does
+    odd = rows.view(np.uint64) > _ONE_BITS
+    if odd.any():
+        rows, odd = np.where(odd, 0.0, rows), odd.any(axis=1)
+    else:
+        odd = None
+    x = rows * 1e6
+    n = np.rint(x)
+    x -= n
+    # rows * 1e6 is within 2**-33 of the exact product, which settles the
+    # rounding of every value but those within 1e-6 of a half: their digits
+    # come from "%.6f" itself.
+    half = np.abs(x, out=x) > 0.5 - 1e-6
+    del x
+    n = n.astype(np.intp)
+    if half.any():
+        n[half] = [int(("%.6f" % v).replace(".", "")) for v in rows[half].tolist()]
+    q, r = np.divmod(n, 1000)
+    del n
+    head, tail = _digit_words()
+    cells = head.take(q)
+    cells |= tail.take(r)
+    del q, r
+    text = np.empty((R, 9 * K + 2), np.uint8)
+    text[:] = np.frombuffer(("[" + ",".join(["0.000000"] * K) + "],").encode(), np.uint8)
+    text[:, 1:-1].view(_CELL)["text"] = cells
+    return text, odd
+
+
 def write_predictions(path, ids, labels, p_label, p_items, offsets):
     """One record per group, probabilities fixed to 6 decimal places.
 
     Output is line-delimited JSON: a header, then
     {"id", "label", "p_label": [...], "p_items": [[...], ...]} per group.
+    The rows are formatted a block of whole groups at a time, about
+    _BLOCK_VALUES values, into one fixed-width text that each group's line
+    takes two slices of; the file is never held whole.
     """
     p_label = np.asarray(p_label, dtype=np.float64)
     p_items = np.asarray(p_items, dtype=np.float64)
@@ -651,7 +711,8 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     D = len(ids)
     _ensure(D and len(labels) == D and p_label.shape[0] == D and offsets.shape[0] == D + 1,
             "ids, labels, p_label and offsets must agree on one or more groups")
-    _ensure(offsets[-1] == p_items.shape[0], "offsets do not cover p_items")
+    _ensure(offsets[0] == 0 and offsets[-1] == p_items.shape[0]
+            and (offsets[1:] >= offsets[:-1]).all(), "offsets do not cover p_items in order")
     _ensure(p_label.ndim == 2 and p_items.ndim == 2 and p_items.shape[1] == p_label.shape[1],
             "p_items must have one column per column of p_label")
     _ensure(np.all(np.isfinite(p_label)) and np.all(np.isfinite(p_items)),
@@ -659,15 +720,40 @@ def write_predictions(path, ids, labels, p_label, p_items, offsets):
     _ensure(all(isinstance(g, str) and g for g in ids), "ids must be non-empty strings")
     k = p_label.shape[1]
     fmt_row = _row_format(k)
+    width = 9 * k + 2
+    block_items = max(1, _BLOCK_VALUES // k)
 
-    def lines():
-        for d, gid in enumerate(ids):
-            group = p_items[offsets[d] : offsets[d + 1]].tolist()
-            rows = ",".join([fmt_row % tuple(r) for r in group])
-            yield (f'{{"id":{json.dumps(gid)},"label":{int(labels[d])},'
-                   f'"p_label":{fmt_row % tuple(p_label[d].tolist())},"p_items":[{rows}]}}')
+    def blocks():
+        start = 0
+        while start < D:
+            # whole groups, as many as fit in block_items rows, and at least one
+            end = int(np.searchsorted(offsets, offsets[start] + block_items, "right")) - 1
+            end = max(end, start + 1)
+            bounds = offsets[start : end + 1].tolist()
+            # the block's rows: its groups' p_label rows, then their p_items rows,
+            # corpus item i being row i + shift
+            shift = end - start - bounds[0]
+            rows = np.concatenate([p_label[start:end], p_items[bounds[0] : bounds[-1]]])
+            text, odd = _fixed_rows(rows)
+            text = memoryview(text.reshape(-1))
 
-    _write_records(path, {"format": "predictions", "version": 1, "k": k}, lines())
+            def span(a, b):  # the text of rows a..b-1, comma-separated
+                if odd is None or not odd[a:b].any():
+                    return text[a * width : b * width - 1]
+                return b",".join((fmt_row % tuple(rows[i].tolist())).encode() if odd[i]
+                                 else text[i * width : (i + 1) * width - 1] for i in range(a, b))
+
+            out = []
+            for j, d in enumerate(range(start, end)):
+                out += (b'{"id":%s,"label":%d,"p_label":' % (json.dumps(ids[d]).encode(),
+                                                            int(labels[d])),
+                        span(j, j + 1), b',"p_items":[',
+                        span(bounds[j] + shift, bounds[j + 1] + shift), b"]}\n")
+            yield b"".join(out)
+            start = end
+
+    header = _dumps({"format": "predictions", "version": 1, "k": k})
+    _atomic_write(path, chain([f"{header}\n".encode()], blocks()))
 
 
 def read_predictions(path):

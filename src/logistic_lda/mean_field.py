@@ -314,17 +314,22 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     clamped = labels >= 0 if clamp else np.zeros(labels.shape, dtype=bool)
     PL[clamped] = 0.0
     PL[clamped, labels[clamped]] = 1.0
-    FT = np.ascontiguousarray(F.T)
     psi = digamma(AH)
+    # A sweep reads the logits and the group state, never the item beliefs
+    # of the sweep before: each (K, N) buffer is dropped once it is read, so
+    # that the next one's allocation does not stack on it.
     if tol <= 0.0:
+        FT = np.ascontiguousarray(F.T)
         taped = tape_P.shape[0] > 0
         if taped:
             tape_A[:, 0], tape_Q[:, 0] = AH, PL
         PT = np.empty_like(FT)  # what a call of no sweeps returns
         for t in range(1, max_sweeps + 1):
+            del PT
             PT, AH, PL, psi = _sweep_np(FT, sizes, offsets[:-1], alpha, lam, AH, PL, clamped, psi)
             if taped:
                 tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = PT.T, AH, PL
+        del FT
         P = tape_P[max_sweeps - 1] if taped else np.ascontiguousarray(PT.T)
         return P, PL, AH, max_sweeps
     # Groups never read one another's state, so each stops on its own change:
@@ -333,17 +338,21 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     P = np.empty_like(F)
     rows = np.arange(F.shape[0])  # corpus rows of the moving groups' items
     moving = np.arange(sizes.size)
-    FTm, sm, starts, AHm, PLm, psim, cm = FT, sizes, offsets[:-1], AH, PL, psi, clamped
+    FTm = np.ascontiguousarray(F.T)
+    sm, starts, AHm, PLm, psim, cm = sizes, offsets[:-1], AH, PL, psi, clamped
     sweeps = 0
     while moving.size and sweeps < max_sweeps:
         PTm, new_AH, PLm, psim = _sweep_np(FTm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
         sweeps += 1
         stop = (_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
         AHm = new_AH
-        if stop.any():
+        stopped = stop.any()
+        if stopped:
             item_stop = np.repeat(stop, sm)
             # np.compress selects along axis 1 at a third of a boolean index's cost
             P.T[:, rows[item_stop]] = np.compress(item_stop, PTm, axis=1)
+        del PTm  # before the next sweep, or FTm's compacted copy, allocates
+        if stopped:
             AH[moving[stop]] = AHm[stop]
             PL[moving[stop]] = PLm[stop]
             keep, item_keep = ~stop, ~item_stop

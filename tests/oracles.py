@@ -31,9 +31,13 @@ broken one.
 reference_generate_corpus is the earlier synthetic-corpus generator, one
 group at a time; the one-draw generator must give the same groups, latents
 and RNG state bit for bit.
+reference_write_predictions is the earlier predictions writer, one
+%-format per row over Python floats; the blocked fixed-width writer must
+write the same bytes.
 """
 
 import base64
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -702,3 +706,18 @@ def reference_generate_corpus(K, V, D, N_per_doc, alpha, beta, rng, labeled=Fals
             )
         )
     return groups, CorpusTruth(pi=pi, z=z_all, labels=labels)
+
+
+def reference_write_predictions(path, ids, labels, p_label, p_items, offsets):
+    """The predictions file of valid arguments, each row formatted on its
+    own as "%.6f" % x per value."""
+    k = p_label.shape[1]
+    fmt_row = "[" + ",".join(["%.6f"] * k) + "]"
+    lines = [json.dumps({"format": "predictions", "version": 1, "k": k}, separators=(",", ":"))]
+    for d, gid in enumerate(ids):
+        group = p_items[offsets[d] : offsets[d + 1]].tolist()
+        rows = ",".join([fmt_row % tuple(r) for r in group])
+        lines.append(f'{{"id":{json.dumps(gid)},"label":{int(labels[d])},'
+                     f'"p_label":{fmt_row % tuple(p_label[d].tolist())},"p_items":[{rows}]}}')
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

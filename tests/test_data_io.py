@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logistic_lda import data_io
 from logistic_lda.data_io import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -40,7 +41,7 @@ from logistic_lda.math_kernels import SeededRng
 from logistic_lda.mean_field import FlatGroups, Group, HyperParams, flatten_groups
 from logistic_lda.regularizer import RegularizerState
 
-from oracles import reference_load_corpus, reference_read_lines
+from oracles import reference_load_corpus, reference_read_lines, reference_write_predictions
 
 
 def write_lines(path, lines):
@@ -1554,6 +1555,74 @@ class TestLoadMemory:
             tracemalloc.stop()
         assert payload.tobytes() == rows.tobytes()
         assert peak <= 1.5 * payload.nbytes, peak / payload.nbytes
+
+
+class TestBlockedPredictionsWriter:
+    """write_predictions formats blocks of whole groups as fixed-width text:
+    its bytes are the per-row writer's (tests/oracles.py), rows of another
+    width and block edges included."""
+
+    @staticmethod
+    def odd_values(rng, n):
+        # values whose text is wider than "0.000000", or whose digits the
+        # product x * 1e6 alone cannot settle
+        halves = (rng.integers(0, 10**6, size=n) + 0.5) / 1e6
+        return rng.choice(np.concatenate([
+            [-0.0, -1e-9, -0.5, 1.0000000000000002, 2.5, 1e6, 5e-324, 0.9999995, 1.0, 0.0],
+            halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0)]), size=n)
+
+    @pytest.mark.parametrize("block_values", [7, None])
+    @pytest.mark.parametrize("K", [1, 2, 5, 12])
+    def test_same_bytes_as_per_row_writer(self, tmp_path, monkeypatch, K, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(data_io, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(K)
+        D = 40
+        sizes = rng.integers(1, 90, size=D)
+        sizes[rng.integers(D)] = 3 * data_io._BLOCK_VALUES // K + 1  # wider than a block
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        p_items = rng.dirichlet(np.ones(K), offsets[-1])
+        p_label = rng.dirichlet(np.ones(K), D)
+        # blocks end at group edges: odd rows at the first and last item of
+        # half the groups, on a quarter of the p_label rows, and at random
+        edges = rng.choice(D, D // 2, replace=False)
+        rows = np.concatenate([offsets[edges], offsets[edges + 1] - 1,
+                               rng.integers(offsets[-1], size=20)])
+        cols = rng.integers(K, size=rows.size)
+        p_items[rows, cols] = self.odd_values(rng, rows.size)
+        labelled = rng.choice(D, D // 4, replace=False)
+        p_label[labelled, rng.integers(K, size=labelled.size)] = self.odd_values(rng,
+                                                                                labelled.size)
+        ids = [f"g{d}" for d in range(D)]
+        labels = rng.integers(-1, K, size=D)
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        write_predictions(got, ids, labels, p_label, p_items, offsets)
+        reference_write_predictions(want, ids, labels, p_label, p_items, offsets)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_fixed_digits_are_six_decimal_places(self):
+        # half-way points x.5e-6 as near as floats get, both their float
+        # neighbours, dyadic values that are exact half-way points (k/4096,
+        # k = 32 mod 64), the ends of [0, 1] and random values
+        rng = np.random.default_rng(0)
+        halves = (rng.integers(0, 10**6, size=20_000) + 0.5) / 1e6
+        x = np.concatenate([
+            halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0),
+            np.arange(4097) / 4096,
+            [0.0, 5e-324, 1e-7, 5e-7, 0.9999995, np.nextafter(1.0, 0.0), 1.0],
+            rng.random(40_000)])
+        text, odd = data_io._fixed_rows(x.reshape(-1, 1))
+        assert odd is None
+        assert text.tobytes() == "".join([f"[{v:.6f}]," for v in x.tolist()]).encode()
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 1, 3], [1, 2, 3]], ids=["decreasing", "late-start"])
+    def test_offsets_out_of_order_refused(self, tmp_path, offsets):
+        p = tmp_path / "pred.jsonl"
+        D = len(offsets) - 1
+        with pytest.raises(ContractError, match="offsets do not cover p_items in order"):
+            write_predictions(p, [f"g{d}" for d in range(D)], [0] * D, np.full((D, 2), 0.5),
+                              np.full((3, 2), 0.5), offsets)
+        assert not p.exists()
 
 
 class TestWriteMemory:

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma as sp_digamma
 
+from logistic_lda import mean_field
 from logistic_lda.data_io import corpus_from_groups, load_corpus, save_corpus
 
 from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch, init_params
@@ -728,3 +730,28 @@ class TestTopicMajorKernel:
             batch_mean_field(F, flat, hp(2), False, 10, tol=tol)
         assert str(err.value) == "softmax of all -inf logits is undefined"
 
+
+class TestKernelMemory:
+    """No sweep reads the item beliefs of the sweep before, so the numpy
+    kernel drops each (K, N) array once it is read: its traced peak stays a
+    small multiple of the logits' bytes."""
+
+    @pytest.mark.parametrize("tol,sweeps,bound", [(1e-6, 200, 4.0), (0.0, 5, 3.2)],
+                             ids=["converged", "fixed"])
+    def test_traced_peak(self, monkeypatch, tol, sweeps, bound):
+        monkeypatch.setattr(mean_field, "_mean_field_batch", _mean_field_batch_np)
+        rng = np.random.default_rng(0)
+        D, L, K = 100, 60, 5
+        flat = FlatGroups(payload=np.zeros(D * L, dtype=np.int64),
+                          offsets=np.arange(0, D * L + 1, L), labels=np.full(D, -1))
+        F = rng.normal(scale=2.0, size=(D * L, K))
+        hyper = HyperParams(alpha=np.full(K, 0.5))
+        batch_mean_field(F, flat, hyper, False, sweeps, tol=tol)  # fills one-time caches
+        tracemalloc.start()
+        try:
+            done = batch_mean_field(F, flat, hyper, False, sweeps, tol=tol)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 < done <= sweeps
+        assert peak <= bound * F.nbytes, peak / F.nbytes
