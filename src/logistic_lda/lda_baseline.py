@@ -6,12 +6,12 @@ n_kv[k, v] occurrences of token v assigned to topic k, n_k[k] the row sums
 of n_kv.  Counts live in float64 (they stay integer-valued, exactly) so the
 sampling kernel runs in one dtype.
 
-The sampler's update has one source, `_gibbs_group`, with two runners:
-numba compiles it over array views, and without numba CPython runs a copy
-of it unrolled over the K topics (`_unrolled_gibbs_group`) over Python
-lists.  The copy adds the same terms in the same order and picks topics
-by the same comparisons, so both walk the same sample path from the same
-uniforms, bit for bit; the parity tests hold it to `_gibbs_group`.
+The sampler's update has one source, `backend._gibbs_group`, which numba
+compiles there; without numba CPython runs a copy of it unrolled over the
+K topics (`_unrolled_gibbs_group`) over Python lists.  The copy adds the
+same terms in the same order and picks topics by the same comparisons,
+so both walk the same sample path from the same uniforms, bit for bit;
+the parity tests hold it to `_gibbs_group`.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import njit, pick
+from . import backend
 from .errors import ContractError, DomainError
 from .math_kernels import (
     check_bool,
@@ -202,48 +202,6 @@ def gibbs_init(flat, K, eta, rng, label_weight=0.0, V=None):
                       label_bias=bias)
 
 
-def _gibbs_group(zd, toks, ud, dk, b, kv, nk, a, eta, v_eta, probs):
-    """Resample one group's assignments (zd) in order, updating its counts
-    dk and the corpus-wide kv and nk.  Indexed as kv[k][v], so numba compiles
-    it over array views and CPython runs it over lists, in one order."""
-    K = len(dk)
-    for i in range(len(zd)):
-        v = toks[i]
-        k = zd[i]
-        dk[k] -= 1.0
-        kv[k][v] -= 1.0
-        nk[k] -= 1.0
-        total = 0.0
-        for kk in range(K):
-            p = (dk[kk] + a[kk] + b[kk]) * (kv[kk][v] + eta) / (nk[kk] + v_eta)
-            probs[kk] = p
-            total += p
-        r = ud[i] * total
-        acc = 0.0
-        knew = K - 1
-        for kk in range(K):
-            acc += probs[kk]
-            if r < acc:
-                knew = kk
-                break
-        zd[i] = knew
-        dk[knew] += 1.0
-        kv[knew][v] += 1.0
-        nk[knew] += 1.0
-
-
-_gibbs_group_jit = njit(_gibbs_group)
-
-
-def _gibbs_sweep_nb(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u):
-    v_eta = n_kv.shape[1] * eta
-    probs = np.empty(n_dk.shape[1])
-    for d in range(offsets.shape[0] - 1):
-        lo, hi = offsets[d], offsets[d + 1]
-        _gibbs_group_jit(z[lo:hi], tokens[lo:hi], u[lo:hi], n_dk[d], bias[d],
-                         n_kv, n_k, alpha, eta, v_eta, probs)
-
-
 _UNROLLED_GROUP = """\
 def gibbs_group(zd, toks, ud, dk, b, kv, nk, a, eta, v_eta):
     {kv_rows}, = kv
@@ -315,9 +273,8 @@ def _gibbs_sweep_lists(z, n_dk, n_kv, n_k, tokens, offsets, alpha, bias, eta, u)
     n_k[:] = nk
 
 
-_gibbs_sweep_nb_jit = njit(_gibbs_sweep_nb)
 # one loop source: both backends walk identical sample paths from one set of uniforms
-_gibbs_sweep_kernel = pick(_gibbs_sweep_nb_jit, _gibbs_sweep_lists)
+_gibbs_sweep_kernel = backend.gibbs_sweep or _gibbs_sweep_lists
 
 
 def gibbs_sweep(state, flat, alpha, rng):

@@ -46,7 +46,6 @@ import math
 
 import numpy as np
 
-from .backend import njit
 from .errors import ContractError, DomainError
 
 __all__ = [
@@ -202,32 +201,6 @@ def _trigamma_tail(z):
             )
         )
     )
-
-
-_digamma_tail_nb = njit(_digamma_tail)
-_trigamma_tail_nb = njit(_trigamma_tail)
-
-
-def _digamma_scalar(x):
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    z = 1.0 / (x * x)
-    return acc + math.log(x) - 0.5 / x - _digamma_tail_nb(z)
-
-
-def _trigamma_scalar(x):
-    acc = 0.0
-    while x < 6.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    z = 1.0 / (x * x)
-    return acc + 1.0 / x + 0.5 * z + _trigamma_tail_nb(z) / x
-
-
-digamma_scalar_nb = njit(_digamma_scalar)
-trigamma_scalar_nb = njit(_trigamma_scalar)
 
 
 def _shifts(flat, square):

@@ -18,11 +18,11 @@ Each update maximizes the evidence lower bound in its own coordinate, so
 the bound is non-decreasing along any update sequence with theta held
 fixed.
 
-The flattened batch kernels below (numba or vectorized numpy, chosen by
-the backend flag) run the updates for a whole packed corpus.  They are the
-only sweep in the package: inference, the variational E-step and the
-discriminative regime's unrolled forward pass (one call of n_iter sweeps
-that tapes each sweep's state) all run them.  With theta fixed, no
+The flattened batch kernel below (its numba twin is in `backend.py`) runs
+the updates for a whole packed corpus.  It is the only sweep in the
+package: inference, the variational E-step and the discriminative
+regime's unrolled forward pass (one call of n_iter sweeps that tapes each
+sweep's state) all run it.  With theta fixed, no
 group's updates read another group's state, so a convergence tolerance
 is a per-group rule: each group stops once its own alpha_hat settles,
 exactly as it would in a corpus of its own.  A readable single-group
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import njit, pick
+from . import backend
 from .errors import ContractError, DomainError
 from .math_kernels import (
     _max,
@@ -57,7 +57,6 @@ from .math_kernels import (
     check_positive_vector,
     check_real,
     digamma,
-    digamma_scalar_nb,
     softmax,
 )
 
@@ -201,93 +200,6 @@ def flatten_groups(groups) -> FlatGroups:
 NO_TAPE = np.empty((0, 0, 0))
 
 
-def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
-                         tape_P, tape_A, tape_Q):
-    total, K = F.shape
-    D = offsets.shape[0] - 1
-    P = np.empty((total, K))
-    PL = np.empty((D, K))
-    AH = np.empty((D, K))
-    psi_a = np.empty(K)
-    taped = tape_P.shape[0] > 0
-    sweeps = 0
-    for d in range(D):
-        lo, hi = offsets[d], offsets[d + 1]
-        clamped = clamp and labels[d] >= 0
-        if clamped:
-            for k in range(K):
-                PL[d, k] = 0.0
-            PL[d, labels[d]] = 1.0
-        else:
-            for k in range(K):
-                PL[d, k] = PL0[d, k]
-        for k in range(K):
-            AH[d, k] = AH0[d, k]
-        if taped:
-            for k in range(K):
-                tape_A[d, 0, k] = AH[d, k]
-                tape_Q[d, 0, k] = PL[d, k]
-        done = 0
-        while done < max_sweeps:
-            for k in range(K):
-                psi_a[k] = digamma_scalar_nb(AH[d, k])
-            for n in range(lo, hi):
-                m = -np.inf
-                for k in range(K):
-                    v = F[n, k] + psi_a[k]
-                    P[n, k] = v
-                    if v > m:
-                        m = v
-                s = 0.0
-                for k in range(K):
-                    e = np.exp(P[n, k] - m)
-                    P[n, k] = e
-                    s += e
-                for k in range(K):
-                    P[n, k] /= s
-            delta = 0.0
-            for k in range(K):
-                new = alpha[k] + lam * PL[d, k]
-                for n in range(lo, hi):
-                    new += P[n, k]
-                diff = new - AH[d, k]
-                if diff < 0.0:
-                    diff = -diff
-                if diff > delta:
-                    delta = diff
-                AH[d, k] = new
-            if not clamped:
-                m = -np.inf
-                for k in range(K):
-                    v = lam * digamma_scalar_nb(AH[d, k])
-                    PL[d, k] = v
-                    if v > m:
-                        m = v
-                s = 0.0
-                for k in range(K):
-                    e = np.exp(PL[d, k] - m)
-                    PL[d, k] = e
-                    s += e
-                for k in range(K):
-                    PL[d, k] /= s
-            done += 1
-            if taped:
-                for n in range(lo, hi):
-                    for k in range(K):
-                        tape_P[done - 1, n, k] = P[n, k]
-                for k in range(K):
-                    tape_A[d, done, k] = AH[d, k]
-                    tape_Q[d, done, k] = PL[d, k]
-            if tol > 0.0 and delta < tol:
-                break
-        if done > sweeps:
-            sweeps = done
-    return P, PL, AH, sweeps
-
-
-_mean_field_batch_nb_jit = njit(_mean_field_batch_nb)
-
-
 def _sweep_np(FT, sizes, starts, alpha, lam, AH, PL, clamped, psi):
     """One sweep of the three updates over packed groups, topic-major: FT is
     the (K, N) transpose of the logits, AH the alpha_hat, PL the label
@@ -363,7 +275,7 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
     return P, PL, AH, sweeps
 
 
-_mean_field_batch = pick(_mean_field_batch_nb_jit, _mean_field_batch_np)
+_mean_field_batch = backend.mean_field_batch or _mean_field_batch_np
 
 
 def batch_mean_field(

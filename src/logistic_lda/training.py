@@ -23,13 +23,12 @@ and the discriminative regime stay per item.
 
 One epoch loop, `train`, runs both; they differ only in the batch step.
 It steps one copy of theta's flat parameter vector in place, so the given
-parameters stay as they were.  The adjoint sweep exists as twin kernels, a
-numba loop or vectorized numpy, selected by the backend flag.  Epoch
-records go to stdout as JSON lines and optionally to a metrics file.  A
-record's diagnostics (topic usage, ELBO, held-out score) and the
-full-corpus beliefs they read are built only where the records are
-printed, written or kept (`TrainConfig.keep_diagnostics`); the loss,
-theta and the regularizer state are the same bits either way.
+parameters stay as they were.  The adjoint's numba twin is in
+`backend.py`.  Epoch records go to stdout as JSON lines and optionally
+to a metrics file.  A record's diagnostics (topic usage, ELBO, held-out
+score) and the full-corpus beliefs they read are built only where the
+records are printed, written or kept (`TrainConfig.keep_diagnostics`);
+the loss, theta and the regularizer state are the same bits either way.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import njit, pick
+from . import backend
 from .encoders import backward_batch, forward_logits_batch
 from .errors import ContractError, DomainError, TrainingDivergedError
 from .math_kernels import (
@@ -55,7 +54,6 @@ from .math_kernels import (
     log_softmax,
     softmax,
     trigamma,
-    trigamma_scalar_nb,
 )
 from .mean_field import (
     FlatGroups,
@@ -298,61 +296,6 @@ def _unroll_fwd(F, offsets, alpha, lam, n_iter):
     return P, A, Q
 
 
-def _unroll_bwd_nb(offsets, lam, P, A, Q, labels, n_iter, floor):
-    D = offsets.shape[0] - 1
-    total = P.shape[1]
-    K = P.shape[2]
-    dF = np.zeros((total, K))
-    losses = np.empty(D)
-    floor_hits = 0
-    dV = np.empty(K)
-    da = np.empty(K)
-    da_items = np.empty(K)
-    prev_da = np.empty(K)
-    for d in range(D):
-        lo, hi = offsets[d], offsets[d + 1]
-        c = labels[d]
-        p_true = Q[d, n_iter, c]
-        if p_true < floor:
-            floor_hits += 1
-            p_true = floor
-        losses[d] = -np.log(p_true)
-        for k in range(K):
-            da_items[k] = 0.0
-        for t in range(n_iter, 0, -1):
-            if t == n_iter:
-                for k in range(K):
-                    dV[k] = Q[d, t, k]
-                dV[c] -= 1.0
-            else:
-                dot = 0.0
-                for k in range(K):
-                    dot += Q[d, t, k] * lam * prev_da[k]
-                for k in range(K):
-                    dV[k] = Q[d, t, k] * (lam * prev_da[k] - dot)
-            for k in range(K):
-                da[k] = lam * trigamma_scalar_nb(A[d, t, k]) * dV[k] + da_items[k]
-            for k in range(K):
-                da_items[k] = 0.0
-            for n in range(lo, hi):
-                dot = 0.0
-                for k in range(K):
-                    dot += P[t - 1, n, k] * da[k]
-                for k in range(K):
-                    du = P[t - 1, n, k] * (da[k] - dot)
-                    dF[n, k] += du
-                    da_items[k] += du
-            if t > 1:
-                for k in range(K):
-                    da_items[k] *= trigamma_scalar_nb(A[d, t - 1, k])
-            for k in range(K):
-                prev_da[k] = da[k]
-    return dF, losses, floor_hits
-
-
-_unroll_bwd_nb_jit = njit(_unroll_bwd_nb)
-
-
 def _unroll_bwd_np(offsets, lam, P, A, Q, labels, n_iter, floor):
     D = offsets.shape[0] - 1
     total, K = P.shape[1], P.shape[2]
@@ -383,7 +326,7 @@ def _unroll_bwd_np(offsets, lam, P, A, Q, labels, n_iter, floor):
     return dF, losses, floor_hits
 
 
-_unroll_bwd = pick(_unroll_bwd_nb_jit, _unroll_bwd_np)
+_unroll_bwd = backend.unroll_bwd or _unroll_bwd_np
 
 
 def _discriminative_batch_grad(payload, offsets, labels, theta, hyper):

@@ -14,12 +14,17 @@ import sys
 import numpy as np
 import pytest
 
-from logistic_lda.backend import HAS_NUMBA
+from logistic_lda.backend import (
+    HAS_NUMBA,
+    _gibbs_sweep_nb,
+    _gibbs_sweep_nb_jit,
+    _mean_field_batch_nb,
+    _mean_field_batch_nb_jit,
+    _unroll_bwd_nb_jit,
+)
 from logistic_lda.encoders import forward_logits_batch, init_params
 from logistic_lda.lda_baseline import (
     _gibbs_sweep_lists,
-    _gibbs_sweep_nb,
-    _gibbs_sweep_nb_jit,
     gibbs_init,
     disjoint_topic_matrix,
     item_groups,
@@ -30,13 +35,11 @@ from logistic_lda.mean_field import (
     NO_TAPE,
     FlatGroups,
     HyperParams,
-    _mean_field_batch_nb,
-    _mean_field_batch_nb_jit,
     _mean_field_batch_np,
     batch_mean_field,
     flatten_groups,
 )
-from logistic_lda.training import _unroll_bwd_nb_jit, _unroll_bwd_np, _unroll_fwd
+from logistic_lda.training import _unroll_bwd_np, _unroll_fwd
 
 UNTAPED = (NO_TAPE, NO_TAPE, NO_TAPE)
 
@@ -365,6 +368,24 @@ class TestBackendFlag:
         )
         assert proc.returncode != 0
         assert "LOGISTIC_LDA_BACKEND" in proc.stderr
+
+    @pytest.mark.parametrize("choice", ["zebra", pytest.param(
+        "numba", marks=pytest.mark.skipif(HAS_NUMBA, reason="numba is installed"))])
+    def test_bad_choice_is_a_usage_error(self, choice, tmp_path):
+        # the package imports the backend before any command runs, so the
+        # typed error ends a traceback, with the usage exit code
+        env = dict(os.environ, LOGISTIC_LDA_BACKEND=choice)
+        corpus = tmp_path / "c.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "logistic_lda.cli", "gen", "--k", "2", "--v", "6",
+             "--docs", "2", "--len", "3", "-o", str(corpus)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("logistic_lda.errors.UsageError: ")
+        assert "LOGISTIC_LDA_BACKEND" in last
+        assert not corpus.exists()
 
     def test_cli_import_leaves_scipy_out(self, tmp_path):
         # numpy is the only runtime dependency: not even topic matching in

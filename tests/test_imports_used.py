@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used there, exported in its
 `__all__`, or looked up there by the benchmark's layer tracer
 (`perfbench/spans.py`'s WRAPS, read as it is).  A traced name whose only
-use is the tracer's lookup goes once WRAPS stops naming it."""
+use is the tracer's lookup goes once WRAPS stops naming it.  No module but
+`backend.py` imports numba, names `njit` or defines a numba loop."""
 
 import ast
 import importlib.util
@@ -55,6 +56,36 @@ def test_every_import_is_used(module):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in allowed)
     assert unused == [], f"{module}.py imports names it does not use: {unused}"
+
+
+def _numba_parts(tree):
+    """What ties a module to numba: numba imports, the name njit, and
+    functions named *_nb (the loop twins)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numba"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numba":
+            found.append(node.module)
+        elif isinstance(node, ast.alias) and "njit" in (node.name, node.asname):
+            found.append("njit")
+        elif (isinstance(node, ast.Name) and node.id == "njit"
+              or isinstance(node, ast.Attribute) and node.attr == "njit"):
+            found.append("njit")
+        elif isinstance(node, ast.FunctionDef) and node.name.endswith("_nb"):
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_numba_lives_only_in_backend(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = _numba_parts(tree)
+    if module == "backend":
+        assert {"numba", "njit", "_mean_field_batch_nb", "_unroll_bwd_nb",
+                "_gibbs_sweep_nb"} <= set(found)
+    else:
+        assert found == [], f"{module}.py holds numba code: {sorted(set(found))}"
 
 
 def test_the_modules_are_found():

@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from logistic_lda.backend import (
+    HAS_NUMBA,
+    _digamma_scalar,
+    _digamma_scalar_jit,
+    _trigamma_scalar,
+    _trigamma_scalar_jit,
+)
 from logistic_lda.errors import ContractError, DomainError
 from logistic_lda.math_kernels import (
     SeededRng,
@@ -93,6 +100,37 @@ class TestTrigamma:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             trigamma(bad)
+
+
+class TestScalarSeries:
+    """The compiled kernels call the scalar series one argument at a time;
+    they give the array forms' values."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(20)
+        return np.concatenate([np.logspace(-4, 6, 2000), rng.uniform(1e-4, 12.0, 2000),
+                               rng.uniform(12.0, 1e4, 1000)])
+
+    def test_trigamma_loop_has_the_array_bits(self):
+        xs = self.points()
+        assert_same_bits(np.array([_trigamma_scalar(x) for x in xs.tolist()]), trigamma(xs))
+
+    def test_digamma_loop_within_the_last_bit_of_log(self):
+        # math.log and np.log may round the log apart in its last bit
+        xs = self.points()
+        want = digamma(xs)
+        got = np.array([_digamma_scalar(x) for x in xs.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.skipif(not HAS_NUMBA, reason="numba is not installed")
+    @pytest.mark.parametrize("scalar,array", [(_digamma_scalar_jit, digamma),
+                                              (_trigamma_scalar_jit, trigamma)])
+    def test_compiled_copies(self, scalar, array):
+        xs = self.points()
+        want = array(xs)
+        got = np.array([scalar(x) for x in xs.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
 class TestLogSumExp:
