@@ -85,9 +85,10 @@ _digamma_scalar_jit = njit(_digamma_scalar)
 _trigamma_scalar_jit = njit(_trigamma_scalar)
 
 
-# the twin of mean_field._mean_field_batch_np: its signature and tape
+# the twin of mean_field._mean_field_batch_np: its signature and tape; it
+# never writes F, so it has no use for overwrite_F
 def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
-                         tape_P, tape_A, tape_Q):
+                         tape_P, tape_A, tape_Q, overwrite_F=False):
     total, K = F.shape
     D = offsets.shape[0] - 1
     P = np.empty((total, K))

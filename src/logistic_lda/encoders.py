@@ -173,11 +173,14 @@ def _act_grad(name, h):
     return None
 
 
-def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False):
+def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False, topic_major=False):
     """Logits for a whole batch: (N, E) dense rows or (N,) token ids -> (N, K).
     keep_hidden=True returns (logits, hidden): an mlp's layer inputs, which
     `backward_batch` takes instead of running the forward pass again, or
-    None for the other kinds."""
+    None for the other kinds.  topic_major=True returns the logits' (K, N)
+    transpose instead, as a new C-ordered array with the same bits: the
+    token kinds gather it topic-major, and an mlp transposes its output
+    once."""
     if theta.kind == "mlp":
         X = np.asarray(payload, dtype=np.float64)
         if X.ndim != 2:
@@ -186,8 +189,16 @@ def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False):
             raise ContractError(
                 f"payload dim {X.shape[1]} != encoder input dim {theta.weights[0].shape[1]}"
             )
+        if topic_major:
+            return np.ascontiguousarray(_mlp_forward(theta, X).T)
         return _mlp_forward(theta, X, keep_hidden)
     tokens = _token_array(payload, theta.table.shape[1])
+    if topic_major:
+        FT = np.take(theta.table, tokens, axis=1)
+        if theta.kind == "fixed_loglik":
+            with np.errstate(divide="ignore"):
+                np.log(FT, out=FT)
+        return FT
     if theta.kind == "table":
         F = np.take(np.ascontiguousarray(theta.table.T), tokens, axis=0)
     else:  # fixed_loglik: beta entries may be exactly zero; ln 0 = -inf is intended

@@ -28,17 +28,23 @@ is a per-group rule: each group stops once its own alpha_hat settles,
 exactly as it would in a corpus of its own.  A readable single-group
 copy lives with the tests as their oracle.
 
-The numpy kernel is topic-major.  It takes one (K, N) copy of the logits
-on entry and keeps each sweep's item beliefs as K contiguous rows of N
+The numpy kernel is topic-major.  It sweeps the logits as one (K, N)
+array and keeps each sweep's item beliefs as K contiguous rows of N
 items, because numpy pays a fixed cost on every short row of an (N, K)
-array and K is 5-10.  It gives the bits of the row-major form, which the
-tests keep as their oracle: the logit sum, the shift and the exp are
-elementwise; a max is exact in any order; `_topic_sum` adds the K
-entries of each item in numpy's own row order; and np.add.reduceat over
-the (N, K) view of the beliefs adds each group's rows in the order it
-adds them in a row-major array.  Only the outputs are (N, K): the
-beliefs that callers get and the taped ones are written through a
-transposed view.
+array and K is 5-10.  That array is a copy of the caller's logits, or,
+when the caller hands them over (`overwrite_F`, as `predict_corpus` does
+with its topic-major logits), the array they came from.  The converged
+path works in that one buffer: as groups stop, the moving groups' logits
+are compacted in place, row by row, into its first columns, the stopped
+items' beliefs are parked in the columns this frees, and the (N, K)
+beliefs are assembled once, after the last sweep.  It gives the bits of
+the row-major form, which the tests keep as their oracle: the logit sum,
+the shift and the exp are elementwise; a max is exact in any order;
+`_topic_sum` adds the K entries of each item in numpy's own row order;
+and np.add.reduceat over the (N, K) view of the beliefs adds each
+group's rows in the order it adds them in a row-major array.  Only the
+outputs are (N, K): the beliefs that callers get and the taped ones are
+written through a transposed view.
 """
 
 from __future__ import annotations
@@ -219,7 +225,7 @@ def _sweep_np(FT, sizes, starts, alpha, lam, AH, PL, clamped, psi):
 
 
 def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
-                         tape_P, tape_A, tape_Q):
+                         tape_P, tape_A, tape_Q, overwrite_F=False):
     sizes = np.diff(offsets)
     AH = AH0.copy()
     PL = PL0.copy()
@@ -246,32 +252,45 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
         return P, PL, AH, max_sweeps
     # Groups never read one another's state, so each stops on its own change:
     # a group that stops keeps the state of its last sweep, and only the
-    # groups still moving are re-packed and swept again.
-    P = np.empty_like(F)
-    rows = np.arange(F.shape[0])  # corpus rows of the moving groups' items
+    # groups still moving are swept again.  It all runs in one (K, N)
+    # buffer: columns [0, n) hold the moving items' logits, compacted in
+    # place as groups stop, and the columns this frees hold the stopped
+    # items' beliefs; rows[j] is column j's corpus row.  F.T is F's own
+    # memory when F is F-ordered or K = 1, so only handed-over logits
+    # skip the copy.
+    FT = np.ascontiguousarray(F.T) if overwrite_F else np.array(F.T, order="C")
+    n = F.shape[0]
+    rows = np.arange(n)
     moving = np.arange(sizes.size)
-    FTm = np.ascontiguousarray(F.T)
     sm, starts, AHm, PLm, psim, cm = sizes, offsets[:-1], AH, PL, psi, clamped
     sweeps = 0
     while moving.size and sweeps < max_sweeps:
-        PTm, new_AH, PLm, psim = _sweep_np(FTm, sm, starts, alpha, lam, AHm, PLm, cm, psim)
+        PTm, new_AH, PLm, psim = _sweep_np(FT[:, :n], sm, starts, alpha, lam, AHm, PLm, cm,
+                                           psim)
         sweeps += 1
         stop = (_max(np.abs(new_AH - AHm), 1)[:, 0] < tol) | (sweeps == max_sweeps)
         AHm = new_AH
-        stopped = stop.any()
-        if stopped:
+        if stop.any():
             item_stop = np.repeat(stop, sm)
-            # np.compress selects along axis 1 at a third of a boolean index's cost
-            P.T[:, rows[item_stop]] = np.compress(item_stop, PTm, axis=1)
-        del PTm  # before the next sweep, or FTm's compacted copy, allocates
-        if stopped:
+            item_keep = ~item_stop
+            m = np.count_nonzero(item_keep)
+            # Row by row, so no (K, N) temporary; both right-hand sides are
+            # copies made before either slice is written.  On one row a
+            # boolean index is faster than np.compress or an integer index.
+            for k in range(FT.shape[0]):
+                FT[k, :m], FT[k, m:n] = FT[k, :n][item_keep], PTm[k][item_stop]
+            rows[:m], rows[m:n] = rows[:n][item_keep], rows[:n][item_stop]
+            n = m
             AH[moving[stop]] = AHm[stop]
             PL[moving[stop]] = PLm[stop]
-            keep, item_keep = ~stop, ~item_stop
-            FTm, rows = np.compress(item_keep, FTm, axis=1), rows[item_keep]
+            keep = ~stop
             moving, sm, cm = moving[keep], sm[keep], cm[keep]
             AHm, PLm, psim = AHm[keep], PLm[keep], psim[keep]
             starts = np.cumsum(sm) - sm
+        del PTm  # before the next sweep allocates its own
+    # every group has stopped, so every column holds beliefs
+    P = np.empty(F.shape)
+    P[rows] = FT.T
     return P, PL, AH, sweeps
 
 
@@ -287,6 +306,7 @@ def batch_mean_field(
     tol=0.0,
     alpha_hat0=None,
     p_label0=None,
+    overwrite_F=False,
 ):
     """Run coordinate sweeps for a whole corpus from cached logits F
     (num_items, K).  tol = 0 runs exactly max_sweeps sweeps on every group
@@ -296,12 +316,16 @@ def batch_mean_field(
     warm-start the per-group state (fresh alpha and uniform beliefs
     otherwise); clamped labels override p_label0.  Returns (p_items,
     p_label, alpha_hat, sweeps_done), sweeps_done being the largest
-    per-group sweep count."""
+    per-group sweep count.  overwrite_F=True lets the kernel write F's
+    memory: a caller that no longer reads its logits passes the transpose
+    `FT.T` of a C-ordered (K, N) array, and the numpy kernel sweeps in FT
+    itself, with no copy.  Otherwise F stays as it was."""
     flat.check()
     clamp_labels = check_bool(clamp_labels, "clamp_labels")
     max_sweeps = check_int(max_sweeps, "max_sweeps", 1)
     tol = check_real(tol, "tol", "[0, inf)")
-    F = np.ascontiguousarray(F, dtype=np.float64)
+    overwrite_F = check_bool(overwrite_F, "overwrite_F")
+    F = (np.asarray if overwrite_F else np.ascontiguousarray)(F, dtype=np.float64)
     D, K = flat.num_groups, hyper.num_topics
     if F.shape != (flat.num_items, K):
         raise ContractError("logit array shape does not match corpus layout")
@@ -327,4 +351,5 @@ def batch_mean_field(
         alpha_hat0,
         p_label0,
         NO_TAPE, NO_TAPE, NO_TAPE,
+        overwrite_F,
     )

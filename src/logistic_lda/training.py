@@ -360,9 +360,11 @@ def predict_corpus(flat: FlatGroups, theta, hyper, converged=False):
     unrolled forward pass) or, with converged=True, sweeps to tolerance.
     Returns (labels, p_label, p_items)."""
     converged = check_bool(converged, "converged")
-    F = forward_logits_batch(flat.payload, theta)
     sweeps, tol = (PREDICT_MAX_SWEEPS, PREDICT_TOL) if converged else (hyper.n_iter, 0.0)
-    P, PL, _, _ = batch_mean_field(F, flat, hyper, False, sweeps, tol=tol)
+    # the kernel sweeps in the topic-major logits' own memory: no (N, K)
+    # copy of them is made
+    FT = forward_logits_batch(flat.payload, theta, topic_major=True)
+    P, PL, _, _ = batch_mean_field(FT.T, flat, hyper, False, sweeps, tol=tol, overwrite_F=True)
     return np.argmax(PL, axis=1), PL, P
 
 

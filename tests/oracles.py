@@ -511,9 +511,10 @@ def _reference_sweep(F, sizes, starts, alpha, lam, AH, PL, clamped, psi):
 
 
 def reference_mean_field_batch(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0,
-                               PL0, tape_P, tape_A, tape_Q):
+                               PL0, tape_P, tape_A, tape_Q, overwrite_F=False):
     """The earlier numpy batch kernel, with the shipped kernels' signature:
-    item beliefs as (N, K) rows, one softmax over them per sweep."""
+    item beliefs as (N, K) rows, one softmax over them per sweep.  It never
+    writes F, so overwrite_F changes nothing."""
     sizes = np.diff(offsets)
     AH = AH0.copy()
     PL = PL0.copy()

@@ -94,6 +94,8 @@ ARGS = {
         (0.0, 0, 5e-324, np.float32(1e-6))),
     "batch_mean_field:clamp_labels": Arg(
         "clamp_labels", lambda v: _batch_mean_field(clamp_labels=v), NOT_BOOL, (), BOOLS),
+    "batch_mean_field:overwrite_F": Arg(
+        "overwrite_F", lambda v: _batch_mean_field(overwrite_F=v), NOT_BOOL, (), BOOLS),
     "predict_corpus:converged": Arg(
         "converged", lambda v: predict_corpus(flatten_groups(_groups()), *_model(), converged=v),
         NOT_BOOL, (), BOOLS),

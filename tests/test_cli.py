@@ -748,14 +748,14 @@ class TestKernelKeepsTheBits:
     def test_same_bytes_as_the_reference_kernel(self, tmp_path, capsys, monkeypatch, runs):
         runs = getattr(self, runs)
         shipped = self.outputs(tmp_path / "shipped", capsys, monkeypatch, runs)
-        calls = []
+        tols = []
 
         def reference(*args):
-            calls.append(args[6])
+            tols.append(args[7])
             return reference_mean_field_batch(*args)
 
         monkeypatch.setattr(mean_field, "_mean_field_batch", reference)
         monkeypatch.setattr(training, "_mean_field_batch", reference)
         assert self.outputs(tmp_path / "reference", capsys, monkeypatch, runs) == shipped
-        assert calls  # the patched kernel ran
+        assert tols and max(tols) > 0.0  # it ran, converged inference included
 

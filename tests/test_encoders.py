@@ -106,6 +106,28 @@ class TestForward:
             assert F.flags.c_contiguous and F.dtype == want.dtype and F.shape == want.shape
             assert F.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind", ["table", "fixed_loglik", "mlp"])
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_topic_major_is_the_transpose(self, kind, K):
+        # the bits of the (N, K) logits, transposed into a new C-ordered
+        # (K, N) array that shares no memory with theta
+        rng = np.random.default_rng(K)
+        V, N = 40, 300
+        if kind == "mlp":
+            theta, payload = small_mlp(seed=K, dims=(5, 4, K)), rng.normal(size=(N, 5))
+        else:
+            table = rng.normal(scale=3.0, size=(K, V))
+            if kind == "fixed_loglik":
+                table = np.exp(table)
+                table[:, ::7] = 0.0  # ln 0 = -inf
+                table /= table.sum(axis=1, keepdims=True)
+            theta, payload = EncoderParams(kind=kind, table=table), rng.integers(V, size=N)
+        want = forward_logits_batch(payload, theta).T
+        FT = forward_logits_batch(payload, theta, topic_major=True)
+        assert FT.flags.c_contiguous and FT.shape == want.shape
+        assert FT.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert not any(np.shares_memory(FT, w) for w in theta.weights or [theta.table])
+
     def test_batch_matches_per_item(self):
         theta = small_mlp(seed=1)
         X = SeededRng(2).gen.normal(size=(7, 5))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma as sp_digamma
 
 from logistic_lda import mean_field
+from logistic_lda.backend import _mean_field_batch_nb_jit
 from logistic_lda.data_io import corpus_from_groups, load_corpus, save_corpus
 
 from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch, init_params
@@ -731,12 +732,47 @@ class TestTopicMajorKernel:
         assert str(err.value) == "softmax of all -inf logits is undefined"
 
 
+class TestCallersLogits:
+    """batch_mean_field never writes the logits it is given, whatever their
+    layout: np.ascontiguousarray(F.T) is a view of F when F is F-ordered or
+    K = 1, and the converged numpy kernel compacts its logits in place.
+    Only a caller that hands them over (overwrite_F) lets the kernel write
+    them.  Each kernel gives the bits of its own call on C-ordered logits."""
+
+    @pytest.mark.parametrize("kernel", [_mean_field_batch_np, _mean_field_batch_nb_jit],
+                             ids=["numpy", "numba"])
+    @pytest.mark.parametrize("run", ["fixed", "converged"])
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_unchanged_and_same_bits_in_any_layout(self, monkeypatch, K, run, kernel):
+        monkeypatch.setattr(mean_field, "_mean_field_batch", kernel)
+        F, offsets, alpha, lam, labels, AH0, PL0 = ragged_problem(K, 0)
+        flat = FlatGroups(payload=np.zeros(F.shape[0], dtype=np.int64), offsets=offsets,
+                          labels=labels)
+        hyper = HyperParams(alpha=alpha, lam=lam)
+        sweeps, tol = KERNEL_RUNS[run]
+        outs = []
+        for logits in (F.copy(), np.asfortranarray(F)):
+            given = logits.copy()
+            outs.append(batch_mean_field(logits, flat, hyper, True, sweeps, tol=tol,
+                                         alpha_hat0=AH0, p_label0=PL0))
+            assert same_bits(logits, given)
+        handed_over = np.array(F.T, order="C").T
+        outs.append(batch_mean_field(handed_over, flat, hyper, True, sweeps, tol=tol,
+                                     alpha_hat0=AH0, p_label0=PL0, overwrite_F=True))
+        want = kernel(F.copy(), offsets, alpha, lam, labels, True, sweeps, tol, AH0, PL0,
+                      NO_TAPE, NO_TAPE, NO_TAPE)
+        for got in outs:
+            assert got[3] == want[3]
+            assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
+
+
 class TestKernelMemory:
     """No sweep reads the item beliefs of the sweep before, so the numpy
-    kernel drops each (K, N) array once it is read: its traced peak stays a
-    small multiple of the logits' bytes."""
+    kernel drops each (K, N) array once it is read, and the converged kernel
+    sweeps, compacts and parks beliefs in one (K, N) buffer: its traced peak
+    stays a small multiple of the logits' bytes."""
 
-    @pytest.mark.parametrize("tol,sweeps,bound", [(1e-6, 200, 4.0), (0.0, 5, 3.2)],
+    @pytest.mark.parametrize("tol,sweeps,bound", [(1e-6, 200, 3.2), (0.0, 5, 3.2)],
                              ids=["converged", "fixed"])
     def test_traced_peak(self, monkeypatch, tol, sweeps, bound):
         monkeypatch.setattr(mean_field, "_mean_field_batch", _mean_field_batch_np)
@@ -755,3 +791,21 @@ class TestKernelMemory:
             tracemalloc.stop()
         assert 1 < done <= sweeps
         assert peak <= bound * F.nbytes, peak / F.nbytes
+
+    def test_predict_corpus_traced_peak(self, monkeypatch):
+        # the topic-major logits are handed to the kernel: no (N, K) copy
+        monkeypatch.setattr(mean_field, "_mean_field_batch", _mean_field_batch_np)
+        rng = np.random.default_rng(0)
+        D, L, K, V = 100, 60, 5, 200
+        flat = FlatGroups(payload=rng.integers(0, V, size=D * L),
+                          offsets=np.arange(0, D * L + 1, L), labels=np.full(D, -1))
+        theta = init_params("table", (K, V), 1.0, SeededRng(0))
+        hyper = HyperParams(alpha=np.full(K, 0.5))
+        predict_corpus(flat, theta, hyper, converged=True)  # fills one-time caches
+        tracemalloc.start()
+        try:
+            predict_corpus(flat, theta, hyper, converged=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * D * L * K * 8, peak / (D * L * K * 8)
