@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .math_kernels import _digamma_tail, _trigamma_tail
 
 try:
@@ -85,10 +85,10 @@ _digamma_scalar_jit = njit(_digamma_scalar)
 _trigamma_scalar_jit = njit(_trigamma_scalar)
 
 
-# the twin of mean_field._mean_field_batch_np: its signature and tape; it
-# never writes F, so it has no use for overwrite_F
+# the twin of mean_field._mean_field_batch_np: its signature, tape, carried
+# psi and refusals; it never writes F, so it has no use for overwrite_F
 def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
-                         tape_P, tape_A, tape_Q, overwrite_F=False):
+                         tape_P, tape_A, tape_Q, overwrite_F=False, psi=None):
     total, K = F.shape
     D = offsets.shape[0] - 1
     P = np.empty((total, K))
@@ -109,21 +109,29 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                 PL[d, k] = PL0[d, k]
         for k in range(K):
             AH[d, k] = AH0[d, k]
+        if psi is None:
+            for k in range(K):
+                psi_a[k] = _digamma_scalar_jit(AH[d, k])
+        else:
+            for k in range(K):
+                psi_a[k] = psi[d, k]
         if taped:
             for k in range(K):
                 tape_A[d, 0, k] = AH[d, k]
                 tape_Q[d, 0, k] = PL[d, k]
         done = 0
         while done < max_sweeps:
-            for k in range(K):
-                psi_a[k] = _digamma_scalar_jit(AH[d, k])
             for n in range(lo, hi):
                 m = -np.inf
                 for k in range(K):
                     v = F[n, k] + psi_a[k]
                     P[n, k] = v
+                    if not v < np.inf:  # NaN fails it too
+                        raise DomainError("softmax requires entries in [-inf, +inf)")
                     if v > m:
                         m = v
+                if m == -np.inf:
+                    raise DomainError("softmax of all -inf logits is undefined")
                 s = 0.0
                 for k in range(K):
                     e = np.exp(P[n, k] - m)
@@ -142,10 +150,12 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                 if diff > delta:
                     delta = diff
                 AH[d, k] = new
+            for k in range(K):
+                psi_a[k] = _digamma_scalar_jit(AH[d, k])
             if not clamped:
                 m = -np.inf
                 for k in range(K):
-                    v = lam * _digamma_scalar_jit(AH[d, k])
+                    v = lam * psi_a[k]
                     PL[d, k] = v
                     if v > m:
                         m = v
@@ -166,6 +176,9 @@ def _mean_field_batch_nb(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
                     tape_Q[d, done, k] = PL[d, k]
             if tol > 0.0 and delta < tol:
                 break
+        if psi is not None:
+            for k in range(K):
+                psi[d, k] = psi_a[k]
         if done > sweeps:
             sweeps = done
     return P, PL, AH, sweeps

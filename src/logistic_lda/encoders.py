@@ -151,26 +151,31 @@ def _mlp_forward(theta, X, keep_hidden=False):
     h = X
     hs = [h]
     for W, b, act in zip(theta.weights, theta.biases, theta.activations):
-        a = h @ W.T + b
+        # each layer's output is made in its pre-activation's buffer
+        h = h @ W.T
+        h += b
         if act == "tanh":
-            h = np.tanh(a)
+            np.tanh(h, out=h)
         elif act == "relu":
-            h = np.maximum(a, 0.0)
-        else:  # linear
-            h = a
+            np.maximum(h, 0.0, out=h)
         hs.append(h)
     if keep_hidden:
         return h, hs
     return h
 
 
-def _act_grad(name, h):
-    # derivative of the activation expressed through its output h
+def _act_grad(name, h, dh):
+    # dh times the activation's derivative, expressed through its output h,
+    # in one new buffer; dh itself for a linear layer
     if name == "tanh":
-        return 1.0 - h * h
-    if name == "relu":
-        return (h > 0.0).astype(np.float64)
-    return None
+        g = h * h
+        np.subtract(1.0, g, out=g)
+    elif name == "relu":
+        g = (h > 0.0).astype(np.float64)
+    else:
+        return dh
+    g *= dh
+    return g
 
 
 def forward_logits_batch(payload, theta: EncoderParams, keep_hidden=False, topic_major=False):
@@ -235,8 +240,7 @@ def backward_batch(payload, theta: EncoderParams, grad_wrt_logits, hidden=None) 
         _, hidden = _mlp_forward(theta, np.asarray(payload, dtype=np.float64), keep_hidden=True)
     dh = dF
     for l in reversed(range(len(theta.weights))):
-        g = _act_grad(theta.activations[l], hidden[l + 1])
-        da = dh if g is None else dh * g
+        da = _act_grad(theta.activations[l], hidden[l + 1], dh)
         G.weights[l][...] = da.T @ hidden[l]
         G.biases[l][...] = da.sum(axis=0)
         if l:

@@ -33,6 +33,16 @@ row-major sum pays numpy's fixed cost on each of the N short rows.  The
 mean-field sweep's item softmax (`_softmax_topics`) and training's
 soft-target gradient sum through it; softmax and log_softmax keep np.sum.
 
+A sum over the N items of a C-ordered (N, K) array, np.sum(axis=0), adds
+the rows one after another from 0.0, and so does np.einsum('nk->k'), at
+contiguous speed where numpy's reduction pays for its short outer rows:
+on a (6000, 5) array 31 us against 132 us.  `_item_sum` takes einsum for
+a C-ordered float64 array of at least 2 columns, where the two agree bit
+for bit.  At K = 1, and in other layouts, the two add in different
+orders (at K = 1, half of the item counts from 16 to 60 000 tried give
+other bits), so those take np.sum.  The regularizer's per-topic sum over
+a batch's items is `_item_sum`.
+
 A column max (log_sum_exp over axis 0 of an (N, K) stack) has the same
 fixed cost per row, and the same cure: the max over axis 1 of a transposed
 contiguous copy.  There the copy's strided writes cost more as N grows:
@@ -301,7 +311,10 @@ def _check_max(m, name):
 
 
 def _check_shift(m, name):
-    """Refuse the maxima m of softmax rows holding NaN, +inf or only -inf."""
+    """Refuse the maxima m of softmax rows holding NaN, +inf or only -inf.
+    Finite maxima pass in one test; the others are told apart after it."""
+    if np.isfinite(m).all():
+        return
     _check_max(m, name)
     if np.any(m == -np.inf):
         raise DomainError(f"{name} of all -inf logits is undefined")
@@ -340,6 +353,15 @@ def _topic_sum(E):
         s += E[k]
     s += 0.0  # numpy adds the row's sum to its 0.0 start, which turns -0.0 into 0.0
     return s
+
+
+def _item_sum(A):
+    """np.sum(A, axis=0) bit for bit: the sum over the rows of A in order,
+    by einsum for a C-ordered 2-d float64 array of at least 2 columns (see
+    the module docstring)."""
+    if A.ndim == 2 and A.shape[1] >= 2 and A.flags.c_contiguous and A.dtype == np.float64:
+        return np.einsum("nk->k", A)
+    return np.sum(A, axis=0)
 
 
 def _softmax_topics(V):

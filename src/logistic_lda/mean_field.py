@@ -45,6 +45,16 @@ and np.add.reduceat over the (N, K) view of the beliefs adds each
 group's rows in the order it adds them in a row-major array.  Only the
 outputs are (N, K): the beliefs that callers get and the taped ones are
 written through a transposed view.
+
+Each sweep takes one digamma of alpha_hat, which the label update reads
+and the next sweep's item update starts from, so a call of n sweeps
+takes n + 1.  A caller that carries alpha_hat from call to call (the
+variational E-step) carries psi = digamma(alpha_hat) beside it: every
+kernel takes an optional (D, K) psi array holding digamma of the
+warm-start alpha_hat, uses it in place of its first digamma, and
+overwrites it with digamma of the alpha_hat it returns, so a call of n
+sweeps takes n.  Both are the same elementwise digamma, so the bits are
+those of the call without psi.
 """
 
 from __future__ import annotations
@@ -202,7 +212,9 @@ def flatten_groups(groups) -> FlatGroups:
 # holds the item beliefs of sweep t, tape_A[:, t] and tape_Q[:, t] the
 # alpha_hat and label beliefs after it, and index 0 the start state.
 # Callers that keep no tape pass NO_TAPE three times: a zero-length tape,
-# so that numba compiles one signature for taped and untaped calls.
+# so that numba compiles one signature for taped and untaped calls.  A
+# given psi is read as digamma(AH0) and overwritten with digamma of the
+# returned alpha_hat (see the module docstring).
 NO_TAPE = np.empty((0, 0, 0))
 
 
@@ -225,14 +237,14 @@ def _sweep_np(FT, sizes, starts, alpha, lam, AH, PL, clamped, psi):
 
 
 def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0, PL0,
-                         tape_P, tape_A, tape_Q, overwrite_F=False):
+                         tape_P, tape_A, tape_Q, overwrite_F=False, psi=None):
     sizes = np.diff(offsets)
     AH = AH0.copy()
     PL = PL0.copy()
     clamped = labels >= 0 if clamp else np.zeros(labels.shape, dtype=bool)
     PL[clamped] = 0.0
     PL[clamped, labels[clamped]] = 1.0
-    psi = digamma(AH)
+    carried, psi = psi, digamma(AH) if psi is None else psi
     # A sweep reads the logits and the group state, never the item beliefs
     # of the sweep before: each (K, N) buffer is dropped once it is read, so
     # that the next one's allocation does not stack on it.
@@ -248,6 +260,8 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
             if taped:
                 tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = PT.T, AH, PL
         del FT
+        if carried is not None:
+            carried[...] = psi
         P = tape_P[max_sweeps - 1] if taped else np.ascontiguousarray(PT.T)
         return P, PL, AH, max_sweeps
     # Groups never read one another's state, so each stops on its own change:
@@ -283,6 +297,8 @@ def _mean_field_batch_np(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol,
             n = m
             AH[moving[stop]] = AHm[stop]
             PL[moving[stop]] = PLm[stop]
+            if carried is not None:
+                carried[moving[stop]] = psim[stop]
             keep = ~stop
             moving, sm, cm = moving[keep], sm[keep], cm[keep]
             AHm, PLm, psim = AHm[keep], PLm[keep], psim[keep]
@@ -307,6 +323,7 @@ def batch_mean_field(
     alpha_hat0=None,
     p_label0=None,
     overwrite_F=False,
+    psi=None,
 ):
     """Run coordinate sweeps for a whole corpus from cached logits F
     (num_items, K).  tol = 0 runs exactly max_sweeps sweeps on every group
@@ -319,7 +336,11 @@ def batch_mean_field(
     per-group sweep count.  overwrite_F=True lets the kernel write F's
     memory: a caller that no longer reads its logits passes the transpose
     `FT.T` of a C-ordered (K, N) array, and the numpy kernel sweeps in FT
-    itself, with no copy.  Otherwise F stays as it was."""
+    itself, with no copy.  Otherwise F stays as it was.  psi, when given,
+    is a writable (num_groups, K) float64 array holding digamma of the
+    warm-start alpha_hat, which the kernel takes in place of computing it,
+    and overwrites with digamma of the alpha_hat it returns: a caller that
+    carries alpha_hat from call to call carries psi beside it."""
     flat.check()
     clamp_labels = check_bool(clamp_labels, "clamp_labels")
     max_sweeps = check_int(max_sweeps, "max_sweeps", 1)
@@ -339,6 +360,10 @@ def batch_mean_field(
     p_label0 = np.ascontiguousarray(p_label0, dtype=np.float64)
     if alpha_hat0.shape != (D, K) or p_label0.shape != (D, K):
         raise ContractError("warm-start arrays must be (num_groups, K)")
+    if psi is not None and not (isinstance(psi, np.ndarray) and psi.dtype == np.float64
+                                and psi.shape == (D, K) and psi.flags.writeable):
+        raise ContractError(f"psi must be None or a writable (num_groups, K) float64 array, "
+                            f"got {type(psi).__name__} {np.shape(psi)}")
     return _mean_field_batch(
         F,
         flat.offsets,
@@ -352,4 +377,5 @@ def batch_mean_field(
         p_label0,
         NO_TAPE, NO_TAPE, NO_TAPE,
         overwrite_F,
+        psi,
     )

@@ -48,7 +48,7 @@ from .math_kernels import (
     check_bool,
     check_int,
     check_real,
-    digamma,  # noqa: F401  (a traced name; perfbench/spans.py wraps it here)
+    digamma,
     expected_log_pi,
     ln_multivariate_beta,
     log_softmax,
@@ -172,10 +172,11 @@ class Optimizer:
 @dataclass
 class _EStepCarry:
     """What the variational regime keeps across batches and epochs: each
-    group's alpha_hat and label beliefs (the E-step's warm start) and the
-    running topic-usage estimate."""
+    group's alpha_hat, psi = digamma(alpha_hat) and label beliefs (the
+    E-step's warm start) and the running topic-usage estimate."""
 
     alpha_hat: np.ndarray
+    psi: np.ndarray
     p_label: np.ndarray
     reg_state: RegularizerState
     total_items: int
@@ -184,7 +185,9 @@ class _EStepCarry:
     def start(cls, flat, hyper):
         """alpha_hat = alpha and uniform label beliefs for every group."""
         D, K = flat.num_groups, hyper.num_topics
-        return cls(alpha_hat=np.tile(hyper.alpha, (D, 1)), p_label=np.full((D, K), 1.0 / K),
+        alpha_hat = np.tile(hyper.alpha, (D, 1))
+        return cls(alpha_hat=alpha_hat, psi=digamma(alpha_hat),
+                   p_label=np.full((D, K), 1.0 / K),
                    reg_state=RegularizerState(rho=hyper.rho), total_items=flat.num_items)
 
 
@@ -228,28 +231,36 @@ def _variational_step(mini, batch_ids, theta, hyper, config, carry):
     """E-step from the batch's warm-started beliefs, then the gradient of
     -sum (p_items + gamma * r_hat)' g(x, theta) with beliefs and r_hat held
     constant.  Updates `carry`; returns (grad, p_items, loss, floor_hits)."""
-    F, hidden = forward_logits_batch(mini.payload, theta, keep_hidden=True)
-    if np.any(np.isnan(F) | (F == np.inf)):
+    by_row = _by_vocab_row(theta, len(mini.payload))
+    if by_row:
+        # only the E-step reads the items' logits: it sweeps in their own
+        # topic-major memory, as predict_corpus's does
+        F, hidden = forward_logits_batch(mini.payload, theta, topic_major=True).T, None
+    else:
+        F, hidden = forward_logits_batch(mini.payload, theta, keep_hidden=True)
+    if not F.max() < np.inf:
         # -inf is a legal logit (impossible token); nan and +inf are not
         raise TrainingDivergedError("non-finite logits in variational step")
+    psi = carry.psi[batch_ids]
     P, PL, AH, _ = batch_mean_field(
         F, mini, hyper, config.clamp_labels, config.e_step_sweeps, tol=0.0,
         alpha_hat0=carry.alpha_hat[batch_ids], p_label0=carry.p_label[batch_ids],
+        overwrite_F=by_row, psi=psi,
     )
     rows, index = _rows_and_index(log_softmax, mini.payload, theta, F)
     g = _gather(rows, index)
     S = P
     if hyper.gamma > 0.0:
-        carry.reg_state, r_hat = update_running_estimate(
-            carry.reg_state, rows, carry.total_items, index=index,
-            gathered=None if index is None else g)
-        S = P + hyper.gamma * r_hat
+        carry.reg_state, S = update_running_estimate(
+            carry.reg_state, rows, carry.total_items, index=index, gamma=hyper.gamma)
+        S += P
     loss = -float(np.sum(S * g))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite variational loss {loss!r}")
     Q = _per_item(softmax, mini.payload, theta, F)
     grad = backward_batch(mini.payload, theta, _soft_target_grad_wrt_logits(Q, S), hidden)
     carry.alpha_hat[batch_ids] = AH
+    carry.psi[batch_ids] = psi
     carry.p_label[batch_ids] = PL
     return grad, P, loss, 0
 
@@ -338,9 +349,12 @@ def _discriminative_batch_grad(payload, offsets, labels, theta, hyper):
     dF, losses, floor_hits = _unroll_bwd(
         offsets, float(hyper.lam), P, A, Q, labels, int(hyper.n_iter), LOSS_FLOOR
     )
-    D = offsets.shape[0] - 1
-    grad = backward_batch(payload, theta, dF / D, hidden)
-    return float(losses.mean()), grad, floor_hits, P[-1]
+    # the tapes go before the encoder's backward pass allocates
+    P_last = P[-1].copy()
+    del P, A, Q
+    dF /= offsets.shape[0] - 1
+    grad = backward_batch(payload, theta, dF, hidden)
+    return float(losses.mean()), grad, floor_hits, P_last
 
 
 def _discriminative_step(mini, batch_ids, theta, hyper, config, carry):

@@ -511,10 +511,11 @@ def _reference_sweep(F, sizes, starts, alpha, lam, AH, PL, clamped, psi):
 
 
 def reference_mean_field_batch(F, offsets, alpha, lam, labels, clamp, max_sweeps, tol, AH0,
-                               PL0, tape_P, tape_A, tape_Q, overwrite_F=False):
+                               PL0, tape_P, tape_A, tape_Q, overwrite_F=False, psi=None):
     """The earlier numpy batch kernel, with the shipped kernels' signature:
     item beliefs as (N, K) rows, one softmax over them per sweep.  It never
-    writes F, so overwrite_F changes nothing."""
+    writes F, so overwrite_F changes nothing.  A given psi holds
+    digamma(AH0), and receives digamma of the alpha_hat returned."""
     sizes = np.diff(offsets)
     AH = AH0.copy()
     PL = PL0.copy()
@@ -522,7 +523,7 @@ def reference_mean_field_batch(F, offsets, alpha, lam, labels, clamp, max_sweeps
     PL[clamped] = 0.0
     PL[clamped, labels[clamped]] = 1.0
     P = np.empty_like(F)
-    psi = digamma(AH)
+    carried, psi = psi, digamma(AH) if psi is None else psi
     if tol <= 0.0:
         taped = tape_P.shape[0] > 0
         if taped:
@@ -532,6 +533,8 @@ def reference_mean_field_batch(F, offsets, alpha, lam, labels, clamp, max_sweeps
                                               clamped, psi)
             if taped:
                 tape_P[t - 1], tape_A[:, t], tape_Q[:, t] = P, AH, PL
+        if carried is not None:
+            carried[...] = psi
         return P, PL, AH, max_sweeps
     rows = np.arange(F.shape[0])
     moving = np.arange(sizes.size)
@@ -547,6 +550,8 @@ def reference_mean_field_batch(F, offsets, alpha, lam, labels, clamp, max_sweeps
             P[rows[item_stop]] = Pm[item_stop]
             AH[moving[stop]] = AHm[stop]
             PL[moving[stop]] = PLm[stop]
+            if carried is not None:
+                carried[moving[stop]] = psim[stop]
             keep, item_keep = ~stop, ~item_stop
             Fm, rows = Fm[item_keep], rows[item_keep]
             moving, sm, cm = moving[keep], sm[keep], cm[keep]

@@ -48,6 +48,11 @@ def _batch_mean_field(**kw):
                             args.pop("clamp_labels"), args.pop("max_sweeps"), **args)
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 def _top_items(**kw):
     theta, hyper = _model()
     return top_items_per_topic(corpus_from_groups(_groups(), 2), theta, hyper,
@@ -96,6 +101,14 @@ ARGS = {
         "clamp_labels", lambda v: _batch_mean_field(clamp_labels=v), NOT_BOOL, (), BOOLS),
     "batch_mean_field:overwrite_F": Arg(
         "overwrite_F", lambda v: _batch_mean_field(overwrite_F=v), NOT_BOOL, (), BOOLS),
+    "batch_mean_field:psi": Arg(
+        "psi", lambda v: _batch_mean_field(psi=v), (),
+        tuple((v, ContractError) for v in (
+            "x", 0.0, [[0.0, 0.0], [0.0, 0.0]], np.zeros(4), np.zeros((2, 3)),
+            np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2), dtype=np.int64),
+            _read_only(np.zeros((2, 2))),
+        )),
+        (None, np.zeros((2, 2)), np.zeros((2, 2), order="F"), np.zeros((2, 4))[:, ::2])),
     "predict_corpus:converged": Arg(
         "converged", lambda v: predict_corpus(flatten_groups(_groups()), *_model(), converged=v),
         NOT_BOOL, (), BOOLS),
@@ -122,6 +135,11 @@ ARGS = {
     "update_running_estimate:total_items": Arg(
         "total_items", lambda v: update_running_estimate(RegularizerState(), np.zeros((4, 2)), v),
         (4.5, *NOT_INT, None), ((3, ContractError),), (4, np.int64(4))),
+    "update_running_estimate:gamma": Arg(
+        "gamma", lambda v: update_running_estimate(RegularizerState(), np.zeros((4, 2)), 4,
+                                                   gamma=v),
+        ("x", None, True, 1j), ((-1.0, DomainError), (np.nan, DomainError), (np.inf, DomainError)),
+        (0.0, 0, 1, np.float32(0.5), 2.4e5)),
     "generate_corpus:labeled": Arg("labeled", _generate, NOT_BOOL, (), BOOLS),
     "generate_corpus:K": Arg(
         "K", lambda v: generate_corpus(v, 4, 3, 5, np.ones(2), disjoint_topic_matrix(2, 4),

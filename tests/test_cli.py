@@ -353,6 +353,30 @@ class TestTrainComputesWhatItWrites:
         assert not model.exists()
 
 
+class TestReadmeTrain:
+    """The README's `gen` and `train` lines, through run_cli, give the
+    final_loss the README quotes, bit for bit on the numpy backend: the
+    variational step's speed-ups (einsum item sums, the carried digamma, the
+    regularizer's scaled rows) keep every bit of the loss."""
+
+    README_FINAL_LOSS = 11.561363379985165
+
+    def test_final_loss(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "gen", "--k", "5", "--v", "100", "--docs", "1000", "--len",
+                           "60", "--seed", "42", "-o", str(corpus))
+        assert code == 0, err
+        code, out, err = run(capsys, "train", "--corpus", str(corpus), "-o",
+                             str(tmp_path / "model.ckpt"), "--gamma", "auto", "--epochs", "30",
+                             "--batch-size", "100", "--lr", "0.05", "--seed", "2", "--quiet")
+        assert code == 0, err
+        final_loss = json.loads(out)["final_loss"]
+        if mean_field.backend.BACKEND == "numpy":
+            assert final_loss == self.README_FINAL_LOSS
+        else:  # the numba loops' sums are not numpy's: the README's 11.56
+            assert final_loss == pytest.approx(self.README_FINAL_LOSS, abs=5e-3)
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("value, flag", [
         ("1", "--labeled"), ("true", "--labeled"), ("YES", "--labeled"), ("On", "--labeled"),

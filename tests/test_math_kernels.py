@@ -26,7 +26,7 @@ from logistic_lda.math_kernels import (
     sample_dirichlet,
     check_simplex,
 )
-from logistic_lda.math_kernels import _max, _softmax_topics, _topic_sum
+from logistic_lda.math_kernels import _item_sum, _max, _softmax_topics, _topic_sum
 
 from oracles import (
     psi_oracle,
@@ -440,6 +440,45 @@ class TestTopicMajorKernels:
         v = np.asarray(v, dtype=np.float64)
         assert_same_error(lambda a: _softmax_topics(a.T.copy()),
                           reference_softmax, v)
+
+
+def item_sum_inputs(n, k, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
+    v[::7] = -0.0
+    v[3::11] = rng.choice(SUM_ENTRIES, size=v[3::11].shape)
+    return v
+
+
+class TestItemSum:
+    """_item_sum equals np.sum(axis=0) bit for bit: by einsum on a C-ordered
+    float64 array of at least 2 columns, by np.sum in every other case."""
+
+    @staticmethod
+    def assert_is_the_column_sum(v):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e300 + 1e300
+            assert_same_bits(_item_sum(v), v.sum(axis=0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 128, 129, 1000])
+    def test_every_topic_count(self, n):
+        for k in range(1, 131):
+            self.assert_is_the_column_sum(item_sum_inputs(n, k, seed=n * 1000 + k))
+
+    @pytest.mark.parametrize("n", [6000, 60_000])
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_batch_and_corpus_sizes(self, n, k):
+        self.assert_is_the_column_sum(item_sum_inputs(n, k, seed=k))
+        self.assert_is_the_column_sum(np.exp(np.random.default_rng(k).normal(size=(n, k))))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 130])
+    def test_other_layouts_and_types_take_np_sum(self, k):
+        v = item_sum_inputs(600, 2 * k, seed=k)
+        with np.errstate(over="ignore"):  # 1e300 as float32
+            v32 = v.astype(np.float32)
+        for w in (np.asfortranarray(v), v[::2], v[:, ::2], v[::-1], v.T.copy().T, v32,
+                  np.arange(12 * k).reshape(12, k), v[:, 0], v.reshape(600, k, 2)):
+            assert not (w.ndim == 2 and w.flags.c_contiguous and w.dtype == np.float64)
+            self.assert_is_the_column_sum(w)
 
 
 class TestExpectedLogPi:

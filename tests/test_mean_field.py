@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma as sp_digamma
 
 from logistic_lda import mean_field
-from logistic_lda.backend import _mean_field_batch_nb_jit
+from logistic_lda.backend import _digamma_scalar_jit, _mean_field_batch_nb_jit
 from logistic_lda.data_io import corpus_from_groups, load_corpus, save_corpus
 
 from logistic_lda.encoders import Item, fixed_loglik_params, forward_logits_batch, init_params
@@ -715,21 +715,63 @@ class TestTopicMajorKernel:
         F, offsets, alpha, lam, labels, AH0, PL0 = ragged_problem(5, 4)
         F[F.shape[0] // 2, 1] = bad
         sweeps, tol = KERNEL_RUNS[run]
-        for kernel in (_mean_field_batch_np, reference_mean_field_batch):
+        for kernel in (_mean_field_batch_np, reference_mean_field_batch,
+                       _mean_field_batch_nb_jit):
             with pytest.raises(DomainError) as err:
                 kernel(F, offsets, alpha, lam, labels, False, sweeps, tol, AH0, PL0,
                        NO_TAPE, NO_TAPE, NO_TAPE)
             assert str(err.value) == "softmax requires entries in [-inf, +inf)"
 
     @pytest.mark.parametrize("tol", [0.0, 1e-6])
-    def test_a_token_no_topic_can_emit_is_refused(self, tol):
+    def test_a_token_no_topic_can_emit_is_refused(self, monkeypatch, tol):
         # a fixed_loglik zero column: every logit of token 2 is ln 0 = -inf
         beta = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
         flat = flatten_groups([token_group([0, 1]), token_group([1, 2, 0], gid="h")])
         F = forward_logits_batch(flat.payload, fixed_loglik_params(beta))
-        with pytest.raises(DomainError) as err:
-            batch_mean_field(F, flat, hp(2), False, 10, tol=tol)
-        assert str(err.value) == "softmax of all -inf logits is undefined"
+        for kernel in (_mean_field_batch_np, _mean_field_batch_nb_jit):
+            monkeypatch.setattr(mean_field, "_mean_field_batch", kernel)
+            with pytest.raises(DomainError) as err:
+                batch_mean_field(F, flat, hp(2), False, 10, tol=tol)
+            assert str(err.value) == "softmax of all -inf logits is undefined"
+
+
+class TestCarriedPsi:
+    """Every kernel takes an optional psi = digamma(AH0) in place of its
+    first digamma and overwrites it with digamma of the alpha_hat it
+    returns; every other output keeps the bits of the call without it."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("run", ["fixed", "converged", "loose", "capped"])
+    @pytest.mark.parametrize("K", [1, 5, 17])
+    @pytest.mark.parametrize("kernel", [_mean_field_batch_np, reference_mean_field_batch,
+                                        _mean_field_batch_nb_jit],
+                             ids=["numpy", "reference", "numba"])
+    def test_same_bits_and_psi_of_the_returned_alpha_hat(self, kernel, K, run, seed):
+        F, offsets, alpha, lam, labels, AH0, PL0 = ragged_problem(K, seed)
+        sweeps, tol = KERNEL_RUNS[run]
+        args = (F, offsets, alpha, lam, labels, True, sweeps, tol, AH0, PL0, *(NO_TAPE,) * 3)
+        # the numba loop's digamma is the scalar series, which can round apart
+        # from the array form in the last place (test_math_kernels.TestScalarSeries)
+        dig = digamma
+        if kernel is _mean_field_batch_nb_jit:
+            dig = np.vectorize(_digamma_scalar_jit, otypes=[np.float64])
+        want = kernel(*args)
+        psi = dig(AH0)
+        got = kernel(*args, False, psi)
+        for name, a, b in zip(["P", "PL", "AH", "sweeps"], got, want):
+            assert same_bits(a, b), name
+        assert same_bits(psi, dig(got[2]))
+
+    def test_batch_mean_field_passes_psi_to_the_kernel(self):
+        F, offsets, alpha, lam, labels, AH0, PL0 = ragged_problem(5, 3)
+        flat = FlatGroups(payload=np.zeros(F.shape[0], dtype=np.int64), offsets=offsets,
+                          labels=labels)
+        hyper = HyperParams(alpha=alpha, lam=lam)
+        psi = digamma(AH0)
+        got = batch_mean_field(F, flat, hyper, True, 3, alpha_hat0=AH0, p_label0=PL0, psi=psi)
+        want = batch_mean_field(F, flat, hyper, True, 3, alpha_hat0=AH0, p_label0=PL0)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert same_bits(psi, digamma(got[2]))
 
 
 class TestCallersLogits:

@@ -238,17 +238,28 @@ class TestVocabularyRowPath:
         batches.insert(2, rng.gen.choice(np.arange(0, self.V, 4), size=9))
         return batches
 
+    GAMMA = 4.0 * 60_000  # default_gamma of the README corpus
+
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
     def test_same_bits_as_per_item(self, rho):
+        # the scaled estimate too: gamma times each exp of a row, gathered,
+        # is gamma times the per-item estimate; every batch leaves vocabulary
+        # rows unused, which the column max does not read
         rows = self.rows()
         items, by_row = RegularizerState(rho=rho), RegularizerState(rho=rho)
+        scaled = RegularizerState(rho=rho)
         with np.errstate(invalid="ignore"):  # -inf minus an all -inf column's -inf
             for b, index in enumerate(self.batches()):
+                assert np.unique(index).size < self.V
                 items, r_items = update_running_estimate(items, rows[index], 500)
                 by_row, r_rows = update_running_estimate(by_row, rows, 500, index=index)
+                scaled, r_scaled = update_running_estimate(scaled, rows, 500, index=index,
+                                                           gamma=self.GAMMA)
                 assert r_rows.tobytes() == r_items.tobytes()
-                assert by_row.log_ema_per_topic.tobytes() == items.log_ema_per_topic.tobytes()
-                assert by_row.items_seen == items.items_seen
+                assert r_scaled.tobytes() == (self.GAMMA * r_items).tobytes()
+                for state in (by_row, scaled):
+                    assert state.log_ema_per_topic.tobytes() == items.log_ema_per_topic.tobytes()
+                    assert state.items_seen == items.items_seen
                 if b == 0 or rho == 0.0:
                     # the batch's own log mean, as log_sum_exp over its items
                     want = log_sum_exp(rows[index], axis=0) - np.log(len(index))
@@ -280,44 +291,33 @@ class TestVocabularyRowPath:
             update_running_estimate(RegularizerState(), g, 10)
 
 
-    @pytest.mark.parametrize("rho", [0.0, 0.99])
-    def test_handed_in_gathered_rows_keep_the_bits(self, rho):
-        # the caller's own g_batch[index] is used as it is, with the same bits
-        rows = self.rows()
-        items, handed = RegularizerState(rho=rho), RegularizerState(rho=rho)
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0, 3e5])
+    def test_scaled_per_item_estimate_keeps_the_bits(self, gamma):
+        # the scale changes r_hat alone, as gamma * r_hat, and not the state
+        g = self.rows()[SeededRng(13).gen.integers(self.V, size=30)]
+        plain, scaled = RegularizerState(rho=0.9), RegularizerState(rho=0.9)
         with np.errstate(invalid="ignore"):
-            for index in self.batches():
-                items, r_items = update_running_estimate(items, rows[index], 500)
-                handed, r_handed = update_running_estimate(handed, rows, 500, index=index,
-                                                           gathered=np.take(rows, index, axis=0))
-                assert r_handed.tobytes() == r_items.tobytes()
-                assert handed.log_ema_per_topic.tobytes() == items.log_ema_per_topic.tobytes()
-                assert handed.items_seen == items.items_seen
+            for _ in range(3):
+                plain, r_plain = update_running_estimate(plain, g, 100)
+                scaled, r_scaled = update_running_estimate(scaled, g, 100, gamma=gamma)
+                assert r_scaled.tobytes() == (gamma * r_plain).tobytes()
+                assert scaled.log_ema_per_topic.tobytes() == plain.log_ema_per_topic.tobytes()
+
+    @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+    def test_a_negative_or_non_finite_gamma_refused(self, gamma):
+        state = RegularizerState()
+        with pytest.raises(DomainError, match=r"^gamma must be finite and lie in \[0, inf\)"):
+            update_running_estimate(state, self.rows(), 100, index=np.array([0, 1]), gamma=gamma)
+        assert state.items_seen == 0
 
     @pytest.mark.parametrize("index", [
         [-1, 0], [0, 24], [0, 5, 99], np.array([[0, 1]]), np.array([0.0, 1.0]),
         np.array([True, False]), np.array(3)],
         ids=["negative", "past-the-rows", "far-past", "two-d", "float", "bool", "zero-d"])
-    @pytest.mark.parametrize("handed", [False, True], ids=["taken", "handed-in"])
-    def test_index_outside_the_rows_refused(self, index, handed):
+    def test_index_outside_the_rows_refused(self, index):
         # [-1, 0] used to gather the last row, [0, 24] to raise a bare IndexError
         rows, state = self.rows(), RegularizerState()
-        gathered = np.zeros((np.size(index), self.K)) if handed else None
         with pytest.raises(ContractError, match=r"^index must be a 1-d integer array in "
                                                 r"\[0, len\(g_batch\)\)$"):
-            update_running_estimate(state, rows, 10, index=index, gathered=gathered)
+            update_running_estimate(state, rows, 10, index=index)
         assert state.items_seen == 0 and state.log_ema_per_topic.size == 0
-
-    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (4,), (4, 5, 1), (0, 5)])
-    def test_gathered_of_another_shape_refused(self, shape):
-        rows, state = self.rows(), RegularizerState()
-        with pytest.raises(ContractError, match=r"^gathered must be g_batch\[index\], of shape "
-                                                r"\(len\(index\), K\)$"):
-            update_running_estimate(state, rows, 10, index=np.array([0, 2, 2, 7]),
-                                    gathered=np.zeros(shape))
-        assert state.items_seen == 0
-
-    def test_gathered_without_index_refused(self):
-        rows = self.rows()
-        with pytest.raises(ContractError, match="^gathered rows need the index"):
-            update_running_estimate(RegularizerState(), rows, 100, gathered=rows)

@@ -19,7 +19,7 @@ from logistic_lda.encoders import (
     init_params,
 )
 from logistic_lda.errors import ContractError, DomainError, TrainingDivergedError
-from logistic_lda.math_kernels import SeededRng, log_softmax, softmax, trigamma
+from logistic_lda.math_kernels import SeededRng, digamma, log_softmax, softmax, trigamma
 from logistic_lda.mean_field import (
     FlatGroups,
     Group,
@@ -238,6 +238,7 @@ class TestVariationalLoss:
         h = HyperParams(alpha=np.ones(2))
         carry = _EStepCarry.start(flat, h)
         carry.alpha_hat[0] = alpha_hat0
+        carry.psi[0] = digamma(carry.alpha_hat[0])  # the carry keeps psi beside alpha_hat
         _, P, loss, _ = _variational_step(flat, np.array([0]), theta, h, TrainConfig(), carry)
         return P[0], loss
 
@@ -398,6 +399,25 @@ class TestCallsPerBatch:
         _, _, _, sweeps = batch_mean_field(F, flat, h, False, 200, tol=1e-6)
         assert 1 < sweeps < 200
         assert len(calls) == sweeps + 1
+
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize("encoder", ["table", "mlp"])
+    def test_variational_step_runs_one_digamma_per_sweep(self, monkeypatch, encoder, sweeps):
+        # the carry holds digamma of the warm start, so the E-step takes no
+        # digamma for its start state
+        monkeypatch.setattr(mean_field, "_mean_field_batch", mean_field._mean_field_batch_np)
+        flat, theta, h = self.dense_problem()
+        if encoder == "table":
+            flat = flatten_groups([token_group([d % 4, 1, 2, 3, d % 3], gid=f"g{d}")
+                                   for d in range(7)])
+            theta = init_params("table", (3, 4), 1.0, SeededRng(3))
+        h.gamma = 2.0
+        carry = _EStepCarry.start(flat, h)
+        calls = self.counted(monkeypatch, mean_field, "digamma")
+        calls += self.counted(monkeypatch, training, "digamma")
+        config = TrainConfig(e_step_sweeps=sweeps, verbose=False)
+        _variational_step(flat, np.arange(flat.num_groups), theta, h, config, carry)
+        assert len(calls) == sweeps
 
     @pytest.mark.parametrize("mode", ["discriminative", "variational"])
     def test_training_step_runs_one_mlp_forward(self, monkeypatch, mode):
@@ -739,14 +759,55 @@ class TestVocabularyRows:
         monkeypatch.setattr(training, "_by_vocab_row",
                             lambda theta, n: taken.append(rule(theta, n)) or taken[-1])
         theta_rows, rows = train(flat, init_params("table", (K, V), 0.5, SeededRng(4)), h, cfg)
-        # two per batch (log_softmax and softmax) and one per epoch's ELBO
-        assert len(taken) == cfg.epochs * (2 * 4 + 1) and all(taken)
+        # three per batch (the logits' layout, log_softmax and softmax) and one
+        # per epoch's ELBO
+        assert len(taken) == cfg.epochs * (3 * 4 + 1) and all(taken)
         monkeypatch.setattr(training, "_by_vocab_row", lambda theta, n: False)
         theta_items, items = train(flat, init_params("table", (K, V), 0.5, SeededRng(4)), h, cfg)
         assert "elbo" in rows.records[-1] and rows.records == items.records
         assert theta_rows.flat.tobytes() == theta_items.flat.tobytes()
         assert (rows.reg_state.log_ema_per_topic.tobytes()
                 == items.reg_state.log_ema_per_topic.tobytes())
+
+
+class TestCarriedPsi:
+    """After every variational step the carry's psi is digamma of its
+    alpha_hat, bit for bit, so the next E-step starts from the bits it
+    would compute."""
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    @pytest.mark.parametrize("encoder", ["table", "mlp"])
+    def test_psi_is_digamma_of_alpha_hat_after_every_step(self, monkeypatch, encoder, sweeps):
+        rng = SeededRng(8)
+        K = 3
+        if encoder == "table":
+            groups = [token_group(rng.gen.integers(6, size=int(rng.gen.integers(1, 9))),
+                                  gid=f"d{d}", label=d % K if d % 3 == 0 else None)
+                      for d in range(11)]
+            theta = init_params("table", (K, 6), 0.5, SeededRng(4))
+        else:
+            groups = [Group(id=f"d{d}", label=d % K if d % 3 == 0 else None,
+                            items=[Item(dense=rng.gen.normal(size=4)) for _ in range(1 + d % 4)])
+                      for d in range(11)]
+            theta = init_params("mlp", (4, 5, K), 1.0, SeededRng(4))
+        carries = []
+        step = training._variational_step
+
+        def checked(mini, batch_ids, theta, hyper, config, carry):
+            out = step(mini, batch_ids, theta, hyper, config, carry)
+            assert carry.psi.tobytes() == digamma(carry.alpha_hat).tobytes()
+            carries.append(carry)
+            return out
+
+        monkeypatch.setattr(training, "_variational_step", checked)
+        # the numba loop's scalar digamma can round apart from the array form
+        monkeypatch.setattr(mean_field, "_mean_field_batch", mean_field._mean_field_batch_np)
+        h = HyperParams(alpha=np.full(K, 0.8), lam=1.0, gamma=3.0)
+        cfg = TrainConfig(epochs=3, batch_size=4, lr=0.05, e_step_sweeps=sweeps, verbose=False,
+                          keep_diagnostics=False)
+        train(flatten_groups(groups), theta, h, cfg)
+        assert len(carries) == 3 * 3
+        assert not np.array_equal(carries[-1].alpha_hat, np.tile(h.alpha, (11, 1)))
 
 
 class TestBatchSlices:
