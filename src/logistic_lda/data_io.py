@@ -199,15 +199,14 @@ def save_corpus(path, corpus: Corpus):
     if dense:
         payload = np.ascontiguousarray(payload, dtype="<f8")
 
-    def lines():
+    def lines():  # the bytes _dumps gives {"id", "items", "label"}, assembled per group
         for gid, (lo, hi), label in _group_records(corpus.flat):
-            items = b64encode(payload[lo:hi]).decode("ascii") if dense else payload[lo:hi].tolist()
-            rec = {"id": gid, "items": items}
-            if label >= 0:
-                rec["label"] = label
-            yield _dumps(rec)
+            items = (b'"%s"' % b64encode(payload[lo:hi]) if dense
+                     else _dumps(payload[lo:hi].tolist()).encode())
+            yield b'{"id":%s,"items":%s%s}\n' % (
+                _dumps(gid).encode(), items, b',"label":%d' % label if label >= 0 else b"")
 
-    _write_records(path, header, lines())
+    _atomic_write(path, chain([f"{_dumps(header)}\n".encode()], lines()))
 
 
 def _read_lines(fh):

@@ -40,7 +40,7 @@ class Item:
             raise ContractError("item must carry exactly one of: dense vector, token id")
         if self.dense is not None:
             arr = np.asarray(self.dense, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+            if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
                 raise DomainError("dense payload must be a finite 1-d vector")
             object.__setattr__(self, "dense", arr)
         else:

@@ -122,14 +122,6 @@ class HyperParams:
         return self.alpha.size
 
 
-def group_payload(group: Group):
-    """Stack the group's item payloads into one array for the encoder."""
-    first = group.items[0]
-    if first.dense is not None:
-        return np.stack([it.dense for it in group.items])
-    return np.array([it.token for it in group.items], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # flattened batch layer
 
@@ -179,11 +171,16 @@ class FlatGroups:
 
 
 def flatten_groups(groups) -> FlatGroups:
+    """Pack Group/Item objects in one pass over all items: one stack of the
+    dense vectors, or one int64 array of the tokens."""
     if not groups:
         raise ContractError("need at least one group")
+    items = [it for g in groups for it in g.items]
     try:
-        payloads = [group_payload(g) for g in groups]
-        payload = np.concatenate(payloads)
+        if items[0].dense is not None:
+            payload = np.stack([it.dense for it in items])
+        else:
+            payload = np.array([it.token for it in items], dtype=np.int64)
     except OverflowError:
         # an Item holds any non-negative Python int; int64 holds < 2**63
         g, big = next((g, it.token) for g in groups for it in g.items
@@ -191,20 +188,15 @@ def flatten_groups(groups) -> FlatGroups:
         raise ContractError(
             f"group {g.id!r}: token {big} outside the int64 range [0, 2**63)") from None
     except (TypeError, ValueError):
-        # numpy's stack and concatenate refuse arrays of unequal shapes
-        widths = sorted({it.dense.size for g in groups for it in g.items if it.dense is not None})
+        # numpy's array and stack refuse a mix of tokens and vectors, and unequal widths
+        widths = sorted({it.dense.size for it in items if it.dense is not None})
         held = f"different widths {widths}" if len(widths) > 1 else "tokens and dense vectors"
         raise ContractError(
             f"items must all be tokens, or dense vectors of one width; got {held}") from None
     offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-    np.cumsum([p.shape[0] for p in payloads], out=offsets[1:])
+    np.cumsum([len(g.items) for g in groups], out=offsets[1:])
     labels = np.array([-1 if g.label is None else g.label for g in groups], dtype=np.int64)
-    return FlatGroups(
-        payload=payload,
-        offsets=offsets,
-        labels=labels,
-        ids=[g.id for g in groups],
-    )
+    return FlatGroups(payload=payload, offsets=offsets, labels=labels, ids=[g.id for g in groups])
 
 
 # The two batch kernels share one signature.  Given non-empty tapes and

@@ -10,9 +10,9 @@ bound are the closed forms whose gradient the running estimate in
 `check_counts` state, one item at a time, what the shipped collapsed
 Gibbs kernel computes in bulk.
 
-The single-group reference path (init_state ... unrolled_backward) is
-the readable one-group-at-a-time form of the coordinate updates and of
-the unrolled adjoint.  It borrows only the package's encoder forward pass
+The single-group reference path (group_payload, init_state ...
+unrolled_backward) is the readable one-group-at-a-time form of the
+coordinate updates and of the unrolled adjoint.  It borrows only the package's encoder forward pass
 and elementwise special functions; its loops and bookkeeping are its own,
 so it checks the packed batch kernels that training and inference run.
 
@@ -54,7 +54,6 @@ from logistic_lda.math_kernels import (
     softmax,
     trigamma,
 )
-from logistic_lda.mean_field import group_payload
 
 DEFAULT_ORDER = ("items", "alpha", "label")
 LOSS_FLOOR = 1e-30
@@ -192,6 +191,14 @@ def init_state(group, hyper, clamp_label=False):
         p_items=np.full((len(group.items), K), 1.0 / K),
         clamped=clamped,
     )
+
+
+def group_payload(group):
+    """Stack the group's item payloads into one array for the encoder."""
+    first = group.items[0]
+    if first.dense is not None:
+        return np.stack([it.dense for it in group.items])
+    return np.array([it.token for it in group.items], dtype=np.int64)
 
 
 def update_item_beliefs(state, group, theta):

@@ -768,6 +768,7 @@ class TestKernelKeepsTheBits:
             stdout.append(out)
         return stdout, {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
+    @pytest.mark.usefixtures("numpy_kernels")
     @pytest.mark.parametrize("runs", ["TOKEN_RUN", "DENSE_RUN"])
     def test_same_bytes_as_the_reference_kernel(self, tmp_path, capsys, monkeypatch, runs):
         runs = getattr(self, runs)

@@ -198,13 +198,20 @@ class TestCorpusRoundtrip:
         with pytest.raises(ContractError, match=message):
             corpus_from_groups(groups, 2, **kwargs)
 
-    def test_mixed_groups_rejected_at_wrap(self):
-        groups = [
-            Group(id="a", items=[Item(token=0)]),
-            Group(id="b", items=[Item(dense=np.zeros(2))]),
-        ]
-        with pytest.raises(ContractError):
-            corpus_from_groups(groups, 2)
+    @pytest.mark.parametrize("items", [
+        [[Item(token=0)], [Item(dense=np.zeros(2))]],
+        [[Item(dense=np.zeros(2))], [Item(token=0), Item(token=1)]],
+        [[Item(token=0), Item(dense=np.zeros(2))]],
+        [[Item(dense=np.zeros(2)), Item(token=0)]],
+    ], ids=["token-then-dense", "dense-then-token", "one-group-token-first",
+            "one-group-dense-first"])
+    @pytest.mark.parametrize("pack", [flatten_groups, lambda groups: corpus_from_groups(groups, 2)],
+                             ids=["flatten", "wrap"])
+    def test_mixed_groups_rejected_at_wrap(self, items, pack):
+        groups = [Group(id=f"g{d}", items=it) for d, it in enumerate(items)]
+        with pytest.raises(ContractError, match=r"^items must all be tokens, or dense vectors of "
+                                                r"one width; got tokens and dense vectors$"):
+            pack(groups)
 
     @pytest.mark.parametrize("gid", [5, ""])
     def test_wrap_refuses_an_id_that_is_not_a_nonempty_string(self, gid):
@@ -218,6 +225,59 @@ class TestCorpusRoundtrip:
         with pytest.raises(ContractError,
                            match=rf"group 'b': token {token} outside the int64 range"):
             corpus_from_groups(groups, 2)
+
+
+class TestSaveCorpusBytes:
+    """save_corpus assembles each group line as bytes.  Every line must be
+    the compact JSON text of the record it stands for, ids that need
+    escaping included, and the file must load back as the same corpus."""
+
+    IDS = ['say "hi"', "back\\slash", "bell\x07tab\tnl\n", "caf\u00e9", "clef \U0001d11e",
+           "line\u2028sep"]
+    LABELS = [0, -1, 1, -1, 2, 0]
+
+    def corpus(self, kind):
+        sizes = [1, 3, 2, 1, 4, 2]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rng = SeededRng(3).gen
+        if kind == "token":
+            payload, spec = rng.integers(0, 4, size=offsets[-1]), PayloadSpec("token", 4)
+            vocab = ("\u00e9t\u00e9", "\u65e5\u672c", 'quo"te', "\U0001f600")
+        else:
+            payload, spec = rng.normal(size=(offsets[-1], 3)), PayloadSpec("dense", 3)
+            payload[0, 0] = -0.0
+            vocab = None
+        flat = _flat(payload, offsets, self.LABELS, self.IDS)
+        return Corpus(num_topics=3, payload=spec, flat=flat, vocab=vocab)
+
+    @pytest.mark.parametrize("kind", ["token", "dense"])
+    def test_each_line_is_the_records_json(self, tmp_path, kind):
+        corpus = self.corpus(kind)
+        p = tmp_path / "c.jsonl"
+        save_corpus(p, corpus)
+        header = {"format": "corpus", "version": 1 if kind == "token" else 2, "k": 3,
+                  "payload": {kind: corpus.payload.size}}
+        if corpus.vocab is not None:
+            header["vocab"] = list(corpus.vocab)
+        want = [header]
+        flat = corpus.flat
+        for d, gid in enumerate(flat.ids):
+            rows = flat.payload[flat.offsets[d] : flat.offsets[d + 1]]
+            items = (rows.tolist() if kind == "token"
+                     else base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii"))
+            rec = {"id": gid, "items": items}
+            if flat.labels[d] >= 0:
+                rec["label"] = int(flat.labels[d])
+            want.append(rec)
+        lines = p.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert lines[:-1] == [json.dumps(rec, separators=(",", ":")).encode() for rec in want]
+        back = load_corpus(p)
+        assert (back.num_topics, back.payload, back.vocab) == (3, corpus.payload, corpus.vocab)
+        assert back.flat.ids == self.IDS
+        np.testing.assert_array_equal(back.flat.labels, self.LABELS)
+        np.testing.assert_array_equal(back.flat.offsets, flat.offsets)
+        assert back.flat.payload.tobytes() == flat.payload.tobytes()
 
 
 def _flat(payload, offsets, labels, ids):

@@ -4,8 +4,10 @@ A small seeded pipeline runs every command through `run_cli` and the
 SHA-256 of every file it writes and of every stdout is compared with the
 table in golden_digests.json.  The bits depend on numpy's internals (row-sum
 order, BLAS) and on the backend, so the table records the versions and the
-backend it was taken on, and on another numpy or backend the test fails and
-says so rather than reporting every digest.
+backend it was taken on, and on another numpy the test fails and says so
+rather than reporting every digest.  The runs bind the numpy kernels
+(conftest.use_numpy_kernels), so a host whose default backend is numba
+checks the same table.
 
 A change that alters an output on purpose rewrites the table with
 
@@ -25,9 +27,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from logistic_lda import BACKEND
 from logistic_lda.cli import run_cli
+
+from conftest import use_numpy_kernels
 
 HERE = Path(__file__).resolve().parent
 TABLE = HERE / "golden_digests.json"
@@ -69,7 +73,7 @@ DENSE_RUN = [
 def environment():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "blas": f"{blas['name']} {blas.get('version', '?')}", "backend": BACKEND}
+            "blas": f"{blas['name']} {blas.get('version', '?')}", "backend": "numpy"}
 
 
 def _sha(data):
@@ -111,6 +115,7 @@ def digests(tmp):
     return {**_run("token", token, TOKEN_RUN), **_run("dense", dense, DENSE_RUN)}
 
 
+@pytest.mark.usefixtures("numpy_kernels")
 def test_seeded_outputs_match_the_table(tmp_path):
     table = json.loads(TABLE.read_text())
     here = environment()
@@ -127,7 +132,8 @@ def test_seeded_outputs_match_the_table(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        use_numpy_kernels(mp)
         table = {"environment": environment(), "digests": digests(tmp)}
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table['digests'])} digests to {TABLE}", file=sys.stderr)

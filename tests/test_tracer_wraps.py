@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from logistic_lda import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,6 +42,7 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+@pytest.mark.usefixtures("numpy_kernels")
 def test_traced_pipeline_takes_every_count(tmp_path, capsys):
     spans, dense = load("spans"), load("dense")
 
