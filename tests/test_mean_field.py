@@ -565,17 +565,19 @@ class TestBatchLayer:
         for d, g in enumerate(groups):
             assert flat.labels[d] == (-1 if g.label is None else g.label)
 
-    @pytest.mark.parametrize("items", [
-        [[Item(token=0)], [Item(dense=np.zeros(2))]],
-        [[Item(dense=np.zeros(1))], [Item(token=0)]],
-        [[Item(dense=np.zeros(2))], [Item(dense=np.zeros(3))]],
-        [[Item(dense=np.zeros(2)), Item(dense=np.zeros(3))]],
-        [[Item(token=1), Item(dense=np.zeros(2))]],
+    @pytest.mark.parametrize("items,held", [
+        ([[Item(token=0)], [Item(dense=np.zeros(2))]], "tokens and dense vectors"),
+        ([[Item(dense=np.zeros(1))], [Item(token=0)]], "tokens and dense vectors"),
+        ([[Item(dense=np.zeros(2))], [Item(dense=np.zeros(3))]], r"different widths \[2, 3\]"),
+        ([[Item(dense=np.zeros(2)), Item(dense=np.zeros(3))]], r"different widths \[2, 3\]"),
+        ([[Item(token=1), Item(dense=np.zeros(2))]], "tokens and dense vectors"),
+        ([[Item(dense=np.zeros(2)), Item(token=1)]], "tokens and dense vectors"),
     ], ids=["token-then-dense", "dense-then-token", "widths-across-groups",
-            "widths-in-group", "kinds-in-group"])
-    def test_flatten_refuses_mixed_payloads(self, items):
+            "widths-in-group", "kinds-in-group", "kinds-in-group-dense-first"])
+    def test_flatten_refuses_mixed_payloads(self, items, held):
         groups = [Group(id=f"g{d}", items=its) for d, its in enumerate(items)]
-        with pytest.raises(ContractError, match="tokens, or dense vectors of one width"):
+        with pytest.raises(ContractError, match=rf"^items must all be tokens, or dense vectors "
+                                                rf"of one width; got {held}$"):
             flatten_groups(groups)
 
     @pytest.mark.parametrize("token_items", [True, False])
