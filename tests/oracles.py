@@ -12,9 +12,10 @@ Gibbs kernel computes in bulk.
 
 The single-group reference path (group_payload, init_state ...
 unrolled_backward) is the readable one-group-at-a-time form of the
-coordinate updates and of the unrolled adjoint.  It borrows only the package's encoder forward pass
-and elementwise special functions; its loops and bookkeeping are its own,
-so it checks the packed batch kernels that training and inference run.
+coordinate updates and of the unrolled adjoint.  It borrows only the
+package's encoder forward pass and elementwise special functions; its
+loops and bookkeeping are its own, so it checks the packed batch kernels
+that training and inference run.
 
 The reference_* kernels at the end are the earlier, plainer numpy forms
 of softmax, log_softmax, digamma, trigamma, the table encoder's backward
